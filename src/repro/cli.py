@@ -36,13 +36,13 @@ Eighteen commands cover the workflows a downstream user actually runs:
 * ``bench-pipeline`` — emit a stamped ``BENCH_pipeline.json`` snapshot of
   the incremental trust pipeline: full-rebuild vs single-event refresh
   latency per population size, sparse vs dense vs csr matmul, and —
-  with ``--scale-sizes`` — sharded vs monolithic replay of one event
-  stream (``--min-speedup`` / ``--min-sharded-speedup`` /
-  ``--min-csr-speedup`` gate; the scaling gate also requires
-  bit-identical checksums);
+  with ``--scale-sizes`` — per-event refresh latency over one replayed
+  event stream, checked against a forced full rebuild (``--min-speedup``
+  / ``--min-csr-speedup`` gate; any scaling tier whose checksums differ
+  from the full rebuild exits 1);
 * ``recover``     — rebuild trust state from a durability directory
   (latest good snapshot + WAL-tail replay); ``--repair`` truncates a torn
-  tail, ``--out`` writes the recovered state as a v2 JSON document;
+  tail, ``--out`` writes the recovered state as a v4 JSON document;
 * ``wal-inspect`` — decode a write-ahead log: record counts by kind,
   valid-prefix length, truncation reason (``--records`` lists frames);
 * ``bench-wal``   — emit a stamped ``BENCH_wal.json`` snapshot of ingest
@@ -96,7 +96,7 @@ from .obs.bench import (append_history, collect_snapshot, overhead_ratio,
                         write_snapshot)
 from .obs.bench_pipeline import (collect_pipeline_snapshot, csr_speedup,
                                  dense_speedup, incremental_speedup,
-                                 scaling_identical, sharded_speedup)
+                                 scaling_identical)
 from .obs.bench_trace import (collect_trace_snapshot, scan_ratio,
                               scan_throughput, write_throughput)
 from .obs.traceio import (DEFAULT_CHUNK_EVENTS, TraceWriter, canonical_line,
@@ -273,14 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "sparse dict-of-dicts, dense numpy, "
                                "compressed-sparse-row, or auto-select by "
                                "density x size (multidimensional only)")
-    simulate.add_argument("--shards", type=int, default=None,
-                          help="partition the trust domain over this many "
-                               "shards (>1 selects the sharded pipeline; "
-                               "multidimensional only)")
-    simulate.add_argument("--shard-workers", type=int, default=None,
-                          help="row-patching worker processes for the "
-                               "sharded pipeline (1 = serial, byte-"
-                               "identical either way)")
     simulate.add_argument("--wal-out", default=None, metavar="DIR",
                           help="journal every trust-state mutation to a "
                                "write-ahead log + snapshots in this "
@@ -501,24 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench_pipeline.add_argument("--scale-sizes", type=int, nargs="+",
                                 default=[], metavar="PEERS",
                                 help="extra population tiers for the "
-                                     "sharded-vs-monolithic scaling bench "
-                                     "(replays one event stream through "
-                                     "both pipelines, checksum-gated)")
-    bench_pipeline.add_argument("--scale-events", type=int, default=5,
+                                     "scaling bench (replays one event "
+                                     "stream, timing each refresh; exit 1 "
+                                     "unless a forced full rebuild "
+                                     "reproduces the checksums)")
+    bench_pipeline.add_argument("--scale-events", type=int, default=50,
                                 help="single-event refreshes replayed per "
                                      "scaling tier")
-    bench_pipeline.add_argument("--shards", type=int, default=8,
-                                help="shard count for the scaling bench")
-    bench_pipeline.add_argument("--shard-workers", type=int, default=2,
-                                help="worker processes for the parallel "
-                                     "bit-identity check at the smallest "
-                                     "scaling tier (1 disables it)")
-    bench_pipeline.add_argument("--min-sharded-speedup", type=float,
-                                default=None, metavar="RATIO",
-                                help="exit 1 unless the sharded pipeline "
-                                     "beats the monolith by this factor at "
-                                     "the smallest scaling tier, with "
-                                     "bit-identical checksums everywhere")
     bench_pipeline.add_argument("--min-csr-speedup", type=float,
                                 default=None, metavar="RATIO",
                                 help="exit 1 unless the csr backend beats "
@@ -532,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="directory written by simulate "
                                      "--wal-out")
     recover_parser.add_argument("--out", default=None, metavar="PATH",
-                                help="write the recovered state as a v2 "
+                                help="write the recovered state as a v4 "
                                      "JSON document here")
     recover_parser.add_argument("--repair", action="store_true",
                                 help="truncate a torn WAL tail back to the "
@@ -688,10 +669,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             reputation_config["multitrust_steps"] = args.multitrust_steps
         if args.matmul_backend is not None:
             reputation_config["matmul_backend"] = args.matmul_backend
-        if args.shards is not None:
-            reputation_config["shards"] = args.shards
-        if args.shard_workers is not None:
-            reputation_config["shard_workers"] = args.shard_workers
         mechanism = MultiDimensionalMechanism(
             ReputationConfig(**reputation_config))
     else:
@@ -1346,9 +1323,7 @@ def _cmd_bench_pipeline(args: argparse.Namespace) -> int:
                                          sizes=tuple(args.sizes),
                                          events=args.events,
                                          scale_sizes=tuple(args.scale_sizes),
-                                         scale_events=args.scale_events,
-                                         shards=args.shards,
-                                         shard_workers=args.shard_workers)
+                                         scale_events=args.scale_events)
     write_snapshot(args.out, snapshot)
     if args.history is not None:
         append_history(args.history, snapshot)
@@ -1374,8 +1349,7 @@ def _cmd_bench_pipeline(args: argparse.Namespace) -> int:
           f"{backend['results_max_abs_diff']:.1e})")
     csr = snapshot["csr"]
     print(f"csr bench ({csr['nodes']} nodes, density "
-          f"{csr['density']:.2f}, TM^{csr['steps']}, "
-          f"flavor={csr['flavor']}): dense "
+          f"{csr['density']:.2f}, TM^{csr['steps']}): dense "
           f"{csr['dense_power_seconds'] * 1e3:.1f}ms, csr "
           f"{csr['csr_power_seconds'] * 1e3:.1f}ms "
           f"(x{csr['csr_speedup']:.1f}, auto selects "
@@ -1384,22 +1358,18 @@ def _cmd_bench_pipeline(args: argparse.Namespace) -> int:
     if snapshot.get("scaling"):
         rows = []
         for entry in snapshot["scaling"]:
-            workers = entry.get("workers")
-            identity = "ok" if entry["checksums_match"] else "MISMATCH"
-            if isinstance(workers, dict):
-                identity += ("+mp" if workers["matches_serial"]
-                             else "+MP-MISMATCH")
-            rows.append([entry["peers"], entry["shards"],
+            rows.append([entry["peers"], entry["events"],
                          entry["tm_entries"],
-                         f"{entry['monolithic_refresh_seconds'] * 1e3:.1f}",
-                         f"{entry['sharded_refresh_seconds'] * 1e3:.1f}",
-                         f"x{entry['sharded_speedup']:.1f}", identity])
+                         f"{entry['refresh_seconds'] * 1e3:.2f}",
+                         f"{entry['refresh_p50_seconds'] * 1e3:.2f}",
+                         f"{entry['refresh_p95_seconds'] * 1e3:.2f}",
+                         "ok" if entry["checksums_match"] else "MISMATCH"])
         print()
         print(render_table(
-            ["peers", "shards", "TM entries", "monolithic (ms)",
-             "sharded (ms)", "speedup", "identity"],
-            rows, title="Scaling: monolithic vs sharded single-event "
-                        "replay (identical streams)"))
+            ["peers", "events", "TM entries", "mean (ms)", "p50 (ms)",
+             "p95 (ms)", "== full rebuild"],
+            rows, title="Scaling: single-event refresh over one replayed "
+                        "stream"))
     if args.min_speedup is not None:
         smallest = min(args.sizes)
         speedup = incremental_speedup(snapshot, smallest)
@@ -1416,26 +1386,10 @@ def _cmd_bench_pipeline(args: argparse.Namespace) -> int:
         print(f"pipeline gate passed (x{speedup:.2f} >= "
               f"x{args.min_speedup:.2f} at {smallest} peers, dense "
               f"x{dense_speedup(snapshot):.2f} vs sparse)")
-    if args.min_sharded_speedup is not None:
-        if not args.scale_sizes:
-            print("--min-sharded-speedup needs --scale-sizes tiers to gate",
-                  file=sys.stderr)
-            return 2
-        if not scaling_identical(snapshot):
-            print("sharded pipeline diverged from the monolith (or the "
-                  "parallel replay diverged from serial); see the identity "
-                  "column", file=sys.stderr)
-            return 1
-        smallest_tier = min(args.scale_sizes)
-        tier_speedup = sharded_speedup(snapshot, smallest_tier)
-        if tier_speedup < args.min_sharded_speedup:
-            print(f"sharded speedup x{tier_speedup:.2f} at "
-                  f"{smallest_tier} peers below the "
-                  f"x{args.min_sharded_speedup:.2f} bound", file=sys.stderr)
-            return 1
-        print(f"scaling gate passed (x{tier_speedup:.2f} >= "
-              f"x{args.min_sharded_speedup:.2f} at {smallest_tier} peers, "
-              f"bit-identical)")
+    if args.scale_sizes and not scaling_identical(snapshot):
+        print("incremental replay diverged from a forced full rebuild; "
+              "see the scaling table", file=sys.stderr)
+        return 1
     if args.min_csr_speedup is not None:
         ratio = csr_speedup(snapshot)
         if ratio < args.min_csr_speedup:
@@ -1444,7 +1398,7 @@ def _cmd_bench_pipeline(args: argparse.Namespace) -> int:
                   f"{csr['density']:.0%}-density matrix", file=sys.stderr)
             return 1
         print(f"csr gate passed (x{ratio:.2f} >= "
-              f"x{args.min_csr_speedup:.2f}, flavor={csr['flavor']})")
+              f"x{args.min_csr_speedup:.2f})")
     return 0
 
 

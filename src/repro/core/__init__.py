@@ -18,20 +18,17 @@ from .integration import (TrustDimension, build_one_step_matrix,
                           integrate_dimensions)
 from .matrix import TrustMatrix
 from .matrix_backend import (CSR_BACKEND, DENSE_BACKEND, SPARSE_BACKEND,
-                             CsrBackend, DenseNumpyBackend, MatmulBackend,
-                             MatrixStats, SparseDictBackend, resolve_backend,
-                             resolve_backend_from_stats, select_backend,
-                             select_backend_from_stats)
+                             BackendUnavailableError, CsrBackend,
+                             DenseNumpyBackend, MatmulBackend,
+                             SparseDictBackend, resolve_backend,
+                             select_backend)
 from .multitrust import (MultiTierView, TierAssignment,
                          compute_reputation_matrix, global_reputation_vector,
                          reputation_between)
 from .persistence import (load_system, save_system, system_from_dict,
                           system_to_dict)
-from .pipeline import RefreshStats, TrustPipeline, combine_dimension_rows
+from .pipeline import RefreshStats, TrustPipeline
 from .reputation_system import MultiDimensionalReputationSystem, RefreshView
-from .shard import ShardMap, shard_for_record, shard_owner
-from .shard_workers import ShardPatchPool
-from .sharded_pipeline import ShardedTrustPipeline
 from .tuning import (TuningResult, fake_ranking_objective,
                      separation_objective, simplex_grid,
                      sweep_dimension_weights, sweep_eta)
@@ -77,19 +74,11 @@ __all__ = [
     "SPARSE_BACKEND",
     "DENSE_BACKEND",
     "CSR_BACKEND",
-    "MatrixStats",
+    "BackendUnavailableError",
     "select_backend",
-    "select_backend_from_stats",
     "resolve_backend",
-    "resolve_backend_from_stats",
     "TrustPipeline",
     "RefreshStats",
-    "combine_dimension_rows",
-    "ShardMap",
-    "shard_owner",
-    "shard_for_record",
-    "ShardPatchPool",
-    "ShardedTrustPipeline",
     "MultiTierView",
     "TierAssignment",
     "compute_reputation_matrix",

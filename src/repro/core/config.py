@@ -60,18 +60,10 @@ class ReputationConfig:
     multitrust_steps: int = 1
 
     # Matmul backend for RM = TM^n: "sparse" (dict-of-dicts), "dense"
-    # (numpy bridge), "csr" (scipy CSR / blocked-numpy fallback) or "auto"
-    # (density x size heuristic; see repro.core.matrix_backend).
-    # Irrelevant while multitrust_steps == 1.
+    # (numpy bridge), "csr" (scipy CSR; needs scipy) or "auto" (density x
+    # size heuristic; see repro.core.matrix_backend).  Resolved only when
+    # a power runs (multitrust_steps >= 2, or a step override >= 2).
     matmul_backend: str = "auto"
-
-    # Sharded trust domain (repro.core.sharded_pipeline): number of shards
-    # the peer space is partitioned into, and the worker-process count for
-    # parallel row patching.  shards == 1 selects the monolithic
-    # TrustPipeline; shard_workers == 1 keeps patching on the serial
-    # in-process path (byte-identical to the monolith either way).
-    shards: int = 1
-    shard_workers: int = 1
 
     # Eq. 2 -- distance metric between evaluation vectors.  One of
     # "l1" (paper default), "euclidean", "kl".
@@ -130,11 +122,6 @@ class ReputationConfig:
             raise ConfigError(
                 f"unknown matmul_backend {self.matmul_backend!r}; "
                 "expected 'auto', 'sparse', 'dense' or 'csr'")
-        if self.shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_workers < 1:
-            raise ConfigError(
-                f"shard_workers must be >= 1, got {self.shard_workers}")
         if self.retention_saturation_seconds <= 0:
             raise ConfigError("retention_saturation_seconds must be positive")
         if self.evaluation_retention_interval <= 0:

@@ -27,7 +27,6 @@ from typing import Any, BinaryIO, Dict, Optional, Union
 
 from ...obs.recorder import NULL_RECORDER, NullRecorder
 from ..reputation_system import MultiDimensionalReputationSystem
-from ..shard import ShardMap, shard_for_record
 from .snapshots import SnapshotStore
 from .wal import WalWriter
 
@@ -87,12 +86,6 @@ class DurabilityManager:
         self.recorder = recorder
         self._writer = WalWriter(self.wal_path, fsync=fsync,
                                  start_seq=start_seq, fileobj=fileobj)
-        #: With a sharded pipeline, journal records carry the shard of the
-        #: peer whose row-local state they mutate; unsharded systems write
-        #: byte-identical records to what earlier builds produced.
-        self._shard_map: Optional[ShardMap] = (
-            ShardMap(system.config.shards)
-            if system.config.shards > 1 else None)
         self._records_since_snapshot = 0
         self._attached = False
         self._closed = False
@@ -142,10 +135,6 @@ class DurabilityManager:
     # ------------------------------------------------------------------ #
 
     def _journal(self, kind: str, payload: Dict[str, Any]) -> None:
-        if self._shard_map is not None:
-            shard = shard_for_record(kind, payload, self._shard_map)
-            if shard is not None:
-                payload = dict(payload, shard=shard)
         self._writer.append(kind, payload)
         self._records_since_snapshot += 1
         self.recorder.inc("wal.appended")

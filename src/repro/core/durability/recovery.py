@@ -9,7 +9,9 @@ Recovery rebuilds the exact pre-crash state in three steps:
    with ``seq`` greater than the snapshot's ``last_seq`` is fed through
    ``system.apply_record`` — the *same* store mutators the live system
    used, so dirty-set tracking fires and the incremental pipeline patches
-   matrices exactly as it would have live.  With
+   matrices exactly as it would have live.  Payload keys no mutator reads
+   (journals from format-v3 builds stamp an owner number on most records)
+   are ignored, so those logs replay unchanged.  With
    ``REPRO_CHECK_INVARIANTS=1`` the pipeline cross-checks every patched
    refresh against a full rebuild, making "bit-identical recovery" a
    machine-checked property rather than a hope.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from ...obs.recorder import NULL_RECORDER, NullRecorder
 from ..reputation_system import MultiDimensionalReputationSystem
@@ -62,10 +64,6 @@ class RecoveryResult:
     quarantined: List[QuarantinedSnapshot] = field(default_factory=list)
     #: True when a torn tail was physically truncated (``repair=True``).
     repaired: bool = False
-    #: Replayed records per shard, from the shard annotation the sharded
-    #: journal stamps on row-local records.  Empty for unsharded journals;
-    #: records without a single owner (e.g. prunes) are not counted here.
-    replayed_by_shard: Dict[int, int] = field(default_factory=dict)
 
 
 def recover(directory: Union[str, Path],
@@ -95,7 +93,6 @@ def recover(directory: Union[str, Path],
     wal_path = directory / WAL_FILENAME
     scan: Optional[WalScan] = None
     replayed = 0
-    replayed_by_shard: Dict[int, int] = {}
     if wal_path.exists():
         scan = read_wal(wal_path)
         for record in scan.records:
@@ -103,9 +100,6 @@ def recover(directory: Union[str, Path],
                 continue
             system.apply_record(record.kind, record.payload)
             replayed += 1
-            shard = record.payload.get("shard")
-            if isinstance(shard, int):
-                replayed_by_shard[shard] = replayed_by_shard.get(shard, 0) + 1
         if replayed:
             system.recompute()
 
@@ -126,13 +120,11 @@ def recover(directory: Union[str, Path],
         snapshot_seq=loaded.last_seq, replayed_records=replayed,
         last_seq=last_seq, truncated_tail_bytes=truncated_tail,
         truncation_reason=reason, repaired=repaired,
-        quarantined=len(loaded.quarantined),
-        shards_replayed=len(replayed_by_shard))
+        quarantined=len(loaded.quarantined))
 
     return RecoveryResult(
         system=system, snapshot_path=loaded.path,
         snapshot_seq=loaded.last_seq, replayed_records=replayed,
         last_seq=last_seq, wal_path=wal_path, wal_scan=scan,
         truncated_tail_bytes=truncated_tail, truncation_reason=reason,
-        quarantined=loaded.quarantined, repaired=repaired,
-        replayed_by_shard=replayed_by_shard)
+        quarantined=loaded.quarantined, repaired=repaired)

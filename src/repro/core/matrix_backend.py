@@ -16,12 +16,9 @@ This module extracts the seam:
   (delegates to :meth:`TrustMatrix.matmul` / :meth:`TrustMatrix.power`);
 * :class:`DenseNumpyBackend` — bridges through :meth:`TrustMatrix.to_dense`
   over the sorted union of node ids and multiplies in numpy;
-* :class:`CsrBackend` — scipy CSR product when scipy is importable, a
-  blocked-numpy product otherwise (same protocol, no hard dependency);
+* :class:`CsrBackend` — scipy's CSR product; raises
+  :class:`BackendUnavailableError` when scipy is not installed;
 * :func:`select_backend` — the density×size heuristic behind ``"auto"``;
-* :class:`MatrixStats` + :func:`select_backend_from_stats` — the same
-  heuristic decided from incrementally maintained counters, so the sharded
-  pipeline never pays an O(entries) density scan per refresh;
 * :func:`resolve_backend` — maps the config/CLI spelling (``"auto"`` /
   ``"sparse"`` / ``"dense"`` / ``"csr"``) to a concrete choice.
 
@@ -29,14 +26,13 @@ Backends are value-deterministic: two value-equal inputs produce the same
 result matrix under the same backend, regardless of dict insertion order
 (the sparse product iterates in canonical order; the dense and CSR bridges
 index by sorted ids).  Different backends agree to float tolerance, not
-bit-for-bit — accumulation orders differ — which is why the ``"auto"``
-*decision* itself must be exactly reproducible from stats (see
-:class:`MatrixStats`).
+bit-for-bit — accumulation orders differ — so the ``"auto"`` decision is
+a pure function of the matrix (and of whether scipy is installed).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +43,7 @@ __all__ = [
     "SparseDictBackend",
     "DenseNumpyBackend",
     "CsrBackend",
+    "BackendUnavailableError",
     "SPARSE_BACKEND",
     "DENSE_BACKEND",
     "CSR_BACKEND",
@@ -54,11 +51,8 @@ __all__ = [
     "DENSE_DENSITY_THRESHOLD",
     "DENSE_MIN_NODES",
     "CSR_MIN_NODES",
-    "MatrixStats",
     "select_backend",
-    "select_backend_from_stats",
     "resolve_backend",
-    "resolve_backend_from_stats",
 ]
 
 #: Density above which the dense product typically beats the sparse one.
@@ -137,6 +131,10 @@ class DenseNumpyBackend(MatmulBackend):
         return _from_dense_nonzero(np.linalg.matrix_power(dense, n), ids)
 
 
+class BackendUnavailableError(RuntimeError):
+    """A forced matmul backend needs a library that is not installed."""
+
+
 def _scipy_sparse() -> Optional[Any]:
     """The ``scipy.sparse`` module, or ``None`` when scipy is absent."""
     try:
@@ -146,15 +144,23 @@ def _scipy_sparse() -> Optional[Any]:
     return sparse
 
 
+def _require_scipy_sparse() -> Any:
+    sparse = _scipy_sparse()
+    if sparse is None:
+        raise BackendUnavailableError(
+            "the csr matmul backend needs scipy, which is not installed; "
+            "use matmul_backend 'auto', 'dense' or 'sparse'")
+    return sparse
+
+
 class CsrBackend(MatmulBackend):
     """Compressed-sparse-row product for large sparse matrices.
 
-    With scipy importable the product runs through ``scipy.sparse``'s C
-    CSR multiply; without it, a blocked dense-numpy product (row blocks of
-    ``block_rows``, bounding temporary memory) provides the same protocol
-    so the backend never becomes a hard dependency.  Both flavours convert
-    through the sorted union of node ids with column-sorted rows, so the
-    bridge is canonical regardless of dict insertion order.
+    Runs through ``scipy.sparse``'s C CSR multiply, converting through the
+    sorted union of node ids with column-sorted rows, so the bridge is
+    canonical regardless of dict insertion order.  Without scipy every
+    call raises :class:`BackendUnavailableError` (``"auto"`` never picks
+    this backend then).
 
     ``power(m, 1)`` returns ``m`` itself (the universal fast path); larger
     powers use repeated squaring in the native representation so only the
@@ -163,30 +169,16 @@ class CsrBackend(MatmulBackend):
 
     name = "csr"
 
-    def __init__(self, block_rows: int = 256):
-        if block_rows < 1:
-            raise ValueError(f"block_rows must be >= 1, got {block_rows}")
-        self._block_rows = block_rows
-
-    @property
-    def flavor(self) -> str:
-        """``"scipy"`` or ``"blocked-numpy"`` — which engine runs here."""
-        return "scipy" if _scipy_sparse() is not None else "blocked-numpy"
-
     def matmul(self, left: TrustMatrix, right: TrustMatrix) -> TrustMatrix:
+        sparse = _require_scipy_sparse()
         ids = DenseNumpyBackend._ids(left, right)
         if not ids:
             return TrustMatrix()
-        sparse = _scipy_sparse()
-        if sparse is None:
-            dense_left, _ = left.to_dense(ids)
-            dense_right, _ = right.to_dense(ids)
-            return _from_dense_nonzero(
-                self._blocked_matmul(dense_left, dense_right), ids)
         product = _to_csr(left, ids, sparse) @ _to_csr(right, ids, sparse)
         return _from_csr(product, ids)
 
     def power(self, matrix: TrustMatrix, n: int) -> TrustMatrix:
+        sparse = _require_scipy_sparse()
         if n < 1:
             raise ValueError(f"matrix power requires n >= 1, got {n}")
         if n == 1:
@@ -194,13 +186,6 @@ class CsrBackend(MatmulBackend):
         ids = DenseNumpyBackend._ids(matrix)
         if not ids:
             return TrustMatrix()
-        sparse = _scipy_sparse()
-        if sparse is None:
-            dense, _ = matrix.to_dense(ids)
-            result = dense
-            for _ in range(n - 1):
-                result = self._blocked_matmul(result, dense)
-            return _from_dense_nonzero(result, ids)
         base = _to_csr(matrix, ids, sparse)
         result = None
         remaining = n
@@ -212,15 +197,6 @@ class CsrBackend(MatmulBackend):
                 base = base @ base
         assert result is not None
         return _from_csr(result, ids)
-
-    def _blocked_matmul(self, left: "np.ndarray",
-                        right: "np.ndarray") -> "np.ndarray":
-        """``left @ right`` one row block at a time (bounded temporaries)."""
-        out = np.empty_like(left)
-        for start in range(0, left.shape[0], self._block_rows):
-            stop = start + self._block_rows
-            out[start:stop] = left[start:stop] @ right
-        return out
 
 
 def _to_csr(matrix: TrustMatrix, ids: Sequence[str], sparse: Any) -> Any:
@@ -278,103 +254,8 @@ def _from_dense_nonzero(array: "np.ndarray", ids: Sequence[str]
 SPARSE_BACKEND = SparseDictBackend()
 DENSE_BACKEND = DenseNumpyBackend()
 CSR_BACKEND = CsrBackend()
-
-
-class MatrixStats:
-    """Incrementally maintained node/entry counters of one matrix.
-
-    The monolithic pipeline's ``"auto"`` backend choice scans the whole
-    matrix per refresh (``node_ids()`` + ``density()`` are both O(entries)
-    — the very O(n²) wall sharding exists to break).  The sharded pipeline
-    instead folds each row replacement into these counters, paying
-    O(row size) per patched row, and decides the backend from them.
-
-    The decision **must** match the matrix-scan path exactly (backends
-    agree only to tolerance, so a diverging choice breaks bit-identity
-    with the monolith): ``nodes`` replicates ``len(matrix.node_ids())``
-    via per-id reference counts (one ref per non-empty row owned, one per
-    column occurrence) and ``density()`` computes the same
-    ``off_diagonal / (n * (n - 1))`` quotient over the same integers as
-    :meth:`TrustMatrix.density`.
-    """
-
-    __slots__ = ("_refs", "entries", "diagonal", "rows")
-
-    def __init__(self) -> None:
-        self._refs: Dict[str, int] = {}
-        self.entries = 0
-        self.diagonal = 0
-        self.rows = 0
-
-    def _retain(self, node_id: str) -> None:
-        self._refs[node_id] = self._refs.get(node_id, 0) + 1
-
-    def _release(self, node_id: str) -> None:
-        count = self._refs[node_id] - 1
-        if count:
-            self._refs[node_id] = count
-        else:
-            del self._refs[node_id]
-
-    def replace_row(self, row_id: str, old_row: Mapping[str, float],
-                    new_row: Mapping[str, float]) -> None:
-        """Fold one row replacement into the counters.
-
-        Both mappings must reflect *stored* rows (no zero values — the
-        caller filters exactly like :meth:`TrustMatrix.replace_row` does).
-        """
-        if old_row:
-            self._release(row_id)
-            for j in old_row:
-                self._release(j)
-            self.entries -= len(old_row)
-            self.rows -= 1
-            if row_id in old_row:
-                self.diagonal -= 1
-        if new_row:
-            self._retain(row_id)
-            for j in new_row:
-                self._retain(j)
-            self.entries += len(new_row)
-            self.rows += 1
-            if row_id in new_row:
-                self.diagonal += 1
-
-    @property
-    def nodes(self) -> int:
-        """``len(matrix.node_ids())`` without building the list."""
-        return len(self._refs)
-
-    @property
-    def off_diagonal(self) -> int:
-        return self.entries - self.diagonal
-
-    def density(self) -> float:
-        """Same quotient as :meth:`TrustMatrix.density` over all ids."""
-        n = self.nodes
-        if n < 2:
-            return 0.0
-        return self.off_diagonal / (n * (n - 1))
-
-    @classmethod
-    def of(cls, matrix: TrustMatrix) -> "MatrixStats":
-        """Counters for an existing matrix (O(entries), for seeding/tests)."""
-        stats = cls()
-        for i, row in matrix.iter_row_views():
-            stats.replace_row(i, {}, row)
-        return stats
-
-
-def _choose_auto(nodes: int, density: float, density_threshold: float,
-                 min_nodes: int, csr_min_nodes: int) -> MatmulBackend:
-    """The shared three-regime decision; both selection paths land here."""
-    if nodes < min_nodes:
-        return SPARSE_BACKEND
-    if density >= density_threshold:
-        return DENSE_BACKEND
-    if nodes >= csr_min_nodes:
-        return CSR_BACKEND
-    return SPARSE_BACKEND
+_FORCED_BACKENDS: Dict[str, MatmulBackend] = {
+    "sparse": SPARSE_BACKEND, "dense": DENSE_BACKEND, "csr": CSR_BACKEND}
 
 
 def select_backend(matrix: TrustMatrix,
@@ -385,27 +266,22 @@ def select_backend(matrix: TrustMatrix,
 
     * below ``min_nodes``: the dict product's zero conversion cost wins;
     * density ≥ ``density_threshold``: the BLAS dense product wins;
-    * otherwise, at or above ``csr_min_nodes``: large-and-sparse — CSR;
+    * otherwise, at or above ``csr_min_nodes``: large-and-sparse — CSR, or
+      dense when scipy is not installed;
     * otherwise sparse.
+
+    O(entries): it scans the matrix, so the pipeline calls it only when a
+    power actually runs (``n >= 2``).
     """
     ids = matrix.node_ids()
-    return _choose_auto(len(ids), matrix.density(ids), density_threshold,
-                        min_nodes, csr_min_nodes)
-
-
-def select_backend_from_stats(stats: MatrixStats,
-                              density_threshold: float = DENSE_DENSITY_THRESHOLD,
-                              min_nodes: int = DENSE_MIN_NODES,
-                              csr_min_nodes: int = CSR_MIN_NODES
-                              ) -> MatmulBackend:
-    """:func:`select_backend` decided from counters — O(1), no matrix scan.
-
-    Guaranteed to pick the same backend as :func:`select_backend` would on
-    the matrix the stats track (same integers, same quotient, same
-    comparisons); ``tests/core/test_matrix_backend.py`` pins the lockstep.
-    """
-    return _choose_auto(stats.nodes, stats.density(), density_threshold,
-                        min_nodes, csr_min_nodes)
+    nodes = len(ids)
+    if nodes < min_nodes:
+        return SPARSE_BACKEND
+    if matrix.density(ids) >= density_threshold:
+        return DENSE_BACKEND
+    if nodes >= csr_min_nodes:
+        return CSR_BACKEND if _scipy_sparse() is not None else DENSE_BACKEND
+    return SPARSE_BACKEND
 
 
 def resolve_backend(spec: str, matrix: TrustMatrix,
@@ -416,34 +292,10 @@ def resolve_backend(spec: str, matrix: TrustMatrix,
     ``"sparse"`` / ``"dense"`` / ``"csr"`` force the named backend;
     ``"auto"`` applies :func:`select_backend` to the matrix at hand.
     """
-    forced = _forced_backend(spec)
-    if forced is not None:
-        return forced
     if spec == "auto":
         return select_backend(matrix, density_threshold, min_nodes)
-    raise ValueError(
-        f"unknown matmul backend {spec!r}; expected one of {BACKEND_SPECS}")
-
-
-def resolve_backend_from_stats(spec: str, stats: MatrixStats,
-                               density_threshold: float = DENSE_DENSITY_THRESHOLD,
-                               min_nodes: int = DENSE_MIN_NODES
-                               ) -> MatmulBackend:
-    """:func:`resolve_backend` with the ``"auto"`` case decided from stats."""
-    forced = _forced_backend(spec)
-    if forced is not None:
-        return forced
-    if spec == "auto":
-        return select_backend_from_stats(stats, density_threshold, min_nodes)
-    raise ValueError(
-        f"unknown matmul backend {spec!r}; expected one of {BACKEND_SPECS}")
-
-
-def _forced_backend(spec: str) -> Optional[MatmulBackend]:
-    if spec == "sparse":
-        return SPARSE_BACKEND
-    if spec == "dense":
-        return DENSE_BACKEND
-    if spec == "csr":
-        return CSR_BACKEND
-    return None
+    forced = _FORCED_BACKENDS.get(spec)
+    if forced is None:
+        raise ValueError(f"unknown matmul backend {spec!r}; "
+                         f"expected one of {BACKEND_SPECS}")
+    return forced

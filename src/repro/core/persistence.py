@@ -17,18 +17,17 @@ version 1:
   separators, checksum key excluded), so a bit-rotted or hand-mangled
   snapshot is rejected before any of it is trusted.
 
-Version 3 (current) adds the sharded trust domain: the ``shards`` /
-``shard_workers`` config knobs, and — only when ``shards > 1`` — a
-``"sharding"`` metadata section recording the shard count, the assignment
-hash algorithm and a digest of the peer→shard assignment, so a restore
-onto a build with a different partitioning function fails loudly instead
-of silently re-routing rows.
+Version 3 added the config knobs and metadata section of an in-process
+sharded pipeline; version 4 (current) removes them again, writing the v2
+field set under a new version number.  A v3 document's ``shards`` /
+``shard_workers`` config fields and ``"sharding"`` section are accepted
+and ignored on load (its checksum still covers them): the matrices never
+depended on them.
 
-Version-1 and version-2 documents (no ``wal``/``checksum``; no sharding
-knobs) still load, defaulting to the unsharded pipeline.  Unknown
-versions, unknown/missing sections and unknown/missing config fields are
-all rejected loudly — and the error names the offending field or section,
-not just "bad file".
+Version-1 to version-3 documents (no ``wal``/``checksum`` before v2) still
+load.  Unknown versions, unknown/missing sections and unknown/missing
+config fields are all rejected loudly — and the error names the offending
+field or section, not just "bad file".
 """
 
 from __future__ import annotations
@@ -41,35 +40,35 @@ from typing import Any, Dict, List, Optional, Union
 from .config import ReputationConfig
 from .incentive import IncentiveAction
 from .reputation_system import MultiDimensionalReputationSystem
-from .shard import SHARD_HASH_ALGORITHM, ShardMap
 
 __all__ = ["system_to_dict", "system_from_dict", "save_system",
            "load_system", "snapshot_checksum", "wal_last_seq",
            "FORMAT_VERSION", "SUPPORTED_VERSIONS"]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 #: Versions :func:`system_from_dict` accepts (older ones load unchanged).
-SUPPORTED_VERSIONS = (1, 2, 3)
+SUPPORTED_VERSIONS = (1, 2, 3, 4)
 
 _CONFIG_FIELDS = [
     "eta", "rho", "alpha", "beta", "gamma", "multitrust_steps",
-    "matmul_backend", "shards", "shard_workers", "distance_metric",
+    "matmul_backend", "distance_metric",
     "fake_file_threshold", "retention_saturation_seconds",
     "evaluation_retention_interval", "min_overlap",
     "max_queue_offset_seconds", "min_bandwidth_quota", "max_bandwidth_quota",
     "upload_credit", "vote_credit", "rank_credit", "delete_fake_credit",
 ]
 
-#: Config fields newer than v2 — absent in older documents, so they default
-#: instead of failing the missing-field check.
-_OPTIONAL_CONFIG_FIELDS = frozenset({"shards", "shard_workers"})
-
 #: Sections every version must carry; their absence names the gap.
 _REQUIRED_SECTIONS = ["config", "evaluations", "downloads", "user_trust",
                       "credits"]
-#: Everything a v3 document may contain at the top level.
+#: Everything a document may contain at the top level.
 _KNOWN_KEYS = frozenset(_REQUIRED_SECTIONS) | {
-    "format_version", "auto_refresh", "wal", "checksum", "sharding"}
+    "format_version", "auto_refresh", "wal", "checksum"}
+
+#: What only a v3 document may carry, read and ignored: the in-process
+#: sharding knobs and metadata section that v4 dropped.
+_V3_CONFIG_FIELDS = frozenset({"shards", "shard_workers"})
+_V3_KEYS = frozenset({"sharding"})
 
 
 def snapshot_checksum(data: Dict[str, Any]) -> str:
@@ -77,28 +76,6 @@ def snapshot_checksum(data: Dict[str, Any]) -> str:
     stripped = {key: value for key, value in data.items() if key != "checksum"}
     canonical = json.dumps(stripped, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _peer_ids(data: Dict[str, Any]) -> set:
-    """Every peer id a serialised document mentions (for shard digests)."""
-    ids = set()
-    for entry in data["evaluations"]:
-        ids.add(entry["user"])
-    for entry in data["downloads"]:
-        ids.add(entry["downloader"])
-        ids.add(entry["uploader"])
-    trust = data["user_trust"]
-    for entry in trust["ratings"]:
-        ids.add(entry["rater"])
-        ids.add(entry["ratee"])
-    for user, friends in trust["friends"].items():
-        ids.add(user)
-        ids.update(friends)
-    for user, targets in trust["blacklists"].items():
-        ids.add(user)
-        ids.update(targets)
-    ids.update(data["credits"]["balances"])
-    return ids
 
 
 def wal_last_seq(data: Dict[str, Any]) -> int:
@@ -176,15 +153,6 @@ def system_to_dict(system: MultiDimensionalReputationSystem,
         "user_trust": user_trust,
         "credits": credits,
     }
-    if system.config.shards > 1:
-        # Stamped only when sharded so unsharded documents stay
-        # byte-identical to what earlier builds wrote.
-        shard_map = ShardMap(system.config.shards)
-        data["sharding"] = {
-            "shards": system.config.shards,
-            "hash": SHARD_HASH_ALGORITHM,
-            "assignment_digest": shard_map.assignment_digest(_peer_ids(data)),
-        }
     if last_seq is not None:
         data["wal"] = {"last_seq": last_seq}
     data["checksum"] = snapshot_checksum(data)
@@ -204,7 +172,9 @@ def _validate_document(data: Dict[str, Any]) -> None:
     if missing_sections:
         raise ValueError("snapshot is missing required section(s): "
                          + ", ".join(repr(s) for s in missing_sections))
-    unknown_keys = sorted(set(data) - _KNOWN_KEYS)
+    v3 = version == 3
+    known_keys = _KNOWN_KEYS | _V3_KEYS if v3 else _KNOWN_KEYS
+    unknown_keys = sorted(set(data) - known_keys)
     if unknown_keys:
         raise ValueError("snapshot contains unknown top-level section(s): "
                          + ", ".join(repr(k) for k in unknown_keys))
@@ -212,32 +182,15 @@ def _validate_document(data: Dict[str, Any]) -> None:
     config = data["config"]
     if not isinstance(config, dict):
         raise ValueError("snapshot section 'config' must be an object")
-    unknown_fields = sorted(set(config) - set(_CONFIG_FIELDS))
+    known_fields = set(_CONFIG_FIELDS) | (_V3_CONFIG_FIELDS if v3 else frozenset())
+    unknown_fields = sorted(set(config) - known_fields)
     if unknown_fields:
         raise ValueError("config contains unknown field(s): "
                          + ", ".join(repr(f) for f in unknown_fields))
-    missing_fields = [f for f in _CONFIG_FIELDS if f not in config
-                      and f not in _OPTIONAL_CONFIG_FIELDS]
+    missing_fields = [f for f in _CONFIG_FIELDS if f not in config]
     if missing_fields:
         raise ValueError("config is missing field(s): "
                          + ", ".join(repr(f) for f in missing_fields))
-
-    sharding = data.get("sharding")
-    if sharding is not None:
-        if (not isinstance(sharding, dict)
-                or not isinstance(sharding.get("shards"), int)):
-            raise ValueError("snapshot section 'sharding' must be an object "
-                             "with an integer 'shards'")
-        algorithm = sharding.get("hash")
-        if algorithm != SHARD_HASH_ALGORITHM:
-            raise ValueError(
-                f"snapshot shard assignment uses hash {algorithm!r}; this "
-                f"build partitions with {SHARD_HASH_ALGORITHM!r} — restoring "
-                f"would silently re-route peers to different shards")
-        if sharding["shards"] != config.get("shards"):
-            raise ValueError(
-                f"sharding section says {sharding['shards']} shard(s) but "
-                f"config says {config.get('shards')!r}")
 
     checksum = data.get("checksum")
     if checksum is not None:
@@ -254,16 +207,9 @@ def system_from_dict(data: dict) -> MultiDimensionalReputationSystem:
     _validate_document(data)
     wal_last_seq(data)  # shape check; the value matters only to recovery
 
-    sharding = data.get("sharding")
-    if sharding is not None and "assignment_digest" in sharding:
-        digest = ShardMap(sharding["shards"]).assignment_digest(
-            _peer_ids(data))
-        if digest != sharding["assignment_digest"]:
-            raise ValueError(
-                "shard assignment digest mismatch: the snapshot's peer→shard "
-                "routing does not reproduce on this build")
-
-    config = ReputationConfig(**data["config"])
+    config = ReputationConfig(**{field: value for field, value
+                                 in data["config"].items()
+                                 if field in _CONFIG_FIELDS})
     system = MultiDimensionalReputationSystem(
         config, auto_refresh=data.get("auto_refresh", True))
 

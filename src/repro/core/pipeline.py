@@ -15,8 +15,9 @@ flag: any write threw every matrix away and the next query rebuilt the world.
    the dirty rows) and published copy-on-write, so earlier snapshots stay
    stable while each refresh has a fresh matrix identity;
 4. ``RM = TM^n`` (Eq. 8) goes through a pluggable
-   :mod:`~repro.core.matrix_backend`; for the paper's default ``n = 1`` it
-   *is* the patched ``TM`` and costs nothing.
+   :mod:`~repro.core.matrix_backend`, resolved only when a power actually
+   runs; for the paper's default ``n = 1`` RM *is* the patched ``TM``, no
+   backend is consulted, and the step costs nothing.
 
 The hard bar, enforceable at runtime behind ``REPRO_CHECK_INVARIANTS``:
 an incremental refresh produces matrices **bit-identical** to a full
@@ -28,7 +29,7 @@ equality is exact ``==``, not tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..lint.contracts import (check_matrices_equal, check_row_stochastic,
                               check_simplex, contracts_enabled)
@@ -37,37 +38,12 @@ from .config import DEFAULT_CONFIG, ReputationConfig
 from .evaluation import EvaluationStore
 from .file_trust import FileTrustAccumulator
 from .matrix import TrustMatrix
-from .matrix_backend import MatmulBackend, resolve_backend
+from .matrix_backend import resolve_backend
 from .multitrust import compute_reputation_matrix
 from .user_trust import UserTrustAccumulator, UserTrustStore
 from .volume_trust import DownloadLedger, VolumeTrustAccumulator
 
-__all__ = ["TrustPipeline", "RefreshStats", "RefreshView",
-           "combine_dimension_rows"]
-
-
-def combine_dimension_rows(dimensions: Sequence[Tuple[float, TrustMatrix]],
-                           rows: Iterable[str]
-                           ) -> Dict[str, Dict[str, float]]:
-    """Eq. 7 re-applied to exactly ``rows``: the shared row-patch arithmetic.
-
-    Per-row accumulation adds the dimensions in the order given (FM, DM,
-    UM) — the same per-entry addition sequence
-    :meth:`TrustMatrix.weighted_sum` performs in the full builder, so a
-    patched row carries the same floats.  Rows are processed in sorted
-    order; both the monolithic :class:`TrustPipeline` and the sharded
-    pipeline's serial patch path call this, and the multiprocessing worker
-    path replicates the identical float-op sequence in numpy (see
-    :mod:`~repro.core.shard_workers`).
-    """
-    updates: Dict[str, Dict[str, float]] = {}
-    for i in sorted(rows):
-        accumulator: Dict[str, float] = {}
-        for weight, matrix in dimensions:
-            for j, value in matrix.row_view(i).items():
-                accumulator[j] = accumulator.get(j, 0.0) + weight * value
-        updates[i] = accumulator
-    return updates
+__all__ = ["TrustPipeline", "RefreshStats", "RefreshView"]
 
 
 @dataclass(frozen=True)
@@ -110,7 +86,8 @@ class RefreshStats:
     (delta-driven patch) or ``"noop"`` (no dirt to consume).  Row counts
     refer to the integrated ``TM``; ``rebuild_ratio`` is the fraction of
     its rows the refresh re-derived — the number the incremental design
-    exists to keep small.
+    exists to keep small.  ``backend`` names the matmul backend that
+    computed ``RM``, or ``"none"`` when ``n = 1`` and no product ran.
     """
 
     mode: str
@@ -203,9 +180,8 @@ class TrustPipeline:
         """The current per-dimension one-step matrices, keyed by dimension.
 
         ``{"file": FM, "volume": DM, "user": UM}``; a dimension disabled by
-        a zero weight maps to an empty matrix.  Shared accessor with the
-        sharded pipeline (which merges shard fragments here) so tests and
-        diagnostics never reach into accumulator internals.
+        a zero weight maps to an empty matrix.  Tests and diagnostics read
+        the dimensions here instead of reaching into accumulator internals.
         """
         empty = TrustMatrix()
         return {
@@ -256,8 +232,8 @@ class TrustPipeline:
                              if self._user else set())
             dirty_rows = file_rows | volume_rows | user_rows
             self._publish_trust(dirty_rows)
-            backend = resolve_backend(self.config.matmul_backend, self._trust)
-            self._publish_reputation(backend)
+            self._reputation, backend = self._power(
+                self._trust, self.config.multitrust_steps, self.recorder)
             span.count("rows_rebuilt", len(dirty_rows))
             span.count("dirty_files", len(dirty_files))
 
@@ -272,7 +248,7 @@ class TrustPipeline:
 
         stats = RefreshStats(
             mode="full" if full else "incremental",
-            backend=backend.name,
+            backend=backend,
             dirty_files=len(dirty_files),
             dirty_rows_file=len(file_rows),
             dirty_rows_volume=len(volume_rows),
@@ -301,10 +277,8 @@ class TrustPipeline:
         """``TM^steps`` for a step override, cached until the next refresh."""
         cached = self._power_cache.get(steps)
         if cached is None:
-            backend = resolve_backend(self.config.matmul_backend, self._trust)
-            cached = compute_reputation_matrix(
-                self._trust, steps, self.config, recorder=self.recorder,
-                backend=backend)
+            cached, _backend = self._power(self._trust, steps,
+                                           self.recorder)
             self._power_cache[steps] = cached
         return cached
 
@@ -333,19 +307,35 @@ class TrustPipeline:
         """
         check_simplex((self.config.alpha, self.config.beta, self.config.gamma),
                       name="(alpha, beta, gamma)")
-        updates = combine_dimension_rows(self._dimensions(), dirty_rows)
+        dimensions = self._dimensions()
+        updates: Dict[str, Dict[str, float]] = {}
+        for i in sorted(dirty_rows):
+            accumulator: Dict[str, float] = {}
+            for weight, matrix in dimensions:
+                for j, value in matrix.row_view(i).items():
+                    accumulator[j] = accumulator.get(j, 0.0) + weight * value
+            updates[i] = accumulator
         self._trust = self._trust.copy_with_rows(updates)
         check_row_stochastic(self._trust, name="TM", strict=False)
 
-    def _publish_reputation(self, backend: MatmulBackend) -> None:
-        steps = self.config.multitrust_steps
-        if steps == 1 and not self.recorder.enabled:
-            # power(1) is the identity operation; RM *is* the patched TM.
-            self._reputation = self._trust
-            return
-        self._reputation = compute_reputation_matrix(
-            self._trust, None, self.config, recorder=self.recorder,
-            backend=backend)
+    def _power(self, trust: TrustMatrix, steps: int,
+               recorder: NullRecorder) -> Tuple[TrustMatrix, str]:
+        """``trust^steps`` and the name of the backend that computed it.
+
+        A backend is resolved — and ``"auto"``'s O(entries) scan paid —
+        only when a product actually runs.  At ``steps == 1`` RM *is* TM
+        and the name is ``"none"``; a live recorder still gets its
+        multitrust span and metrics.
+        """
+        if steps == 1:
+            if recorder.enabled:
+                trust = compute_reputation_matrix(trust, 1, self.config,
+                                                  recorder=recorder)
+            return trust, "none"
+        backend = resolve_backend(self.config.matmul_backend, trust)
+        return compute_reputation_matrix(
+            trust, steps, self.config, recorder=recorder,
+            backend=backend), backend.name
 
     def _verify_against_full_rebuild(self) -> None:
         """Contracts-gated hard bar: patched state == full rebuild, exactly."""
@@ -356,11 +346,10 @@ class TrustPipeline:
         full_trust = build_one_step_matrix(
             self.evaluations, self.ledger, self.user_trust, self.config)
         check_matrices_equal(self._trust, full_trust, name="TM(incremental)")
-        # Same backend as the incremental path: sparse and dense products
-        # agree only to tolerance, and the bar here is exact equality.
-        full_reputation = compute_reputation_matrix(
-            full_trust, None, self.config,
-            backend=resolve_backend(self.config.matmul_backend, full_trust))
+        # Same backend choice as the incremental path: sparse and dense
+        # products agree only to tolerance, and the bar here is exact.
+        full_reputation, _backend = self._power(
+            full_trust, self.config.multitrust_steps, NULL_RECORDER)
         check_matrices_equal(self._reputation, full_reputation,
                              name="RM(incremental)")
 

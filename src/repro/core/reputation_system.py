@@ -27,7 +27,7 @@ stale (always-fresh queries); simulations set it to False and call
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs.recorder import NULL_RECORDER, NullRecorder
 from .config import DEFAULT_CONFIG, ReputationConfig
@@ -38,7 +38,6 @@ from .incentive import (ActionCreditTracker, IncentiveAction,
 from .matrix import TrustMatrix
 from .multitrust import MultiTierView, global_reputation_vector
 from .pipeline import RefreshView, TrustPipeline
-from .sharded_pipeline import ShardedTrustPipeline
 from .user_trust import UserTrustStore
 from .volume_trust import DownloadLedger
 
@@ -69,27 +68,11 @@ class MultiDimensionalReputationSystem:
         self.user_trust = UserTrustStore()
         self.credits = ActionCreditTracker(config=config)
         #: The incremental compute path from stores to ``TM``/``RM``.
-        #: ``config.shards > 1`` switches to the shard-partitioned pipeline;
-        #: both expose the same surface and publish bit-identical matrices.
-        self.pipeline: Union[TrustPipeline, ShardedTrustPipeline] = (
-            ShardedTrustPipeline(self.evaluations, self.ledger,
-                                 self.user_trust, config, recorder)
-            if config.shards > 1
-            else TrustPipeline(self.evaluations, self.ledger,
-                               self.user_trust, config, recorder))
+        self.pipeline = TrustPipeline(self.evaluations, self.ledger,
+                                      self.user_trust, config, recorder)
         self._stale = True
         self._tier_view: Optional[MultiTierView] = None
         self._tier_version = -1
-
-    def close(self) -> None:
-        """Release pipeline resources (shard patch workers); idempotent.
-
-        Only the sharded pipeline holds anything worth releasing; the
-        monolithic one makes this a no-op, so callers can close
-        unconditionally.
-        """
-        if isinstance(self.pipeline, ShardedTrustPipeline):
-            self.pipeline.close()
 
     @property
     def recorder(self) -> NullRecorder:

@@ -18,8 +18,6 @@ DET002    warning   iteration over sets / ``dict.keys()`` without ``sorted``
 DET003    error     wall-clock / entropy APIs (``time.time``,
                     ``datetime.now``, ``os.urandom``, ``uuid4``, ...) in
                     core/simulator/dht hot paths
-DET004    warning   unordered set *or dict-view* iteration inside shard
-                    merge/gather/exchange functions (shard modules)
 NUM001    warning   float ``==`` / ``!=`` against a non-zero float literal
                     (trust values need ``math.isclose`` + tolerance)
 NUM002    error     weight tuples (eta/rho, alpha/beta/gamma) whose literal
@@ -260,90 +258,6 @@ class UnsortedSetIterationRule(Rule):
                                    ast.GeneratorExp, ast.DictComp)):
                 for generator in node.generators:
                     yield generator.iter
-
-
-@register
-class ShardMergeOrderRule(UnsortedSetIterationRule):
-    """DET004: cross-shard merges must visit their inputs in canonical order.
-
-    The sharded pipeline's bit-identity guarantee rests on merge order:
-    boundary exchange walks changed pairs sorted, fragments merge in
-    ascending shard order, worker patches gather in submission order.  In
-    those code paths even *dict* iteration order is suspect — insertion
-    order silently encodes whatever upstream nondeterminism built the dict.
-    So inside any function whose name says it merges/gathers/exchanges/
-    routes/combines, iteration over a set **or a dict view**
-    (``.items()``/``.values()``/``.keys()``) without ``sorted(...)`` is
-    flagged.  Scoped to shard modules (filename contains ``shard``), where
-    DET002's set-only net is too coarse.
-    """
-
-    rule_id = "DET004"
-    severity = Severity.WARNING
-    summary = ("unordered set/dict iteration in a shard merge/gather "
-               "function")
-    hint = ("iterate sorted(...) so the cross-shard merge order is "
-            "canonical; bit-identity across shard counts depends on it")
-
-    _FUNCTION_PATTERN = re.compile(r"merge|gather|exchange|route|combine",
-                                   re.IGNORECASE)
-    _DICT_VIEWS = frozenset({"items", "values", "keys"})
-
-    def applies_to(self, path: str) -> bool:
-        if _in_paths(path, "tests", "test", "benchmarks", "examples"):
-            return False
-        return "shard" in path.rsplit("/", 1)[-1]
-
-    def check_iteration(self, expr: ast.AST,
-                        ctx: ModuleContext) -> Iterator[Diagnostic]:
-        # Disabled: DET004 fires only inside merge/gather-named functions
-        # (see check_module); module-level iteration stays DET002's job.
-        return
-        yield  # pragma: no cover
-
-    def check_module(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
-        reported: "set[Tuple[int, int]]" = set()
-        for function in ast.walk(ctx.tree):
-            if not isinstance(function, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
-                continue
-            if not self._FUNCTION_PATTERN.search(function.name):
-                continue
-            set_names = self._set_assigned_names(function, ctx)
-            for expr in self._iteration_targets(function):
-                key = (expr.lineno, expr.col_offset)
-                if key in reported:
-                    continue
-                diagnostic = self._check_target(expr, ctx, set_names,
-                                                function.name)
-                if diagnostic is not None:
-                    reported.add(key)
-                    yield diagnostic
-
-    def _check_target(self, expr: ast.AST, ctx: ModuleContext,
-                      set_names: "set[str]",
-                      function_name: str) -> Optional[Diagnostic]:
-        if self._is_set_expression(expr, ctx):
-            return self.report(
-                ctx, expr,
-                f"`{function_name}` iterates {self._describe(expr, ctx)} "
-                "without sorted(); the cross-shard merge order would follow "
-                "PYTHONHASHSEED")
-        if (isinstance(expr, ast.Call)
-                and isinstance(expr.func, ast.Attribute)
-                and expr.func.attr in self._DICT_VIEWS
-                and not expr.args):
-            return self.report(
-                ctx, expr,
-                f"`{function_name}` iterates `.{expr.func.attr}()` without "
-                "sorted(); insertion order is not a canonical merge order")
-        if isinstance(expr, ast.Name) and expr.id in set_names:
-            return self.report(
-                ctx, expr,
-                f"`{function_name}` iterates set `{expr.id}` without "
-                "sorted(); the cross-shard merge order would follow "
-                "PYTHONHASHSEED")
-        return None
 
 
 @register

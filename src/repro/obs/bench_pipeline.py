@@ -11,12 +11,11 @@ Measures the claims the incremental pipeline makes:
 3. **CSR beats dense when TM stays sparse at scale.**  At ≤10% density on
    a CSR-regime node count the compressed product should beat the dense
    numpy product — the third regime of the ``"auto"`` heuristic.
-4. **Sharded beats monolithic at scale.**  Replaying one event stream
-   through the monolithic and the sharded pipeline (identical checksums
-   required — the refactor must not change a single bit), per-refresh
-   latency drops because the sharded pipeline patches only incident
-   shards and resolves its backend from O(1) counters instead of
-   O(entries) matrix scans.
+4. **Single-event refreshes stay cheap at scale.**  One seeded stream of
+   single-event deltas replays through the pipeline at thousands of
+   peers; the tier reports per-event refresh latency (mean, p50, p95) and
+   requires the incrementally patched checksums to equal a forced full
+   rebuild's.
 
 Snapshots carry the same provenance stamp as ``BENCH_obs.json`` (seed,
 config hash, git sha — see :mod:`repro.obs.bench`) so CI can gate on the
@@ -36,8 +35,7 @@ from typing import Dict, List, Sequence, Tuple
 from .bench import run_stamp
 
 __all__ = ["collect_pipeline_snapshot", "incremental_speedup",
-           "dense_speedup", "sharded_speedup", "scaling_identical",
-           "csr_speedup"]
+           "dense_speedup", "scaling_identical", "csr_speedup"]
 
 #: Evaluations / downloads / ranks per peer in the synthetic workload.
 _EVALS_PER_PEER = 12
@@ -58,9 +56,9 @@ _CSR_NODES = 1000
 _CSR_DENSITY = 0.05
 _CSR_STEPS = 2
 
-#: Scaling workload: per-peer event counts for the sharded-vs-monolithic
-#: tiers.  File picks are *uniform* (not Zipf) so co-evaluator counts stay
-#: bounded and TM density falls as 1/peers — the regime sharding targets.
+#: Scaling workload: per-peer event counts for the scaling tiers.  File
+#: picks are *uniform* (not Zipf) so co-evaluator counts stay bounded and
+#: TM density falls as 1/peers.
 _SCALED_EVALS_PER_PEER = 8
 _SCALED_DOWNLOADS_PER_PEER = 4
 _SCALED_RANKS_PER_PEER = 2
@@ -224,7 +222,6 @@ def _bench_csr(seed: int) -> Dict[str, object]:
         "nodes": _CSR_NODES,
         "density": matrix.density(ids),
         "steps": _CSR_STEPS,
-        "flavor": CSR_BACKEND.flavor,
         "dense_power_seconds": dense_seconds,
         "csr_power_seconds": csr_seconds,
         "csr_speedup": (dense_seconds / csr_seconds
@@ -234,19 +231,12 @@ def _bench_csr(seed: int) -> Dict[str, object]:
     }
 
 
-def _seed_scaled_system(peers: int, seed: int, shards: int = 1,
-                        shard_workers: int = 1):
-    """A populated system on the *scaling* workload (uniform file picks).
-
-    Identical ``(peers, seed)`` produce an identical event history whatever
-    the shard configuration — the configs differ only in partitioning, and
-    bit-identity across them is asserted by the caller.
-    """
-    from ..core import MultiDimensionalReputationSystem, ReputationConfig
+def _seed_scaled_system(peers: int, seed: int):
+    """A populated system on the *scaling* workload (uniform file picks)."""
+    from ..core import MultiDimensionalReputationSystem
 
     rng = random.Random(seed)
-    config = ReputationConfig(shards=shards, shard_workers=shard_workers)
-    system = MultiDimensionalReputationSystem(config, auto_refresh=False)
+    system = MultiDimensionalReputationSystem(auto_refresh=False)
     users = [f"u{i:05d}" for i in range(peers)]
     files = [f"f{i:05d}" for i in range(peers * 2)]
     for user in users:
@@ -267,12 +257,12 @@ def _seed_scaled_system(peers: int, seed: int, shards: int = 1,
                 system.record_rank(user, ratee, rng.random())
     system.recompute()
     system.refresh_view()  # initial full build, outside all timings
-    return system, users, files
+    return system
 
 
 def _scaled_stream(peers: int, seed: int,
                    events: int) -> List[Tuple[str, str, float]]:
-    """The deterministic single-event stream every pipeline variant replays."""
+    """The deterministic single-event stream a scaling tier replays."""
     rng = random.Random(seed + 1)
     stream: List[Tuple[str, str, float]] = []
     for _ in range(events):
@@ -281,61 +271,30 @@ def _scaled_stream(peers: int, seed: int,
     return stream
 
 
-def _replay_timed(system, stream: Sequence[Tuple[str, str, float]]) -> float:
-    """Mean seconds per single-event refresh over ``stream``."""
-    total = 0.0
-    for user, file_id, value in stream:
+def _bench_scaling(peers: int, seed: int, events: int) -> Dict[str, object]:
+    """Per-event refresh latency over one stream, full-rebuild-gated."""
+    from .stats import mean, percentile
+
+    system = _seed_scaled_system(peers, seed)
+    pipeline = system.pipeline
+    seconds: List[float] = []
+    for user, file_id, value in _scaled_stream(peers, seed, events):
         system.record_vote(user, file_id, value)
         started = time.perf_counter()
-        system.pipeline.refresh()
-        total += time.perf_counter() - started
-    return total / max(1, len(stream))
-
-
-def _bench_scaling(peers: int, seed: int, events: int, shards: int,
-                   shard_workers: int,
-                   check_workers: bool) -> Dict[str, object]:
-    """Monolithic vs sharded replay of one event stream, checksum-gated."""
-    stream = _scaled_stream(peers, seed, events)
-
-    monolith, _users, _files = _seed_scaled_system(peers, seed)
-    monolithic_seconds = _replay_timed(monolith, stream)
-    monolithic_checksums = monolith.pipeline.checksums()
-    trust = monolith.pipeline.trust
+        pipeline.refresh()
+        seconds.append(time.perf_counter() - started)
+    incremental = pipeline.checksums()
     entry: Dict[str, object] = {
         "peers": peers,
-        "shards": shards,
-        "events": len(stream),
-        "tm_rows": len(trust.row_ids()),
-        "tm_entries": trust.entry_count(),
-        "monolithic_refresh_seconds": monolithic_seconds,
+        "events": len(seconds),
+        "tm_rows": len(pipeline.trust.row_ids()),
+        "tm_entries": pipeline.trust.entry_count(),
+        "refresh_seconds": mean(seconds),
+        "refresh_p50_seconds": percentile(seconds, 50),
+        "refresh_p95_seconds": percentile(seconds, 95),
     }
-    del monolith, trust
-
-    sharded, _users, _files = _seed_scaled_system(peers, seed, shards=shards)
-    sharded_seconds = _replay_timed(sharded, stream)
-    entry.update({
-        "sharded_refresh_seconds": sharded_seconds,
-        "sharded_speedup": (monolithic_seconds / sharded_seconds
-                            if sharded_seconds > 0 else 0.0),
-        "checksums_match":
-            sharded.pipeline.checksums() == monolithic_checksums,
-    })
-    del sharded
-
-    if check_workers and shard_workers > 1:
-        parallel, _users, _files = _seed_scaled_system(
-            peers, seed, shards=shards, shard_workers=shard_workers)
-        try:
-            parallel_seconds = _replay_timed(parallel, stream)
-            entry["workers"] = {
-                "workers": shard_workers,
-                "refresh_seconds": parallel_seconds,
-                "matches_serial":
-                    parallel.pipeline.checksums() == monolithic_checksums,
-            }
-        finally:
-            parallel.close()
+    pipeline.refresh(force_full=True)
+    entry["checksums_match"] = pipeline.checksums() == incremental
     return entry
 
 
@@ -343,14 +302,10 @@ def collect_pipeline_snapshot(seed: int = 42,
                               sizes: Sequence[int] = (100, 500, 1000),
                               events: int = 20,
                               scale_sizes: Sequence[int] = (),
-                              scale_events: int = 5,
-                              shards: int = 8,
-                              shard_workers: int = 2) -> Dict[str, object]:
+                              scale_events: int = 50) -> Dict[str, object]:
     """Run the pipeline bench workload and return the stamped snapshot.
 
-    ``scale_sizes`` adds sharded-vs-monolithic tiers (see
-    :func:`_bench_scaling`); the parallel-workers identity check runs at
-    the smallest tier only, to bound seeding cost.
+    ``scale_sizes`` adds scaling tiers (see :func:`_bench_scaling`).
     """
     config = {
         "sizes": list(sizes),
@@ -364,8 +319,6 @@ def collect_pipeline_snapshot(seed: int = 42,
         "csr_density": _CSR_DENSITY,
         "scale_sizes": list(scale_sizes),
         "scale_events": scale_events,
-        "shards": shards,
-        "shard_workers": shard_workers,
     }
     refresh: List[Dict[str, object]] = [
         _bench_refresh(peers, seed, events) for peers in sizes]
@@ -376,11 +329,8 @@ def collect_pipeline_snapshot(seed: int = 42,
         "csr": _bench_csr(seed),
     }
     if scale_sizes:
-        smallest = min(scale_sizes)
-        snapshot["scaling"] = [
-            _bench_scaling(peers, seed, scale_events, shards, shard_workers,
-                           check_workers=(peers == smallest))
-            for peers in scale_sizes]
+        snapshot["scaling"] = [_bench_scaling(peers, seed, scale_events)
+                               for peers in scale_sizes]
     return snapshot
 
 
@@ -409,24 +359,11 @@ def csr_speedup(snapshot: Dict[str, object]) -> float:
     return float(section.get("csr_speedup", 0.0))
 
 
-def sharded_speedup(snapshot: Dict[str, object], peers: int) -> float:
-    """The monolithic/sharded replay ratio recorded for a scaling tier."""
-    for entry in snapshot.get("scaling", ()):  # type: ignore[union-attr]
-        if isinstance(entry, dict) and entry.get("peers") == peers:
-            return float(entry.get("sharded_speedup", 0.0))
-    return 0.0
-
-
 def scaling_identical(snapshot: Dict[str, object]) -> bool:
-    """True when every scaling tier reproduced the monolith bit-for-bit
-    (and the parallel-workers replay, where run, matched too)."""
+    """True when every scaling tier's incremental replay reproduced a
+    forced full rebuild bit-for-bit."""
     entries = snapshot.get("scaling", ())
     if not entries:
         return False
-    for entry in entries:  # type: ignore[union-attr]
-        if not isinstance(entry, dict) or not entry.get("checksums_match"):
-            return False
-        workers = entry.get("workers")
-        if isinstance(workers, dict) and not workers.get("matches_serial"):
-            return False
-    return True
+    return all(isinstance(entry, dict) and entry.get("checksums_match")
+               for entry in entries)  # type: ignore[union-attr]

@@ -130,26 +130,6 @@ class TestOtherKnobs:
             ReputationConfig(matmul_backend="blas")
 
 
-class TestShardingKnobs:
-    def test_defaults_are_monolithic(self):
-        # shards == 1 selects the monolithic TrustPipeline and
-        # shard_workers == 1 keeps row patching serial and in-process.
-        assert DEFAULT_CONFIG.shards == 1
-        assert DEFAULT_CONFIG.shard_workers == 1
-
-    def test_sharded_configs_accepted(self):
-        config = ReputationConfig(shards=8, shard_workers=4)
-        assert (config.shards, config.shard_workers) == (8, 4)
-
-    def test_shards_below_one_rejected(self):
-        with pytest.raises(ConfigError, match="shards"):
-            ReputationConfig(shards=0)
-
-    def test_shard_workers_below_one_rejected(self):
-        with pytest.raises(ConfigError, match="shard_workers"):
-            ReputationConfig(shard_workers=-2)
-
-
 class TestReplace:
     def test_replace_returns_new_validated_config(self):
         config = DEFAULT_CONFIG.replace(multitrust_steps=3)

@@ -5,13 +5,12 @@ import pytest
 
 import repro.core.matrix_backend as mb
 from repro.core import (CSR_BACKEND, DENSE_BACKEND, SPARSE_BACKEND,
-                        CsrBackend, DenseNumpyBackend, SparseDictBackend,
-                        TrustMatrix, resolve_backend, select_backend)
+                        BackendUnavailableError, CsrBackend,
+                        DenseNumpyBackend, SparseDictBackend, TrustMatrix,
+                        resolve_backend, select_backend)
 from repro.core.matrix_backend import (CSR_MIN_NODES,
                                        DENSE_DENSITY_THRESHOLD,
-                                       DENSE_MIN_NODES, MatrixStats,
-                                       resolve_backend_from_stats,
-                                       select_backend_from_stats)
+                                       DENSE_MIN_NODES)
 
 
 def _random_stochastic(nodes: int, per_row: int, seed: int = 3) -> TrustMatrix:
@@ -170,29 +169,32 @@ class TestCsrBackend:
         assert CSR_BACKEND.matmul(TrustMatrix(),
                                   TrustMatrix()) == TrustMatrix()
 
-    def test_invalid_block_rows_rejected(self):
-        with pytest.raises(ValueError):
-            CsrBackend(block_rows=0)
-
-    def test_blocked_numpy_fallback_agrees(self, monkeypatch):
-        # Simulate a scipy-less environment: the backend must degrade to
-        # the blocked-numpy product, not fail — and still agree with the
-        # canonical sparse result.  block_rows=4 forces several blocks.
+    def test_without_scipy_csr_raises_typed_error(self, monkeypatch):
+        # A scipy-less environment: forcing csr must fail loudly, naming
+        # the missing dependency, instead of degrading to another product.
+        from repro.core import (MultiDimensionalReputationSystem,
+                                ReputationConfig)
         monkeypatch.setattr(mb, "_scipy_sparse", lambda: None)
-        backend = CsrBackend(block_rows=4)
-        assert backend.flavor == "blocked-numpy"
         matrix = _random_stochastic(19, 7, seed=8)
-        expected = SPARSE_BACKEND.power(matrix, 3)
-        result = backend.power(matrix, 3)
-        for i in matrix.node_ids():
-            for j in matrix.node_ids():
-                assert result.get(i, j) == pytest.approx(
-                    expected.get(i, j), abs=1e-12)
+        with pytest.raises(BackendUnavailableError, match="scipy"):
+            CSR_BACKEND.power(matrix, 3)
+        with pytest.raises(BackendUnavailableError, match="scipy"):
+            CsrBackend().matmul(matrix, matrix)
+        system = MultiDimensionalReputationSystem(ReputationConfig(
+            matmul_backend="csr", multitrust_steps=2))
+        system.record_vote("a", "f1", 0.9)
+        system.record_vote("b", "f1", 0.8)
+        with pytest.raises(BackendUnavailableError, match="scipy"):
+            system.reputation_matrix()
 
-    def test_flavor_reports_scipy_when_available(self):
-        expected = "scipy" if mb._scipy_sparse() is not None \
-            else "blocked-numpy"
-        assert CSR_BACKEND.flavor == expected
+    def test_without_scipy_auto_picks_dense_in_csr_regime(self, monkeypatch):
+        monkeypatch.setattr(mb, "_scipy_sparse", lambda: None)
+        matrix = _matrix_with_entries(CSR_MIN_NODES, CSR_MIN_NODES)
+        assert select_backend(matrix) is DENSE_BACKEND
+        assert resolve_backend("auto", matrix) is DENSE_BACKEND
+        # The other regimes do not depend on scipy.
+        below = _matrix_with_entries(CSR_MIN_NODES - 1, CSR_MIN_NODES - 1)
+        assert select_backend(below) is SPARSE_BACKEND
 
     def test_resolve_forced_csr(self):
         assert resolve_backend("csr", TrustMatrix()) is CSR_BACKEND
@@ -249,62 +251,3 @@ class TestSelectionBoundaries:
                                       * 3 // 10 + CSR_MIN_NODES)
         assert matrix.density(matrix.node_ids()) >= DENSE_DENSITY_THRESHOLD
         assert select_backend(matrix) is DENSE_BACKEND
-
-
-class TestStatsLockstep:
-    """select_backend_from_stats == select_backend, same matrix, always."""
-
-    def _shapes(self):
-        yield TrustMatrix()
-        solo = TrustMatrix()
-        solo.set("solo", "solo", 1.0)
-        yield solo
-        yield _matrix_with_entries(DENSE_MIN_NODES - 1,
-                                   (DENSE_MIN_NODES - 1) * 10)
-        yield _matrix_with_entries(DENSE_MIN_NODES, DENSE_MIN_NODES * 10)
-        yield _matrix_with_entries(41, 492)   # exactly at the threshold
-        yield _matrix_with_entries(41, 491)   # one entry below
-        yield _random_stochastic(100, 3)
-        yield _matrix_with_entries(CSR_MIN_NODES - 1, CSR_MIN_NODES - 1)
-        yield _matrix_with_entries(CSR_MIN_NODES, CSR_MIN_NODES)
-
-    def test_lockstep_across_shapes(self):
-        for matrix in self._shapes():
-            stats = MatrixStats.of(matrix)
-            assert select_backend_from_stats(stats) \
-                is select_backend(matrix), matrix
-
-    def test_stats_counters_match_scan(self):
-        matrix = _random_stochastic(50, 5, seed=11)
-        matrix.set("n000", "n000", 0.25)  # a diagonal entry
-        stats = MatrixStats.of(matrix)
-        ids = matrix.node_ids()
-        assert stats.nodes == len(ids)
-        assert stats.density() == matrix.density(ids)
-
-    def test_replace_row_folds_exactly(self):
-        matrix = _random_stochastic(30, 4, seed=12)
-        stats = MatrixStats.of(matrix)
-        # Replace a row and fold the delta; counters must match a rescan.
-        old_row = dict(matrix.row_view("n001"))
-        new_row = {"n002": 0.5, "n003": 0.5}
-        matrix.replace_row("n001", new_row)
-        stats.replace_row("n001", old_row, new_row)
-        rescan = MatrixStats.of(matrix)
-        assert (stats.nodes, stats.entries, stats.diagonal, stats.rows) \
-            == (rescan.nodes, rescan.entries, rescan.diagonal, rescan.rows)
-        # And clearing the row entirely releases every reference.
-        matrix.replace_row("n001", {})
-        stats.replace_row("n001", new_row, {})
-        rescan = MatrixStats.of(matrix)
-        assert (stats.nodes, stats.entries, stats.diagonal, stats.rows) \
-            == (rescan.nodes, rescan.entries, rescan.diagonal, rescan.rows)
-
-    def test_resolve_from_stats_spellings(self):
-        stats = MatrixStats()
-        assert resolve_backend_from_stats("sparse", stats) is SPARSE_BACKEND
-        assert resolve_backend_from_stats("dense", stats) is DENSE_BACKEND
-        assert resolve_backend_from_stats("csr", stats) is CSR_BACKEND
-        assert resolve_backend_from_stats("auto", stats) is SPARSE_BACKEND
-        with pytest.raises(ValueError, match="unknown matmul backend"):
-            resolve_backend_from_stats("blas", stats)

@@ -1,6 +1,7 @@
 """Tests for repro.core.persistence: save/restore round trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -175,74 +176,81 @@ class TestV2Metadata:
             system_from_dict(data)
 
 
-class TestV3Sharding:
-    """Sharded systems stamp (and validate) shard-routing metadata."""
+#: A v3 document written with ``shards=4`` (and ``multitrust_steps=2``) by
+#: the last build that had the in-process sharded pipeline, and the
+#: checksums that build's live system published for the same stores.
+V3_SHARDED_FIXTURE = Path(__file__).parent / "fixtures" / "v3_sharded_snapshot.json"
+V3_SHARDED_CHECKSUMS = {
+    "trust": "4afd4e5fc467fdf4a936fc412a5a31e3644c261e16fc2bcda6663e3d2e160c75",
+    "reputation":
+        "66f4723252a2f72268ab13679ba657a73db45b3e71ce67c5de1bf8b249d6a784",
+}
 
-    def _sharded_system(self):
-        config = ReputationConfig(shards=4)
-        system = MultiDimensionalReputationSystem(config)
-        system.record_vote("alice", "f1", 0.9, timestamp=1.0)
-        system.record_vote("bob", "f1", 0.8, timestamp=2.0)
-        system.record_download("alice", "bob", "f1", 5e8, timestamp=3.0)
-        system.record_rank("bob", "alice", 0.6)
-        return system
+
+def _checksums(system):
+    system.refresh_view()
+    return system.pipeline.checksums()
+
+
+class TestV3Sharding:
+    """v4 writes no sharding state; v3 sharding state loads and is ignored."""
+
+    def _v3(self):
+        return json.loads(V3_SHARDED_FIXTURE.read_text())
 
     def test_unsharded_document_has_no_sharding_section(
             self, populated_system):
-        assert "sharding" not in system_to_dict(populated_system)
-
-    def test_sharded_document_stamps_metadata(self):
-        data = system_to_dict(self._sharded_system())
-        sharding = data["sharding"]
-        assert sharding["shards"] == 4
-        assert sharding["hash"] == "blake2b64"
-        assert isinstance(sharding["assignment_digest"], str)
+        data = system_to_dict(populated_system)
+        assert FORMAT_VERSION == 4
+        assert "sharding" not in data
+        assert not {"shards", "shard_workers"} & set(data["config"])
 
     def test_sharded_round_trip(self):
-        system = self._sharded_system()
-        restored = system_from_dict(system_to_dict(system))
-        assert restored.config.shards == 4
-        assert restored.pipeline.checksums() == system.pipeline.checksums()
+        data = self._v3()
+        assert data["format_version"] == 3
+        assert data["config"]["shards"] == 4 and "sharding" in data
+        restored = load_system(V3_SHARDED_FIXTURE)
+        assert restored.config.multitrust_steps == 2
+        assert _checksums(restored) == V3_SHARDED_CHECKSUMS
 
-    def test_wrong_hash_algorithm_rejected(self):
-        data = system_to_dict(self._sharded_system())
-        data["sharding"]["hash"] = "crc32"
+    def test_v3_matches_same_stores_loaded_unsharded(self):
+        data = self._v3()
+        del data["sharding"]
+        del data["config"]["shards"]
+        del data["config"]["shard_workers"]
+        data["format_version"] = 2
         data["checksum"] = snapshot_checksum(data)
-        with pytest.raises(ValueError, match="crc32"):
-            system_from_dict(data)
+        assert _checksums(system_from_dict(data)) \
+            == _checksums(system_from_dict(self._v3()))
 
-    def test_shard_count_disagreement_rejected(self):
-        data = system_to_dict(self._sharded_system())
+    def test_v3_checksum_still_covers_shard_state(self):
+        data = self._v3()
         data["sharding"]["shards"] = 8
-        data["checksum"] = snapshot_checksum(data)
-        with pytest.raises(ValueError, match="8 shard"):
+        with pytest.raises(ValueError, match="checksum mismatch"):
+            system_from_dict(data)
+        data = self._v3()
+        data["config"]["shard_workers"] = 2
+        with pytest.raises(ValueError, match="checksum mismatch"):
             system_from_dict(data)
 
-    def test_assignment_digest_mismatch_rejected(self):
-        data = system_to_dict(self._sharded_system())
-        data["sharding"]["assignment_digest"] = "0" * 64
+    def test_shard_state_rejected_outside_v3(self, populated_system):
+        data = system_to_dict(populated_system)
+        data["config"]["shards"] = 4
         data["checksum"] = snapshot_checksum(data)
-        with pytest.raises(ValueError, match="assignment digest"):
+        with pytest.raises(ValueError, match="'shards'"):
             system_from_dict(data)
-
-    def test_malformed_sharding_section_rejected(self):
-        data = system_to_dict(self._sharded_system())
-        data["sharding"] = {"shards": "four"}
+        data = system_to_dict(populated_system)
+        data["sharding"] = {"shards": 1}
         data["checksum"] = snapshot_checksum(data)
         with pytest.raises(ValueError, match="'sharding'"):
             system_from_dict(data)
 
     def test_v2_document_without_shard_knobs_loads(self, populated_system):
-        # A pre-v3 document has neither the config knobs nor the section;
-        # it must default to the unsharded pipeline.
         data = system_to_dict(populated_system)
         data["format_version"] = 2
-        del data["config"]["shards"]
-        del data["config"]["shard_workers"]
         data["checksum"] = snapshot_checksum(data)
         restored = system_from_dict(data)
-        assert restored.config.shards == 1
-        assert restored.config.shard_workers == 1
+        assert restored.config == populated_system.config
 
 
 class TestPreciseErrors:

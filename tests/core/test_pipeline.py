@@ -1,11 +1,17 @@
 """Tests for repro.core.pipeline: the incremental TrustPipeline."""
 
+import random
+
 import pytest
 
+import repro.core.matrix_backend as matrix_backend
 from repro.core import (EvaluationStore, MultiDimensionalReputationSystem,
-                        ReputationConfig, TrustPipeline, UserTrustStore)
+                        ReputationConfig, TrustMatrix, TrustPipeline,
+                        UserTrustStore, compute_reputation_matrix,
+                        resolve_backend)
 from repro.core.integration import build_one_step_matrix
 from repro.core.volume_trust import DownloadLedger
+from repro.lint.contracts import set_contracts_enabled
 from repro.obs import Recorder
 
 
@@ -73,10 +79,32 @@ class TestRefreshModes:
         pipeline, evaluations, ledger, user_trust = _pipeline()
         _populate(evaluations, ledger, user_trust)
         pipeline.refresh()
+        checksums = pipeline.checksums()
         pipeline.invalidate()
         assert pipeline.has_dirty
         pipeline.refresh()
         assert pipeline.last_stats.mode == "full"
+        assert pipeline.checksums() == checksums
+
+    def test_version_increments_on_real_refreshes(self):
+        pipeline, evaluations, ledger, user_trust = _pipeline()
+        assert pipeline.version == 0
+        evaluations.record_vote("a", "f1", 0.5)
+        pipeline.refresh()
+        assert pipeline.version == 1
+        pipeline.refresh()
+        assert pipeline.version == 1
+        evaluations.record_vote("b", "f1", 0.7)
+        pipeline.refresh()
+        assert pipeline.version == 2
+
+    def test_dimension_matrices_before_any_refresh(self):
+        pipeline, *_ = _pipeline()
+        dimensions = pipeline.dimension_matrices()
+        assert set(dimensions) == {"file", "volume", "user"}
+        for matrix in dimensions.values():
+            assert isinstance(matrix, TrustMatrix)
+            assert matrix.row_ids() == []
 
 
 class TestIncrementalEqualsFull:
@@ -103,6 +131,88 @@ class TestIncrementalEqualsFull:
         stats = pipeline.last_stats
         assert stats.rows_rebuilt < total
         assert 0.0 < stats.rebuild_ratio < 1.0
+
+
+    @pytest.mark.parametrize("weights", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                         (0.0, 0.0, 1.0)])
+    def test_single_dimension_configs(self, weights):
+        alpha, beta, gamma = weights
+        config = ReputationConfig(alpha=alpha, beta=beta, gamma=gamma)
+        pipeline, evaluations, ledger, user_trust = _pipeline(config)
+        _populate(evaluations, ledger, user_trust)
+        pipeline.refresh()
+        evaluations.record_vote("c", "f1", 0.85)
+        ledger.record_download("b", "a", "f2", 3e6)
+        user_trust.rate("b", "c", 0.6)
+        pipeline.refresh()
+        assert pipeline.last_stats.mode == "incremental"
+        assert pipeline.trust == build_one_step_matrix(
+            evaluations, ledger, user_trust, config)
+        incremental = pipeline.checksums()
+        pipeline.refresh(force_full=True)
+        assert pipeline.checksums() == incremental
+
+
+class TestBackendResolution:
+    """A matmul backend is resolved only when a power actually runs."""
+
+    @pytest.fixture
+    def no_selection(self, monkeypatch):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("select_backend consulted at n == 1")
+        monkeypatch.setattr(matrix_backend, "select_backend", forbidden)
+
+    @pytest.mark.parametrize("contracts", [False, True])
+    def test_n1_refreshes_never_select_a_backend(self, no_selection,
+                                                 contracts):
+        set_contracts_enabled(contracts)
+        try:
+            pipeline, evaluations, ledger, user_trust = _pipeline()
+            pipeline.recorder = Recorder()
+            _populate(evaluations, ledger, user_trust)
+            pipeline.refresh()
+            evaluations.record_vote("a", "f1", 0.5)
+            pipeline.refresh()
+            assert pipeline.last_stats.mode == "incremental"
+            assert pipeline.last_stats.backend == "none"
+            pipeline.refresh(force_full=True)
+            assert pipeline.last_stats.backend == "none"
+            assert pipeline.reputation is pipeline.trust
+        finally:
+            set_contracts_enabled(None)
+        events = pipeline.recorder.trace.of_kind("pipeline_refresh")
+        assert [event["backend"] for event in events] == ["none"] * 3
+
+    def test_step_override_resolves_a_backend(self, monkeypatch):
+        chosen = []
+        select = matrix_backend.select_backend
+
+        def spy(matrix, *args):
+            backend = select(matrix, *args)
+            chosen.append(backend.name)
+            return backend
+        monkeypatch.setattr(matrix_backend, "select_backend", spy)
+        pipeline, evaluations, ledger, user_trust = _pipeline()
+        _populate(evaluations, ledger, user_trust)
+        pipeline.refresh()
+        assert chosen == []
+        pipeline.reputation_at(2)
+        assert chosen == ["sparse"]
+
+    @pytest.mark.parametrize("steps", [1, 2, 4])
+    def test_reputation_at_overrides(self, steps):
+        config = ReputationConfig(multitrust_steps=3)
+        pipeline, evaluations, ledger, user_trust = _pipeline(config)
+        _populate(evaluations, ledger, user_trust)
+        evaluations.record_vote("c", "f1", 0.85)
+        pipeline.refresh()
+        trust = pipeline.trust
+        expected = compute_reputation_matrix(
+            trust, steps, config,
+            backend=resolve_backend(config.matmul_backend, trust))
+        assert pipeline.reputation_at(steps) == expected
+        if steps == 1:
+            assert pipeline.reputation_at(1) is trust
 
 
 class TestStatsAndObservability:
@@ -155,7 +265,68 @@ class TestStepOverrides:
         assert pipeline.reputation_at(steps) is pipeline.reputation
 
 
+def _drive_facade(system, events):
+    """A deterministic mixed workload through the façade, refreshing often."""
+    rng = random.Random(9)
+    users = [f"u{i}" for i in range(12)]
+    files = [f"f{i}" for i in range(20)]
+    for step in range(events):
+        user = rng.choice(users)
+        peer = rng.choice([u for u in users if u != user])
+        file_id = rng.choice(files)
+        kind = step % 5
+        if kind == 0:
+            system.record_vote(user, file_id, rng.random(),
+                               timestamp=float(step))
+        elif kind == 1:
+            system.record_download(user, peer, file_id,
+                                   1e4 * (1 + rng.random()),
+                                   timestamp=float(step))
+        elif kind == 2:
+            system.record_retention(user, file_id, rng.random() * 1e4,
+                                    timestamp=float(step))
+        elif kind == 3:
+            system.record_rank(user, peer, rng.random())
+        else:
+            system.add_friend(user, peer)
+        if step % 20 == 19:
+            system.recompute()
+            system.refresh_view()
+    system.recompute()
+    system.refresh_view()
+
+
 class TestFacadeIntegration:
+    def test_facade_first_refresh_is_full(self):
+        system = MultiDimensionalReputationSystem(auto_refresh=False)
+        system.record_vote("u0", "f0", 0.8, timestamp=0.0)
+        system.recompute()
+        system.refresh_view()
+        assert system.pipeline.last_stats.mode == "full"
+
+    def test_facade_noop_refresh_returns_identity(self):
+        config = ReputationConfig(multitrust_steps=2)
+        system = MultiDimensionalReputationSystem(config, auto_refresh=False)
+        _drive_facade(system, events=40)
+        pipeline = system.pipeline
+        version = pipeline.version
+        before = pipeline.view()
+        after = pipeline.refresh()
+        assert after.trust is before.trust
+        assert after.reputation is before.reputation
+        assert pipeline.version == version
+
+    def test_facade_invalidate_forces_full_rebuild(self):
+        system = MultiDimensionalReputationSystem(auto_refresh=False)
+        _drive_facade(system, events=60)
+        pipeline = system.pipeline
+        checksums = pipeline.checksums()
+        pipeline.invalidate()
+        assert pipeline.has_dirty
+        pipeline.refresh()
+        assert pipeline.last_stats.mode == "full"
+        assert pipeline.checksums() == checksums
+
     def test_facade_uses_incremental_path_between_recomputes(self):
         system = MultiDimensionalReputationSystem(auto_refresh=False)
         system.record_vote("a", "f1", 0.9)

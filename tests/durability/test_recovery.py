@@ -5,6 +5,9 @@ with ``REPRO_CHECK_INVARIANTS=1`` (the ``crash-recovery`` CI job does)
 additionally self-checks every replayed refresh against a full rebuild.
 """
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.core import MultiDimensionalReputationSystem
@@ -62,6 +65,44 @@ class TestCleanRecovery:
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nothing to recover"):
             recover(tmp_path / "void")
+
+
+#: A durability directory written with ``shards=4`` by the last build
+#: that had the in-process sharded pipeline: snapshots at seq 0 and 14 (v3,
+#: with a ``sharding`` section) and 28 WAL records, every one stamped with
+#: an owner ``shard``; plus the checksums that build's live system had.
+V3_SHARDED_WAL = Path(__file__).parent / "fixtures" / "v3_sharded_wal"
+V3_SHARDED_WAL_CHECKSUMS = {
+    "trust": "5c487f3ace49170dd5c438999b9589a76f330bbffbb01ffbb6acc8d45c5bbce8",
+    "reputation":
+        "5c487f3ace49170dd5c438999b9589a76f330bbffbb01ffbb6acc8d45c5bbce8",
+}
+
+
+class TestV3ShardedJournal:
+    def _recover(self, tmp_path):
+        directory = tmp_path / "state"
+        shutil.copytree(V3_SHARDED_WAL, directory)
+        result = recover(directory)
+        result.system.refresh_view()
+        return result, read_wal(directory / "journal.wal").records
+
+    def test_annotated_wal_replays_to_live_checksums(self, tmp_path):
+        result, records = self._recover(tmp_path)
+        assert len(records) == 28
+        assert all("shard" in record.payload for record in records)
+        assert result.snapshot_seq == 14
+        assert result.replayed_records == 14
+        assert result.system.pipeline.checksums() == V3_SHARDED_WAL_CHECKSUMS
+
+    def test_matches_unannotated_replay(self, tmp_path):
+        result, records = self._recover(tmp_path)
+        for record in records:
+            del record.payload["shard"]
+        reference = replay_reference(records)
+        reference.refresh_view()
+        assert result.system.pipeline.checksums() \
+            == reference.pipeline.checksums()
 
 
 class TestCorruptRecovery:

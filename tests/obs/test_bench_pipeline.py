@@ -2,23 +2,22 @@
 
 The full bench (5k/10k tiers) is CI territory; here a miniature
 ``collect_pipeline_snapshot`` run pins the snapshot's shape, and the gate
-helpers (``sharded_speedup`` / ``scaling_identical`` / ``csr_speedup``)
-are exercised against synthetic snapshots so every branch the CI gate
-relies on is covered without waiting on a benchmark.
+helpers (``scaling_identical`` / ``csr_speedup``) are exercised against
+synthetic snapshots so every branch the CI gate relies on is covered
+without waiting on a benchmark.
 """
 
 import pytest
 
 from repro.obs.bench_pipeline import (collect_pipeline_snapshot, csr_speedup,
                                       dense_speedup, incremental_speedup,
-                                      scaling_identical, sharded_speedup)
+                                      scaling_identical)
 
 
 @pytest.fixture(scope="module")
 def snapshot():
     return collect_pipeline_snapshot(seed=5, sizes=(30,), events=3,
-                                     scale_sizes=(40,), scale_events=2,
-                                     shards=2, shard_workers=2)
+                                     scale_sizes=(40,), scale_events=4)
 
 
 class TestMiniatureRun:
@@ -28,7 +27,6 @@ class TestMiniatureRun:
 
     def test_csr_section_present(self, snapshot):
         csr = snapshot["csr"]
-        assert csr["flavor"] in ("scipy", "blocked-numpy")
         assert csr["auto_selects"] == "csr"
         assert csr["results_max_abs_diff"] < 1e-9
         assert csr_speedup(snapshot) > 0
@@ -36,45 +34,33 @@ class TestMiniatureRun:
     def test_scaling_entries_are_bit_identical(self, snapshot):
         entries = snapshot["scaling"]
         assert [entry["peers"] for entry in entries] == [40]
-        assert entries[0]["checksums_match"] is True
-        # check_workers runs at the smallest tier: the worker-pool replay
-        # must match the serial sharded path exactly.
-        workers = entries[0]["workers"]
-        assert workers["matches_serial"] is True
+        entry = entries[0]
+        # The incremental replay must equal a forced full rebuild.
+        assert entry["checksums_match"] is True
+        assert entry["events"] == 4
+        assert 0 < entry["refresh_p50_seconds"] <= entry["refresh_p95_seconds"]
+        assert entry["refresh_seconds"] > 0
         assert scaling_identical(snapshot) is True
-        assert sharded_speedup(snapshot, 40) > 0
 
     def test_dense_speedup_still_reported(self, snapshot):
         assert dense_speedup(snapshot) > 0
 
     def test_stamp_covers_scaling_knobs(self, snapshot):
         # The scaling knobs are part of the stamped config: a different
-        # shard count or tier list must change the config hash.
+        # event count or tier list must change the config hash.
         other = collect_pipeline_snapshot(seed=5, sizes=(30,), events=3,
-                                          scale_sizes=(40,), scale_events=2,
-                                          shards=4, shard_workers=2)
+                                          scale_sizes=(40,), scale_events=2)
         assert snapshot["seed"] == 5
         assert other["config_hash"] != snapshot["config_hash"]
 
 
 class TestGateHelpers:
-    def test_sharded_speedup_unknown_tier_is_zero(self, snapshot):
-        # A tier the bench never ran can't pass a >= bound: the helper
-        # reports 0.0 so the CI gate fails closed instead of crashing.
-        assert sharded_speedup(snapshot, 999) == 0.0
-
     def test_scaling_identical_requires_entries(self):
         assert scaling_identical({"scaling": []}) is False
 
     def test_scaling_identical_rejects_mismatch(self):
-        snapshot = {"scaling": [{"peers": 10, "checksums_match": False}]}
-        assert scaling_identical(snapshot) is False
-
-    def test_scaling_identical_rejects_worker_mismatch(self):
-        snapshot = {"scaling": [{
-            "peers": 10, "checksums_match": True,
-            "workers": {"workers": 2, "matches_serial": False},
-        }]}
+        snapshot = {"scaling": [{"peers": 10, "checksums_match": True},
+                                {"peers": 20, "checksums_match": False}]}
         assert scaling_identical(snapshot) is False
 
     def test_scaling_identical_accepts_serial_only_entries(self):

@@ -70,12 +70,7 @@ def _apply(system: MultiDimensionalReputationSystem, event, clock: float
 
 def _assert_all_stages_match(system: MultiDimensionalReputationSystem
                              ) -> None:
-    """Exact equality of every pipeline stage against the full builders.
-
-    Uses the shared :meth:`dimension_matrices` accessor, so the same bar
-    applies verbatim to the monolithic and the sharded pipeline (whose
-    accessor merges shard fragments).
-    """
+    """Exact equality of every pipeline stage against the full builders."""
     config = system.config
     pipeline = system.pipeline
     dimensions = pipeline.dimension_matrices()
@@ -106,8 +101,10 @@ class TestIncrementalEqualsFull:
 
     @settings(max_examples=25, deadline=None)
     @given(interleaving=st.lists(events, min_size=2, max_size=30),
-           steps=st.integers(min_value=1, max_value=3))
-    def test_interleavings_with_multitrust_steps(self, interleaving, steps):
+           steps=st.integers(min_value=1, max_value=3),
+           override=st.integers(min_value=1, max_value=4))
+    def test_interleavings_with_multitrust_steps(self, interleaving, steps,
+                                                 override):
         config = ReputationConfig(multitrust_steps=steps)
         system = MultiDimensionalReputationSystem(config,
                                                   auto_refresh=False)
@@ -119,6 +116,13 @@ class TestIncrementalEqualsFull:
         system.recompute()
         system.refresh_view()
         _assert_all_stages_match(system)
+        # Step overrides resolve their backend exactly like the full path.
+        full_trust = build_one_step_matrix(
+            system.evaluations, system.ledger, system.user_trust, config)
+        assert system.pipeline.reputation_at(override) \
+            == compute_reputation_matrix(
+                full_trust, override, config,
+                backend=resolve_backend(config.matmul_backend, full_trust))
 
     @settings(max_examples=25, deadline=None)
     @given(interleaving=st.lists(events, min_size=1, max_size=25))
@@ -130,6 +134,9 @@ class TestIncrementalEqualsFull:
                                                       auto_refresh=False)
             for index, event in enumerate(interleaving):
                 _apply(system, event, clock=float(index))
+                if index % 7 == 3:
+                    system.recompute()
+                    system.refresh_view()
             system.recompute()
             system.refresh_view()
             assert system.pipeline.trust == build_one_step_matrix(
@@ -176,79 +183,3 @@ class TestBackendEquivalence:
             matrices.append(system.pipeline.trust)
         assert matrices[0] == matrices[1] == matrices[2]
         assert isinstance(matrices[0], TrustMatrix)
-
-
-class TestShardedEqualsMonolithic:
-    """The sharded pipeline is the monolithic one, bit for bit.
-
-    Same interleavings, same bar: every shard count must publish matrices
-    whose checksums equal the unsharded pipeline's, and every stage must
-    still match the full builders (the sharded pipeline merges per-shard
-    fragments inside :meth:`dimension_matrices`).
-    """
-
-    @settings(max_examples=30, deadline=None)
-    @given(interleaving=st.lists(events, min_size=1, max_size=35))
-    def test_every_shard_count_matches_monolith(self, interleaving):
-        checksums = []
-        for shards in (1, 2, 4):
-            config = ReputationConfig(shards=shards)
-            system = MultiDimensionalReputationSystem(config,
-                                                      auto_refresh=False)
-            for index, event in enumerate(interleaving):
-                _apply(system, event, clock=float(index))
-            system.recompute()
-            system.refresh_view()
-            _assert_all_stages_match(system)
-            checksums.append(system.pipeline.checksums())
-        monolith = MultiDimensionalReputationSystem(auto_refresh=False)
-        for index, event in enumerate(interleaving):
-            _apply(monolith, event, clock=float(index))
-        monolith.recompute()
-        monolith.refresh_view()
-        assert all(c == monolith.pipeline.checksums() for c in checksums)
-
-    @settings(max_examples=15, deadline=None)
-    @given(interleaving=st.lists(events, min_size=2, max_size=30),
-           steps=st.integers(min_value=1, max_value=3))
-    def test_sharded_multitrust_interleavings(self, interleaving, steps):
-        config = ReputationConfig(shards=3, multitrust_steps=steps)
-        system = MultiDimensionalReputationSystem(config, auto_refresh=False)
-        for index, event in enumerate(interleaving):
-            _apply(system, event, clock=float(index))
-            if index % 7 == 3:
-                system.recompute()
-                system.refresh_view()
-        system.recompute()
-        system.refresh_view()
-        _assert_all_stages_match(system)
-
-    def test_worker_pool_matches_serial_sharded(self):
-        """shards=4, workers=2 replays an interleaving bit-identically."""
-        interleaving = []
-        for i in range(40):
-            user = USERS[i % len(USERS)]
-            peer = USERS[(i + 1) % len(USERS)]
-            file_id = FILES[i % len(FILES)]
-            interleaving.extend([
-                ("vote", user, file_id, (i % 10) / 10.0),
-                ("download", user, peer, file_id, 1e4 + i),
-                ("rank", user, peer, (i % 7) / 7.0),
-            ])
-        checksums = {}
-        for workers in (1, 2):
-            config = ReputationConfig(shards=4, shard_workers=workers)
-            system = MultiDimensionalReputationSystem(config,
-                                                      auto_refresh=False)
-            try:
-                for index, event in enumerate(interleaving):
-                    _apply(system, event, clock=float(index))
-                    if index % 17 == 5:
-                        system.recompute()
-                        system.refresh_view()
-                system.recompute()
-                system.refresh_view()
-                checksums[workers] = system.pipeline.checksums()
-            finally:
-                system.close()
-        assert checksums[1] == checksums[2]
