@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Eighteen commands cover the workflows a downstream user actually runs:
+Fifteen commands cover the workflows a downstream user actually runs:
 
 * ``gen-trace``   — generate a synthetic Maze-like download trace to a file;
 * ``trace-stats`` — summarise a trace file (Zipf fit, Gini, fake fraction);
@@ -28,26 +28,17 @@ Eighteen commands cover the workflows a downstream user actually runs:
 * ``flame``       — render a span-bearing trace as a self-contained
   flamegraph SVG (folded stacks over simulated busy time; ``--folded``
   also writes collapsed-stack lines);
-* ``bench-trace`` — emit a stamped ``BENCH_trace.json`` snapshot of trace
-  write/scan throughput, binary vs JSONL (``--min-throughput`` and
-  ``--min-scan-ratio`` gate);
-* ``bench-obs``   — emit a stamped ``BENCH_obs.json`` perf snapshot
-  (``--history`` appends to a JSONL trajectory, ``--max-overhead`` gates);
-* ``bench-pipeline`` — emit a stamped ``BENCH_pipeline.json`` snapshot of
-  the incremental trust pipeline: full-rebuild vs single-event refresh
-  latency per population size, sparse vs dense vs csr matmul, and —
-  with ``--scale-sizes`` — per-event refresh latency over one replayed
-  event stream, checked against a forced full rebuild (``--min-speedup``
-  / ``--min-csr-speedup`` gate; any scaling tier whose checksums differ
-  from the full rebuild exits 1);
+* ``bench``       — run one perf section (``obs``, ``wal``, ``trace`` or
+  ``pipeline``) and write a stamped ``BENCH_<section>.json`` snapshot:
+  every ratio is the median of alternating A/B pairs with its IQR, any
+  false identity check exits 1, and each repeatable ``--gate PATH<=X`` /
+  ``--gate PATH>=X`` bounds one number in the snapshot (``--history``
+  appends to a JSONL trajectory);
 * ``recover``     — rebuild trust state from a durability directory
   (latest good snapshot + WAL-tail replay); ``--repair`` truncates a torn
   tail, ``--out`` writes the recovered state as a v4 JSON document;
 * ``wal-inspect`` — decode a write-ahead log: record counts by kind,
   valid-prefix length, truncation reason (``--records`` lists frames);
-* ``bench-wal``   — emit a stamped ``BENCH_wal.json`` snapshot of ingest
-  throughput with the journal off / buffered / batch-fsync / fsync-always
-  (``--max-overhead`` gates the buffered slowdown);
 * ``lint``        — project-aware static analysis: determinism,
   stochastic-matrix and weight-simplex invariants (``--format json`` for
   the machine-readable schema, ``--fail-on`` for severity gating,
@@ -91,14 +82,8 @@ from .obs import (NULL_RECORDER, FoldedStacks, Monitor, Recorder,
                   SpanAnalyzer, SpanTreeBuilder, diff_summaries,
                   monitor_events, render_dashboard, render_flamegraph,
                   summarize_trace, summary_to_dict)
-from .obs.bench import (append_history, collect_snapshot, overhead_ratio,
-                        span_overhead_ratio, span_sampled_overhead_ratio,
-                        write_snapshot)
-from .obs.bench_pipeline import (collect_pipeline_snapshot, csr_speedup,
-                                 dense_speedup, incremental_speedup,
-                                 scaling_identical)
-from .obs.bench_trace import (collect_trace_snapshot, scan_ratio,
-                              scan_throughput, write_throughput)
+from .obs.bench import (SECTIONS, append_history, parse_gate, records,
+                        resolve, write_snapshot)
 from .obs.traceio import (DEFAULT_CHUNK_EVENTS, TraceWriter, canonical_line,
                           iter_trace_events, open_trace_sink, trace_info)
 from .simulator import (SCENARIOS, FileSharingSimulation, ScenarioSpec,
@@ -428,83 +413,36 @@ def build_parser() -> argparse.ArgumentParser:
     flame.add_argument("--title", default="repro span flamegraph",
                        help="SVG title text")
 
-    bench_trace = commands.add_parser(
-        "bench-trace", help="collect a stamped trace-format perf snapshot "
-                            "(binary vs JSONL write/scan throughput)")
-    bench_trace.add_argument("--out", default="BENCH_trace.json",
-                             help="snapshot output path")
-    bench_trace.add_argument("--events", type=int, default=1_000_000,
-                             help="synthetic events to bench")
-    bench_trace.add_argument("--seed", type=int, default=7)
-    bench_trace.add_argument("--chunk-events", type=int,
-                             default=DEFAULT_CHUNK_EVENTS)
-    bench_trace.add_argument("--history", default=None, metavar="PATH",
-                             help="append the snapshot as one JSONL line "
-                                  "to this trajectory file")
-    bench_trace.add_argument("--min-throughput", type=float, default=None,
-                             metavar="EVENTS_PER_S",
-                             help="exit 1 unless binary write AND scan "
-                                  "both sustain this many events/s")
-    bench_trace.add_argument("--min-scan-ratio", type=float, default=None,
-                             metavar="RATIO",
-                             help="exit 1 unless the binary scan beats "
-                                  "the JSONL scan by this factor")
-
     bench = commands.add_parser(
-        "bench-obs", help="collect a stamped observability perf snapshot")
-    bench.add_argument("--out", default="BENCH_obs.json",
-                       help="snapshot output path")
+        "bench", help="run one perf section and write a stamped "
+                      "BENCH_<section>.json snapshot")
+    bench.add_argument("section", choices=tuple(SECTIONS),
+                       help="obs: observability overhead; wal: journal "
+                            "cost; trace: binary vs JSONL throughput; "
+                            "pipeline: refresh and matmul backends")
     bench.add_argument("--seed", type=int, default=42)
+    bench.add_argument("--out", default=None,
+                       help="snapshot output path "
+                            "(default BENCH_<section>.json)")
     bench.add_argument("--history", default=None, metavar="PATH",
                        help="append the snapshot as one JSONL line to this "
                             "trajectory file")
-    bench.add_argument("--max-overhead", type=float, default=None,
-                       metavar="RATIO",
-                       help="exit 1 when the instrumentation overhead "
-                            "ratio (or full span tracing over plain "
-                            "instrumentation) exceeds this bound")
-    bench.add_argument("--max-sampled-overhead", type=float, default=None,
-                       metavar="RATIO",
-                       help="exit 1 when 1-in-8 head-sampled span tracing "
-                            "exceeds this ratio over plain "
-                            "instrumentation")
-
-    bench_pipeline = commands.add_parser(
-        "bench-pipeline",
-        help="collect a stamped incremental-pipeline perf snapshot")
-    bench_pipeline.add_argument("--out", default="BENCH_pipeline.json",
-                                help="snapshot output path")
-    bench_pipeline.add_argument("--seed", type=int, default=42)
-    bench_pipeline.add_argument("--sizes", type=int, nargs="+",
-                                default=[100, 500, 1000],
-                                help="population sizes (peers) to bench")
-    bench_pipeline.add_argument("--events", type=int, default=20,
-                                help="single-event refreshes averaged per "
-                                     "size")
-    bench_pipeline.add_argument("--history", default=None, metavar="PATH",
-                                help="append the snapshot as one JSONL line "
-                                     "to this trajectory file")
-    bench_pipeline.add_argument("--min-speedup", type=float, default=None,
-                                metavar="RATIO",
-                                help="exit 1 unless the incremental refresh "
-                                     "beats the full rebuild by this factor "
-                                     "at the smallest size (and the dense "
-                                     "backend beats sparse)")
-    bench_pipeline.add_argument("--scale-sizes", type=int, nargs="+",
-                                default=[], metavar="PEERS",
-                                help="extra population tiers for the "
-                                     "scaling bench (replays one event "
-                                     "stream, timing each refresh; exit 1 "
-                                     "unless a forced full rebuild "
-                                     "reproduces the checksums)")
-    bench_pipeline.add_argument("--scale-events", type=int, default=50,
-                                help="single-event refreshes replayed per "
-                                     "scaling tier")
-    bench_pipeline.add_argument("--min-csr-speedup", type=float,
-                                default=None, metavar="RATIO",
-                                help="exit 1 unless the csr backend beats "
-                                     "dense numpy by this factor on the "
-                                     "low-density CSR-regime bench matrix")
+    bench.add_argument("--gate", action="append", default=[],
+                       type=_gate_arg, metavar="PATH<=X|PATH>=X",
+                       help="exit 1 unless the number at this dotted "
+                            "snapshot path (e.g. ratios.span_overhead.median)"
+                            " meets the bound; repeatable")
+    bench.add_argument("--sizes", type=int, nargs="+", default=None,
+                       metavar="PEERS",
+                       help="pipeline: population sizes for the refresh "
+                            "tiers (default 100 500 1000)")
+    bench.add_argument("--events", type=int, default=None,
+                       help="pipeline: single-event refreshes timed per "
+                            "refresh tier (default 20)")
+    bench.add_argument("--scale-sizes", type=int, nargs="+", default=None,
+                       metavar="PEERS",
+                       help="pipeline: scaling tiers, each replaying one "
+                            "event stream that must equal a full rebuild")
 
     recover_parser = commands.add_parser(
         "recover", help="rebuild trust state from a durability directory "
@@ -532,19 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="list every decoded record")
     wal_inspect.add_argument("--json", action="store_true",
                              help="emit the scan as JSON")
-
-    bench_wal = commands.add_parser(
-        "bench-wal", help="collect a stamped WAL-throughput perf snapshot")
-    bench_wal.add_argument("--out", default="BENCH_wal.json",
-                           help="snapshot output path")
-    bench_wal.add_argument("--seed", type=int, default=42)
-    bench_wal.add_argument("--history", default=None, metavar="PATH",
-                           help="append the snapshot as one JSONL line to "
-                                "this trajectory file")
-    bench_wal.add_argument("--max-overhead", type=float, default=None,
-                           metavar="RATIO",
-                           help="exit 1 when the buffered-journal slowdown "
-                                "exceeds this ratio (CI gate: 1.25)")
 
     lint = commands.add_parser(
         "lint", help="project-aware static analysis: determinism, "
@@ -1212,194 +1137,66 @@ def _cmd_flame(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_trace(args: argparse.Namespace) -> int:
-    if args.events < 1:
-        print(f"--events must be >= 1, got {args.events}", file=sys.stderr)
+def _gate_arg(text: str):
+    try:
+        return parse_gate(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    options = {name: value for name, value in (
+        ("sizes", args.sizes), ("events", args.events),
+        ("scale_sizes", args.scale_sizes)) if value is not None}
+    if options and args.section != "pipeline":
+        flags = ", ".join("--" + name.replace("_", "-") for name in options)
+        print(f"{flags}: pipeline section only", file=sys.stderr)
         return 2
-    if args.chunk_events < 1:
-        print(f"--chunk-events must be >= 1, got {args.chunk_events}",
-              file=sys.stderr)
+    snapshot = SECTIONS[args.section](seed=args.seed, **options)
+    out = args.out or f"BENCH_{args.section}.json"
+    write_snapshot(out, snapshot)
+    if args.history is not None:
+        append_history(args.history, snapshot)
+        print(f"appended snapshot to {args.history}")
+    print(f"wrote {out} (seed={snapshot['seed']}, "
+          f"config={snapshot['config_hash']}, git={snapshot['git_sha']}"
+          f"{', dirty' if snapshot['git_dirty'] else ''})")
+    timings, ratios = [], []
+    for path, record in records(snapshot):
+        if "iqr" in record:
+            ratios.append([path, f"x{record['median']:.2f}",
+                           f"{record['iqr']:.2f}", record["pairs"]])
+        else:
+            rate = record.get("events_per_s")
+            timings.append([path, record["runs"],
+                            f"{record['min_seconds'] * 1e3:.2f}",
+                            f"{record['median_seconds'] * 1e3:.2f}",
+                            "" if rate is None else f"{rate:,.0f}"])
+    print(render_table(["timing", "runs", "min (ms)", "median (ms)",
+                        "events/s"], timings,
+                       title=f"bench {args.section}: timings"))
+    print(render_table(["ratio", "median", "IQR", "pairs"], ratios,
+                       title=f"bench {args.section}: median per-pair ratios"))
+
+    try:
+        values = [(gate, resolve(snapshot, gate.path)) for gate in args.gate]
+    except LookupError as error:
+        print(f"bad gate: {error}", file=sys.stderr)
         return 2
-    snapshot = collect_trace_snapshot(events=args.events, seed=args.seed,
-                                      chunk_events=args.chunk_events)
-    write_snapshot(args.out, snapshot)
-    if args.history is not None:
-        append_history(args.history, snapshot)
-        print(f"appended snapshot to {args.history}")
-    print(f"wrote {args.out} (seed={snapshot['seed']}, "
-          f"config={snapshot['config_hash']}, git={snapshot['git_sha']})")
-    rows = []
-    for fmt in ("binary", "jsonl"):
-        entry = snapshot[fmt]
-        rows.append([fmt,
-                     f"{entry['write_events_per_s']:,.0f}",
-                     f"{entry['scan_events_per_s']:,.0f}",
-                     f"{entry['file_bytes'] / (1024.0 * 1024.0):.1f}"])
-    print(render_table(
-        ["format", "write events/s", "scan events/s", "file MiB"], rows,
-        title=f"Trace throughput: {snapshot['events']} synthetic events, "
-              f"chunk={snapshot['chunk_events']}"))
-    print(f"\nbinary/JSONL size ratio: {snapshot['size_ratio']:.2f}, "
-          f"scan speedup: x{snapshot['scan_ratio']:.1f}")
-
-    if not snapshot["scan_aggregates_match"]:
-        print("binary and JSONL scans disagree on the aggregates — the "
-              "speedup is meaningless", file=sys.stderr)
-        return 1
-    if not snapshot["roundtrip_identical"]:
-        print("binary -> JSONL round-trip is not byte-identical",
-              file=sys.stderr)
-        return 1
-    print("fidelity checks passed (aggregates match, round-trip "
-          "byte-identical)")
-    if args.min_throughput is not None:
-        write_rate = write_throughput(snapshot, "binary")
-        scan_rate = scan_throughput(snapshot, "binary")
-        slowest = min(write_rate, scan_rate)
-        if slowest < args.min_throughput:
-            print(f"binary throughput {slowest:,.0f} events/s below the "
-                  f"{args.min_throughput:,.0f} events/s bound "
-                  f"(write {write_rate:,.0f}, scan {scan_rate:,.0f})",
-                  file=sys.stderr)
-            return 1
-        print(f"throughput gate passed ({slowest:,.0f} >= "
-              f"{args.min_throughput:,.0f} events/s)")
-    if args.min_scan_ratio is not None:
-        ratio = scan_ratio(snapshot)
-        if ratio < args.min_scan_ratio:
-            print(f"binary scan only x{ratio:.2f} faster than JSONL, "
-                  f"below the x{args.min_scan_ratio:.2f} bound",
-                  file=sys.stderr)
-            return 1
-        print(f"scan-ratio gate passed (x{ratio:.2f} >= "
-              f"x{args.min_scan_ratio:.2f})")
-    return 0
-
-
-def _cmd_bench_obs(args: argparse.Namespace) -> int:
-    snapshot = collect_snapshot(seed=args.seed)
-    write_snapshot(args.out, snapshot)
-    if args.history is not None:
-        append_history(args.history, snapshot)
-        print(f"appended snapshot to {args.history}")
-    timings = snapshot["timings"]
-    print(f"wrote {args.out} (seed={snapshot['seed']}, "
-          f"config={snapshot['config_hash']}, git={snapshot['git_sha']})")
-    print(f"simulate: {timings['simulate_null_recorder_seconds']:.3f}s "
-          f"bare, {timings['simulate_instrumented_seconds']:.3f}s "
-          f"instrumented "
-          f"(x{timings['instrumentation_overhead_ratio']:.2f})")
-    print(f"spans: {timings['simulate_spans_seconds']:.3f}s full "
-          f"(x{timings['span_overhead_ratio']:.2f} vs instrumented), "
-          f"{timings['simulate_spans_sampled_seconds']:.3f}s sampled 1/8 "
-          f"(x{timings['span_sampled_overhead_ratio']:.2f})")
-    if args.max_overhead is not None:
-        ratio = overhead_ratio(snapshot)
-        if ratio > args.max_overhead:
-            print(f"instrumentation overhead x{ratio:.2f} exceeds the "
-                  f"x{args.max_overhead:.2f} bound", file=sys.stderr)
-            return 1
-        span_ratio = span_overhead_ratio(snapshot)
-        if span_ratio > args.max_overhead:
-            print(f"full span tracing overhead x{span_ratio:.2f} exceeds "
-                  f"the x{args.max_overhead:.2f} bound", file=sys.stderr)
-            return 1
-        print(f"overhead gate passed (instrumentation x{ratio:.2f}, "
-              f"spans x{span_ratio:.2f} <= x{args.max_overhead:.2f})")
-    if args.max_sampled_overhead is not None:
-        sampled_ratio = span_sampled_overhead_ratio(snapshot)
-        if sampled_ratio > args.max_sampled_overhead:
-            print(f"sampled span tracing overhead x{sampled_ratio:.2f} "
-                  f"exceeds the x{args.max_sampled_overhead:.2f} bound",
-                  file=sys.stderr)
-            return 1
-        print(f"sampled-overhead gate passed (x{sampled_ratio:.2f} <= "
-              f"x{args.max_sampled_overhead:.2f})")
-    return 0
-
-
-def _cmd_bench_pipeline(args: argparse.Namespace) -> int:
-    snapshot = collect_pipeline_snapshot(seed=args.seed,
-                                         sizes=tuple(args.sizes),
-                                         events=args.events,
-                                         scale_sizes=tuple(args.scale_sizes),
-                                         scale_events=args.scale_events)
-    write_snapshot(args.out, snapshot)
-    if args.history is not None:
-        append_history(args.history, snapshot)
-        print(f"appended snapshot to {args.history}")
-    print(f"wrote {args.out} (seed={snapshot['seed']}, "
-          f"config={snapshot['config_hash']}, git={snapshot['git_sha']})")
-    rows = []
-    for entry in snapshot["refresh"]:
-        rows.append([entry["peers"], entry["tm_entries"],
-                     f"{entry['full_refresh_seconds'] * 1e3:.1f}",
-                     f"{entry['incremental_refresh_seconds'] * 1e3:.2f}",
-                     f"x{entry['incremental_speedup']:.1f}"])
-    print(render_table(
-        ["peers", "TM entries", "full (ms)", "incremental (ms)", "speedup"],
-        rows, title="Refresh latency: full rebuild vs single-event delta"))
-    backend = snapshot["backend"]
-    print(f"\nbackend bench ({backend['nodes']} nodes, "
-          f"density {backend['density']:.2f}, TM^{backend['steps']}): "
-          f"sparse {backend['sparse_power_seconds'] * 1e3:.1f}ms, "
-          f"dense {backend['dense_power_seconds'] * 1e3:.1f}ms "
-          f"(x{backend['dense_speedup']:.1f}, auto selects "
-          f"{backend['auto_selects']}, max |diff| "
-          f"{backend['results_max_abs_diff']:.1e})")
-    csr = snapshot["csr"]
-    print(f"csr bench ({csr['nodes']} nodes, density "
-          f"{csr['density']:.2f}, TM^{csr['steps']}): dense "
-          f"{csr['dense_power_seconds'] * 1e3:.1f}ms, csr "
-          f"{csr['csr_power_seconds'] * 1e3:.1f}ms "
-          f"(x{csr['csr_speedup']:.1f}, auto selects "
-          f"{csr['auto_selects']}, max |diff| "
-          f"{csr['results_max_abs_diff']:.1e})")
-    if snapshot.get("scaling"):
-        rows = []
-        for entry in snapshot["scaling"]:
-            rows.append([entry["peers"], entry["events"],
-                         entry["tm_entries"],
-                         f"{entry['refresh_seconds'] * 1e3:.2f}",
-                         f"{entry['refresh_p50_seconds'] * 1e3:.2f}",
-                         f"{entry['refresh_p95_seconds'] * 1e3:.2f}",
-                         "ok" if entry["checksums_match"] else "MISMATCH"])
-        print()
-        print(render_table(
-            ["peers", "events", "TM entries", "mean (ms)", "p50 (ms)",
-             "p95 (ms)", "== full rebuild"],
-            rows, title="Scaling: single-event refresh over one replayed "
-                        "stream"))
-    if args.min_speedup is not None:
-        smallest = min(args.sizes)
-        speedup = incremental_speedup(snapshot, smallest)
-        if speedup < args.min_speedup:
-            print(f"incremental speedup x{speedup:.2f} at {smallest} peers "
-                  f"below the x{args.min_speedup:.2f} bound",
-                  file=sys.stderr)
-            return 1
-        if dense_speedup(snapshot) < 1.0:
-            print("dense backend slower than sparse on the "
-                  f"{backend['density']:.0%}-density bench matrix",
-                  file=sys.stderr)
-            return 1
-        print(f"pipeline gate passed (x{speedup:.2f} >= "
-              f"x{args.min_speedup:.2f} at {smallest} peers, dense "
-              f"x{dense_speedup(snapshot):.2f} vs sparse)")
-    if args.scale_sizes and not scaling_identical(snapshot):
-        print("incremental replay diverged from a forced full rebuild; "
-              "see the scaling table", file=sys.stderr)
-        return 1
-    if args.min_csr_speedup is not None:
-        ratio = csr_speedup(snapshot)
-        if ratio < args.min_csr_speedup:
-            print(f"csr speedup x{ratio:.2f} below the "
-                  f"x{args.min_csr_speedup:.2f} bound on the "
-                  f"{csr['density']:.0%}-density matrix", file=sys.stderr)
-            return 1
-        print(f"csr gate passed (x{ratio:.2f} >= "
-              f"x{args.min_csr_speedup:.2f})")
-    return 0
+    code = 0
+    for name, ok in snapshot["checks"].items():
+        if ok:
+            print(f"check passed: {name}")
+        else:
+            print(f"check failed: {name}", file=sys.stderr)
+            code = 1
+    for gate, value in values:
+        if gate.holds(value):
+            print(f"gate passed: {gate} (got {value:.4g})")
+        else:
+            print(f"gate failed: {gate} (got {value:.4g})", file=sys.stderr)
+            code = 1
+    return code
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
@@ -1500,43 +1297,6 @@ def _cmd_wal_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_wal(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from .obs.bench_wal import buffered_overhead, collect_wal_snapshot
-    with tempfile.TemporaryDirectory(prefix="bench-wal-") as workdir:
-        snapshot = collect_wal_snapshot(workdir, seed=args.seed)
-    write_snapshot(args.out, snapshot)
-    if args.history is not None:
-        append_history(args.history, snapshot)
-        print(f"appended snapshot to {args.history}")
-    print(f"wrote {args.out} (seed={snapshot['seed']}, "
-          f"config={snapshot['config_hash']}, git={snapshot['git_sha']})")
-    modes = snapshot["modes"]
-    rows = [[mode, f"{entry['events_per_second']:.0f}",
-             int(entry["wal_records"]),
-             f"x{entry['slowdown_vs_off']:.2f}"]
-            for mode, entry in modes.items()]
-    engine_events = modes["off"]["engine_events"]
-    print(render_table(
-        ["mode", "events/s", "WAL records", "slowdown vs off"], rows,
-        title=f"WAL cost on the simulator workload "
-              f"({engine_events} engine events per mode)"))
-    if not snapshot["matches_baseline"]:
-        print("WARNING: journalled runs diverged from the baseline "
-              "outcomes — durability is not supposed to touch any RNG",
-              file=sys.stderr)
-    if args.max_overhead is not None:
-        ratio = buffered_overhead(snapshot)
-        if ratio > args.max_overhead:
-            print(f"buffered-journal slowdown x{ratio:.2f} exceeds the "
-                  f"x{args.max_overhead:.2f} bound", file=sys.stderr)
-            return 1
-        print(f"WAL overhead gate passed (x{ratio:.2f} <= "
-              f"x{args.max_overhead:.2f})")
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         rows = [[rule.rule_id, str(rule.severity), rule.summary]
@@ -1586,12 +1346,9 @@ _COMMANDS = {
     "diff-trace": _cmd_diff_trace,
     "trace": _cmd_trace,
     "flame": _cmd_flame,
-    "bench-trace": _cmd_bench_trace,
-    "bench-obs": _cmd_bench_obs,
-    "bench-pipeline": _cmd_bench_pipeline,
+    "bench": _cmd_bench,
     "recover": _cmd_recover,
     "wal-inspect": _cmd_wal_inspect,
-    "bench-wal": _cmd_bench_wal,
     "lint": _cmd_lint,
 }
 

@@ -256,7 +256,7 @@ class WalWriter:
     every append (each record survives an OS crash), ``"batch"`` syncs only
     on explicit :meth:`sync` calls, ``"none"`` never syncs (buffered;
     suitable for simulations where the artefact matters but mid-run power
-    loss does not).  ``repro bench-wal`` measures all three.
+    loss does not).  ``repro bench wal`` measures all three.
 
     ``fileobj`` lets tests substitute a fault-injecting file (see
     :class:`~repro.core.durability.faults.FaultyFile`); the writer then

@@ -19,11 +19,9 @@ The measurement substrate the quantitative claims run on:
 * :mod:`~repro.obs.flame` — folded-stack aggregation and flamegraph SVG
   export over span trees;
 * :mod:`~repro.obs.report` — trace summarisation behind ``repro report``;
-* :mod:`~repro.obs.bench` — stamped ``BENCH_obs.json`` perf snapshots;
-* :mod:`~repro.obs.bench_pipeline` — stamped ``BENCH_pipeline.json``
-  snapshots of incremental-vs-full refresh and sparse-vs-dense matmul;
-* :mod:`~repro.obs.bench_trace` — stamped ``BENCH_trace.json`` snapshots
-  of trace write/scan throughput, binary vs JSONL;
+* :mod:`~repro.obs.bench` — the one bench harness behind ``repro bench``:
+  stamped ``BENCH_<section>.json`` snapshots (obs, wal, trace, pipeline)
+  with alternating-pair timing, identity checks and gates;
 * :mod:`~repro.obs.alerts` — threshold/windowed alert rules and severities;
 * :mod:`~repro.obs.detectors` — streaming anomaly detectors (convergence
   stall, fake outbreak, collusion ring, whitewashing, starvation);

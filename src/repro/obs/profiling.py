@@ -93,10 +93,12 @@ class Profiler:
         """All phases as a sorted, JSON-serialisable dict.
 
         Includes per-phase duration percentiles from the sketch; these are
-        wall-clock figures and belong only in profiling artefacts.
+        wall-clock figures and belong only in profiling artefacts.  A
+        phase's ``counters`` appear only when it counted something.
         """
-        return {
-            name: {
+        snapshot: Dict[str, Dict[str, object]] = {}
+        for name, stats in sorted(self._phases.items()):
+            entry: Dict[str, object] = {
                 "calls": stats.calls,
                 "total_seconds": stats.total_seconds,
                 "mean_seconds": stats.mean_seconds,
@@ -104,7 +106,8 @@ class Profiler:
                 "p50_seconds": stats.durations.percentile(50.0),
                 "p95_seconds": stats.durations.percentile(95.0),
                 "p99_seconds": stats.durations.percentile(99.0),
-                "counters": dict(sorted(stats.counters.items())),
             }
-            for name, stats in sorted(self._phases.items())
-        }
+            if stats.counters:
+                entry["counters"] = dict(sorted(stats.counters.items()))
+            snapshot[name] = entry
+        return snapshot

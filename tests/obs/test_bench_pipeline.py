@@ -1,35 +1,42 @@
-"""Tests for the pipeline bench snapshot: gate helpers and a tiny real run.
+"""Tests for the pipeline bench section: a miniature real run and the
+tier identity check.
 
-The full bench (5k/10k tiers) is CI territory; here a miniature
-``collect_pipeline_snapshot`` run pins the snapshot's shape, and the gate
-helpers (``scaling_identical`` / ``csr_speedup``) are exercised against
-synthetic snapshots so every branch the CI gate relies on is covered
-without waiting on a benchmark.
+The full section (5k/10k scaling tiers) is CI territory; here a miniature
+``collect_pipeline`` run pins the snapshot's shape, and stubbed tiers
+exercise every branch of the ``checksums_match`` check without waiting on
+a benchmark.
 """
 
 import pytest
 
-from repro.obs.bench_pipeline import (collect_pipeline_snapshot, csr_speedup,
-                                      dense_speedup, incremental_speedup,
-                                      scaling_identical)
+from repro.obs import bench
+from repro.obs.bench import PAIRS, SCALE_EVENTS, collect_pipeline
 
 
 @pytest.fixture(scope="module")
-def snapshot():
-    return collect_pipeline_snapshot(seed=5, sizes=(30,), events=3,
-                                     scale_sizes=(40,), scale_events=4)
+def snapshot(miniature_bench):
+    return collect_pipeline(seed=5, sizes=(30,), events=5,
+                            scale_sizes=(40,))
 
 
 class TestMiniatureRun:
     def test_refresh_tiers_present(self, snapshot):
-        assert [tier["peers"] for tier in snapshot["refresh"]] == [30]
-        assert incremental_speedup(snapshot, 30) > 0
+        tiers = snapshot["refresh"]
+        assert [tier["peers"] for tier in tiers] == [30]
+        assert tiers[0]["events"] == PAIRS
+        assert tiers[0]["incremental_speedup"]["median"] > 0
+        # Every round's full rebuild reproduced the patched checksums.
+        assert tiers[0]["checksums_match"] is True
+
+    def test_refresh_tiers_sorted_smallest_first(self, miniature_bench):
+        tiers = collect_pipeline(seed=5, sizes=(40, 20), events=5)["refresh"]
+        assert [tier["peers"] for tier in tiers] == [20, 40]
 
     def test_csr_section_present(self, snapshot):
-        csr = snapshot["csr"]
+        csr = snapshot["csr_vs_dense"]
         assert csr["auto_selects"] == "csr"
         assert csr["results_max_abs_diff"] < 1e-9
-        assert csr_speedup(snapshot) > 0
+        assert csr["speedup"]["median"] > 0
 
     def test_scaling_entries_are_bit_identical(self, snapshot):
         entries = snapshot["scaling"]
@@ -37,32 +44,57 @@ class TestMiniatureRun:
         entry = entries[0]
         # The incremental replay must equal a forced full rebuild.
         assert entry["checksums_match"] is True
-        assert entry["events"] == 4
-        assert 0 < entry["refresh_p50_seconds"] <= entry["refresh_p95_seconds"]
-        assert entry["refresh_seconds"] > 0
-        assert scaling_identical(snapshot) is True
+        assert entry["events"] == SCALE_EVENTS
+        refresh = entry["refresh"]
+        assert (0 < refresh["min_seconds"] <= refresh["median_seconds"]
+                <= refresh["p95_seconds"])
+        assert refresh["mean_seconds"] > 0
+        assert snapshot["checks"] == {"checksums_match": True}
 
     def test_dense_speedup_still_reported(self, snapshot):
-        assert dense_speedup(snapshot) > 0
+        dense = snapshot["dense_vs_sparse"]
+        assert dense["auto_selects"] == "dense"
+        assert dense["speedup"]["median"] > 0
 
-    def test_stamp_covers_scaling_knobs(self, snapshot):
-        # The scaling knobs are part of the stamped config: a different
-        # event count or tier list must change the config hash.
-        other = collect_pipeline_snapshot(seed=5, sizes=(30,), events=3,
-                                          scale_sizes=(40,), scale_events=2)
+    def test_stamp_covers_scaling_knobs(self, snapshot, miniature_bench):
+        # The tier list is part of the stamped config: a different one
+        # must change the config hash.
+        other = collect_pipeline(seed=5, sizes=(30,), events=5,
+                                 scale_sizes=(30,))
         assert snapshot["seed"] == 5
         assert other["config_hash"] != snapshot["config_hash"]
 
 
-class TestGateHelpers:
-    def test_scaling_identical_requires_entries(self):
-        assert scaling_identical({"scaling": []}) is False
+class TestChecks:
+    @pytest.fixture
+    def stub_tiers(self, monkeypatch):
+        """Tiers that report the given match flags, without timing."""
+        monkeypatch.setattr(bench, "_bench_power", lambda *args: {"x": 1})
 
-    def test_scaling_identical_rejects_mismatch(self):
-        snapshot = {"scaling": [{"peers": 10, "checksums_match": True},
-                                {"peers": 20, "checksums_match": False}]}
-        assert scaling_identical(snapshot) is False
+        def stub(flags):
+            refresh, scaling = iter(flags["refresh"]), iter(flags["scaling"])
+            monkeypatch.setattr(bench, "_bench_refresh", lambda *args: {
+                "checksums_match": next(refresh)})
+            monkeypatch.setattr(bench, "_bench_scaling", lambda *args: {
+                "checksums_match": next(scaling)})
+        return stub
 
-    def test_scaling_identical_accepts_serial_only_entries(self):
-        snapshot = {"scaling": [{"peers": 10, "checksums_match": True}]}
-        assert scaling_identical(snapshot) is True
+    def test_checks_present_without_scaling_tiers(self, stub_tiers):
+        stub_tiers({"refresh": [True], "scaling": []})
+        snapshot = collect_pipeline(sizes=(10,))
+        assert "scaling" not in snapshot
+        assert snapshot["checks"] == {"checksums_match": True}
+
+    def test_checksums_match_fails_on_any_tier_mismatch(self, stub_tiers):
+        stub_tiers({"refresh": [True], "scaling": [True, False]})
+        snapshot = collect_pipeline(sizes=(10,), scale_sizes=(10, 20))
+        assert snapshot["checks"] == {"checksums_match": False}
+        stub_tiers({"refresh": [False], "scaling": [True]})
+        snapshot = collect_pipeline(sizes=(10,), scale_sizes=(10,))
+        assert snapshot["checks"] == {"checksums_match": False}
+
+    def test_checksums_match_holds_when_every_tier_matches(self,
+                                                           stub_tiers):
+        stub_tiers({"refresh": [True, True], "scaling": [True]})
+        snapshot = collect_pipeline(sizes=(10, 20), scale_sizes=(10,))
+        assert snapshot["checks"] == {"checksums_match": True}

@@ -310,23 +310,24 @@ class TestTraceInfo:
 
 
 class TestBenchHelpers:
-    def test_small_snapshot_end_to_end(self, tmp_path):
-        from repro.obs.bench_trace import (collect_trace_snapshot,
-                                           synthetic_events)
-        events = list(synthetic_events(500, seed=3))
+    def test_small_snapshot_end_to_end(self, monkeypatch):
+        from repro.obs import bench
+        events = list(bench.synthetic_events(500, seed=3))
         assert len(events) == 500
-        assert events == list(synthetic_events(500, seed=3))
-        snapshot = collect_trace_snapshot(events=500, seed=3,
-                                          chunk_events=128,
-                                          workdir=str(tmp_path))
+        assert events == list(bench.synthetic_events(500, seed=3))
+        monkeypatch.setattr(bench, "TRACE_EVENTS", 500)
+        monkeypatch.setattr(bench, "TRACE_CHUNK_EVENTS", 128)
+        monkeypatch.setattr(bench, "ROUNDTRIP_SAMPLE", 1000)
+        snapshot = bench.collect_trace(seed=3)
         assert snapshot["events"] == 500
-        assert snapshot["scan_aggregates_match"] is True
-        assert snapshot["roundtrip_identical"] is True
+        assert snapshot["checks"] == {"scan_aggregates_match": True,
+                                      "roundtrip_identical": True}
         assert snapshot["binary"]["file_bytes"] > 0
+        assert snapshot["binary"]["chunks"] == 4
         assert snapshot["size_ratio"] > 0
 
     def test_synthetic_events_exercise_every_column_type(self):
-        from repro.obs.bench_trace import synthetic_events
+        from repro.obs.bench import synthetic_events
         events = list(synthetic_events(2000, seed=3))
         kinds = {event["event"] for event in events}
         assert {"download", "request", "dht_lookup",

@@ -223,13 +223,17 @@ class TestReport:
 
 
 class TestBenchObs:
-    def test_writes_stamped_snapshot(self, tmp_path, capsys):
+    def test_writes_stamped_snapshot(self, tmp_path, capsys,
+                                     miniature_bench):
         out = tmp_path / "BENCH_obs.json"
-        assert main(["bench-obs", "--out", str(out), "--seed", "5"]) == 0
+        assert main(["bench", "obs", "--out", str(out), "--seed", "5"]) == 0
         snapshot = json.loads(out.read_text())
         assert snapshot["seed"] == 5
-        assert {"config_hash", "git_sha", "timings"} <= set(snapshot)
-        assert "instrumented" in capsys.readouterr().out
+        assert {"config_hash", "git_sha", "git_dirty", "timings", "ratios",
+                "checks"} <= set(snapshot)
+        output = capsys.readouterr().out
+        assert "ratios.instrumentation_overhead" in output
+        assert "check passed: matches_null_recorder_run" in output
 
 
 class TestReportJson:
@@ -387,59 +391,142 @@ class TestDiffTraceCommand:
 class TestBenchPipeline:
     _SMALL = ["--sizes", "20", "--events", "5", "--seed", "5"]
 
-    def test_writes_stamped_snapshot(self, tmp_path, capsys):
+    def test_writes_stamped_snapshot(self, tmp_path, capsys,
+                                     miniature_bench):
         out = tmp_path / "BENCH_pipeline.json"
-        assert main(["bench-pipeline", "--out", str(out)]
+        assert main(["bench", "pipeline", "--out", str(out)]
                     + self._SMALL) == 0
         snapshot = json.loads(out.read_text())
         assert snapshot["seed"] == 5
-        assert {"config_hash", "git_sha", "refresh", "backend"} \
-            <= set(snapshot)
+        assert {"config_hash", "git_sha", "git_dirty", "refresh",
+                "dense_vs_sparse", "csr_vs_dense"} <= set(snapshot)
         assert snapshot["refresh"][0]["peers"] == 20
-        assert snapshot["backend"]["density"] > 0.3
-        assert "Refresh latency" in capsys.readouterr().out
+        assert snapshot["dense_vs_sparse"]["density"] > 0.3
+        output = capsys.readouterr().out
+        assert "refresh.0.incremental_speedup" in output
+        assert "check passed: checksums_match" in output
 
     def test_history_appended_and_generous_gate_passes(self, tmp_path,
-                                                       capsys):
+                                                       capsys,
+                                                       miniature_bench):
         out = tmp_path / "BENCH_pipeline.json"
         history = tmp_path / "BENCH_pipeline_history.jsonl"
-        code = main(["bench-pipeline", "--out", str(out),
-                     "--history", str(history), "--min-speedup", "0.001"]
+        code = main(["bench", "pipeline", "--out", str(out),
+                     "--history", str(history),
+                     "--gate", "refresh.0.incremental_speedup.median>=0.001",
+                     "--gate", "dense_vs_sparse.speedup.median>=0.001"]
                     + self._SMALL)
         assert code == 0
-        assert "pipeline gate passed" in capsys.readouterr().out
+        assert ("gate passed: dense_vs_sparse.speedup.median>=0.001"
+                in capsys.readouterr().out)
         lines = history.read_text().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["seed"] == 5
 
-    def test_impossible_gate_fails(self, tmp_path, capsys):
+    def test_impossible_gate_fails(self, tmp_path, capsys, miniature_bench):
         out = tmp_path / "BENCH_pipeline.json"
-        code = main(["bench-pipeline", "--out", str(out),
-                     "--min-speedup", "1e9"] + self._SMALL)
+        code = main(["bench", "pipeline", "--out", str(out),
+                     "--gate", "refresh.0.incremental_speedup.median>=1e9"]
+                    + self._SMALL)
         assert code == 1
-        assert "below" in capsys.readouterr().err
+        assert "gate failed" in capsys.readouterr().err
 
 
 class TestBenchObsGate:
     def test_history_appended_and_generous_gate_passes(self, tmp_path,
-                                                       capsys):
+                                                       capsys,
+                                                       miniature_bench):
         out = tmp_path / "BENCH_obs.json"
         history = tmp_path / "BENCH_history.jsonl"
-        code = main(["bench-obs", "--out", str(out), "--seed", "5",
-                     "--history", str(history),
-                     "--max-overhead", "1000"])
+        code = main(["bench", "obs", "--out", str(out), "--seed", "5",
+                     "--history", str(history), "--gate",
+                     "ratios.instrumentation_overhead.median<=1000"])
         assert code == 0
-        assert "overhead gate passed" in capsys.readouterr().out
+        assert "gate passed" in capsys.readouterr().out
         lines = history.read_text().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["seed"] == 5
 
-    def test_impossible_gate_fails(self, tmp_path, capsys):
+    def test_impossible_gate_fails(self, tmp_path, capsys, miniature_bench):
         out = tmp_path / "BENCH_obs.json"
-        code = main(["bench-obs", "--out", str(out), "--seed", "5",
-                     "--max-overhead", "0.0"])
+        code = main(["bench", "obs", "--out", str(out), "--seed", "5",
+                     "--gate", "ratios.instrumentation_overhead.median<=0"])
         assert code == 1
-        assert "exceeds" in capsys.readouterr().err
+        assert "gate failed" in capsys.readouterr().err
+
+
+def _stub_snapshot(**_options):
+    return {"seed": 1, "config_hash": "c", "git_sha": "s", "git_dirty": False,
+            "timings": {"a": {"runs": 5, "min_seconds": 0.1,
+                              "median_seconds": 0.2}},
+            "ratios": {"a_over_b": {"median": 1.2, "iqr": 0.1, "pairs": 5}},
+            "checks": {"identical": True}}
+
+
+class TestBenchGates:
+    """``--gate`` parsing and evaluation, over a stubbed section."""
+
+    @pytest.fixture
+    def stubbed(self, monkeypatch, tmp_path):
+        from repro.obs import bench
+        monkeypatch.setitem(bench.SECTIONS, "obs", _stub_snapshot)
+        return ["bench", "obs", "--out", str(tmp_path / "b.json")]
+
+    @pytest.mark.parametrize("text", ["ratios.a_over_b.median<1",
+                                      "ratios.a_over_b.median<=abc",
+                                      "<=1", "ratios.a_over_b.median"])
+    def test_malformed_gate_exits_2(self, stubbed, text, capsys):
+        with pytest.raises(SystemExit) as error:
+            main(stubbed + ["--gate", text])
+        assert error.value.code == 2
+        assert "malformed gate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", ["ratios.a_over_b.mean",
+                                      "ratio.a_over_b.median",
+                                      "ratios.a_over_b", "checks.identical"])
+    def test_unknown_or_non_numeric_path_exits_2(self, stubbed, path,
+                                                 capsys):
+        code = main(stubbed + ["--gate", "ratios.a_over_b.median<=2",
+                               "--gate", f"{path}<=2"])
+        assert code == 2
+        assert "bad gate" in capsys.readouterr().err
+
+    def test_gate_that_holds_exits_0(self, stubbed, capsys):
+        assert main(stubbed + ["--gate", "ratios.a_over_b.median<=1.2",
+                               "--gate", "timings.a.runs>=5"]) == 0
+        assert capsys.readouterr().out.count("gate passed") == 2
+
+    def test_gate_that_fails_exits_1(self, stubbed, capsys):
+        assert main(stubbed + ["--gate", "ratios.a_over_b.median<=2",
+                               "--gate", "ratios.a_over_b.median>=1.5"]) == 1
+        assert ("gate failed: ratios.a_over_b.median>=1.5"
+                in capsys.readouterr().err)
+
+    def test_pipeline_options_rejected_elsewhere(self, stubbed, capsys):
+        assert main(stubbed + ["--sizes", "10", "--events", "5"]) == 2
+        assert "--sizes, --events" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,extra", [
+        ("obs", []), ("wal", []), ("trace", []),
+        ("pipeline", ["--sizes", "20", "--events", "5"])])
+    def test_false_identity_flag_exits_1(self, section, extra, tmp_path,
+                                         monkeypatch, capsys,
+                                         miniature_bench):
+        from repro.obs import bench
+        collect = bench.SECTIONS[section]
+
+        def broken(**options):
+            snapshot = collect(**options)
+            name = sorted(snapshot["checks"])[0]
+            snapshot["checks"][name] = False
+            return snapshot
+
+        monkeypatch.setitem(bench.SECTIONS, section, broken)
+        # A generous gate passes; the false flag still fails the run.
+        code = main(["bench", section, "--out", str(tmp_path / "b.json"),
+                     "--gate", "seed>=0"] + extra)
+        assert code == 1
+        assert "check failed" in capsys.readouterr().err
 
 
 class TestTraceOutFormats:
@@ -678,22 +765,27 @@ class TestSpanTracing:
         trace = self._span_trace(tmp_path)
         assert main(["flame", str(trace), "--width", "100"]) == 2
 
-    def test_bench_obs_gates_span_overheads(self, tmp_path, capsys):
+    def test_bench_obs_gates_span_overheads(self, tmp_path, capsys,
+                                            miniature_bench):
         out = tmp_path / "BENCH_obs.json"
-        assert main(["bench-obs", "--out", str(out), "--seed", "5",
-                     "--max-overhead", "1000",
-                     "--max-sampled-overhead", "1000"]) == 0
-        assert "sampled-overhead gate passed" in capsys.readouterr().out
+        assert main(["bench", "obs", "--out", str(out), "--seed", "5",
+                     "--gate", "ratios.span_overhead.median<=1000",
+                     "--gate", "ratios.span_sampled_overhead.median<=1000"]
+                    ) == 0
+        assert ("gate passed: ratios.span_sampled_overhead"
+                in capsys.readouterr().out)
         snapshot = json.loads(out.read_text())
         assert snapshot["spans"]["span_events_full"] > 0
-        assert snapshot["timings"]["span_overhead_ratio"] > 0
+        assert snapshot["ratios"]["span_overhead"]["median"] > 0
 
     def test_bench_obs_impossible_sampled_gate_fails(self, tmp_path,
-                                                     capsys):
+                                                     capsys,
+                                                     miniature_bench):
         out = tmp_path / "BENCH_obs.json"
-        assert main(["bench-obs", "--out", str(out), "--seed", "5",
-                     "--max-sampled-overhead", "0.0"]) == 1
-        assert "exceeds" in capsys.readouterr().err
+        assert main(["bench", "obs", "--out", str(out), "--seed", "5",
+                     "--gate", "ratios.span_sampled_overhead.median<=0"]
+                    ) == 1
+        assert "gate failed" in capsys.readouterr().err
 
 
 class TestProfileCapture:
@@ -734,37 +826,43 @@ class TestProfileCapture:
 
 
 class TestBenchTrace:
-    _SMALL = ["--events", "4000", "--seed", "5", "--chunk-events", "512"]
+    _SMALL = ["--seed", "5"]
 
-    def test_writes_stamped_snapshot(self, tmp_path, capsys):
+    def test_writes_stamped_snapshot(self, tmp_path, capsys,
+                                     miniature_bench):
         out = tmp_path / "BENCH_trace.json"
-        assert main(["bench-trace", "--out", str(out)]
+        assert main(["bench", "trace", "--out", str(out)]
                     + self._SMALL) == 0
         snapshot = json.loads(out.read_text())
         assert snapshot["seed"] == 5
-        assert snapshot["events"] == 4000
-        assert {"config_hash", "git_sha", "binary", "jsonl"} \
+        assert snapshot["events"] == miniature_bench.TRACE_EVENTS
+        assert {"config_hash", "git_sha", "git_dirty", "binary", "jsonl"} \
             <= set(snapshot)
-        assert snapshot["scan_aggregates_match"] is True
-        assert snapshot["roundtrip_identical"] is True
-        assert "fidelity checks passed" in capsys.readouterr().out
+        assert snapshot["checks"] == {"scan_aggregates_match": True,
+                                      "roundtrip_identical": True}
+        assert ("check passed: roundtrip_identical"
+                in capsys.readouterr().out)
 
     def test_history_appended_and_generous_gate_passes(self, tmp_path,
-                                                       capsys):
+                                                       capsys,
+                                                       miniature_bench):
         out = tmp_path / "BENCH_trace.json"
         history = tmp_path / "BENCH_history.jsonl"
-        code = main(["bench-trace", "--out", str(out),
+        code = main(["bench", "trace", "--out", str(out),
                      "--history", str(history),
-                     "--min-throughput", "1"] + self._SMALL)
+                     "--gate", "timings.binary_write.events_per_s>=1",
+                     "--gate", "timings.binary_scan.events_per_s>=1"]
+                    + self._SMALL)
         assert code == 0
-        assert "throughput gate passed" in capsys.readouterr().out
+        assert "gate passed" in capsys.readouterr().out
         lines = history.read_text().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["seed"] == 5
 
-    def test_impossible_gate_fails(self, tmp_path, capsys):
+    def test_impossible_gate_fails(self, tmp_path, capsys, miniature_bench):
         out = tmp_path / "BENCH_trace.json"
-        code = main(["bench-trace", "--out", str(out),
-                     "--min-throughput", "1e15"] + self._SMALL)
+        code = main(["bench", "trace", "--out", str(out),
+                     "--gate", "timings.binary_write.events_per_s>=1e15"]
+                    + self._SMALL)
         assert code == 1
-        assert "below" in capsys.readouterr().err
+        assert "gate failed" in capsys.readouterr().err
