@@ -16,6 +16,7 @@ Figure 1 replay can test edge existence without materialising a full matrix.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import fsum
 from typing import Dict, Iterable, Optional, Set, Tuple
 
@@ -97,13 +98,17 @@ class FileTrustAccumulator:
     """Patch-based FM builder keyed by *dirty files*.
 
     Unlike DM/UM rows, an FM entry couples two users through every file both
-    evaluated, so a single re-evaluation of file ``k`` perturbs every pair
-    that co-evaluated ``k`` — but *only* those pairs.  The accumulator makes
-    that delta invertible by remembering, per pair, the Eq. 2 term each file
-    contributed (``_pair_terms``) and, per file, which pairs it touches
-    (``_file_pairs``).  A refresh retracts the dirty files' old terms,
-    re-derives their new ones, re-finalises exactly the perturbed pairs and
-    re-normalises exactly the perturbed rows.
+    evaluated.  A pair's Eq. 2 term for file ``k`` depends only on the two
+    users' Eq. 1 values for ``k``, so when one evaluator of ``k`` moves —
+    is added, removed or re-valued — only the pairs that include that
+    evaluator can change.  The accumulator remembers, per pair, the term
+    each file contributed (``_pair_terms``) and, per file, the Eq. 1 values
+    those terms were derived from (``_file_values``).  A refresh diffs each
+    dirty file's snapshot against the store, re-derives exactly the pairs
+    (moved user, co-evaluator) — each once, even when both users moved —
+    drops the terms of users who left, re-finalises the perturbed pairs and
+    re-normalises the perturbed rows.  A rebuild is a refresh of every file
+    from an empty snapshot, where every evaluator has moved.
 
     Bit-identical to :func:`build_file_trust_matrix` by construction: a
     pair's total is re-summed left-to-right over its term files in sorted
@@ -119,8 +124,8 @@ class FileTrustAccumulator:
         self._term, self._finalize = PAIRWISE_ACCUMULATORS[config.distance_metric]
         #: pair -> {file_id: Eq. 2 term} for every file both users evaluated.
         self._pair_terms: Dict[Tuple[str, str], Dict[str, float]] = {}
-        #: file_id -> pairs currently holding a term from this file.
-        self._file_pairs: Dict[str, Set[Tuple[str, str]]] = {}
+        #: file_id -> {user: Eq. 1 value} the file's current terms came from.
+        self._file_values: Dict[str, Dict[str, float]] = {}
         #: Un-normalised symmetric FT matrix (Eq. 2 finalised values).
         self._raw = TrustMatrix()
         #: Row-normalised FM (Eq. 3).
@@ -131,37 +136,47 @@ class FileTrustAccumulator:
     def refresh(self, store: EvaluationStore,
                 dirty_files: Iterable[str]) -> Set[str]:
         """Re-derive everything downstream of ``dirty_files``; returns rows touched."""
+        term = self._term
+        pair_terms = self._pair_terms
         changed_pairs: Set[Tuple[str, str]] = set()
         for file_id in sorted(set(dirty_files)):
-            # Retract the file's previous contribution...
-            for pair in self._file_pairs.pop(file_id, ()):
-                terms = self._pair_terms[pair]
-                del terms[file_id]
-                if not terms:
-                    del self._pair_terms[pair]
-                changed_pairs.add(pair)
-            # ...then contribute its current evaluator set.  No universe
-            # filter: users_evaluating() is always a subset of store.users().
-            evaluators = sorted(store.users_evaluating(file_id))
-            if len(evaluators) < 2:
-                continue
-            values = {u: store.value(u, file_id) for u in evaluators}
-            pairs: Set[Tuple[str, str]] = set()
-            for index, a in enumerate(evaluators):
-                value_a = values[a]
-                for b in evaluators[index + 1:]:
-                    pair = (a, b)
-                    self._pair_terms.setdefault(pair, {})[file_id] = (
-                        self._term(value_a, values[b]))
-                    pairs.add(pair)
+            old = self._file_values.pop(file_id, {})
+            # No universe filter: evaluators are always in store.users().
+            new = store.file_evaluations(file_id)
+            if new:
+                self._file_values[file_id] = new
+            # Users who left: drop their pairs with every previous evaluator.
+            left = [u for u in old if u not in new]
+            stayed = [u for u in old if u in new]
+            for index, user in enumerate(left):
+                for other in chain(left[index + 1:], stayed):
+                    pair = (user, other) if user < other else (other, user)
+                    terms = pair_terms[pair]
+                    del terms[file_id]
+                    if not terms:
+                        del pair_terms[pair]
                     changed_pairs.add(pair)
-            self._file_pairs[file_id] = pairs
+            # Users added or re-valued: re-derive their pairs with every
+            # current evaluator; pairs of two unmoved users keep their term.
+            moved = [u for u in new if old.get(u) != new[u]]
+            unmoved = [u for u in new if old.get(u) == new[u]]
+            for index, user in enumerate(moved):
+                value = new[user]
+                for other in chain(moved[index + 1:], unmoved):
+                    if user < other:
+                        pair = (user, other)
+                        pair_term = term(value, new[other])
+                    else:
+                        pair = (other, user)
+                        pair_term = term(new[other], value)
+                    pair_terms.setdefault(pair, {})[file_id] = pair_term
+                    changed_pairs.add(pair)
 
         touched: Set[str] = set()
         for pair in sorted(changed_pairs):
             a, b = pair
             trust = 0.0
-            terms = self._pair_terms.get(pair)
+            terms = pair_terms.get(pair)
             if terms is not None and len(terms) >= self._config.min_overlap:
                 # Left-to-right over sorted files: the exact accumulation
                 # sequence of the full builder's per-pair running total.
@@ -192,7 +207,7 @@ class FileTrustAccumulator:
         """Full pass: forget everything and re-derive from every file."""
         stale_rows = set(self.matrix.row_ids())
         self._pair_terms = {}
-        self._file_pairs = {}
+        self._file_values = {}
         self._raw = TrustMatrix()
         self.matrix = TrustMatrix()
         self.last_dirty_rows = self.refresh(store, store.files()) | stale_rows

@@ -13,7 +13,7 @@ This module provides both the reputation matrix and the tier machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..lint.contracts import check_row_stochastic
 from ..obs.recorder import NULL_RECORDER, NullRecorder
@@ -34,14 +34,13 @@ def compute_reputation_matrix(one_step: TrustMatrix,
                               ) -> TrustMatrix:
     """Eq. 8: ``RM = TM ** n``; ``steps`` overrides ``config.multitrust_steps``.
 
-    With the default :data:`~repro.obs.recorder.NULL_RECORDER` this is the
-    fast path: one ``backend.power`` call (sparse repeated squaring by
-    default, or the dense numpy product — see
-    :mod:`~repro.core.matrix_backend`).  A live recorder switches to plain
-    iterated multiplication so every intermediate power exists, and emits a
-    ``multitrust_iteration`` event per step with the L∞ residual between
-    successive powers — the paper's convergence-toward-EigenTrust story,
-    measured instead of asserted.
+    The result is always one ``backend.power`` call (sparse repeated
+    squaring by default, or the dense numpy product — see
+    :mod:`~repro.core.matrix_backend`), so observing a run never changes
+    its RM.  A live recorder additionally gets a ``multitrust_iteration``
+    event per step with the L∞ residual between successive powers — the
+    paper's convergence-toward-EigenTrust story, measured instead of
+    asserted — from plain iterated products computed off the result path.
     """
     n = steps if steps is not None else config.multitrust_steps
     # RM = TM^n converges (Eq. 8) only for (sub-)stochastic TM; checked
@@ -49,24 +48,36 @@ def compute_reputation_matrix(one_step: TrustMatrix,
     check_row_stochastic(one_step, name="TM", strict=False)
     if not recorder.enabled:
         result = backend.power(one_step, n)
-        check_row_stochastic(result, name=f"RM=TM^{n}", strict=False)
-        return result
-    if n < 1:
-        raise ValueError(f"matrix power requires n >= 1, got {n}")
-    with recorder.span("multitrust.power") as span:
-        result = one_step
-        for iteration in range(2, n + 1):
-            previous = result
-            result = backend.matmul(result, one_step)
-            residual = matrix_residual(previous, result)
-            recorder.event("multitrust_iteration", iteration=iteration,
-                           residual=residual, entries=result.entry_count())
-            recorder.observe("multitrust.residual", residual)
-        span.count("iterations", max(n - 1, 0))
-    recorder.inc("multitrust.computations")
-    recorder.observe("multitrust.steps", n)
+    else:
+        with recorder.span("multitrust.power") as span:
+            result = backend.power(one_step, n)
+            for iteration, residual, entries in _iterate_residuals(
+                    one_step, n, backend):
+                recorder.event("multitrust_iteration", iteration=iteration,
+                               residual=residual, entries=entries)
+                recorder.observe("multitrust.residual", residual)
+            span.count("iterations", max(n - 1, 0))
+        recorder.inc("multitrust.computations")
+        recorder.observe("multitrust.steps", n)
     check_row_stochastic(result, name=f"RM=TM^{n}", strict=False)
     return result
+
+
+def _iterate_residuals(one_step: TrustMatrix, steps: int,
+                       backend: MatmulBackend
+                       ) -> Iterator[Tuple[int, float, int]]:
+    """``(iteration, residual, entries)`` for ``TM^2 .. TM^steps``.
+
+    Iterated ``backend.matmul`` so every intermediate power exists; the
+    products associate differently from ``backend.power`` and are used for
+    the residuals only, never as a published result.
+    """
+    current = one_step
+    for iteration in range(2, steps + 1):
+        previous = current
+        current = backend.matmul(current, one_step)
+        yield (iteration, matrix_residual(previous, current),
+               current.entry_count())
 
 
 def matrix_residual(previous: TrustMatrix, current: TrustMatrix) -> float:
@@ -98,13 +109,8 @@ def convergence_residuals(one_step: TrustMatrix,
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    residuals: List[Tuple[int, float]] = []
-    result = one_step
-    for iteration in range(2, steps + 1):
-        previous = result
-        result = result.matmul(one_step)
-        residuals.append((iteration, matrix_residual(previous, result)))
-    return residuals
+    return [(iteration, residual) for iteration, residual, _entries
+            in _iterate_residuals(one_step, steps, SPARSE_BACKEND)]
 
 
 def reputation_between(reputation: TrustMatrix, i: str, j: str) -> float:

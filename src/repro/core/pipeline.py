@@ -324,13 +324,9 @@ class TrustPipeline:
 
         A backend is resolved — and ``"auto"``'s O(entries) scan paid —
         only when a product actually runs.  At ``steps == 1`` RM *is* TM
-        and the name is ``"none"``; a live recorder still gets its
-        multitrust span and metrics.
+        and the name is ``"none"``.
         """
         if steps == 1:
-            if recorder.enabled:
-                trust = compute_reputation_matrix(trust, 1, self.config,
-                                                  recorder=recorder)
             return trust, "none"
         backend = resolve_backend(self.config.matmul_backend, trust)
         return compute_reputation_matrix(

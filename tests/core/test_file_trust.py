@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (EvaluationStore, ReputationConfig,
                         build_file_trust_matrix, file_trust)
+from repro.core.file_trust import FileTrustAccumulator
 
 
 @pytest.fixture
@@ -100,3 +101,88 @@ class TestFileTrustMatrix:
             store.record_vote("a", f"f{index}", 0.8)
             store.record_vote("b", f"f{index}", 0.8)
         assert file_trust(store, "a", "b", config) == pytest.approx(1.0)
+
+
+class TestAccumulatorCost:
+    """Eq. 2 term calls per refresh: linear in the moved evaluators.
+
+    A vote on a file with E evaluators can change only the E - 1 pairs
+    that include the voter; re-deriving all E(E-1)/2 pairs of the file is
+    the quadratic path these counts keep out.
+    """
+
+    EVALUATORS = 7
+
+    @pytest.fixture
+    def populated(self, config):
+        store = EvaluationStore(config=config)
+        for index in range(self.EVALUATORS):
+            store.record_vote(f"u{index}", "popular", 0.1 * index)
+        store.record_vote("u0", "niche", 0.4)
+        store.record_vote("u1", "niche", 0.6)
+        store.record_vote("u2", "solo", 0.5)
+        return store
+
+    @staticmethod
+    def _count_terms(accumulator):
+        calls = []
+        term = accumulator._term
+
+        def counted(value_a, value_b):
+            calls.append((value_a, value_b))
+            return term(value_a, value_b)
+
+        accumulator._term = counted
+        return calls
+
+    def _built(self, store, config):
+        accumulator = FileTrustAccumulator(config)
+        calls = self._count_terms(accumulator)
+        accumulator.rebuild(store)
+        store.clear_dirty()
+        return accumulator, calls
+
+    def test_rebuild_costs_one_call_per_co_evaluating_pair(self, populated,
+                                                           config):
+        _accumulator, calls = self._built(populated, config)
+        evaluators = self.EVALUATORS
+        assert len(calls) == evaluators * (evaluators - 1) // 2 + 1
+
+    def test_changed_value_costs_one_call_per_co_evaluator(self, populated,
+                                                           config):
+        accumulator, calls = self._built(populated, config)
+        calls.clear()
+        populated.record_vote("u3", "popular", 0.95)
+        accumulator.refresh(populated, populated.dirty_files())
+        assert len(calls) == self.EVALUATORS - 1
+        assert accumulator.matrix == build_file_trust_matrix(populated,
+                                                             config)
+
+    def test_new_evaluator_costs_one_call_per_co_evaluator(self, populated,
+                                                           config):
+        accumulator, calls = self._built(populated, config)
+        calls.clear()
+        populated.record_vote("newcomer", "popular", 0.5)
+        accumulator.refresh(populated, populated.dirty_files())
+        assert len(calls) == self.EVALUATORS
+        assert accumulator.matrix == build_file_trust_matrix(populated,
+                                                             config)
+
+    def test_identical_rerecord_costs_nothing(self, populated, config):
+        accumulator, calls = self._built(populated, config)
+        calls.clear()
+        populated.record_vote("u3", "popular", 0.1 * 3)
+        accumulator.refresh(populated, populated.dirty_files())
+        assert calls == []
+        assert accumulator.matrix == build_file_trust_matrix(populated,
+                                                             config)
+
+    def test_removal_costs_nothing_and_drops_pairs(self, populated, config):
+        accumulator, calls = self._built(populated, config)
+        calls.clear()
+        populated.remove("u1", "niche")
+        populated.remove("u3", "popular")
+        accumulator.refresh(populated, populated.dirty_files())
+        assert calls == []
+        assert accumulator.matrix == build_file_trust_matrix(populated,
+                                                             config)

@@ -4,9 +4,10 @@ The pipeline's hard bar is that consuming deltas incrementally produces
 matrices **bit-identical** (``TrustMatrix.__eq__``, no tolerance) to
 rebuilding from the stores from scratch.  Hypothesis drives random
 interleavings of every mutating event the façade accepts — votes,
-retentions, downloads, ranks, friendships, blacklistings, prunes — with
-refreshes scattered between them, then compares every stage (FM, DM, UM,
-TM, RM) against the independent full builders.
+retentions, plays, fake deletions, re-records of an unchanged value,
+downloads, ranks, friendships, blacklistings, prunes — with refreshes
+scattered between them, then compares every stage (FM, DM, UM, TM, RM)
+against the independent full builders.
 """
 
 import pytest
@@ -30,6 +31,9 @@ events = st.one_of(
     st.tuples(st.just("vote"), user_ids, file_ids, values),
     st.tuples(st.just("retention"), user_ids, file_ids,
               st.floats(min_value=0.0, max_value=1e5)),
+    st.tuples(st.just("play"), user_ids, file_ids, values),
+    st.tuples(st.just("fake_deletion"), user_ids, file_ids),
+    st.tuples(st.just("rerecord"), user_ids, file_ids),
     st.tuples(st.just("download"), user_ids, user_ids, file_ids,
               st.floats(min_value=1.0, max_value=1e7)),
     st.tuples(st.just("rank"), user_ids, user_ids, values),
@@ -48,6 +52,24 @@ def _apply(system: MultiDimensionalReputationSystem, event, clock: float
     elif kind == "retention":
         system.record_retention(event[1], event[2], event[3],
                                 timestamp=clock)
+    elif kind == "play":
+        system.record_play(event[1], event[2], event[3], timestamp=clock)
+    elif kind == "fake_deletion":
+        system.record_fake_deletion(event[1], event[2], timestamp=clock)
+    elif kind == "rerecord":
+        # Dirties the file without moving its Eq. 1 value: a repeated vote
+        # keeps the vote, and a play no higher than the stored fraction
+        # (or 0.0 <= implicit) leaves the implicit channel as it was.
+        evaluation = system.evaluations.get(event[1], event[2])
+        if evaluation is None:
+            return
+        if evaluation.explicit is not None:
+            system.record_vote(event[1], event[2], evaluation.explicit,
+                               timestamp=clock)
+        else:
+            system.record_play(event[1], event[2],
+                               evaluation.play_fraction or 0.0,
+                               timestamp=clock)
     elif kind == "download":
         if event[1] != event[2]:
             system.record_download(event[1], event[2], event[3], event[4],
@@ -142,6 +164,27 @@ class TestIncrementalEqualsFull:
             assert system.pipeline.trust == build_one_step_matrix(
                 system.evaluations, system.ledger, system.user_trust,
                 config)
+
+
+    @pytest.mark.parametrize("min_overlap", [1, 2])
+    @pytest.mark.parametrize("metric", ["l1", "euclidean", "kl"])
+    @settings(max_examples=20, deadline=None)
+    @given(interleaving=st.lists(events, min_size=1, max_size=40))
+    def test_file_trust_only_under_every_metric(self, metric, min_overlap,
+                                                interleaving):
+        config = ReputationConfig(alpha=1.0, beta=0.0, gamma=0.0,
+                                  distance_metric=metric,
+                                  min_overlap=min_overlap)
+        system = MultiDimensionalReputationSystem(config, auto_refresh=False)
+        for index, event in enumerate(interleaving):
+            _apply(system, event, clock=float(index))
+            if index % 3 == 2 or index == len(interleaving) - 1:
+                system.recompute()
+                system.refresh_view()
+                assert system.pipeline.dimension_matrices()["file"] \
+                    == build_file_trust_matrix(system.evaluations, config)
+        assert system.pipeline.trust == build_one_step_matrix(
+            system.evaluations, system.ledger, system.user_trust, config)
 
 
 class TestBackendEquivalence:
