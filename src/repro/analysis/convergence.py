@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..core.matrix import TrustMatrix
-from ..core.multitrust import global_reputation_vector
+from ..core.multitrust import global_reputation_vector, iterated_powers
 
 __all__ = ["reach_by_step", "ordering_convergence", "steps_to_converge"]
 
@@ -57,15 +57,6 @@ def _ordering_agreement(scores_a: Dict[str, float],
     return 2.0 * (agreement / total) - 1.0
 
 
-def _powers(one_step: TrustMatrix, max_steps: int) -> List[TrustMatrix]:
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    powers = [one_step]
-    for _ in range(1, max_steps):
-        powers.append(powers[-1].matmul(one_step))
-    return powers
-
-
 def reach_by_step(one_step: TrustMatrix, max_steps: int = 4,
                   observers: Optional[Sequence[str]] = None
                   ) -> List[float]:
@@ -77,9 +68,11 @@ def reach_by_step(one_step: TrustMatrix, max_steps: int = 4,
     ids = list(observers) if observers is not None else one_step.node_ids()
     if len(ids) < 2:
         raise ValueError("need at least two nodes")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     total_pairs = len(ids) * (len(ids) - 1)
     fractions = []
-    for matrix in _powers(one_step, max_steps):
+    for matrix in iterated_powers(one_step, max_steps):
         reached = sum(
             1
             for observer in ids
@@ -100,10 +93,9 @@ def ordering_convergence(one_step: TrustMatrix, max_steps: int = 5
     """
     if max_steps < 2:
         raise ValueError(f"max_steps must be >= 2, got {max_steps}")
-    powers = _powers(one_step, max_steps)
     ids = one_step.node_ids()
     vectors = []
-    for matrix in powers:
+    for matrix in iterated_powers(one_step, max_steps):
         scores = global_reputation_vector(matrix, observers=ids)
         # Fill missing targets with zero so orderings share a key set.
         vectors.append({node_id: scores.get(node_id, 0.0)

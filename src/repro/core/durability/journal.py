@@ -143,10 +143,6 @@ class DurabilityManager:
     def last_seq(self) -> int:
         return self._writer.last_seq
 
-    @property
-    def records_since_snapshot(self) -> int:
-        return self._records_since_snapshot
-
     # ------------------------------------------------------------------ #
     # Snapshots (safe-point only — see module docstring)                 #
     # ------------------------------------------------------------------ #
@@ -162,14 +158,17 @@ class DurabilityManager:
         """Sync the WAL, then persist a generation stamped with its seq."""
         if self._closed:
             raise ValueError("cannot snapshot a closed DurabilityManager")
-        self._writer.sync()
-        path = self.snapshots.write(self.system, self._writer.last_seq)
-        self._records_since_snapshot = 0
-        self.recorder.inc("wal.snapshots")
-        self.recorder.event("wal.snapshot", wal_seq=self._writer.last_seq,
-                            file=path.name)
+        with self.recorder.span("snapshot.write"):
+            self._writer.sync()
+            path = self.snapshots.write(self.system, self._writer.last_seq)
+            self._records_since_snapshot = 0
+            self.recorder.inc("wal.snapshots")
+            self.recorder.event("wal.snapshot",
+                                wal_seq=self._writer.last_seq,
+                                file=path.name)
         return path
 
     def sync(self) -> None:
         """Fsync the WAL (the ``"batch"`` policy's durability boundary)."""
-        self._writer.sync()
+        with self.recorder.span("wal.sync"):
+            self._writer.sync()

@@ -22,7 +22,8 @@ No step ever silently drops data: truncation lengths, quarantined
 generations and the stop reason are all reported in
 :class:`RecoveryResult` and mirrored to the recorder as
 ``recovery.replayed_records`` / ``recovery.truncated_tail`` metrics and
-``recovery.*`` trace events.
+``recovery.*`` trace events.  The replay loop runs inside one
+``recovery.replay`` span whose counters tally the replayed records by kind.
 """
 
 from __future__ import annotations
@@ -95,11 +96,13 @@ def recover(directory: Union[str, Path],
     replayed = 0
     if wal_path.exists():
         scan = read_wal(wal_path)
-        for record in scan.records:
-            if record.seq <= loaded.last_seq:
-                continue
-            system.apply_record(record.kind, record.payload)
-            replayed += 1
+        with recorder.span("recovery.replay") as span:
+            for record in scan.records:
+                if record.seq <= loaded.last_seq:
+                    continue
+                system.apply_record(record.kind, record.payload)
+                span.count(record.kind)
+                replayed += 1
         if replayed:
             system.recompute()
 

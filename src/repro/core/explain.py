@@ -22,9 +22,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 from .file_trust import file_trust
-from .matrix import TrustMatrix
 from .reputation_system import MultiDimensionalReputationSystem
-from .user_trust import build_user_trust_matrix
 from .volume_trust import valid_download_volume
 
 __all__ = ["DimensionContribution", "TrustPath", "ReputationExplanation",
@@ -97,10 +95,6 @@ class ReputationExplanation:
         return "\n".join(lines)
 
 
-def _dimension_value(matrix: TrustMatrix, observer: str, target: str) -> float:
-    return matrix.get(observer, target)
-
-
 def explain_reputation(system: MultiDimensionalReputationSystem,
                        observer: str, target: str,
                        max_paths: int = 3) -> ReputationExplanation:
@@ -109,14 +103,15 @@ def explain_reputation(system: MultiDimensionalReputationSystem,
     reputation = system.user_reputation(observer, target)
     one_step = system.one_step_matrix()
     direct = one_step.get(observer, target)
+    # The refresh above already published FM, DM and UM; the pipeline's
+    # incremental == full-rebuild bar makes them the stores' exact values.
+    dimensions = system.pipeline.dimension_matrices()
 
     contributions: List[DimensionContribution] = []
 
     # File dimension: FT plus the co-evaluated evidence.
     if config.alpha > 0:
-        from .file_trust import build_file_trust_matrix
-        fm = build_file_trust_matrix(system.evaluations, config)
-        value = _dimension_value(fm, observer, target)
+        value = dimensions["file"].get(observer, target)
         shared = system.evaluations.shared_files(observer, target)
         raw = file_trust(system.evaluations, observer, target, config)
         evidence = (f"{len(shared)} co-evaluated files, "
@@ -127,10 +122,7 @@ def explain_reputation(system: MultiDimensionalReputationSystem,
 
     # Volume dimension.
     if config.beta > 0:
-        from .volume_trust import build_volume_trust_matrix
-        dm = build_volume_trust_matrix(system.ledger, system.evaluations,
-                                       config)
-        value = _dimension_value(dm, observer, target)
+        value = dimensions["volume"].get(observer, target)
         volume = valid_download_volume(system.ledger, system.evaluations,
                                        observer, target)
         downloads = len(system.ledger.downloads(observer, target))
@@ -141,8 +133,7 @@ def explain_reputation(system: MultiDimensionalReputationSystem,
 
     # User dimension.
     if config.gamma > 0:
-        um = build_user_trust_matrix(system.user_trust)
-        value = _dimension_value(um, observer, target)
+        value = dimensions["user"].get(observer, target)
         if system.user_trust.is_blacklisted(observer, target):
             evidence = "blacklisted"
         elif system.user_trust.is_friend(observer, target):

@@ -22,7 +22,7 @@ from .matrix import TrustMatrix
 from .matrix_backend import SPARSE_BACKEND, MatmulBackend
 
 __all__ = ["compute_reputation_matrix", "reputation_between",
-           "matrix_residual", "convergence_residuals",
+           "iterated_powers", "matrix_residual", "convergence_residuals",
            "TierAssignment", "MultiTierView", "global_reputation_vector"]
 
 
@@ -63,21 +63,33 @@ def compute_reputation_matrix(one_step: TrustMatrix,
     return result
 
 
+def iterated_powers(one_step: TrustMatrix, steps: int,
+                    backend: MatmulBackend = SPARSE_BACKEND
+                    ) -> Iterator[TrustMatrix]:
+    """``TM^1 .. TM^steps``, each power the previous one times ``TM``.
+
+    The products associate left to right (``(TM·TM)·TM``…), unlike
+    ``backend.power``'s repeated squaring, so every intermediate power
+    exists; callers use them for tiers, residuals and convergence tables,
+    never as the published RM.
+    """
+    current = one_step
+    yield current
+    for _ in range(1, steps):
+        current = backend.matmul(current, one_step)
+        yield current
+
+
 def _iterate_residuals(one_step: TrustMatrix, steps: int,
                        backend: MatmulBackend
                        ) -> Iterator[Tuple[int, float, int]]:
-    """``(iteration, residual, entries)`` for ``TM^2 .. TM^steps``.
-
-    Iterated ``backend.matmul`` so every intermediate power exists; the
-    products associate differently from ``backend.power`` and are used for
-    the residuals only, never as a published result.
-    """
-    current = one_step
-    for iteration in range(2, steps + 1):
-        previous = current
-        current = backend.matmul(current, one_step)
+    """``(iteration, residual, entries)`` for ``TM^2 .. TM^steps``."""
+    powers = iterated_powers(one_step, steps, backend)
+    previous = next(powers)
+    for iteration, current in enumerate(powers, start=2):
         yield (iteration, matrix_residual(previous, current),
                current.entry_count())
+        previous = current
 
 
 def matrix_residual(previous: TrustMatrix, current: TrustMatrix) -> float:
@@ -151,9 +163,8 @@ class MultiTierView:
         if max_tier < 1:
             raise ValueError(f"max_tier must be >= 1, got {max_tier}")
         self.max_tier = max_tier
-        self._tiers: List[TrustMatrix] = [one_step]
-        for _ in range(1, max_tier):
-            self._tiers.append(self._tiers[-1].matmul(one_step))
+        self._tiers: List[TrustMatrix] = list(
+            iterated_powers(one_step, max_tier))
 
     def tier_matrix(self, tier: int) -> TrustMatrix:
         """The ``TM^tier`` matrix (tier counts from 1)."""

@@ -87,12 +87,10 @@ class MessageEnvelope:
 
     ``span_id``/``trace_id`` are the optional causal-span context of the
     sender (see :mod:`repro.obs.spans`): in the simulated overlay they ride
-    along so message accounting can attribute bytes to a trace, and in the
-    future networked mode they are the wire fields that let a receiving
-    peer link its own spans to the sender's trace.  When absent the
-    envelope adds zero bytes — causality costs nothing unless span tracing
-    is on (the paper's "increase the size ... slightly" trade, made
-    opt-in).
+    along so message accounting can attribute bytes to a trace.  When
+    absent the envelope adds zero bytes — causality costs nothing unless
+    span tracing is on (the paper's "increase the size ... slightly"
+    trade, made opt-in).
     """
 
     kind: MessageKind
@@ -108,33 +106,6 @@ class MessageEnvelope:
         if self.trace_id is not None:
             overhead += 8
         return self.payload_bytes + overhead
-
-    def to_wire(self) -> str:
-        """Canonical JSON framing (compact, sorted keys; ids omitted when
-        absent) — the format the networked mode will put on the socket."""
-        frame: Dict[str, object] = {"kind": self.kind.value,
-                                    "payload_bytes": self.payload_bytes}
-        if self.span_id is not None:
-            frame["span"] = self.span_id
-        if self.trace_id is not None:
-            frame["trace"] = self.trace_id
-        return json.dumps(frame, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_wire(cls, data: str) -> "MessageEnvelope":
-        frame = json.loads(data)
-        if not isinstance(frame, dict):
-            raise ValueError("envelope frame must be a JSON object")
-        try:
-            kind = MessageKind(frame["kind"])
-            payload_bytes = int(frame["payload_bytes"])
-        except (KeyError, ValueError, TypeError) as error:
-            raise ValueError(f"malformed envelope frame: {error}") from None
-        span = frame.get("span")
-        trace = frame.get("trace")
-        return cls(kind=kind, payload_bytes=payload_bytes,
-                   span_id=int(span) if span is not None else None,
-                   trace_id=int(trace) if trace is not None else None)
 
 
 @dataclass

@@ -126,21 +126,6 @@ class StabilizingDHTNetwork(DHTNetwork):
         self._next_finger.pop(node.node_id, None)
 
     # ------------------------------------------------------------------ #
-    # Churn recovery                                                     #
-    # ------------------------------------------------------------------ #
-
-    def recover_from_churn(self, replication: int, now: float,
-                           max_rounds: int = 64) -> int:
-        """Full resilience sweep: converge pointers, then repair replicas.
-
-        The order matters — replica placement consults ring ownership, so
-        repairing against stale pointers would replicate to the wrong
-        successors.  Returns the number of replica copies re-created.
-        """
-        self.stabilize_until_consistent(max_rounds=max_rounds)
-        return self.repair_replicas(replication, now)
-
-    # ------------------------------------------------------------------ #
     # Incremental repair                                                 #
     # ------------------------------------------------------------------ #
 

@@ -269,8 +269,8 @@ class WallClockEntropyRule(Rule):
     summary = ("wall-clock / entropy API in a deterministic hot path "
                "(core/simulator/dht)")
     hint = ("use the engine's simulation clock / a seeded RNG; wall-clock "
-            "timing belongs in repro.obs (the recorder's profiler clock is "
-            "allowlisted)")
+            "timing belongs in repro.obs (time a phase with "
+            "`recorder.span`, whose clock is allowlisted)")
 
     _BANNED = frozenset({
         "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
@@ -284,7 +284,7 @@ class WallClockEntropyRule(Rule):
     })
 
     #: Path fragments exempt from the ban.  The observability recorder owns
-    #: the project's only legitimate wall clock (its profiler), so the
+    #: the project's only legitimate wall clock (its spans), so the
     #: whole ``obs`` package is allowlisted even when a caller asks lint to
     #: scan it directly.
     path_allowlist: Tuple[str, ...] = ("obs",)
@@ -458,7 +458,7 @@ class RecorderFacadeRule(Rule):
     severity = Severity.WARNING
     summary = "bypassing the NULL_RECORDER facade"
     hint = ("accept `recorder: NullRecorder = NULL_RECORDER` and use the "
-            "facade methods (event/inc/gauge/observe/profile)")
+            "facade methods (event/inc/gauge/observe/span)")
 
     _RECORDER_PATTERN = re.compile(r"(^|\.)obs(\.recorder)?\.Recorder$")
     _INTERNALS = frozenset({"trace", "registry", "profiler"})

@@ -10,8 +10,9 @@ The measurement substrate the quantitative claims run on:
 * :mod:`~repro.obs.traceio` — the binary columnar trace format (chunked,
   CRC-framed, dictionary-encoded) with streaming writer/reader and the
   unified :func:`~repro.obs.traceio.iter_trace_events` front door;
-* :mod:`~repro.obs.profiling` — wall-clock phase timers (perf snapshots
-  only, never in deterministic artefacts);
+* :mod:`~repro.obs.profiling` — per-phase wall-clock totals that closing
+  spans report into (perf snapshots only, never in deterministic
+  artefacts);
 * :mod:`~repro.obs.recorder` — the facade instrumented code talks to, with
   the zero-overhead :data:`~repro.obs.recorder.NULL_RECORDER` default;
 * :mod:`~repro.obs.spans` — causal request-scoped spans with deterministic

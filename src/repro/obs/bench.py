@@ -258,6 +258,8 @@ OBS_SIM = dict(honest=14, free_riders=3, polluters=3, catalog=60,
                fake_ratio=0.25, days=0.75, request_rate=0.02)
 OBS_CHAOS = dict(peers=16, files=24, rounds=12, loss_rate=0.1,
                  churn_rate=0.3, replication=3)
+#: RM = TM^n of the untimed observed == unobserved check at n > 1.
+OBS_IDENTITY_STEPS = 3
 
 #: The wal simulate workload.
 WAL_SIM = dict(honest=10, free_riders=3, polluters=3, catalog=60,
@@ -291,7 +293,8 @@ def _simulate(shape: Dict[str, Any], seed: int,
         request_rate=shape["request_rate"],
         seed=seed)
     mechanism = MultiDimensionalMechanism(ReputationConfig(
-        retention_saturation_seconds=duration / 3))
+        retention_saturation_seconds=duration / 3,
+        multitrust_steps=shape.get("multitrust_steps", 1)))
     manager = None
     if wal_dir is not None:
         # No mid-run snapshots (only the baseline generation is written),
@@ -359,8 +362,15 @@ def collect_obs(seed: int = 42) -> Dict[str, object]:
         return sum(1 for event in last[name][1].trace
                    if event.get("event") == "span")
 
+    # Untimed: at n > 1 a power runs, and observing it must not move RM.
+    powered = dict(OBS_SIM, multitrust_steps=OBS_IDENTITY_STEPS)
+    _, unobserved_n, _ = _simulate(powered, seed, NULL_RECORDER)
+    _, observed_n, _ = _simulate(powered, seed,
+                                 Recorder(span_seed=seed, span_sample=1))
+
     return {
-        **run_stamp(seed, {"simulate": OBS_SIM, "chaos": OBS_CHAOS}),
+        **run_stamp(seed, {"simulate": OBS_SIM, "chaos": OBS_CHAOS,
+                           "identity_steps": OBS_IDENTITY_STEPS}),
         "timings": {name: timing(runs) for name, runs in seconds.items()},
         "ratios": {
             "instrumentation_overhead": ratio(seconds["instrumented"],
@@ -394,6 +404,8 @@ def collect_obs(seed: int = 42) -> Dict[str, object]:
             "matches_instrumented_run":
                 outcomes["spans"] == outcomes["instrumented"]
                 == outcomes["sampled"],
+            f"matches_null_recorder_run_n{OBS_IDENTITY_STEPS}":
+                observed_n == unobserved_n,
         },
     }
 

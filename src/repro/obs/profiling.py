@@ -1,4 +1,9 @@
-"""Profiling hooks: context-manager phase timers and per-phase counters.
+"""Profiling data: per-phase wall-clock totals and counters.
+
+The profiler times nothing itself.  Its one writer is a closing
+:class:`~repro.obs.spans.Span`, which folds its elapsed wall time and the
+counters it accumulated into the phase named after it (:meth:`Profiler
+.record`); spans are the only timing primitive.
 
 Wall-clock timings are *profiling* data, not trace data: they feed perf
 snapshots (``BENCH_obs.json``, ``--profile-out`` captures) and never the
@@ -15,10 +20,8 @@ call count.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from .stats import QuantileSketch
 
@@ -41,7 +44,7 @@ class PhaseStats:
 
 
 class Profiler:
-    """Names phases, times them, and counts what happened inside them."""
+    """Accumulates the wall time and counters spans report per phase."""
 
     def __init__(self) -> None:
         self._phases: Dict[str, PhaseStats] = {}
@@ -49,33 +52,9 @@ class Profiler:
     def phase(self, name: str) -> PhaseStats:
         return self._phases.setdefault(name, PhaseStats())
 
-    @contextmanager
-    def timer(self, name: str) -> Iterator[PhaseStats]:
-        """Time a ``with`` block into the named phase."""
-        stats = self.phase(name)
-        started = time.perf_counter()
-        try:
-            yield stats
-        finally:
-            elapsed = time.perf_counter() - started
-            stats.calls += 1
-            stats.total_seconds += elapsed
-            stats.max_seconds = max(stats.max_seconds, elapsed)
-            stats.durations.observe(elapsed)
-
-    def count(self, name: str, counter: str, amount: int = 1) -> None:
-        """Bump a per-phase counter (e.g. events processed per run)."""
-        counters = self.phase(name).counters
-        counters[counter] = counters.get(counter, 0) + amount
-
     def record(self, name: str, elapsed: float,
                counters: Optional[Mapping[str, int]] = None) -> None:
-        """Fold one already-timed call into the named phase.
-
-        Spans time themselves (their exit knows the elapsed wall time and
-        the counters accumulated inside), so they report here instead of
-        going through :meth:`timer`.
-        """
+        """Fold one span's elapsed wall time and counters into its phase."""
         stats = self.phase(name)
         stats.calls += 1
         stats.total_seconds += elapsed

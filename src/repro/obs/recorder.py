@@ -11,7 +11,11 @@ and never decide themselves whether observability is on:
   .EventTrace` (structured events keyed by simulation time), a
   :class:`~repro.obs.registry.MetricsRegistry` (counters / gauges /
   histograms) and a :class:`~repro.obs.profiling.Profiler` (wall-clock
-  phase timers, kept out of the deterministic artefacts).
+  phase totals, kept out of the deterministic artefacts).
+
+Spans (:meth:`Recorder.span`, :meth:`Recorder.request_span`) are the only
+timing primitive: a closing span is the profiler's one writer of
+wall-clock time.
 
 Simulation time comes from a bound clock (``bind_clock``), so events carry
 ``engine.now`` without every call site threading ``now`` through.
@@ -20,6 +24,7 @@ Simulation time comes from a bound clock (``bind_clock``), so events carry
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from typing import Callable, Optional
 
 from .events import EventTrace
@@ -32,19 +37,8 @@ __all__ = ["NullRecorder", "Recorder", "NULL_RECORDER"]
 Clock = Callable[[], float]
 
 
-class _NullTimer:
-    """A reusable no-op context manager (no allocation per ``with``)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-
-_NULL_TIMER = _NullTimer()
+# Shared no-op scope, so resuming a callback allocates nothing when off.
+_NULL_SCOPE = nullcontext()
 
 
 class NullRecorder:
@@ -73,13 +67,6 @@ class NullRecorder:
     def observe(self, name: str, value: float, **labels: str) -> None:
         """Add one observation to a histogram."""
 
-    def profile(self, name: str):
-        """Context manager timing a phase (wall clock, profiling only)."""
-        return _NULL_TIMER
-
-    def profile_count(self, name: str, counter: str, amount: int = 1) -> None:
-        """Bump a per-phase profiler counter without opening a span."""
-
     def span(self, name: str, **fields: object) -> NullSpan:
         """Open a span (always profiles; emits a record when the trace is kept)."""
         return NULL_SPAN
@@ -94,7 +81,7 @@ class NullRecorder:
 
     def resume_scope(self, ref: SpanRef):
         """Context manager running a callback under a captured causal context."""
-        return _NULL_TIMER
+        return _NULL_SCOPE
 
     def now(self) -> float:
         """Current simulation time from the bound clock."""
@@ -168,12 +155,6 @@ class Recorder(NullRecorder):
     def observe(self, name: str, value: float, **labels: str) -> None:
         self.registry.histogram(name, **labels).observe(value)
 
-    def profile(self, name: str):
-        return self.profiler.timer(name)
-
-    def profile_count(self, name: str, counter: str, amount: int = 1) -> None:
-        self.profiler.count(name, counter, amount)
-
     # ------------------------------------------------------------------ #
     # Spans                                                              #
     # ------------------------------------------------------------------ #
@@ -184,7 +165,7 @@ class Recorder(NullRecorder):
         return self.span_context.enabled
 
     def span(self, name: str, **fields: object) -> NullSpan:
-        """Open a causal span replacing a bare :meth:`profile` hook.
+        """Open a causal span around a timed phase.
 
         Always feeds the profiler (so ``--profile-out`` keeps working with
         span tracing off); emits a deterministic ``span`` trace record only

@@ -37,8 +37,8 @@ segments inherit the keep decision of the originating trace, so sampling
 keeps or drops whole causal chains.  Unkept spans still tick the id counters
 (so kept ids are stable under any ``N``) but take a fast path otherwise:
 no id derivation, no clock reads, no record.  Spans opened via
-``Recorder.span`` (the always-on instrumentation sites that replaced bare
-profiling hooks) feed the profiler regardless of sampling; per-request
+``Recorder.span`` (the always-on instrumentation sites; spans are the
+only timing primitive) feed the profiler regardless of sampling; per-request
 spans (``Recorder.request_span``) profile only when kept, so their
 profiler phases are head-sampled along with their records.
 """

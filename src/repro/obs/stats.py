@@ -208,33 +208,6 @@ class QuantileSketch:
             centroids.append((acc_value / acc_weight, acc_weight))
         self._centroids = centroids
 
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold another sketch into this one; returns ``self``.
-
-        Merging two exact sketches stays exact while the combined buffer
-        fits ``exact_limit`` (so disjoint small streams summarise exactly
-        as if observed by one sketch); otherwise both sketches' centroids
-        and buffers are combined and recompressed.  Deterministic: the
-        result depends only on the two sketches' states, not on wall clock
-        or identity.  ``other`` is not modified.
-        """
-        if other.count == 0:
-            return self
-        self.count += other.count
-        self._sum += other._sum
-        if other._min < self._min:
-            self._min = other._min
-        if other._max > self._max:
-            self._max = other._max
-        if (self.is_exact and other.is_exact
-                and len(self._buffer) + len(other._buffer) < self.exact_limit):
-            self._buffer.extend(other._buffer)
-            return self
-        self._centroids = self._centroids + list(other._centroids)
-        self._buffer.extend(other._buffer)
-        self._compress()
-        return self
-
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (0..100); exact below ``exact_limit``."""
         if not 0.0 <= q <= 100.0:

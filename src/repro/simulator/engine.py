@@ -126,28 +126,26 @@ class EventEngine:
         so repeated ``run`` calls compose predictably.
         """
         processed = 0
-        with self._recorder.profile("engine.run"):
-            while self._heap and not self._stopped:
-                if max_events is not None and processed >= max_events:
-                    break
-                time, sequence, callback, link = self._heap[0]
-                if until is not None and time > until:
-                    break
-                heapq.heappop(self._heap)
-                if sequence in self._cancelled:
-                    self._cancelled.discard(sequence)
-                    continue
-                self._now = time
-                if link is not None:
-                    with self._recorder.resume_scope(link):
-                        callback(self)
-                else:
+        while self._heap and not self._stopped:
+            if max_events is not None and processed >= max_events:
+                break
+            time, sequence, callback, link = self._heap[0]
+            if until is not None and time > until:
+                break
+            heapq.heappop(self._heap)
+            if sequence in self._cancelled:
+                self._cancelled.discard(sequence)
+                continue
+            self._now = time
+            if link is not None:
+                with self._recorder.resume_scope(link):
                     callback(self)
-                processed += 1
-                self._events_processed += 1
+            else:
+                callback(self)
+            processed += 1
+            self._events_processed += 1
         if until is not None and not self._stopped and self._now < until:
             self._now = until
         if processed and self._recorder.enabled:
             self._recorder.inc("engine.events_processed", processed)
-            self._recorder.profile_count("engine.run", "events", processed)
         return processed

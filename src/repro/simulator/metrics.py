@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.recorder import NullRecorder
-from ..obs.stats import mean, percentiles
+from ..obs.stats import mean
 
 __all__ = ["ClassStats", "SimulationMetrics"]
 
@@ -49,10 +49,6 @@ class ClassStats:
     @property
     def mean_bandwidth(self) -> float:
         return mean(self.bandwidths)
-
-    def wait_percentiles(self) -> Dict[str, float]:
-        """p50/p95/p99 of this class's queue wait times."""
-        return percentiles(self.wait_times)
 
 
 @dataclass
@@ -160,10 +156,6 @@ class SimulationMetrics:
     @property
     def mean_lookup_hops(self) -> float:
         return mean(float(h) for h in self.lookup_hops)
-
-    def lookup_hop_percentiles(self) -> Dict[str, float]:
-        """p50/p95/p99 of observed DHT lookup hop counts."""
-        return percentiles(float(h) for h in self.lookup_hops)
 
     @property
     def outstanding_fake_copies(self) -> int:

@@ -1,5 +1,7 @@
 """Tests for repro.core.explain: reputation decomposition."""
 
+import importlib
+
 import pytest
 
 from repro.core import (MultiDimensionalReputationSystem, ReputationConfig,
@@ -143,3 +145,58 @@ class TestTrustPathMass:
         explanation = explain_reputation(system, "a", "b")
         assert all(path.via not in ("a", "b")
                    for path in explanation.indirect_paths)
+
+
+class TestReadsPipelineDimensions:
+    """Explanations read FM/DM/UM from the pipeline, not from a rebuild."""
+
+    USERS = ("a", "b", "c", "d")
+
+    @staticmethod
+    def _evolved_system():
+        system = MultiDimensionalReputationSystem(PURE_EXPLICIT)
+        for round_number in range(3):
+            for index, user in enumerate(TestReadsPipelineDimensions.USERS):
+                file_id = f"f{(index + round_number) % 3}"
+                system.record_vote(user, file_id, 0.2 + 0.2 * index)
+                system.record_download(user, f"u{round_number}", file_id,
+                                       (index + 1) * 10e6)
+            system.record_rank("a", "c", 0.25 * (round_number + 1))
+            system.add_friend("b", "d")
+            # Refresh between rounds so the final matrices are patched
+            # incrementally rather than built once in full.
+            system.one_step_matrix()
+        system.add_to_blacklist("c", "a")
+        return system
+
+    def test_values_equal_a_full_rebuild_and_no_matrix_is_rebuilt(
+            self, monkeypatch):
+        file_trust = importlib.import_module("repro.core.file_trust")
+        user_trust = importlib.import_module("repro.core.user_trust")
+        volume_trust = importlib.import_module("repro.core.volume_trust")
+        system = self._evolved_system()
+        config = system.config
+        rebuilt = {
+            "file": file_trust.build_file_trust_matrix(
+                system.evaluations, config),
+            "volume": volume_trust.build_volume_trust_matrix(
+                system.ledger, system.evaluations, config),
+            "user": user_trust.build_user_trust_matrix(system.user_trust),
+        }
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("explain_reputation rebuilt a matrix")
+
+        for module, name in ((file_trust, "build_file_trust_matrix"),
+                             (volume_trust, "build_volume_trust_matrix"),
+                             (user_trust, "build_user_trust_matrix")):
+            monkeypatch.setattr(module, name, forbidden)
+        for observer in self.USERS:
+            for target in self.USERS:
+                explanation = explain_reputation(system, observer, target)
+                for contribution in explanation.contributions:
+                    expected = rebuilt[contribution.dimension].get(
+                        observer, target)
+                    assert contribution.value == expected
+                    assert contribution.contribution \
+                        == contribution.weight * expected

@@ -86,33 +86,6 @@ class TestMessageEnvelope:
         assert with_span.wire_size() == base.wire_size() + 8
         assert with_both.wire_size() == base.wire_size() + 16
 
-    def test_wire_roundtrip(self):
-        envelope = MessageEnvelope(kind=MessageKind.RETRIEVE,
-                                   payload_bytes=42, span_id=123,
-                                   trace_id=456)
-        assert MessageEnvelope.from_wire(envelope.to_wire()) == envelope
-
-    def test_wire_roundtrip_without_ids(self):
-        envelope = MessageEnvelope(kind=MessageKind.REPUBLISH,
-                                   payload_bytes=0)
-        frame = envelope.to_wire()
-        assert "span" not in frame and "trace" not in frame
-        assert MessageEnvelope.from_wire(frame) == envelope
-
-    def test_wire_frame_is_canonical(self):
-        envelope = MessageEnvelope(kind=MessageKind.PUBLISH,
-                                   payload_bytes=10, span_id=1, trace_id=2)
-        assert envelope.to_wire() == ('{"kind":"publish","payload_bytes":10,'
-                                      '"span":1,"trace":2}')
-
-    def test_malformed_frames_rejected(self):
-        with pytest.raises(ValueError):
-            MessageEnvelope.from_wire("[]")
-        with pytest.raises(ValueError):
-            MessageEnvelope.from_wire('{"payload_bytes":1}')
-        with pytest.raises(ValueError):
-            MessageEnvelope.from_wire('{"kind":"no-such","payload_bytes":1}')
-
     def test_tally_accounts_envelope_overhead(self):
         tally = MessageTally()
         tally.record_envelope(MessageEnvelope(

@@ -13,7 +13,7 @@ import pytest
 from repro.core import MultiDimensionalReputationSystem
 from repro.core.durability import (DurabilityManager, flip_byte, read_wal,
                                    recover, truncate_file)
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import NULL_RECORDER, Recorder
 
 from tests.durability.helpers import assert_identical, drive, replay_reference
 
@@ -206,3 +206,59 @@ class TestObservability:
         events = recorder.trace.of_kind("recovery.quarantined")
         assert len(events) == 1
         assert events[0]["file"] == generations[-1].name
+
+
+def _checksums(system):
+    """TM/RM checksums after consuming every pending mutation."""
+    system.refresh_view()
+    return system.pipeline.checksums()
+
+
+class TestDurabilitySpans:
+    """WAL sync, snapshot writes and replay time through spans, and
+    observing them changes no byte of the journal or float of the state."""
+
+    @staticmethod
+    def _journalled_simulate(directory, recorder):
+        from repro.baselines import MultiDimensionalMechanism
+        from repro.simulator import (FileSharingSimulation, ScenarioSpec,
+                                     SimulationConfig)
+        config = SimulationConfig(
+            scenario=ScenarioSpec(honest=8, free_riders=2, polluters=2),
+            duration_seconds=0.5 * 24 * 3600.0, num_files=30,
+            request_rate=0.02, seed=5)
+        mechanism = MultiDimensionalMechanism()
+        manager = DurabilityManager(mechanism.system, directory,
+                                    snapshot_every=200, recorder=recorder)
+        FileSharingSimulation(config, mechanism, recorder=recorder,
+                              durability=manager).run()
+        manager.close(final_snapshot=True)
+        return _checksums(mechanism.system)
+
+    def test_observed_run_profiles_durability_phases(self, tmp_path):
+        bare = self._journalled_simulate(tmp_path / "bare", NULL_RECORDER)
+        recorder = Recorder()
+        observed = self._journalled_simulate(tmp_path / "observed", recorder)
+        phases = recorder.profiler.snapshot()
+        assert phases["wal.sync"]["calls"] > 0
+        assert phases["snapshot.write"]["calls"] > 0
+        assert observed == bare
+        assert ((tmp_path / "observed" / "journal.wal").read_bytes()
+                == (tmp_path / "bare" / "journal.wal").read_bytes())
+
+    def test_replay_span_counts_records_by_kind(self, tmp_path):
+        directory = tmp_path / "state"
+        live = self._journalled_simulate(directory, NULL_RECORDER)
+        # Keep only the oldest generation, so replay has work.
+        generations = sorted(directory.glob("snapshot-*.json"))
+        for generation in generations[1:]:
+            generation.unlink()
+        bare = recover(directory)
+        recorder = Recorder()
+        observed = recover(directory, recorder=recorder)
+        assert observed.replayed_records == bare.replayed_records > 0
+        assert (_checksums(observed.system) == _checksums(bare.system)
+                == live)
+        replay = recorder.profiler.snapshot()["recovery.replay"]
+        assert replay["calls"] == 1
+        assert sum(replay["counters"].values()) == observed.replayed_records

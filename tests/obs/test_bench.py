@@ -125,9 +125,10 @@ class TestSnapshot:
     def test_collect_and_write(self, snapshots, tmp_path):
         snapshot = snapshots["obs"]
         assert snapshot["checks"]["matches_null_recorder_run"] is True
+        assert snapshot["checks"]["matches_null_recorder_run_n3"] is True
         assert snapshot["simulate"]["events_recorded"] > 0
         assert snapshot["chaos"]["retrievals"] > 0
-        assert "engine.run" in snapshot["profiler"]
+        assert "pipeline.refresh" in snapshot["profiler"]
         path = tmp_path / "BENCH_obs.json"
         write_snapshot(str(path), snapshot)
         loaded = json.loads(path.read_text())
@@ -214,5 +215,6 @@ class TestChecksCatchDivergence:
                          lambda recorder, _: recorder.enabled)
         snapshot = bench.collect_obs(seed=5)
         assert snapshot["checks"]["matches_null_recorder_run"] is False
+        assert snapshot["checks"]["matches_null_recorder_run_n3"] is False
         # The three recorder runs still agree with each other.
         assert snapshot["checks"]["matches_instrumented_run"] is True

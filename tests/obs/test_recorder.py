@@ -17,12 +17,14 @@ class TestNullRecorder:
         recorder.inc("c")
         recorder.gauge("g", 1.0)
         recorder.observe("h", 1.0)
-        with recorder.profile("phase"):
-            pass
+        with recorder.span("phase") as span:
+            span.count("items")
 
     def test_profile_reuses_one_timer(self):
         recorder = NullRecorder()
-        assert recorder.profile("a") is recorder.profile("b")
+        assert recorder.span("a") is recorder.span("b")
+        assert recorder.resume_scope((1, 2, True)) \
+            is recorder.resume_scope((3, 4, False))
 
 
 class TestRecorder:
@@ -52,9 +54,11 @@ class TestRecorder:
 
     def test_profile_times_phase(self):
         recorder = Recorder()
-        with recorder.profile("phase"):
-            pass
-        assert recorder.profiler.phase("phase").calls == 1
+        with recorder.span("phase") as span:
+            span.count("items", 2)
+        stats = recorder.profiler.phase("phase")
+        assert stats.calls == 1
+        assert stats.counters == {"items": 2}
 
     def test_subscribe_unsubscribe_lifecycle(self):
         recorder = Recorder()

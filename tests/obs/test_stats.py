@@ -212,61 +212,3 @@ class TestQuantileSketchBoundary:
         for q in (50.0, 95.0, 99.0):
             assert abs(after.percentile(q)
                        - before.percentile(q)) <= 0.05 * span
-
-
-class TestQuantileSketchMerge:
-    def test_merge_empty_is_noop(self):
-        sketch = QuantileSketch()
-        sketch.observe(1.0)
-        summary = sketch.summary()
-        assert sketch.merge(QuantileSketch()) is sketch
-        assert sketch.summary() == summary
-
-    def test_merge_into_empty(self):
-        other = QuantileSketch()
-        for value in (1.0, 2.0, 3.0):
-            other.observe(value)
-        sketch = QuantileSketch()
-        sketch.merge(other)
-        assert sketch.summary() == other.summary()
-
-    def test_exact_merge_is_exact(self):
-        a, b = QuantileSketch(), QuantileSketch()
-        for i in range(100):
-            a.observe(float(i))
-        for i in range(100, 200):
-            b.observe(float(i))
-        a.merge(b)
-        assert a.is_exact
-        assert a.summary() == summarize([float(i) for i in range(200)])
-
-    def test_merge_disjoint_compressed_streams(self):
-        low = QuantileSketch(exact_limit=256, compressed_size=64)
-        high = QuantileSketch(exact_limit=256, compressed_size=64)
-        low_values = [float((37 * i) % 1000) for i in range(3000)]
-        high_values = [5000.0 + float((41 * i) % 1000)
-                       for i in range(3000)]
-        for value in low_values:
-            low.observe(value)
-        for value in high_values:
-            high.observe(value)
-        low.merge(high)
-        combined = low_values + high_values
-        assert low.count == 6000
-        assert low.mean == pytest.approx(sum(combined) / 6000)
-        assert low.min == min(combined)
-        assert low.max == max(combined)
-        # The median sits in the gap between the two disjoint streams.
-        span = max(combined) - min(combined)
-        for q in (50.0, 95.0, 99.0):
-            assert abs(low.percentile(q)
-                       - percentile(combined, q)) <= 0.05 * span
-
-    def test_merge_does_not_mutate_other(self):
-        a, b = QuantileSketch(), QuantileSketch()
-        for i in range(10):
-            a.observe(float(i))
-            b.observe(float(100 + i))
-        before = b.summary()
-        a.merge(b)
-        assert b.summary() == before
