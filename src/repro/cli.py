@@ -22,9 +22,8 @@ Fifteen commands cover the workflows a downstream user actually runs:
   chunk / kind bookkeeping, corruption-tolerant), ``convert`` (binary <->
   JSONL, canonical bytes), ``query`` (kind/time filters + column
   projection as JSONL; ``--since``/``--until`` skip whole binary chunks
-  via per-chunk time bounds), ``compact`` (rechunk a trace) and ``spans``
-  (reconstruct causal span trees: per-operation duration percentiles and
-  exemplar critical paths);
+  via per-chunk time bounds) and ``spans`` (reconstruct causal span
+  trees: per-operation duration percentiles and exemplar critical paths);
 * ``flame``       — render a span-bearing trace as a self-contained
   flamegraph SVG (folded stacks over simulated busy time; ``--folded``
   also writes collapsed-stack lines);
@@ -46,7 +45,8 @@ Fifteen commands cover the workflows a downstream user actually runs:
 
 ``simulate`` and ``chaos`` accept ``--trace-out PATH`` (``.bin``/``.trc``
 selects the binary columnar format, anything else canonical JSONL; either
-way events *stream* to disk instead of buffering the run),
+way events *stream* to disk instead of buffering the run; without it an
+observed run keeps only event counts),
 ``--metrics-out metrics.json``, ``--alerts-out alerts.jsonl`` (which also
 attaches the live monitor, so alerts interleave into the trace) and
 ``--profile-out profile.json`` (wall-clock phase timings — the one
@@ -84,7 +84,7 @@ from .obs import (NULL_RECORDER, FoldedStacks, Monitor, Recorder,
                   summarize_trace, summary_to_dict)
 from .obs.bench import (SECTIONS, append_history, parse_gate, records,
                         resolve, write_snapshot)
-from .obs.traceio import (DEFAULT_CHUNK_EVENTS, TraceWriter, canonical_line,
+from .obs.traceio import (DEFAULT_CHUNK_EVENTS, canonical_line,
                           iter_trace_events, open_trace_sink, trace_info)
 from .simulator import (SCENARIOS, FileSharingSimulation, ScenarioSpec,
                         SimulationConfig, get_scenario, run_chaos_sweep)
@@ -127,9 +127,9 @@ def _make_recorder(args: argparse.Namespace):
 
     Returns ``(recorder, monitor_or_None)``; the monitor is attached only
     when ``--alerts-out`` asked for live alerting.  A ``--trace-out`` path
-    becomes a *streaming* sink the recorder spills into (binary for
-    ``.bin``/``.trc``, canonical JSONL otherwise), so the trace never
-    buffers in memory.
+    becomes the recorder's *streaming* trace sink (binary for
+    ``.bin``/``.trc``, canonical JSONL otherwise); without one, events
+    reach only the live monitor and the kind counts.
     """
     span_sample = getattr(args, "span_sample", None)
     if span_sample is not None and span_sample < 1:
@@ -157,9 +157,8 @@ def _write_alerts(path: str, alerts) -> None:
     """One canonical JSON line per alert — deterministic, like the trace."""
     with open(path, "w", encoding="utf-8") as handle:
         for alert in alerts:
-            handle.write(json.dumps(
-                {"t": alert.t, **alert.to_fields()},
-                sort_keys=True, separators=(",", ":")) + "\n")
+            handle.write(canonical_line(
+                {"t": alert.t, **alert.to_fields()}) + "\n")
 
 
 def _write_observability(recorder, args: argparse.Namespace,
@@ -333,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="exit 1 when any regression is flagged")
 
     trace = commands.add_parser(
-        "trace", help="inspect, convert, query or compact trace files "
+        "trace", help="inspect, convert or query trace files "
                       "(JSONL or binary columnar)")
     trace_commands = trace.add_subparsers(dest="trace_command",
                                           required=True)
@@ -347,9 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
                                help="emit the inspection as JSON")
 
     trace_convert = trace_commands.add_parser(
-        "convert", help="convert between binary and canonical JSONL; "
-                        "binary -> JSONL is byte-identical to the direct "
-                        "JSONL export of the same run")
+        "convert", help="convert between binary and canonical JSONL, or "
+                        "re-chunk a binary trace (binary -> JSONL is "
+                        "byte-identical to the direct JSONL export of the "
+                        "same run)")
     trace_convert.add_argument("source", help="input trace (format "
                                               "sniffed from its bytes)")
     trace_convert.add_argument("dest", help="output path (.bin/.trc = "
@@ -377,15 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "('event' is always kept)")
     trace_query.add_argument("--limit", type=int, default=None, metavar="N",
                              help="stop after N matching events")
-
-    trace_compact = trace_commands.add_parser(
-        "compact", help="rewrite a trace as binary with a chosen chunk "
-                        "size (re-chunks and re-dictionaries)")
-    trace_compact.add_argument("source", help="input trace")
-    trace_compact.add_argument("dest", help="binary output path")
-    trace_compact.add_argument("--chunk-events", type=int,
-                               default=DEFAULT_CHUNK_EVENTS,
-                               help="events per chunk in the output")
 
     trace_spans = trace_commands.add_parser(
         "spans", help="reconstruct causal span trees: per-operation "
@@ -643,8 +634,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"\noverall fake fraction: {metrics.overall_fake_fraction:.3f}")
     print(f"requests: {metrics.total_requests}, blind judgements: "
           f"{metrics.blind_judgements}")
-    print(f"outstanding fake copies: {metrics.outstanding_fake_copies}, "
-          f"retrievals incomplete: {metrics.retrievals_incomplete}")
+    print(f"outstanding fake copies: {metrics.outstanding_fake_copies}")
     _write_observability(recorder, args, live_monitor)
     return 0
 
@@ -990,31 +980,6 @@ def _cmd_trace_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace_compact(args: argparse.Namespace) -> int:
-    if args.chunk_events < 1:
-        print(f"--chunk-events must be >= 1, got {args.chunk_events}",
-              file=sys.stderr)
-        return 2
-    try:
-        writer = TraceWriter(args.dest, chunk_events=args.chunk_events)
-    except OSError as error:
-        print(f"cannot write {args.dest}: {error}", file=sys.stderr)
-        return 1
-    try:
-        with writer:
-            for event in iter_trace_events(args.source):
-                writer.append(event)
-    except (OSError, ValueError) as error:
-        print(f"compact failed: {error}", file=sys.stderr)
-        return 1
-    in_bytes = os.path.getsize(args.source)
-    out_bytes = os.path.getsize(args.dest)
-    print(f"wrote {writer.events_written} events in "
-          f"{writer.chunks_written} chunks to {args.dest} "
-          f"({in_bytes} -> {out_bytes} bytes)")
-    return 0
-
-
 _NO_SPANS_MESSAGE = ("contains no span records; record one with "
                      "--spans (or --span-sample N) on simulate/chaos")
 
@@ -1093,7 +1058,6 @@ _TRACE_COMMANDS = {
     "inspect": _cmd_trace_inspect,
     "convert": _cmd_trace_convert,
     "query": _cmd_trace_query,
-    "compact": _cmd_trace_compact,
     "spans": _cmd_trace_spans,
 }
 

@@ -159,8 +159,11 @@ def system_to_dict(system: MultiDimensionalReputationSystem,
     return data
 
 
-def _validate_document(data: Dict[str, Any]) -> None:
+def _validate_document(data: object) -> None:
     """Reject a malformed document with an error naming the exact gap."""
+    if not isinstance(data, dict):
+        raise ValueError("snapshot document must be a JSON object, got "
+                         f"{type(data).__name__}")
     version = data.get("format_version")
     if version not in SUPPORTED_VERSIONS:
         raise ValueError(

@@ -359,8 +359,7 @@ def collect_obs(seed: int = 42) -> Dict[str, object]:
     chaos_result, chaos_recorder = last["chaos"]
 
     def span_events(name: str) -> int:
-        return sum(1 for event in last[name][1].trace
-                   if event.get("event") == "span")
+        return last[name][1].trace.kinds().get("span", 0)
 
     # Untimed: at n > 1 a power runs, and observing it must not move RM.
     powered = dict(OBS_SIM, multitrust_steps=OBS_IDENTITY_STEPS)

@@ -6,18 +6,13 @@ order), ``t`` (*simulation* time, never wall clock) and ``event`` (the kind)
 runs at the same seed produce byte-identical trace files; that determinism
 is what lets CI diff a trace instead of eyeballing it.
 
-Two storage modes:
-
-* **buffered** (the default): events accumulate in memory and are exported
-  at the end via :meth:`EventTrace.write` — convenient for tests and short
-  runs;
-* **spilled**: construct the trace with a ``spill`` sink (any object with
-  ``append(record)`` — e.g. :class:`repro.obs.traceio.TraceWriter` or
-  :class:`repro.obs.traceio.JsonlTraceWriter`) and every record streams
-  straight out instead of buffering, so a 10⁶-event run holds at most one
-  chunk of events in memory.  Kind counts and the record count stay
-  available; whole-trace introspection (``of_kind``, iteration, export)
-  does not, because the events are already on disk.
+An :class:`EventTrace` stores nothing: it numbers each event, counts its
+kind and hands the record to its **sink** — any object with
+``append(record)``: :class:`repro.obs.traceio.TraceWriter` (binary),
+:class:`repro.obs.traceio.JsonlTraceWriter` (canonical JSONL), or a plain
+``list`` for in-memory use.  A run therefore holds at most one writer
+chunk of events however long it is.  Without a sink only the counts are
+kept.
 
 :func:`read_events` is a *generator*: consumers stream a JSONL trace one
 record at a time instead of materialising it (``list(read_events(p))``
@@ -27,7 +22,7 @@ restores the old behaviour where needed).
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, Optional, Union
 
 __all__ = ["EventTrace", "read_events"]
 
@@ -35,17 +30,16 @@ FieldValue = Union[str, int, float, bool, None]
 
 
 class EventTrace:
-    """Event buffer with JSONL export, or a pass-through to a spill sink."""
+    """Numbers and counts events, and hands each record to its sink."""
 
-    def __init__(self, spill: Optional[object] = None) -> None:
-        self._events: List[Dict[str, FieldValue]] = []
-        self._spill = spill
+    def __init__(self, sink: Optional[object] = None) -> None:
+        self._sink = sink
         self._count = 0
         self._kinds: Dict[str, int] = {}
 
     def record(self, kind: str, t: float,
                **fields: FieldValue) -> Dict[str, FieldValue]:
-        """Append one event; returns the stored record."""
+        """Stamp one event and pass it to the sink; returns the record."""
         for reserved in ("seq", "t", "event"):
             if reserved in fields:
                 raise ValueError(f"field name {reserved!r} is reserved")
@@ -54,55 +48,21 @@ class EventTrace:
         record.update(fields)
         self._count += 1
         self._kinds[kind] = self._kinds.get(kind, 0) + 1
-        if self._spill is not None:
-            self._spill.append(record)
-        else:
-            self._events.append(record)
+        if self._sink is not None:
+            self._sink.append(record)
         return record
-
-    @property
-    def spilled(self) -> bool:
-        """True when records stream to a sink instead of buffering."""
-        return self._spill is not None
-
-    def _require_buffered(self, what: str) -> None:
-        if self._spill is not None:
-            raise ValueError(
-                f"{what} needs the in-memory buffer, but this trace spills "
-                "to a sink; read the events back from the sink's file")
 
     def __len__(self) -> int:
         return self._count
-
-    def __iter__(self) -> Iterator[Dict[str, FieldValue]]:
-        self._require_buffered("iteration")
-        return iter(self._events)
-
-    def of_kind(self, kind: str) -> List[Dict[str, FieldValue]]:
-        self._require_buffered("of_kind")
-        return [event for event in self._events if event["event"] == kind]
 
     def kinds(self) -> Dict[str, int]:
         """Event-kind -> occurrence count, sorted by kind."""
         return dict(sorted(self._kinds.items()))
 
-    def lines(self) -> Iterator[str]:
-        """One canonical JSON line per event (sorted keys)."""
-        self._require_buffered("lines")
-        for event in self._events:
-            yield json.dumps(event, sort_keys=True, separators=(",", ":"))
-
-    def write(self, path: str) -> int:
-        """Write the trace as JSONL; returns the number of records."""
-        self._require_buffered("write")
-        with open(path, "w", encoding="utf-8") as handle:
-            for line in self.lines():
-                handle.write(line + "\n")
-        return self._count
-
 
 def read_events(path: str) -> Iterator[Dict[str, FieldValue]]:
-    """Stream a JSONL event trace written by :meth:`EventTrace.write`.
+    """Stream a JSONL event trace written by
+    :class:`~repro.obs.traceio.JsonlTraceWriter`.
 
     Yields one record dict per line; validation errors surface lazily as
     the offending line is reached, so a million-event trace is never held

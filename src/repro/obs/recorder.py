@@ -8,7 +8,8 @@ and never decide themselves whether observability is on:
   the uninstrumented code; hot paths may additionally guard expensive
   field construction behind ``recorder.enabled``.
 * :class:`Recorder` fans each call out to an :class:`~repro.obs.events
-  .EventTrace` (structured events keyed by simulation time), a
+  .EventTrace` (structured events keyed by simulation time, handed to the
+  recorder's trace sink and its subscribers), a
   :class:`~repro.obs.registry.MetricsRegistry` (counters / gauges /
   histograms) and a :class:`~repro.obs.profiling.Profiler` (wall-clock
   phase totals, kept out of the deterministic artefacts).
@@ -100,16 +101,17 @@ class Recorder(NullRecorder):
     def __init__(self, clock: Optional[Clock] = None,
                  trace_sink: Optional[object] = None,
                  span_seed: int = 0, span_sample: int = 0):
-        """``trace_sink`` — a streaming sink (``append(record)``, e.g.
-        :class:`~repro.obs.traceio.TraceWriter`) events spill into instead
-        of buffering; the caller owns closing it.  Without one, the trace
-        buffers in memory as before.
+        """``trace_sink`` — where every event record goes: any object with
+        ``append(record)``, e.g. :class:`~repro.obs.traceio.TraceWriter`,
+        :class:`~repro.obs.traceio.JsonlTraceWriter` or a plain ``list``;
+        the caller owns closing it.  Without one, the trace keeps only its
+        event and kind counts; subscribers still see every record.
 
         ``span_seed`` / ``span_sample`` configure deterministic span
         tracing: ids derive from the seed, and every ``span_sample``-th
         trace is kept (0 disables span records; spans still profile).
         """
-        self.trace = EventTrace(spill=trace_sink)
+        self.trace = EventTrace(sink=trace_sink)
         self.trace_sink = trace_sink
         self.registry = MetricsRegistry()
         self.profiler = Profiler()
@@ -199,14 +201,6 @@ class Recorder(NullRecorder):
     # ------------------------------------------------------------------ #
     # Export                                                             #
     # ------------------------------------------------------------------ #
-
-    def write_trace(self, path: str) -> int:
-        """Write the buffered event trace as JSONL; returns the count.
-
-        Only valid without a ``trace_sink`` — a spilling recorder's events
-        are already on disk (close the sink instead).
-        """
-        return self.trace.write(path)
 
     def write_metrics(self, path: str) -> None:
         """Write the metrics snapshot as canonical (sorted-key) JSON."""

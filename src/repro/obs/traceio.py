@@ -28,8 +28,8 @@ trace with canonical JSON reproduces the direct JSONL export byte for
 byte (``repro trace convert`` relies on this).
 
 Writers (:class:`TraceWriter`, :class:`JsonlTraceWriter`) are streaming
-sinks with bounded memory: a :class:`~repro.obs.recorder.Recorder` spills
-into them instead of buffering the run.  Readers stream too —
+sinks with bounded memory: a :class:`~repro.obs.recorder.Recorder` hands
+every event record to one of them as it is recorded.  Readers stream too —
 :class:`TraceReader` yields event dicts or whole :class:`ChunkBatch`
 column batches, and :func:`iter_trace_events` transparently accepts either
 JSONL or binary input so every consumer (report, monitor, dashboard,
@@ -402,6 +402,10 @@ def _parse_column(body: bytes, offset: int,
     offset += 1
     bitmap_offset = offset
     bitmap_len = (n_events + 7) // 8
+    spare = n_events & 7
+    if spare and body[offset + bitmap_len - 1] >> spare:
+        raise TraceFormatError(
+            f"column {name!r} marks events past the chunk's {n_events}")
     count = sum(map(_BYTE_POPCOUNT.__getitem__,
                     body[offset:offset + bitmap_len]))
     offset += bitmap_len
@@ -442,6 +446,10 @@ def decode_chunk(body: bytes) -> ChunkBatch:
             kind, offset = _read_str(body, offset, _U16)
             kind_dict.append(kind)
         kind_codes = struct.unpack_from(f"<{n_events}H", body, offset)
+        if kind_codes and max(kind_codes) >= n_kinds:
+            raise TraceFormatError(
+                f"kind code {max(kind_codes)} outside the chunk's "
+                f"{n_kinds}-entry kind dictionary")
         offset += 2 * n_events
         (n_columns,) = _U16.unpack_from(body, offset)
         offset += _U16.size
@@ -522,9 +530,10 @@ class JsonlTraceWriter:
     """Streaming canonical-JSONL sink with the same interface.
 
     Lets ``--trace-out events.jsonl`` stream too: the file grows line by
-    line instead of being buffered until the end of the run, and the bytes
-    are identical to what :meth:`~repro.obs.events.EventTrace.write`
-    would have produced.
+    line as the :class:`~repro.obs.events.EventTrace` hands it records,
+    one :func:`canonical_line` each, so the bytes are the canonical JSONL
+    form of the run and ``repro trace convert`` of its binary twin
+    reproduces them exactly.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:

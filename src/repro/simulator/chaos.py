@@ -32,7 +32,7 @@ from ..dht.overlay_service import EvaluationOverlay
 from ..dht.retry import RetryPolicy
 from ..dht.ring import DHTNetwork
 from ..obs.recorder import NULL_RECORDER, NullRecorder
-from .metrics import SimulationMetrics
+from ..obs.stats import mean
 
 __all__ = ["ChaosConfig", "ChaosResult", "run_chaos_point",
            "run_chaos_sweep"]
@@ -88,7 +88,6 @@ class ChaosResult:
     #: Filled by :func:`run_chaos_sweep` against the fault-free cell.
     kendall_tau_vs_baseline: Optional[float] = None
     hop_ratio_vs_baseline: Optional[float] = None
-    metrics: SimulationMetrics = field(default_factory=SimulationMetrics)
 
 
 def _peer_quality(index: int, peers: int) -> float:
@@ -109,7 +108,8 @@ def run_chaos_point(config: ChaosConfig,
                                 faults=faults, retry_policy=policy,
                                 recorder=recorder)
     rng = random.Random(config.seed)
-    metrics = SimulationMetrics()
+    #: Lookup hops of every retrieval, for the hop-inflation mean.
+    hops: List[int] = []
     #: Simulation clock for the recorder: the current round's timestamp.
     clock = [0.0]
     recorder.bind_clock(lambda: clock[0])
@@ -169,8 +169,7 @@ def run_chaos_point(config: ChaosConfig,
             for pid in rng.sample(online, min(4, len(online))):
                 file_id = rng.choice(file_ids)
                 retrieved = overlay.retrieve(pid, file_id, now)
-                metrics.record_retrieval(retrieved.complete,
-                                         retrieved.lookup_hops)
+                hops.append(retrieved.lookup_hops)
                 if retrieved.replicas_contacted == 0:
                     failed_lookups += 1
 
@@ -179,21 +178,21 @@ def run_chaos_point(config: ChaosConfig,
                     and round_number % config.repair_every == 0:
                 overlay.repair_replicas(now)
 
-    scores = _recover_scores(overlay, peer_ids, file_ids, now, metrics,
+    scores = _recover_scores(overlay, peer_ids, file_ids, now, hops,
                              recorder)
     result = ChaosResult(
         loss_rate=config.loss_rate,
         churn_rate=config.churn_rate,
-        availability=metrics.availability,
-        mean_hops=metrics.mean_lookup_hops,
-        retrievals=metrics.retrieval_attempts,
-        retrievals_incomplete=metrics.retrievals_incomplete,
+        availability=overlay.availability,
+        mean_hops=mean(float(h) for h in hops),
+        retrievals=overlay.retrievals_total,
+        retrievals_incomplete=(overlay.retrievals_total
+                               - overlay.retrievals_complete),
         failed_lookups=failed_lookups,
         drops=overlay.tally.drops,
         retries=overlay.tally.retries,
         repairs=overlay.tally.repairs,
-        scores=scores,
-        metrics=metrics)
+        scores=scores)
     recorder.event("chaos_cell_end", t=now, loss=config.loss_rate,
                    churn=config.churn_rate,
                    availability=result.availability,
@@ -204,8 +203,7 @@ def run_chaos_point(config: ChaosConfig,
 
 
 def _recover_scores(overlay: EvaluationOverlay, peer_ids: List[str],
-                    file_ids: List[str], now: float,
-                    metrics: SimulationMetrics,
+                    file_ids: List[str], now: float, hops: List[int],
                     recorder: NullRecorder = NULL_RECORDER
                     ) -> Dict[str, float]:
     """Per-peer mean evaluation as served by the DHT right now.
@@ -213,7 +211,8 @@ def _recover_scores(overlay: EvaluationOverlay, peer_ids: List[str],
     Runs under a ``mechanism.refresh`` span: the full-catalog read that
     rebuilds reputation from DHT-served state is the mechanism-level
     operation whose children (``dht.retrieve`` → ``dht.lookup``, retries
-    and all) a span trace should attribute end to end.
+    and all) a span trace should attribute end to end.  Each read's lookup
+    hops are appended to ``hops``.
     """
     sums: Dict[str, float] = {pid: 0.0 for pid in peer_ids}
     counts: Dict[str, int] = {pid: 0 for pid in peer_ids}
@@ -223,8 +222,7 @@ def _recover_scores(overlay: EvaluationOverlay, peer_ids: List[str],
         span.count("files", len(file_ids))
         for file_id in file_ids:
             retrieved = overlay.retrieve(observer, file_id, now)
-            metrics.record_retrieval(retrieved.complete,
-                                     retrieved.lookup_hops)
+            hops.append(retrieved.lookup_hops)
             for owner, value in retrieved.evaluations.items():
                 if owner in sums:
                     sums[owner] += value

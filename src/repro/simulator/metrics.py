@@ -62,11 +62,6 @@ class SimulationMetrics:
     total_requests: int = 0
     blind_judgements: int = 0
     informed_judgements: int = 0
-    #: DHT retrieval availability: attempts vs reads that met their quorum.
-    retrieval_attempts: int = 0
-    retrievals_complete: int = 0
-    #: Lookup hop counts observed (for O(log n) checks under faults).
-    lookup_hops: List[int] = field(default_factory=list)
 
     def stats_for(self, label: str) -> ClassStats:
         return self.per_class.setdefault(label, ClassStats())
@@ -117,15 +112,6 @@ class SimulationMetrics:
         self.fake_removal_latencies.append(latency)
         return latency
 
-    def record_retrieval(self, complete: bool,
-                         lookup_hops: Optional[int] = None) -> None:
-        """One DHT retrieval attempt; ``complete`` = met its read quorum."""
-        self.retrieval_attempts += 1
-        if complete:
-            self.retrievals_complete += 1
-        if lookup_hops is not None:
-            self.lookup_hops.append(lookup_hops)
-
     # ------------------------------------------------------------------ #
     # Aggregates                                                         #
     # ------------------------------------------------------------------ #
@@ -139,23 +125,6 @@ class SimulationMetrics:
     @property
     def mean_fake_removal_latency(self) -> float:
         return mean(self.fake_removal_latencies)
-
-    @property
-    def availability(self) -> float:
-        """Fraction of DHT retrievals that met quorum (1.0 when untracked)."""
-        if self.retrieval_attempts == 0:
-            return 1.0
-        return self.retrievals_complete / self.retrieval_attempts
-
-    @property
-    def retrievals_incomplete(self) -> int:
-        """DHT retrievals that missed their read quorum (the availability
-        complement that used to be invisible)."""
-        return self.retrieval_attempts - self.retrievals_complete
-
-    @property
-    def mean_lookup_hops(self) -> float:
-        return mean(float(h) for h in self.lookup_hops)
 
     @property
     def outstanding_fake_copies(self) -> int:
@@ -199,8 +168,3 @@ class SimulationMetrics:
                 recorder.observe("sim.bandwidth_bytes", bandwidth, cls=label)
         for latency in self.fake_removal_latencies:
             recorder.observe("sim.fake_removal_latency", latency)
-        recorder.inc("dht.retrievals.attempted", self.retrieval_attempts)
-        recorder.inc("dht.retrievals.complete", self.retrievals_complete)
-        recorder.inc("dht.retrievals.incomplete", self.retrievals_incomplete)
-        for hops in self.lookup_hops:
-            recorder.observe("dht.lookup.hops", float(hops))

@@ -168,7 +168,7 @@ class TestBackendResolution:
         set_contracts_enabled(contracts)
         try:
             pipeline, evaluations, ledger, user_trust = _pipeline()
-            pipeline.recorder = Recorder()
+            pipeline.recorder = Recorder(trace_sink=[])
             _populate(evaluations, ledger, user_trust)
             pipeline.refresh()
             evaluations.record_vote("a", "f1", 0.5)
@@ -180,7 +180,8 @@ class TestBackendResolution:
             assert pipeline.reputation is pipeline.trust
         finally:
             set_contracts_enabled(None)
-        events = pipeline.recorder.trace.of_kind("pipeline_refresh")
+        events = [event for event in pipeline.recorder.trace_sink
+                  if event["event"] == "pipeline_refresh"]
         assert [event["backend"] for event in events] == ["none"] * 3
 
     def test_step_override_resolves_a_backend(self, monkeypatch):
@@ -231,13 +232,13 @@ class TestStatsAndObservability:
 
     def test_refresh_emits_pipeline_events(self):
         pipeline, evaluations, ledger, user_trust = _pipeline()
-        pipeline.recorder = Recorder()
+        pipeline.recorder = Recorder(trace_sink=[])
         _populate(evaluations, ledger, user_trust)
         pipeline.refresh()
         evaluations.record_vote("a", "f1", 0.1)
         pipeline.refresh()
-        modes = [event["mode"] for event
-                 in pipeline.recorder.trace.of_kind("pipeline_refresh")]
+        modes = [event["mode"] for event in pipeline.recorder.trace_sink
+                 if event["event"] == "pipeline_refresh"]
         assert modes == ["full", "incremental"]
 
     def test_rebuild_ratio_zero_on_empty(self):

@@ -172,18 +172,20 @@ class TestObservability:
         wal = directory / "journal.wal"
         scan = read_wal(wal)
         truncate_file(wal, scan.valid_bytes - 3)
-        recorder = Recorder()
+        events = []
+        recorder = Recorder(trace_sink=events)
         result = recover(directory, recorder=recorder)
         replayed = recorder.registry.counter("recovery.replayed_records")
         truncated = recorder.registry.counter("recovery.truncated_tail")
         assert replayed.value == result.replayed_records > 0
         assert truncated.value == result.truncated_tail_bytes > 0
-        complete = recorder.trace.of_kind("recovery.complete")
+        complete = [e for e in events if e["event"] == "recovery.complete"]
         assert len(complete) == 1
         assert complete[0]["last_seq"] == result.last_seq
 
     def test_live_run_counts_appends_and_snapshots(self, tmp_path):
-        recorder = Recorder()
+        events = []
+        recorder = Recorder(trace_sink=events)
         system = MultiDimensionalReputationSystem()
         manager = DurabilityManager(system, tmp_path / "obs",
                                     snapshot_every=5, recorder=recorder)
@@ -195,15 +197,15 @@ class TestObservability:
         assert appended.value == manager.last_seq > 0
         snapshots = recorder.registry.counter("wal.snapshots")
         assert snapshots.value >= 2  # baseline + at least one periodic
-        assert recorder.trace.of_kind("wal.snapshot")
+        assert any(e["event"] == "wal.snapshot" for e in events)
 
     def test_quarantine_event_emitted(self, tmp_path):
         _, directory = journalled_run(tmp_path, steps=20, snapshot_every=8)
         generations = sorted(directory.glob("snapshot-*.json"))
         flip_byte(generations[-1], 300)
-        recorder = Recorder()
-        recover(directory, recorder=recorder)
-        events = recorder.trace.of_kind("recovery.quarantined")
+        records = []
+        recover(directory, recorder=Recorder(trace_sink=records))
+        events = [e for e in records if e["event"] == "recovery.quarantined"]
         assert len(events) == 1
         assert events[0]["file"] == generations[-1].name
 

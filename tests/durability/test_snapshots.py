@@ -106,3 +106,13 @@ class TestLoad:
         loaded = store.load_latest()
         assert loaded.last_seq == 1
         assert "checksum" in loaded.quarantined[0].reason
+
+    @pytest.mark.parametrize("document", ["[]", "null", '"x"'])
+    def test_non_object_document_is_quarantined(self, tmp_path, document):
+        store = SnapshotStore(tmp_path)
+        store.write(_system(0.2), last_seq=1)
+        newest = store.write(_system(0.9), last_seq=2)
+        newest.write_text(document)
+        loaded = store.load_latest()
+        assert loaded.last_seq == 1
+        assert "JSON object" in loaded.quarantined[0].reason

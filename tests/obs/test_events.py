@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs.events import EventTrace, read_events
+from repro.obs.traceio import JsonlTraceWriter
 
 
 class TestEventTrace:
@@ -22,20 +23,22 @@ class TestEventTrace:
                 trace.record("x", 0.0, **{reserved: 1})
 
     def test_of_kind_and_kinds(self):
-        trace = EventTrace()
+        records = []
+        trace = EventTrace(sink=records)
         trace.record("a", 0.0)
         trace.record("b", 1.0)
         trace.record("a", 2.0)
-        assert len(trace.of_kind("a")) == 2
+        assert len([r for r in records if r["event"] == "a"]) == 2
         assert trace.kinds() == {"a": 2, "b": 1}
 
-    def test_lines_are_canonical_json(self):
-        trace = EventTrace()
-        trace.record("download", 1.0, z_field=1, a_field=2)
-        line = next(iter(trace.lines()))
+    def test_lines_are_canonical_json(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        with JsonlTraceWriter(path) as sink:
+            EventTrace(sink=sink).record("download", 1.0, z_field=1,
+                                         a_field=2)
         # Sorted keys, no whitespace: byte-stable across runs.
-        assert line == ('{"a_field":2,"event":"download","seq":0,'
-                        '"t":1.0,"z_field":1}')
+        assert path.read_text() == ('{"a_field":2,"event":"download",'
+                                    '"seq":0,"t":1.0,"z_field":1}\n')
 
 
 class TestSpilledTrace:
@@ -48,38 +51,29 @@ class TestSpilledTrace:
 
     def test_records_stream_to_sink_not_buffer(self):
         sink = self._ListSink()
-        trace = EventTrace(spill=sink)
+        trace = EventTrace(sink=sink)
         trace.record("a", 0.0)
         trace.record("b", 1.0, x=1)
-        assert trace.spilled is True
         assert len(trace) == 2
         assert [r["event"] for r in sink.records] == ["a", "b"]
-        assert trace._events == []
+        assert not hasattr(trace, "_events")
 
     def test_kind_counts_survive_spilling(self):
-        trace = EventTrace(spill=self._ListSink())
+        trace = EventTrace(sink=self._ListSink())
         trace.record("a", 0.0)
         trace.record("a", 1.0)
         trace.record("b", 2.0)
         assert trace.kinds() == {"a": 2, "b": 1}
 
-    def test_buffered_only_operations_raise(self):
-        trace = EventTrace(spill=self._ListSink())
-        trace.record("a", 0.0)
-        for operation in (lambda: list(trace), lambda: trace.of_kind("a"),
-                          lambda: list(trace.lines()),
-                          lambda: trace.write("unused.jsonl")):
-            with pytest.raises(ValueError, match="spills to a sink"):
-                operation()
-
 
 class TestRoundTrip:
     def test_write_then_read(self, tmp_path):
-        trace = EventTrace()
-        trace.record("download", 1.0, cls="honest", fake=False)
-        trace.record("request", 2.0, file="f-1")
         path = tmp_path / "events.jsonl"
-        assert trace.write(str(path)) == 2
+        with JsonlTraceWriter(path) as sink:
+            trace = EventTrace(sink=sink)
+            trace.record("download", 1.0, cls="honest", fake=False)
+            trace.record("request", 2.0, file="f-1")
+        assert sink.events_written == len(trace) == 2
         events = list(read_events(str(path)))
         assert [e["event"] for e in events] == ["download", "request"]
         assert events[0]["fake"] is False

@@ -91,7 +91,7 @@ class TestRenderFlamegraph:
 
 class TestEndToEnd:
     def test_recorder_trace_to_svg(self):
-        recorder = Recorder(span_seed=3, span_sample=1)
+        recorder = Recorder(trace_sink=[], span_seed=3, span_sample=1)
         clock = [0.0]
         recorder.bind_clock(lambda: clock[0])
         with recorder.span("request") as outer:
@@ -100,7 +100,7 @@ class TestEndToEnd:
                 inner.add_cost(0.75)
         builder = SpanTreeBuilder()
         folded = FoldedStacks()
-        for event in recorder.trace:
+        for event in recorder.trace_sink:
             root = builder.feed(event)
             if root is not None:
                 folded.add_tree(root)

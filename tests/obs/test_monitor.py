@@ -27,7 +27,7 @@ def _run_monitored(seed=5):
         request_rate=0.03, seed=seed)
     mechanism = MultiDimensionalMechanism(ReputationConfig(
         retention_saturation_seconds=config.duration_seconds / 3))
-    recorder = Recorder()
+    recorder = Recorder(trace_sink=[])
     monitor = Monitor.default().attach(recorder)
     FileSharingSimulation(config, mechanism, recorder=recorder).run()
     monitor.finish()
@@ -42,7 +42,7 @@ def monitored_run():
 class TestLiveMonitoring:
     def test_alerts_interleave_into_the_trace(self, monitored_run):
         recorder, monitor = monitored_run
-        recorded = [e for e in recorder.trace if e["event"] == "alert"]
+        recorded = [e for e in recorder.trace_sink if e["event"] == "alert"]
         assert len(recorded) == len(monitor.alerts)
         assert [Alert.from_event(e) for e in recorded] == monitor.alerts
 
@@ -71,7 +71,7 @@ class TestLiveMonitoring:
 class TestOfflineReplay:
     def test_replay_reproduces_live_alerts_exactly(self, monitored_run):
         recorder, monitor = monitored_run
-        result = monitor_events(list(recorder.trace))
+        result = monitor_events(recorder.trace_sink)
         assert result.recorded_alerts == monitor.alerts
         assert result.alerts == monitor.alerts
         assert result.reproduces_recorded

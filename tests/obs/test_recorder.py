@@ -3,6 +3,7 @@
 import json
 
 from repro.obs.recorder import NULL_RECORDER, NullRecorder, Recorder
+from repro.obs.traceio import JsonlTraceWriter
 
 
 class TestNullRecorder:
@@ -32,13 +33,13 @@ class TestRecorder:
         assert Recorder().enabled is True
 
     def test_event_uses_bound_clock(self):
-        recorder = Recorder()
+        events = []
+        recorder = Recorder(trace_sink=events)
         now = [0.0]
         recorder.bind_clock(lambda: now[0])
         now[0] = 42.0
         recorder.event("tick")
         recorder.event("tock", t=7.0)
-        events = list(recorder.trace)
         assert events[0]["t"] == 42.0
         assert events[1]["t"] == 7.0
 
@@ -90,17 +91,17 @@ class TestRecorder:
         recorder = Recorder(trace_sink=Sink())
         recorder.event("a", t=0.0)
         recorder.event("b", t=1.0, x=2)
-        assert recorder.trace.spilled is True
         assert len(recorder.trace) == 2
         assert [record["event"] for record in sink_records] == ["a", "b"]
 
     def test_write_artifacts(self, tmp_path):
-        recorder = Recorder()
-        recorder.event("a", t=1.0)
-        recorder.inc("c")
         trace_path = tmp_path / "events.jsonl"
         metrics_path = tmp_path / "metrics.json"
-        assert recorder.write_trace(str(trace_path)) == 1
+        with JsonlTraceWriter(trace_path) as sink:
+            recorder = Recorder(trace_sink=sink)
+            recorder.event("a", t=1.0)
+            recorder.inc("c")
+        assert sink.events_written == 1
         recorder.write_metrics(str(metrics_path))
         assert '"event":"a"' in trace_path.read_text()
         snapshot = json.loads(metrics_path.read_text())

@@ -11,14 +11,14 @@ from repro.simulator.engine import EventEngine
 
 
 def make_recorder(sample=1, seed=42):
-    recorder = Recorder(span_seed=seed, span_sample=sample)
+    recorder = Recorder(trace_sink=[], span_seed=seed, span_sample=sample)
     clock = [0.0]
     recorder.bind_clock(lambda: clock[0])
     return recorder, clock
 
 
 def span_events(recorder):
-    return [event for event in recorder.trace
+    return [event for event in recorder.trace_sink
             if event.get("event") == "span"]
 
 
@@ -212,7 +212,7 @@ class TestTreeReconstruction:
                 b.add_cost(3.0)
                 with recorder.span("b1") as b1:
                     b1.add_cost(4.0)
-        return list(recorder.trace)
+        return list(recorder.trace_sink)
 
     def test_builder_returns_completed_root(self):
         builder = SpanTreeBuilder()
@@ -278,7 +278,7 @@ class TestSpanAnalyzer:
         engine.run()
 
         analyzer = SpanAnalyzer()
-        for event in recorder.trace:
+        for event in recorder.trace_sink:
             analyzer.feed(event)
         analysis = analyzer.finish()
         assert analysis.spans == 6

@@ -2,9 +2,11 @@
 
 import json
 import struct
+import zlib
 
 import pytest
 
+from repro.cli import main
 from repro.obs.events import EventTrace
 from repro.obs.traceio import (DEFAULT_CHUNK_EVENTS, HEADER_SIZE,
                                TRACE_MAGIC, JsonlTraceWriter,
@@ -75,13 +77,16 @@ class TestRoundTrip:
         assert list(iter_trace_events(path)) == events
 
     def test_canonical_reexport_is_byte_identical(self, tmp_path):
-        trace = EventTrace()
+        records = []
+        trace = EventTrace(sink=records)
         trace.record("download", 1.0, cls="honest", wait=3.5, fake=False)
         trace.record("request", 2.0, file="f-1")
         jsonl = tmp_path / "direct.jsonl"
-        trace.write(str(jsonl))
+        with JsonlTraceWriter(jsonl) as writer:
+            for record in records:
+                writer.append(record)
         binary = tmp_path / "trace.bin"
-        _write(binary, list(trace))
+        _write(binary, records)
         recovered = "".join(canonical_line(event) + "\n"
                             for event in iter_trace_events(binary))
         assert recovered == jsonl.read_text()
@@ -226,6 +231,46 @@ class TestCorruption:
                          + struct.pack("<II", 1 << 30, 0) + b"x")
         with pytest.raises(TraceFormatError, match="implausible"):
             list(TraceReader(path))
+
+
+    def _crafted(self, tmp_path, body):
+        """A trace whose one chunk carries ``body`` behind a valid CRC."""
+        path = tmp_path / "crafted.bin"
+        path.write_bytes(trace_header()
+                         + struct.pack("<II", len(body), zlib.crc32(body))
+                         + bytes(body))
+        return path
+
+    def test_kind_code_outside_dictionary_rejected(self, tmp_path, capsys):
+        events = _sample_events()
+        body = bytearray(encode_chunk(events)[8:])
+        n_kinds = len({event["event"] for event in events})
+        # The kind codes follow the n_events/n_kinds counts and the
+        # length-prefixed kind names.
+        offset = 6 + sum(2 + len(kind) for kind in
+                         {event["event"] for event in events})
+        struct.pack_into("<H", body, offset, n_kinds)
+        path = self._crafted(tmp_path, body)
+        with pytest.raises(TraceFormatError, match="kind code"):
+            list(iter_trace_events(path))
+        info = trace_info(path)
+        assert info["truncated"] is True
+        assert "kind code" in info["error"]
+        assert main(["trace", "inspect", str(path)]) == 0
+        assert "TRUNCATED after 0 events" in capsys.readouterr().out
+
+    def test_presence_bit_past_chunk_rejected(self, tmp_path, capsys):
+        events = _sample_events()  # 5 events: bits 5-7 of the bitmap spare
+        body = bytearray(encode_chunk(events)[8:])
+        # ``ok`` is a one-value bool column: one more presence bit keeps
+        # its value extent at one byte, so only the bitmap is wrong.
+        body[decode_chunk(bytes(body)).columns["ok"]._bitmap_offset] |= 0x80
+        path = self._crafted(tmp_path, body)
+        with pytest.raises(TraceFormatError, match="past the chunk"):
+            list(iter_trace_events(path))
+        assert trace_info(path)["truncated"] is True
+        assert main(["report", str(path)]) == 1
+        assert "cannot read trace" in capsys.readouterr().err
 
 
 class TestSinkDispatchAndSniffing:

@@ -628,24 +628,27 @@ class TestTraceSubcommands:
                  in capsys.readouterr().out.splitlines()]
         assert all(100 <= line["t"] < 200 for line in lines)
 
-    def test_compact_rechunks_binary(self, tmp_path, capsys):
+    def test_convert_rechunks_binary(self, tmp_path, capsys):
         trace = self._binary(tmp_path)
         capsys.readouterr()
-        compacted = tmp_path / "compacted.bin"
-        assert main(["trace", "compact", str(trace), str(compacted),
+        rechunked = tmp_path / "rechunked.bin"
+        assert main(["trace", "convert", str(trace), str(rechunked),
                      "--chunk-events", "64"]) == 0
-        assert "chunks" in capsys.readouterr().out
+        assert "wrote" in capsys.readouterr().out
         # Same logical contents under the new chunking.
-        assert main(["trace", "inspect", str(compacted), "--json"]) == 0
+        assert main(["trace", "inspect", str(rechunked), "--json"]) == 0
         info = json.loads(capsys.readouterr().out)
         assert main(["trace", "inspect", str(trace), "--json"]) == 0
         original = json.loads(capsys.readouterr().out)
         assert info["events"] == original["events"]
         assert info["kinds"] == original["kinds"]
+        assert info["chunks"] == -(-original["events"] // 64)
+        assert list(iter_trace_events(str(rechunked))) \
+            == list(iter_trace_events(str(trace)))
 
     def test_bad_chunk_events_rejected(self, tmp_path, capsys):
         trace = self._binary(tmp_path)
-        assert main(["trace", "compact", str(trace),
+        assert main(["trace", "convert", str(trace),
                      str(tmp_path / "o.bin"), "--chunk-events", "0"]) == 2
 
 
