@@ -37,7 +37,8 @@ Fifteen commands cover the workflows a downstream user actually runs:
   (latest good snapshot + WAL-tail replay); ``--repair`` truncates a torn
   tail, ``--out`` writes the recovered state as a v4 JSON document;
 * ``wal-inspect`` — decode a write-ahead log: record counts by kind,
-  valid-prefix length, truncation reason (``--records`` lists frames);
+  valid-prefix length (the one ``recover`` replays), truncation reason
+  (``--records`` lists frames);
 * ``lint``        — project-aware static analysis: determinism,
   stochastic-matrix and weight-simplex invariants (``--format json`` for
   the machine-readable schema, ``--fail-on`` for severity gating,
@@ -72,9 +73,9 @@ from typing import Optional, Sequence
 
 from .analysis import render_table
 from .baselines import ALL_MECHANISMS, MultiDimensionalMechanism
-from .core import ReputationConfig
+from .core import MultiDimensionalReputationSystem, ReputationConfig
 from .core.durability import (WAL_FILENAME, DurabilityManager,
-                              SimulatedCrash, read_wal, recover)
+                              SimulatedCrash, read_wal, recover, replay_wal)
 from .core.persistence import save_system
 from .lint import (all_rules, lint_paths, result_to_dict, rules_by_id,
                    should_fail)
@@ -609,8 +610,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         metrics = simulation.run()
     except SimulatedCrash as crash:
-        # Process-death semantics: nothing is flushed or closed; the
-        # durability directory holds exactly what had reached the OS.
+        # Process-death semantics: nothing is flushed; the durability
+        # directory holds exactly what had reached the OS, and the WAL
+        # bytes still buffered here are dropped rather than written when
+        # the dead run is garbage-collected.
+        if durability is not None:
+            durability.abandon()
         print(f"simulated crash: {crash}", file=sys.stderr)
         return 3
     if durability is not None:
@@ -1216,6 +1221,9 @@ def _cmd_wal_inspect(args: argparse.Namespace) -> int:
     except OSError as error:
         print(f"cannot read WAL {path}: {error}", file=sys.stderr)
         return 1
+    # Replayed into a scratch system, so the log ends where recover ends it.
+    scan, _ = replay_wal(
+        MultiDimensionalReputationSystem(auto_refresh=False), scan)
 
     kinds: dict = {}
     for record in scan.records:

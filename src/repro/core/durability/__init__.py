@@ -12,7 +12,7 @@ good generation plus a WAL-tail replay through the live ingest path.
 from .faults import CrashPlan, FaultyFile, SimulatedCrash, flip_byte, truncate_file
 from .journal import (WAL_FILENAME, DurabilityManager, attach_journal,
                       detach_journal)
-from .recovery import RecoveryResult, recover
+from .recovery import RecoveryResult, recover, replay_wal
 from .snapshots import LoadedSnapshot, QuarantinedSnapshot, SnapshotStore
 from .wal import (WalRecord, WalScan, WalWriter, encode_record, read_wal,
                   scan_wal, truncate_wal)
@@ -22,5 +22,5 @@ __all__ = [
     "QuarantinedSnapshot", "RecoveryResult", "SimulatedCrash",
     "SnapshotStore", "WAL_FILENAME", "WalRecord", "WalScan", "WalWriter",
     "attach_journal", "detach_journal", "encode_record", "flip_byte",
-    "read_wal", "recover", "scan_wal", "truncate_file", "truncate_wal",
+    "read_wal", "recover", "replay_wal", "scan_wal", "truncate_file", "truncate_wal",
 ]

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, Dict, Optional, Union
 
 from ...obs.recorder import NULL_RECORDER, NullRecorder
+from ..evaluation import journal_fields
 from ..reputation_system import MultiDimensionalReputationSystem
 from .snapshots import SnapshotStore
 from .wal import WalWriter
@@ -123,6 +124,16 @@ class DurabilityManager:
         self._writer.close()
         self._closed = True
 
+    def abandon(self) -> None:
+        """Stop as a killed process would: detach, and drop the WAL bytes
+        not yet handed to the OS (:meth:`WalWriter.abandon`)."""
+        if self._closed:
+            return
+        if self._attached:
+            self.detach()
+        self._writer.abandon()
+        self._closed = True
+
     def __enter__(self) -> "DurabilityManager":
         self.attach()
         return self
@@ -135,6 +146,9 @@ class DurabilityManager:
     # ------------------------------------------------------------------ #
 
     def _journal(self, kind: str, payload: Dict[str, Any]) -> None:
+        # A record replay would reject is refused before it is written,
+        # and so before the mutator that emits it mutates anything.
+        journal_fields(kind, payload)
         self._writer.append(kind, payload)
         self._records_since_snapshot += 1
         self.recorder.inc("wal.appended")

@@ -11,12 +11,15 @@ Recovery rebuilds the exact pre-crash state in three steps:
    used, so dirty-set tracking fires and the incremental pipeline patches
    matrices exactly as it would have live.  Payload keys no mutator reads
    (journals from format-v3 builds stamp an owner number on most records)
-   are ignored, so those logs replay unchanged.  With
+   are ignored, so those logs replay unchanged.  A record the stores
+   cannot apply (a missing field, a wrong type, an out-of-range value)
+   ends the valid prefix like a failed CRC does.  With
    ``REPRO_CHECK_INVARIANTS=1`` the pipeline cross-checks every patched
    refresh against a full rebuild, making "bit-identical recovery" a
    machine-checked property rather than a hope.
-3. **Repair** (optional).  A torn WAL tail is truncated so appends can
-   resume cleanly after the last valid record.
+3. **Repair** (optional).  A torn WAL tail, or the tail from the first
+   unreplayable record on, is truncated so appends can resume cleanly
+   after the last valid record.
 
 No step ever silently drops data: truncation lengths, quarantined
 generations and the stop reason are all reported in
@@ -28,17 +31,18 @@ generations and the stop reason are all reported in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from ...obs.recorder import NULL_RECORDER, NullRecorder
+from ...obs.spans import NULL_SPAN, NullSpan
 from ..reputation_system import MultiDimensionalReputationSystem
 from .journal import WAL_FILENAME
 from .snapshots import QuarantinedSnapshot, SnapshotStore
 from .wal import WalScan, read_wal, truncate_wal
 
-__all__ = ["RecoveryResult", "recover"]
+__all__ = ["RecoveryResult", "recover", "replay_wal"]
 
 
 @dataclass
@@ -67,6 +71,33 @@ class RecoveryResult:
     repaired: bool = False
 
 
+def replay_wal(system: MultiDimensionalReputationSystem, scan: WalScan,
+               after_seq: int = 0, span: NullSpan = NULL_SPAN
+               ) -> Tuple[WalScan, int]:
+    """Apply the records of ``scan`` past ``after_seq`` to ``system``.
+
+    Returns the log's valid prefix and the number of records applied.  The
+    prefix is ``scan`` cut before the first record the stores reject, just
+    as a failed CRC cuts it; :func:`recover` and ``repro wal-inspect`` both
+    end the log here.
+    """
+    replayed = 0
+    for index, record in enumerate(scan.records):
+        if record.seq <= after_seq:
+            continue
+        try:
+            system.apply_record(record.kind, record.payload)
+        except ValueError as error:
+            return replace(
+                scan, records=scan.records[:index], valid_bytes=record.offset,
+                truncated=True,
+                reason=f"unreplayable record at seq {record.seq}: {error}"
+            ), replayed
+        span.count(record.kind)
+        replayed += 1
+    return scan, replayed
+
+
 def recover(directory: Union[str, Path],
             recorder: NullRecorder = NULL_RECORDER,
             repair: bool = False) -> RecoveryResult:
@@ -75,9 +106,9 @@ def recover(directory: Union[str, Path],
     Raises :class:`FileNotFoundError` when the directory holds no
     durability state at all, and :class:`ValueError` when state exists but
     every snapshot generation failed verification — both are conditions a
-    caller must see, not paper over.  Torn WAL tails and quarantined
-    generations, by contrast, are *expected* crash debris: they are
-    reported in the result, never raised.
+    caller must see, not paper over.  Torn WAL tails, unreplayable records
+    and quarantined generations, by contrast, are *expected* crash debris:
+    they are reported in the result, never raised.
     """
     directory = Path(directory)
     store = SnapshotStore(directory)
@@ -97,12 +128,8 @@ def recover(directory: Union[str, Path],
     if wal_path.exists():
         scan = read_wal(wal_path)
         with recorder.span("recovery.replay") as span:
-            for record in scan.records:
-                if record.seq <= loaded.last_seq:
-                    continue
-                system.apply_record(record.kind, record.payload)
-                span.count(record.kind)
-                replayed += 1
+            scan, replayed = replay_wal(system, scan,
+                                        after_seq=loaded.last_seq, span=span)
         if replayed:
             system.recompute()
 

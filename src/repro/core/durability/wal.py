@@ -331,6 +331,21 @@ class WalWriter:
         self._file.close()
         self._closed = True
 
+    def abandon(self) -> None:
+        """Close the log as a killed process would.
+
+        Bytes still buffered in this process are dropped: the file keeps
+        exactly what had reached the OS, and nothing more is written when
+        the writer is garbage-collected.
+        """
+        if self._closed:
+            return
+        reached = os.fstat(self._file.fileno()).st_size
+        self._file.flush()
+        os.ftruncate(self._file.fileno(), reached)
+        self._file.close()
+        self._closed = True
+
     def _sync_file(self) -> None:
         self._file.flush()
         # FaultyFile intercepts fsync to inject kills at sync boundaries;

@@ -21,6 +21,7 @@ preserve the evaluations within an interval").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
@@ -31,6 +32,8 @@ __all__ = [
     "implicit_from_retention",
     "EvaluationStore",
     "JournalSink",
+    "JOURNAL_RECORDS",
+    "journal_fields",
 ]
 
 #: Journal hook signature shared by every store: ``sink(kind, payload)``.
@@ -40,6 +43,62 @@ __all__ = [
 #: exactly — including its dirty sets, which is what lets the incremental
 #: pipeline patch during recovery.
 JournalSink = Callable[[str, Dict[str, Any]], None]
+
+
+#: Every journal record kind -> its id fields and its number fields, each in
+#: the argument order of the mutator that emits the record and replays it.
+JOURNAL_RECORDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "eval.retention": (("user", "file"), ("retention_seconds", "timestamp")),
+    "eval.vote": (("user", "file"), ("vote", "timestamp")),
+    "eval.implicit": (("user", "file"), ("implicit", "timestamp")),
+    "eval.play": (("user", "file"), ("play_fraction", "timestamp")),
+    "eval.remove": (("user", "file"), ()),
+    "ledger.download": (("downloader", "uploader", "file"),
+                        ("size", "timestamp")),
+    "ledger.prune": ((), ("cutoff",)),
+    "user.rate": (("rater", "ratee"), ("rating",)),
+    "user.friend": (("user", "friend"), ()),
+    "user.blacklist": (("user", "target"), ()),
+    "user.unfriend": (("user", "friend"), ()),
+    "user.unblacklist": (("user", "target"), ()),
+    "credit.record": (("user", "action"), ("magnitude",)),
+}
+
+
+def journal_fields(kind: str, payload: Mapping[str, Any]) -> List[Any]:
+    """The fields of one journal record, checked, in mutator argument order.
+
+    An unknown kind, a missing field, an id that is not a string or a
+    number that is not a finite int or float raises :class:`ValueError`.
+    The WAL writer runs this before a record is written and replay runs it
+    before the record mutates anything, so nothing a live system journals
+    can be rejected on replay.  Range checks stay with the mutators, which
+    run them before they journal and before they mutate.
+    """
+    try:
+        ids, numbers = JOURNAL_RECORDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown journal record kind {kind!r}") from None
+    values: List[Any] = []
+    for name in ids:
+        value = payload.get(name)
+        if not isinstance(value, str):
+            raise ValueError(f"{kind} field {name!r} must be a string, "
+                             f"got {value!r}")
+        values.append(value)
+    for name in numbers:
+        value = payload.get(name)
+        try:
+            finite = (isinstance(value, (int, float))
+                      and not isinstance(value, bool)
+                      and math.isfinite(value))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{kind} field {name!r} must be a finite "
+                             f"number, got {value!r}")
+        values.append(value)
+    return values
 
 
 def implicit_from_retention(retention_seconds: float,
@@ -270,23 +329,19 @@ class EvaluationStore:
         Each record re-enters the public mutator that emitted it, so replay
         marks the same dirty sets and produces bit-identical state — note
         :meth:`prune_older_than` journals as the individual ``eval.remove``
-        records it performs, so there is no prune kind here.
+        records it performs, so there is no prune kind here.  A record
+        that cannot apply raises :class:`ValueError` before it mutates.
         """
         if kind == "eval.retention":
-            self.record_retention(payload["user"], payload["file"],
-                                  payload["retention_seconds"],
-                                  payload["timestamp"])
+            self.record_retention(*journal_fields(kind, payload))
         elif kind == "eval.vote":
-            self.record_vote(payload["user"], payload["file"],
-                             payload["vote"], payload["timestamp"])
+            self.record_vote(*journal_fields(kind, payload))
         elif kind == "eval.implicit":
-            self.record_implicit(payload["user"], payload["file"],
-                                 payload["implicit"], payload["timestamp"])
+            self.record_implicit(*journal_fields(kind, payload))
         elif kind == "eval.play":
-            self.record_play(payload["user"], payload["file"],
-                             payload["play_fraction"], payload["timestamp"])
+            self.record_play(*journal_fields(kind, payload))
         elif kind == "eval.remove":
-            self.remove(payload["user"], payload["file"])
+            self.remove(*journal_fields(kind, payload))
         else:
             raise ValueError(f"unknown evaluation record kind {kind!r}")
 

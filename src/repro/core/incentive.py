@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .config import DEFAULT_CONFIG, ReputationConfig
-from .evaluation import JournalSink
+from .evaluation import JournalSink, journal_fields
 
 __all__ = ["ServiceDifferentiator", "ServiceLevel", "IncentiveAction",
            "ActionCreditTracker"]
@@ -146,11 +146,15 @@ class ActionCreditTracker:
         return self._credits[user_id]
 
     def apply_record(self, kind: str, payload: Mapping[str, Any]) -> None:
-        """Replay one journalled credit through the live ingest path."""
+        """Replay one journalled credit through the live ingest path.
+
+        A record that cannot apply raises :class:`ValueError` before it
+        mutates.
+        """
         if kind != "credit.record":
             raise ValueError(f"unknown credit record kind {kind!r}")
-        self.record(payload["user"], IncentiveAction(payload["action"]),
-                    payload["magnitude"])
+        user, action, magnitude = journal_fields(kind, payload)
+        self.record(user, IncentiveAction(action), magnitude)
 
     def credit(self, user_id: str) -> float:
         return self._credits.get(user_id, 0.0)

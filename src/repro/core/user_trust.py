@@ -16,7 +16,7 @@ from math import fsum
 from typing import Any, Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from ..lint.contracts import check_row_stochastic
-from .evaluation import JournalSink
+from .evaluation import JournalSink, journal_fields
 from .matrix import TrustMatrix
 
 __all__ = ["UserTrustStore", "build_user_trust_matrix",
@@ -100,17 +100,21 @@ class UserTrustStore:
     # ------------------------------------------------------------------ #
 
     def apply_record(self, kind: str, payload: Mapping[str, Any]) -> None:
-        """Replay one journalled mutation through the live ingest path."""
+        """Replay one journalled mutation through the live ingest path.
+
+        A record that cannot apply raises :class:`ValueError` before it
+        mutates.
+        """
         if kind == "user.rate":
-            self.rate(payload["rater"], payload["ratee"], payload["rating"])
+            self.rate(*journal_fields(kind, payload))
         elif kind == "user.friend":
-            self.add_friend(payload["user"], payload["friend"])
+            self.add_friend(*journal_fields(kind, payload))
         elif kind == "user.blacklist":
-            self.add_to_blacklist(payload["user"], payload["target"])
+            self.add_to_blacklist(*journal_fields(kind, payload))
         elif kind == "user.unfriend":
-            self.remove_friend(payload["user"], payload["friend"])
+            self.remove_friend(*journal_fields(kind, payload))
         elif kind == "user.unblacklist":
-            self.remove_from_blacklist(payload["user"], payload["target"])
+            self.remove_from_blacklist(*journal_fields(kind, payload))
         else:
             raise ValueError(f"unknown user-trust record kind {kind!r}")
 

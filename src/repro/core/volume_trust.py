@@ -19,7 +19,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..lint.contracts import check_row_stochastic
 from .config import DEFAULT_CONFIG, ReputationConfig
-from .evaluation import EvaluationStore, JournalSink
+from .evaluation import EvaluationStore, JournalSink, journal_fields
 from .matrix import TrustMatrix
 
 __all__ = ["DownloadLedger", "valid_download_volume",
@@ -135,14 +135,13 @@ class DownloadLedger:
         ``ledger.prune`` is journalled as the *call* (cutoff), not the
         individual deletions: pruning is a pure function of the entries
         already reconstructed by earlier records, so replaying the call
-        deletes exactly the same ones.
+        deletes exactly the same ones.  A record that cannot apply raises
+        :class:`ValueError` before it mutates.
         """
         if kind == "ledger.download":
-            self.record_download(payload["downloader"], payload["uploader"],
-                                 payload["file"], payload["size"],
-                                 payload["timestamp"])
+            self.record_download(*journal_fields(kind, payload))
         elif kind == "ledger.prune":
-            self.prune_older_than(payload["cutoff"])
+            self.prune_older_than(*journal_fields(kind, payload))
         else:
             raise ValueError(f"unknown ledger record kind {kind!r}")
 

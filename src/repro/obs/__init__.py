@@ -3,8 +3,8 @@
 The measurement substrate the quantitative claims run on:
 
 * :mod:`~repro.obs.stats` — shared mean/percentile helpers (p50/p95/p99)
-  plus the streaming accumulators (:class:`~repro.obs.stats.RunningStats`,
-  :class:`~repro.obs.stats.QuantileSketch`) single-pass consumers use;
+  plus the streaming accumulator (:class:`~repro.obs.stats.QuantileSketch`)
+  single-pass consumers use;
 * :mod:`~repro.obs.registry` — labelled Counter/Gauge/Histogram registry;
 * :mod:`~repro.obs.events` — JSONL event tracing keyed by simulation time;
 * :mod:`~repro.obs.traceio` — the binary columnar trace format (chunked,
@@ -56,8 +56,8 @@ from .spans import (NULL_SPAN, NullSpan, OperationStats, Span, SpanAnalysis,
                     span_node_from_event)
 from .report import (TraceSummarizer, TraceSummary, summarize_trace,
                      summary_to_dict)
-from .stats import (DEFAULT_QUANTILES, QuantileSketch, RunningStats, mean,
-                    percentile, percentiles, summarize)
+from .stats import (DEFAULT_QUANTILES, QuantileSketch, mean, percentile,
+                    percentiles, summarize)
 from .timeline import (FakeFractionAccumulator, PeerSample, PeerTimeline,
                        TimelineBuilder, build_timelines, class_mean_series,
                        fake_fraction_series)
@@ -127,7 +127,6 @@ __all__ = [
     "fake_fraction_series",
     "DEFAULT_QUANTILES",
     "QuantileSketch",
-    "RunningStats",
     "mean",
     "percentile",
     "percentiles",

@@ -11,13 +11,12 @@ convention as ``numpy.percentile``'s default), so p50 of ``[1, 2, 3, 4]``
 is 2.5, not 2 or 3.
 
 For million-event traces the batch helpers don't scale (they hold every
-observation), so this module also provides the streaming accumulators the
-single-pass trace consumers are built on: :class:`RunningStats` (count /
-mean / min / max in O(1) memory) and :class:`QuantileSketch` (exact
-quantiles up to a fixed budget, then a deterministic bounded-memory
-compression).  Both are order-deterministic: the same observation stream
-always produces the same summary, which keeps ``repro report`` output
-reproducible across runs at the same seed.
+observation), so this module also provides the streaming accumulator the
+single-pass trace consumers are built on: :class:`QuantileSketch` (exact
+count / mean / min / max, and exact quantiles up to a fixed budget, then a
+deterministic bounded-memory compression).  It is order-deterministic: the
+same observation stream always produces the same summary, which keeps
+``repro report`` output reproducible across runs at the same seed.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = ["mean", "percentile", "percentiles", "summarize",
-           "DEFAULT_QUANTILES", "RunningStats", "QuantileSketch"]
+           "DEFAULT_QUANTILES", "QuantileSketch"]
 
 #: The quantiles every histogram summary reports: median plus the two tail
 #: marks the paper's wait-time / hop-count claims care about.
@@ -80,44 +79,6 @@ def summarize(values: Iterable[float]) -> Dict[str, float]:
         "max": float(data[-1]),
         **percentiles(data),
     }
-
-
-class RunningStats:
-    """Streaming count / mean / min / max in O(1) memory.
-
-    The mean is a plain running sum — deterministic for a fixed observation
-    order, which is all the trace consumers need (a trace is totally
-    ordered by ``seq``).
-    """
-
-    __slots__ = ("count", "_sum", "_min", "_max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._sum = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self._sum += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-
-    @property
-    def mean(self) -> float:
-        return self._sum / self.count if self.count else 0.0
-
-    @property
-    def min(self) -> float:
-        return self._min if self.count else 0.0
-
-    @property
-    def max(self) -> float:
-        return self._max if self.count else 0.0
 
 
 class QuantileSketch:

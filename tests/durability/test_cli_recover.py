@@ -8,12 +8,13 @@ The two headline determinism properties:
   the bytes of the final snapshot generation.
 """
 
+import gc
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.core.durability import WAL_FILENAME, read_wal
+from repro.core.durability import WAL_FILENAME, encode_record, read_wal
 
 _SIM = ["simulate", "--honest", "8", "--free-riders", "2",
         "--polluters", "2", "--catalog", "30", "--days", "0.25",
@@ -42,6 +43,16 @@ class TestSimulateWal:
         assert code == 3
         assert "crash" in capsys.readouterr().err.lower()
         assert main(["recover", str(directory)]) == 0
+
+    def test_crash_leaves_no_write_behind(self, tmp_path):
+        # WAL bytes still buffered in the process when it "dies" must never
+        # reach the file, not even when the dead run is garbage-collected.
+        directory = tmp_path / "crashed"
+        assert _simulate(directory, ["--crash-at", "9000"]) == 3
+        wal = directory / WAL_FILENAME
+        size = wal.stat().st_size
+        gc.collect()
+        assert wal.stat().st_size == size
 
     def test_crashed_wal_is_byte_prefix_of_full_run(self, tmp_path):
         full, crashed = tmp_path / "full", tmp_path / "crashed"
@@ -115,3 +126,19 @@ class TestWalInspect:
         capsys.readouterr()
         assert main(["wal-inspect", str(state)]) == 0
         assert "TRUNCATED" in capsys.readouterr().out
+
+    def test_ends_the_log_where_recover_does(self, state, capsys):
+        wal = state / WAL_FILENAME
+        scan = read_wal(wal)
+        with open(wal, "ab") as handle:
+            handle.write(encode_record(scan.last_seq + 1, "eval.vote", {
+                "user": "u", "file": "f", "vote": 7.0, "timestamp": 0.0}))
+        assert main(["recover", str(state), "--json"]) == 0
+        recovered = json.loads(capsys.readouterr().out)
+        assert main(["wal-inspect", str(state), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["records"] == len(scan.records)
+        assert doc["valid_bytes"] == scan.valid_bytes
+        assert doc["reason"] == recovered["truncation_reason"]
+        assert doc["reason"].startswith(
+            f"unreplayable record at seq {scan.last_seq + 1}: ")

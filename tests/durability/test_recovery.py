@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from repro.core import MultiDimensionalReputationSystem
-from repro.core.durability import (DurabilityManager, flip_byte, read_wal,
-                                   recover, truncate_file)
+from repro.core.durability import (DurabilityManager, encode_record,
+                                   flip_byte, read_wal, recover,
+                                   truncate_file)
 from repro.obs.recorder import NULL_RECORDER, Recorder
 
 from tests.durability.helpers import assert_identical, drive, replay_reference
@@ -164,6 +165,71 @@ class TestCorruptRecovery:
         assert result.wal_scan is None
         assert result.replayed_records == 0
         assert_identical(result.system, live)
+
+
+VOTE = {"user": "alice", "file": "f1", "vote": 0.5, "timestamp": 100.0}
+
+
+class TestUnreplayableRecord:
+    """A CRC-valid record the stores cannot apply ends the log there."""
+
+    @pytest.mark.parametrize("kind, payload", [
+        ("eval.vote", {"user": "alice", "vote": 0.5, "timestamp": 100.0}),
+        ("ledger.download", {}),
+        ("user.rate", {"rater": "alice", "rating": 0.5}),
+        ("eval.upvote", VOTE),
+        ("eval.vote", {**VOTE, "vote": 7.0}),
+        ("eval.vote", {**VOTE, "vote": "x"}),
+        ("eval.vote", {**VOTE, "vote": None}),
+        ("eval.vote", {**VOTE, "user": 3}),
+        ("eval.vote", {**VOTE, "timestamp": "t"}),
+    ], ids=["missing-file", "empty-download", "missing-ratee",
+            "unknown-kind", "vote-out-of-range", "vote-string",
+            "vote-null", "user-int", "timestamp-string"])
+    def test_replay_stops_before_it(self, tmp_path, kind, payload):
+        system = MultiDimensionalReputationSystem()
+        with DurabilityManager(system, tmp_path / "state") as manager:
+            system.record_vote("alice", "f1", 0.5, timestamp=100.0)
+            assert manager.last_seq == 2  # the vote and its credit
+        wal = tmp_path / "state" / "journal.wal"
+        good = read_wal(wal)
+        with open(wal, "ab") as handle:
+            handle.write(encode_record(3, kind, payload))
+
+        result = recover(tmp_path / "state")
+        assert result.replayed_records == 2
+        assert result.last_seq == 2
+        assert result.truncation_reason.startswith(
+            "unreplayable record at seq 3: ")
+        assert result.truncated_tail_bytes == wal.stat().st_size \
+            - good.valid_bytes
+        assert_identical(result.system, replay_reference(good.records))
+
+        repaired = recover(tmp_path / "state", repair=True)
+        assert repaired.repaired
+        assert wal.stat().st_size == good.valid_bytes
+        assert_identical(repaired.system, result.system)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda s: s.record_retention("alice", "f2", float("inf")),
+        lambda s: s.record_download("bob", "alice", "f1", float("inf")),
+        lambda s: s.record_vote("alice", "f2", 0.5, timestamp=float("nan")),
+        lambda s: s.record_vote("alice", "f2", True),
+        lambda s: s.add_friend("alice", 3),
+    ], ids=["retention-inf", "size-inf", "timestamp-nan", "vote-bool",
+            "friend-int"])
+    def test_live_write_refuses_it_before_the_wal(self, tmp_path, mutate):
+        system = MultiDimensionalReputationSystem()
+        with DurabilityManager(system, tmp_path / "state") as manager:
+            system.record_vote("alice", "f1", 0.5, timestamp=100.0)
+            with pytest.raises(ValueError):
+                mutate(system)
+            assert manager.last_seq == 2
+        records = read_wal(tmp_path / "state" / "journal.wal").records
+        assert len(records) == 2
+        result = recover(tmp_path / "state")
+        assert result.truncation_reason is None
+        assert_identical(result.system, system)
 
 
 class TestObservability:

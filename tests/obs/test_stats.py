@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.obs.stats import (DEFAULT_QUANTILES, QuantileSketch,
-                             RunningStats, mean, percentile,
-                             percentiles, summarize)
+from repro.obs.stats import (DEFAULT_QUANTILES, QuantileSketch, mean,
+                             percentile, percentiles, summarize)
 
 
 class TestMean:
@@ -69,29 +68,6 @@ class TestSummarize:
         summary = summarize([])
         assert summary["count"] == 0
         assert summary["mean"] == 0.0
-
-
-class TestRunningStats:
-    def test_empty_is_all_zero(self):
-        stats = RunningStats()
-        assert stats.count == 0
-        assert stats.mean == 0.0
-        assert stats.min == 0.0
-        assert stats.max == 0.0
-
-    def test_tracks_count_mean_min_max(self):
-        stats = RunningStats()
-        for value in (4.0, 1.0, 7.0):
-            stats.observe(value)
-        assert stats.count == 3
-        assert stats.mean == pytest.approx(4.0)
-        assert stats.min == 1.0
-        assert stats.max == 7.0
-
-    def test_coerces_ints(self):
-        stats = RunningStats()
-        stats.observe(3)
-        assert stats.max == 3.0
 
 
 class TestQuantileSketchExactMode:

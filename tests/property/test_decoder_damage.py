@@ -1,11 +1,16 @@
-"""Property tests: damaged binary traces and snapshot generations.
+"""Property tests: damaged WALs, binary traces and snapshot generations.
 
-The WAL has its own crash-anywhere property (``test_wal_crash.py``); this
-module holds the two other on-disk decoders to the same standard.  Every
-damage hypothesis draws — bit flips, truncations, insertions — must end in
-a typed, documented outcome, never an ``IndexError`` or ``AttributeError``
-escaping from the decoder:
+Every damage hypothesis draws — bit flips, truncations, insertions,
+appended garbage — must end in a typed, documented outcome, never an
+``IndexError``, ``KeyError`` or ``TypeError`` escaping from a decoder:
 
+* a damaged **WAL**, journalled from the shared event grammar, still
+  scans as a prefix of the original records, and ``recover(repair=True)``
+  equals a fresh replay of that prefix (``test_wal_crash.py`` holds the
+  plain crash, appended-garbage and identical-bytes cases);
+* a **WAL record body** damaged behind a recomputed CRC either replays or
+  ends the log as an unreplayable record, and recovery equals a fresh
+  replay of the records it accepted;
 * a damaged **binary trace** still reads as a prefix of the original
   events, then stops or raises :class:`TraceFormatError`, and
   ``trace_info`` (``repro trace inspect``) never raises at all;
@@ -16,23 +21,22 @@ escaping from the decoder:
   quarantined in favour of the older one, so recovery lands on the same
   state either way.
 
-Inputs are bounded (a ~25 KB trace, at most four edits of at most 16
+Inputs are bounded (a ~25 KB trace, at most four edits of at most 64
 bytes) and every test carries a deadline, so no example can hang.  Each
 example works in its own ``TemporaryDirectory`` (hypothesis does not reset
 function-scoped fixtures between examples).
 """
 
 import shutil
-import struct
-from contextlib import suppress
 import tempfile
 import zlib
+from contextlib import suppress
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from repro.core.durability import SnapshotStore, recover
+from repro.core.durability import SnapshotStore, read_wal, recover, scan_wal
 from repro.core.persistence import system_to_dict
 from repro.obs import Recorder
 from repro.obs.traceio import (HEADER_SIZE, TRACE_MAGIC, TraceFormatError,
@@ -40,11 +44,13 @@ from repro.obs.traceio import (HEADER_SIZE, TRACE_MAGIC, TraceFormatError,
                                trace_header, trace_info)
 from repro.simulator import ChaosConfig, run_chaos_point
 
+from tests.property.damage import (DAMAGE, FRAME, INTERLEAVINGS, WAL_DAMAGE,
+                                   assert_recovers, check_wal_damage, damage,
+                                   damage_edits, journal, keys)
+
 FIXTURE = Path(__file__).parent.parent / "durability" / "fixtures" \
     / "v3_sharded_wal"
 NEWEST = "snapshot-00000000000000000014.json"
-
-_FRAME = struct.Struct("<II")
 
 
 def _seeded_trace() -> bytes:
@@ -67,8 +73,8 @@ def _bodies(data: bytes):
     """The chunk bodies of an undamaged trace, in file order."""
     bodies, offset = [], HEADER_SIZE
     while offset < len(data):
-        length, _crc = _FRAME.unpack_from(data, offset)
-        offset += _FRAME.size
+        length, _crc = FRAME.unpack_from(data, offset)
+        offset += FRAME.size
         bodies.append(data[offset:offset + length])
         offset += length
     return bodies
@@ -94,38 +100,10 @@ BODIES = _bodies(TRACE)
 EVENTS = _read(TRACE)
 
 
-def _edits(max_position: int):
-    position = st.integers(min_value=0, max_value=max_position)
-    flip = st.tuples(st.just("flip"), position,
-                     st.integers(min_value=1, max_value=255))
-    truncate = st.tuples(st.just("truncate"), position, st.just(b""))
-    insert = st.tuples(st.just("insert"), position,
-                       st.binary(min_size=1, max_size=16))
-    return st.lists(st.one_of(flip, truncate, insert), min_size=1,
-                    max_size=4)
-
-
-def _damage(data: bytes, edits) -> bytes:
-    damaged = bytearray(data)
-    for op, position, operand in edits:
-        if op == "flip":
-            if damaged:
-                damaged[position % len(damaged)] ^= operand
-        elif op == "truncate":
-            del damaged[position % (len(damaged) + 1):]
-        else:
-            damaged[position % (len(damaged) + 1):0] = operand
-    return bytes(damaged)
-
-
-DAMAGE = settings(max_examples=150, deadline=2000,
-                  suppress_health_check=[HealthCheck.too_slow])
-
-
 @DAMAGE
-@given(edits=_edits(len(TRACE)))
+@given(edits=damage_edits(len(TRACE)))
 def test_damaged_trace_reads_a_prefix(edits):
-    damaged = _damage(TRACE, edits)
+    damaged = damage(TRACE, edits)
     # Still binary: only the typed format error may stop the read.  A
     # damaged magic sends the file down the JSONL path, whose errors are
     # plain ValueErrors.
@@ -137,15 +115,15 @@ def test_damaged_trace_reads_a_prefix(edits):
 
 @DAMAGE
 @given(chunk=st.integers(min_value=0, max_value=len(BODIES) - 1),
-       edits=_edits(max(len(body) for body in BODIES)))
+       edits=damage_edits(max(len(body) for body in BODIES)))
 def test_damaged_chunk_body_decodes_or_raises_format_error(chunk, edits):
-    body = _damage(BODIES[chunk], edits)
+    body = damage(BODIES[chunk], edits)
     with suppress(TraceFormatError):
         batch = decode_chunk(body)
         batch.kind_counts()
         batch.events()
     # The same body behind a valid CRC: every reader stays typed.
-    _read(trace_header() + _FRAME.pack(len(body), zlib.crc32(body)) + body,
+    _read(trace_header() + FRAME.pack(len(body), zlib.crc32(body)) + body,
           (TraceFormatError,))
 
 
@@ -161,12 +139,12 @@ SNAPSHOT = (FIXTURE / NEWEST).read_bytes()
 
 
 @DAMAGE
-@given(edits=_edits(len(SNAPSHOT)))
+@given(edits=damage_edits(len(SNAPSHOT)))
 def test_damaged_snapshot_falls_back_to_older_generation(edits):
     with tempfile.TemporaryDirectory() as workdir:
         directory = Path(workdir) / "state"
         shutil.copytree(FIXTURE, directory)
-        (directory / NEWEST).write_bytes(_damage(SNAPSHOT, edits))
+        (directory / NEWEST).write_bytes(damage(SNAPSHOT, edits))
         loaded = SnapshotStore(directory).load_latest()
         if loaded.quarantined:
             assert [q.original.name for q in loaded.quarantined] == [NEWEST]
@@ -178,5 +156,37 @@ def test_damaged_snapshot_falls_back_to_older_generation(edits):
         # Recovery from either generation replays to the same state.
         directory = Path(workdir) / "recover"
         shutil.copytree(FIXTURE, directory)
-        (directory / NEWEST).write_bytes(_damage(SNAPSHOT, edits))
+        (directory / NEWEST).write_bytes(damage(SNAPSHOT, edits))
         assert _recovered_state(directory) == RECOVERED
+
+
+@WAL_DAMAGE
+@given(interleaving=INTERLEAVINGS, edits=damage_edits(4096))
+def test_damaged_wal_recovers_a_prefix(interleaving, edits):
+    check_wal_damage(interleaving, edits)
+
+
+#: Single-bit flips below bit 7 keep a JSON body ASCII, so most damaged
+#: records still decode and reach the stores.
+ASCII_FLIPS = st.sampled_from([1 << bit for bit in range(7)])
+
+
+@WAL_DAMAGE
+@given(interleaving=INTERLEAVINGS, index=st.integers(min_value=0),
+       edits=damage_edits(256, ASCII_FLIPS))
+def test_damaged_wal_record_body_replays_or_ends_the_log(interleaving,
+                                                         index, edits):
+    with tempfile.TemporaryDirectory() as workdir:
+        wal = journal(Path(workdir) / "state", interleaving)
+        data = wal.read_bytes()
+        originals = scan_wal(data).records
+        assume(originals)
+        index %= len(originals)
+        start = originals[index].offset
+        end = start + originals[index].frame_bytes
+        body = damage(data[start + FRAME.size:end], edits)
+        wal.write_bytes(data[:start] + FRAME.pack(len(body), zlib.crc32(body))
+                        + body + data[end:])
+        records = read_wal(wal).records
+        assert keys(records[:index]) == keys(originals[:index])
+        assert_recovers(wal, records)

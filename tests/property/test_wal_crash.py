@@ -1,17 +1,10 @@
 """Property tests: crash anywhere in the WAL, recover an exact prefix.
 
-Hypothesis drives two random dimensions at once — the event interleaving
-journalled into the WAL, and the byte offset the "crash" truncates the
-file at.  The invariant under test is the durability contract itself:
-whatever survives on disk decodes to a strict prefix of the record
-stream, and recovery from it rebuilds a state exactly equal (persisted
-document, checksum, trust/reputation matrices) to a live system fed the
-same prefix.
-
-Each example journals into its own ``TemporaryDirectory`` (hypothesis
-does not reset function-scoped fixtures between examples, so ``tmp_path``
-is unusable here).  The ``crash-recovery`` CI job runs this with
-``REPRO_CHECK_INVARIANTS=1`` for in-refresh self-checks on top.
+The plain cases of the WAL damage property in ``test_decoder_damage.py``,
+through the same check in ``damage.py``: a crash that cuts the file at any
+byte, garbage appended behind the last frame, and two journals of one
+interleaving.  Whatever survives on disk is a prefix of the record stream,
+and ``recover(repair=True)`` equals a fresh replay of that prefix.
 """
 
 import tempfile
@@ -20,113 +13,26 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MultiDimensionalReputationSystem
-from repro.core.durability import (DurabilityManager, read_wal, recover,
-                                   scan_wal, truncate_file)
-
-from tests.durability.helpers import (FILES, USERS, assert_identical,
-                                      replay_reference)
-
-# One journallable façade event: (op, actor index, peer index, file index,
-# value in [0, 1]).  Indices are resolved modulo the fixed populations so
-# shrinking stays meaningful.
-events = st.tuples(
-    st.sampled_from(["download", "vote", "retention", "play", "friend",
-                     "blacklist", "rate", "upload"]),
-    st.integers(min_value=0, max_value=7),
-    st.integers(min_value=0, max_value=7),
-    st.integers(min_value=0, max_value=5),
-    st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-
-interleavings = st.lists(events, min_size=1, max_size=25)
-
-
-def _apply_event(system, event, when):
-    op, actor, peer, file_index, value = event
-    user = USERS[actor % len(USERS)]
-    other = USERS[(peer if peer % len(USERS) != actor % len(USERS)
-                   else peer + 1) % len(USERS)]
-    file_id = FILES[file_index % len(FILES)]
-    if op == "download":
-        system.record_download(user, other, file_id, 1e5 + value * 1e6,
-                               timestamp=when)
-    elif op == "vote":
-        system.record_vote(user, file_id, value, timestamp=when)
-    elif op == "retention":
-        system.record_retention(user, file_id, 60.0 + value * 7200.0,
-                                timestamp=when)
-    elif op == "play":
-        system.record_play(user, file_id, value, timestamp=when)
-    elif op == "friend":
-        system.add_friend(user, other)
-    elif op == "blacklist":
-        system.add_to_blacklist(user, other)
-    elif op == "rate":
-        system.record_rank(user, other, value)
-    else:
-        system.record_real_upload(user, 1e5 + value * 1e6)
-
-
-def _journal(directory, interleaving):
-    """Journal one interleaving into ``directory``; returns the WAL path."""
-    system = MultiDimensionalReputationSystem()
-    manager = DurabilityManager(directory=directory, system=system)
-    manager.attach()
-    for i, event in enumerate(interleaving):
-        _apply_event(system, event, when=100.0 + 10.0 * i)
-    manager.close()
-    return Path(directory) / "journal.wal"
+from tests.property.damage import INTERLEAVINGS, check_wal_damage, journal
 
 
 @settings(max_examples=40, deadline=None)
-@given(interleaving=interleavings, data=st.data())
-def test_crash_at_any_byte_recovers_exact_prefix(interleaving, data):
-    with tempfile.TemporaryDirectory() as workdir:
-        directory = Path(workdir) / "state"
-        wal = _journal(directory, interleaving)
-        full = read_wal(wal)
-
-        # Crash: the file ends at an arbitrary byte offset.
-        cut = data.draw(st.integers(min_value=0,
-                                    max_value=full.file_bytes - 1),
-                        label="crash byte offset")
-        truncate_file(wal, cut)
-
-        scan = read_wal(wal)
-        # Survivors are a strict prefix of the full stream.
-        assert [r.seq for r in scan.records] == \
-            [r.seq for r in full.records[:len(scan.records)]]
-        assert scan.valid_bytes <= cut or cut == 0
-
-        result = recover(directory, repair=True)
-        assert result.last_seq == scan.last_seq
-        assert not read_wal(wal).truncated
-        assert_identical(result.system,
-                         replay_reference(full.records[:len(scan.records)]))
+@given(interleaving=INTERLEAVINGS, cut=st.integers(min_value=0))
+def test_crash_at_any_byte_recovers_exact_prefix(interleaving, cut):
+    check_wal_damage(interleaving, [("truncate", cut, b"")])
 
 
 @settings(max_examples=15, deadline=None)
-@given(interleaving=interleavings)
+@given(interleaving=INTERLEAVINGS)
 def test_same_interleaving_writes_identical_wal_bytes(interleaving):
     with tempfile.TemporaryDirectory() as workdir:
-        first = _journal(Path(workdir) / "a", interleaving)
-        second = _journal(Path(workdir) / "b", interleaving)
+        first = journal(Path(workdir) / "a", interleaving)
+        second = journal(Path(workdir) / "b", interleaving)
         assert first.read_bytes() == second.read_bytes()
 
 
 @settings(max_examples=25, deadline=None)
-@given(interleaving=interleavings,
+@given(interleaving=INTERLEAVINGS,
        garbage=st.binary(min_size=1, max_size=64))
 def test_appended_garbage_never_corrupts_prefix(interleaving, garbage):
-    with tempfile.TemporaryDirectory() as workdir:
-        wal = _journal(Path(workdir) / "g", interleaving)
-        pristine = wal.read_bytes()
-        wal.write_bytes(pristine + garbage)
-        scan = scan_wal(wal.read_bytes())
-        clean = scan_wal(pristine)
-        # Garbage may extend the log only if it forms valid next frames —
-        # vanishingly unlikely, but the records that were there must
-        # survive untouched.
-        assert [(r.seq, r.kind, r.payload)
-                for r in scan.records[:len(clean.records)]] == \
-            [(r.seq, r.kind, r.payload) for r in clean.records]
+    check_wal_damage(interleaving, [("append", 0, garbage)])
