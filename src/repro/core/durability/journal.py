@@ -1,9 +1,9 @@
 """Wiring a live reputation system to its write-ahead log.
 
-:func:`attach_journal` points all four behavioural stores (evaluations,
-download ledger, user trust, incentive credits) at one sink; every store
-mutator then emits its record *after* validation but *before* the mutation
-lands — classic write-ahead ordering, so a crash between the append and the
+:func:`attach_journal` points every store the journal table
+(:mod:`repro.core.journal_table`) names at one sink; every store mutator
+then emits its record *after* validation but *before* the mutation lands —
+classic write-ahead ordering, so a crash between the append and the
 in-memory apply costs at most one not-yet-applied record, which replay
 re-applies.
 
@@ -23,10 +23,10 @@ simulator calls it on its maintenance tick.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, BinaryIO, Dict, Optional, Union
+from typing import Any, BinaryIO, Optional, Union
 
 from ...obs.recorder import NULL_RECORDER, NullRecorder
-from ..evaluation import journal_fields
+from ..journal_table import JOURNAL_RECORDS, JournalSink, check_record
 from ..reputation_system import MultiDimensionalReputationSystem
 from .snapshots import SnapshotStore
 from .wal import WalWriter
@@ -38,20 +38,16 @@ WAL_FILENAME = "journal.wal"
 
 
 def attach_journal(system: MultiDimensionalReputationSystem,
-                   sink: "Any") -> None:
-    """Point every behavioural store of ``system`` at one journal sink."""
-    system.evaluations.journal = sink
-    system.ledger.journal = sink
-    system.user_trust.journal = sink
-    system.credits.journal = sink
+                   sink: JournalSink) -> None:
+    """Point every journalling store of ``system`` at one journal sink."""
+    for store in sorted({spec.store for spec in JOURNAL_RECORDS.values()}):
+        getattr(system, store).journal = sink
 
 
 def detach_journal(system: MultiDimensionalReputationSystem) -> None:
-    """Stop journalling ``system`` (e.g. before a throwaway what-if run)."""
-    system.evaluations.journal = None
-    system.ledger.journal = None
-    system.user_trust.journal = None
-    system.credits.journal = None
+    """Stop journalling ``system`` (e.g. before a throwaway what-if run);
+    its stores go back to the default sink, which only checks records."""
+    attach_journal(system, check_record)
 
 
 class DurabilityManager:
@@ -145,11 +141,11 @@ class DurabilityManager:
     # Journal sink                                                       #
     # ------------------------------------------------------------------ #
 
-    def _journal(self, kind: str, payload: Dict[str, Any]) -> None:
+    def _journal(self, kind: str, *values: Any) -> None:
         # A record replay would reject is refused before it is written,
         # and so before the mutator that emits it mutates anything.
-        journal_fields(kind, payload)
-        self._writer.append(kind, payload)
+        spec = check_record(kind, *values)
+        self._writer.append(kind, dict(zip(spec.fields, values)))
         self._records_since_snapshot += 1
         self.recorder.inc("wal.appended")
 

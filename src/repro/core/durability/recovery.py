@@ -7,9 +7,11 @@ Recovery rebuilds the exact pre-crash state in three steps:
    quarantined and older ones tried.
 2. **Replay.**  The WAL's longest valid prefix is scanned; every record
    with ``seq`` greater than the snapshot's ``last_seq`` is fed through
-   ``system.apply_record`` — the *same* store mutators the live system
-   used, so dirty-set tracking fires and the incremental pipeline patches
-   matrices exactly as it would have live.  Payload keys no mutator reads
+   ``system.apply_record``, which reads the record's fields as
+   :mod:`repro.core.journal_table` lists them and calls the mutator that
+   table names — the *same* store mutators the live system used, so
+   dirty-set tracking fires and the incremental pipeline patches matrices
+   exactly as it would have live.  Payload keys the table does not list
    (journals from format-v3 builds stamp an owner number on most records)
    are ignored, so those logs replay unchanged.  A record the stores
    cannot apply (a missing field, a wrong type, an out-of-range value)

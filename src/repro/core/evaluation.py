@@ -21,85 +21,17 @@ preserve the evaluations within an interval").
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .config import DEFAULT_CONFIG, ReputationConfig
+from .journal_table import JournalSink, check_record
 
 __all__ = [
     "FileEvaluation",
     "implicit_from_retention",
     "EvaluationStore",
-    "JournalSink",
-    "JOURNAL_RECORDS",
-    "journal_fields",
 ]
-
-#: Journal hook signature shared by every store: ``sink(kind, payload)``.
-#: Payloads are JSON-safe dicts; a write-ahead log appends them before the
-#: mutation lands, so replaying them through :meth:`EvaluationStore
-#: .apply_record` (and the other stores' dispatchers) reproduces the store
-#: exactly — including its dirty sets, which is what lets the incremental
-#: pipeline patch during recovery.
-JournalSink = Callable[[str, Dict[str, Any]], None]
-
-
-#: Every journal record kind -> its id fields and its number fields, each in
-#: the argument order of the mutator that emits the record and replays it.
-JOURNAL_RECORDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    "eval.retention": (("user", "file"), ("retention_seconds", "timestamp")),
-    "eval.vote": (("user", "file"), ("vote", "timestamp")),
-    "eval.implicit": (("user", "file"), ("implicit", "timestamp")),
-    "eval.play": (("user", "file"), ("play_fraction", "timestamp")),
-    "eval.remove": (("user", "file"), ()),
-    "ledger.download": (("downloader", "uploader", "file"),
-                        ("size", "timestamp")),
-    "ledger.prune": ((), ("cutoff",)),
-    "user.rate": (("rater", "ratee"), ("rating",)),
-    "user.friend": (("user", "friend"), ()),
-    "user.blacklist": (("user", "target"), ()),
-    "user.unfriend": (("user", "friend"), ()),
-    "user.unblacklist": (("user", "target"), ()),
-    "credit.record": (("user", "action"), ("magnitude",)),
-}
-
-
-def journal_fields(kind: str, payload: Mapping[str, Any]) -> List[Any]:
-    """The fields of one journal record, checked, in mutator argument order.
-
-    An unknown kind, a missing field, an id that is not a string or a
-    number that is not a finite int or float raises :class:`ValueError`.
-    The WAL writer runs this before a record is written and replay runs it
-    before the record mutates anything, so nothing a live system journals
-    can be rejected on replay.  Range checks stay with the mutators, which
-    run them before they journal and before they mutate.
-    """
-    try:
-        ids, numbers = JOURNAL_RECORDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown journal record kind {kind!r}") from None
-    values: List[Any] = []
-    for name in ids:
-        value = payload.get(name)
-        if not isinstance(value, str):
-            raise ValueError(f"{kind} field {name!r} must be a string, "
-                             f"got {value!r}")
-        values.append(value)
-    for name in numbers:
-        value = payload.get(name)
-        try:
-            finite = (isinstance(value, (int, float))
-                      and not isinstance(value, bool)
-                      and math.isfinite(value))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"{kind} field {name!r} must be a finite "
-                             f"number, got {value!r}")
-        values.append(value)
-    return values
-
 
 def implicit_from_retention(retention_seconds: float,
                             saturation_seconds: float) -> float:
@@ -183,11 +115,11 @@ class EvaluationStore:
     #: from, instead of a boolean "something changed" invalidation.
     _dirty_files: Set[str] = field(default_factory=set)
     _dirty_users: Set[str] = field(default_factory=set)
-    #: Optional write-ahead hook: public mutators emit one JSON-safe record
-    #: (after validating, before mutating) describing the call, so a WAL
-    #: can persist it and :meth:`apply_record` can replay it verbatim.
-    journal: Optional[JournalSink] = field(default=None, repr=False,
-                                           compare=False)
+    #: Write-ahead hook (see :mod:`~repro.core.journal_table`): public
+    #: mutators hand it their record after validating and before mutating.
+    #: The default only checks the record; a WAL sink also persists it.
+    journal: JournalSink = field(default=check_record, repr=False,
+                                 compare=False)
 
     # ------------------------------------------------------------------ #
     # Recording                                                          #
@@ -199,11 +131,8 @@ class EvaluationStore:
         """Record/refresh the implicit evaluation from retention time."""
         implicit = implicit_from_retention(
             retention_seconds, self.config.retention_saturation_seconds)
-        if self.journal is not None:
-            self.journal("eval.retention", {
-                "user": user_id, "file": file_id,
-                "retention_seconds": retention_seconds,
-                "timestamp": timestamp})
+        self.journal("eval.retention", user_id, file_id, retention_seconds,
+                     timestamp)
         return self._upsert(user_id, file_id, timestamp, implicit=implicit)
 
     def record_vote(self, user_id: str, file_id: str, vote: float,
@@ -211,10 +140,7 @@ class EvaluationStore:
         """Record an explicit vote in [0, 1]."""
         if not 0.0 <= vote <= 1.0:
             raise ValueError(f"vote must be in [0,1], got {vote}")
-        if self.journal is not None:
-            self.journal("eval.vote", {
-                "user": user_id, "file": file_id, "vote": vote,
-                "timestamp": timestamp})
+        self.journal("eval.vote", user_id, file_id, vote, timestamp)
         return self._upsert(user_id, file_id, timestamp, explicit=vote)
 
     def record_implicit(self, user_id: str, file_id: str, implicit: float,
@@ -222,10 +148,7 @@ class EvaluationStore:
         """Record an already-normalised implicit evaluation directly."""
         if not 0.0 <= implicit <= 1.0:
             raise ValueError(f"implicit must be in [0,1], got {implicit}")
-        if self.journal is not None:
-            self.journal("eval.implicit", {
-                "user": user_id, "file": file_id, "implicit": implicit,
-                "timestamp": timestamp})
+        self.journal("eval.implicit", user_id, file_id, implicit, timestamp)
         return self._upsert(user_id, file_id, timestamp, implicit=implicit)
 
     def record_play(self, user_id: str, file_id: str, play_fraction: float,
@@ -238,10 +161,7 @@ class EvaluationStore:
         if not 0.0 <= play_fraction <= 1.0:
             raise ValueError(
                 f"play_fraction must be in [0,1], got {play_fraction}")
-        if self.journal is not None:
-            self.journal("eval.play", {
-                "user": user_id, "file": file_id,
-                "play_fraction": play_fraction, "timestamp": timestamp})
+        self.journal("eval.play", user_id, file_id, play_fraction, timestamp)
         evaluation = self._upsert(user_id, file_id, timestamp)
         if (evaluation.play_fraction is None
                 or play_fraction > evaluation.play_fraction):
@@ -269,8 +189,7 @@ class EvaluationStore:
 
     def remove(self, user_id: str, file_id: str) -> None:
         """Drop one evaluation (e.g. the user deleted the file long ago)."""
-        if self.journal is not None:
-            self.journal("eval.remove", {"user": user_id, "file": file_id})
+        self.journal("eval.remove", user_id, file_id)
         self._dirty_files.add(file_id)
         self._dirty_users.add(user_id)
         per_user = self._by_user.get(user_id)
@@ -318,32 +237,6 @@ class EvaluationStore:
         """Mark the current state as built; next deltas start from here."""
         self._dirty_files.clear()
         self._dirty_users.clear()
-
-    # ------------------------------------------------------------------ #
-    # Journal replay                                                     #
-    # ------------------------------------------------------------------ #
-
-    def apply_record(self, kind: str, payload: Mapping[str, Any]) -> None:
-        """Replay one journalled mutation through the live ingest path.
-
-        Each record re-enters the public mutator that emitted it, so replay
-        marks the same dirty sets and produces bit-identical state — note
-        :meth:`prune_older_than` journals as the individual ``eval.remove``
-        records it performs, so there is no prune kind here.  A record
-        that cannot apply raises :class:`ValueError` before it mutates.
-        """
-        if kind == "eval.retention":
-            self.record_retention(*journal_fields(kind, payload))
-        elif kind == "eval.vote":
-            self.record_vote(*journal_fields(kind, payload))
-        elif kind == "eval.implicit":
-            self.record_implicit(*journal_fields(kind, payload))
-        elif kind == "eval.play":
-            self.record_play(*journal_fields(kind, payload))
-        elif kind == "eval.remove":
-            self.remove(*journal_fields(kind, payload))
-        else:
-            raise ValueError(f"unknown evaluation record kind {kind!r}")
 
     # ------------------------------------------------------------------ #
     # Queries                                                            #

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .config import DEFAULT_CONFIG, ReputationConfig
-from .evaluation import JournalSink, journal_fields
+from .journal_table import JournalSink, check_record
 
 __all__ = ["ServiceDifferentiator", "ServiceLevel", "IncentiveAction",
            "ActionCreditTracker"]
@@ -120,20 +120,20 @@ class ActionCreditTracker:
     config: ReputationConfig = field(default=DEFAULT_CONFIG)
     _credits: Dict[str, float] = field(default_factory=dict)
     _counts: Dict[Tuple[str, IncentiveAction], int] = field(default_factory=dict)
-    #: Optional write-ahead hook (see :data:`~repro.core.evaluation
-    #: .JournalSink`): :meth:`record` emits before the balance moves.
-    journal: Optional[JournalSink] = field(default=None, repr=False,
-                                           compare=False)
+    #: Write-ahead hook (see :mod:`~repro.core.journal_table`):
+    #: :meth:`record` hands it its record before the balance moves; the
+    #: default only checks it.
+    journal: JournalSink = field(default=check_record, repr=False,
+                                 compare=False)
 
-    def record(self, user_id: str, action: IncentiveAction,
+    def record(self, user_id: str, action: Union[IncentiveAction, str],
                magnitude: float = 1.0) -> float:
-        """Credit ``user_id`` for one ``action``; returns the new balance."""
+        """Credit ``user_id`` for one ``action`` (a member or its value);
+        returns the new balance."""
+        action = IncentiveAction(action)
         if magnitude < 0:
             raise ValueError(f"magnitude must be >= 0, got {magnitude}")
-        if self.journal is not None:
-            self.journal("credit.record", {
-                "user": user_id, "action": action.value,
-                "magnitude": magnitude})
+        self.journal("credit.record", user_id, action.value, magnitude)
         credit = magnitude * {
             IncentiveAction.UPLOAD_REAL_FILE: self.config.upload_credit,
             IncentiveAction.VOTE: self.config.vote_credit,
@@ -144,17 +144,6 @@ class ActionCreditTracker:
         key = (user_id, action)
         self._counts[key] = self._counts.get(key, 0) + 1
         return self._credits[user_id]
-
-    def apply_record(self, kind: str, payload: Mapping[str, Any]) -> None:
-        """Replay one journalled credit through the live ingest path.
-
-        A record that cannot apply raises :class:`ValueError` before it
-        mutates.
-        """
-        if kind != "credit.record":
-            raise ValueError(f"unknown credit record kind {kind!r}")
-        user, action, magnitude = journal_fields(kind, payload)
-        self.record(user, IncentiveAction(action), magnitude)
 
     def credit(self, user_id: str) -> float:
         return self._credits.get(user_id, 0.0)

@@ -35,6 +35,7 @@ from .evaluation import EvaluationStore
 from .file_reputation import FileJudgement, judge_file
 from .incentive import (ActionCreditTracker, IncentiveAction,
                         ServiceDifferentiator, ServiceLevel)
+from .journal_table import JOURNAL_RECORDS, check_record, journal_fields
 from .matrix import TrustMatrix
 from .multitrust import MultiTierView, global_reputation_vector
 from .pipeline import RefreshView, TrustPipeline
@@ -152,7 +153,12 @@ class MultiDimensionalReputationSystem:
 
     def record_fake_deletion(self, user_id: str, file_id: str,
                              timestamp: float = 0.0) -> None:
-        """The user deleted a fake file: credit + implicit evaluation of 0."""
+        """The user deleted a fake file: credit + implicit evaluation of 0.
+
+        The evaluation is checked before the credit lands, so a refused
+        evaluation leaves no credit behind; the records keep their order.
+        """
+        check_record("eval.implicit", user_id, file_id, 0.0, timestamp)
         self.credits.record(user_id, IncentiveAction.DELETE_FAKE_FILE)
         self.evaluations.record_implicit(user_id, file_id, 0.0, timestamp)
         self._invalidate()
@@ -160,25 +166,19 @@ class MultiDimensionalReputationSystem:
     def apply_record(self, kind: str, payload: Mapping[str, Any]) -> None:
         """Apply one journalled store mutation through the live ingest path.
 
-        Records are routed by kind prefix to the store that emitted them
-        (``eval.`` / ``ledger.`` / ``user.`` / ``credit.``), re-entering the
-        exact mutators a live system runs — dirty sets and all — so WAL
-        replay drives the incremental pipeline identically to never having
-        crashed.  Credit records do not touch the matrices and therefore do
-        not invalidate them, mirroring the live write paths.
+        The journal table names the store and mutator that emitted the
+        record; replay re-enters that exact mutator — dirty sets and all —
+        so WAL replay drives the incremental pipeline identically to never
+        having crashed.  A record that cannot apply raises
+        :class:`ValueError` before it mutates.  Credit records do not touch
+        the matrices and therefore do not invalidate them, mirroring the
+        live write paths.
         """
-        if kind.startswith("eval."):
-            self.evaluations.apply_record(kind, payload)
-        elif kind.startswith("ledger."):
-            self.ledger.apply_record(kind, payload)
-        elif kind.startswith("user."):
-            self.user_trust.apply_record(kind, payload)
-        elif kind.startswith("credit."):
-            self.credits.apply_record(kind, payload)
-            return
-        else:
-            raise ValueError(f"unknown journal record kind {kind!r}")
-        self._invalidate()
+        values = journal_fields(kind, payload)
+        spec = JOURNAL_RECORDS[kind]
+        getattr(getattr(self, spec.store), spec.mutator)(*values)
+        if spec.store != "credits":
+            self._invalidate()
 
     def prune_before(self, cutoff_timestamp: float) -> int:
         """Section 4.3: drop evaluations and downloads older than cutoff."""

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import fsum
-from typing import Any, Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..lint.contracts import check_row_stochastic
-from .evaluation import JournalSink, journal_fields
+from .journal_table import JournalSink, check_record
 from .matrix import TrustMatrix
 
 __all__ = ["UserTrustStore", "build_user_trust_matrix",
@@ -42,10 +42,11 @@ class UserTrustStore:
     #: Raters whose relationships changed since the last :meth:`clear_dirty`
     #: — each one names a UM row the incremental pipeline must re-derive.
     _dirty_raters: Set[str] = field(default_factory=set)
-    #: Optional write-ahead hook (see :data:`~repro.core.evaluation
-    #: .JournalSink`): mutators emit a record before the mutation lands.
-    journal: Optional[JournalSink] = field(default=None, repr=False,
-                                           compare=False)
+    #: Write-ahead hook (see :mod:`~repro.core.journal_table`): mutators
+    #: hand it their record before the mutation lands; the default only
+    #: checks it.
+    journal: JournalSink = field(default=check_record, repr=False,
+                                 compare=False)
 
     # ------------------------------------------------------------------ #
     # Mutation                                                           #
@@ -57,17 +58,14 @@ class UserTrustStore:
             raise ValueError("a user cannot rate itself")
         if not 0.0 <= rating <= 1.0:
             raise ValueError(f"rating must be in [0,1], got {rating}")
-        if self.journal is not None:
-            self.journal("user.rate", {"rater": rater, "ratee": ratee,
-                                       "rating": rating})
+        self.journal("user.rate", rater, ratee, rating)
         self._ratings[(rater, ratee)] = rating
         self._dirty_raters.add(rater)
 
     def add_friend(self, user: str, friend: str) -> None:
         if user == friend:
             raise ValueError("a user cannot befriend itself")
-        if self.journal is not None:
-            self.journal("user.friend", {"user": user, "friend": friend})
+        self.journal("user.friend", user, friend)
         self._friends.setdefault(user, set()).add(friend)
         # Friendship revokes a standing blacklist entry.
         self._blacklists.get(user, set()).discard(friend)
@@ -76,47 +74,20 @@ class UserTrustStore:
     def add_to_blacklist(self, user: str, target: str) -> None:
         if user == target:
             raise ValueError("a user cannot blacklist itself")
-        if self.journal is not None:
-            self.journal("user.blacklist", {"user": user, "target": target})
+        self.journal("user.blacklist", user, target)
         self._blacklists.setdefault(user, set()).add(target)
         self._friends.get(user, set()).discard(target)
         self._dirty_raters.add(user)
 
     def remove_friend(self, user: str, friend: str) -> None:
-        if self.journal is not None:
-            self.journal("user.unfriend", {"user": user, "friend": friend})
+        self.journal("user.unfriend", user, friend)
         self._friends.get(user, set()).discard(friend)
         self._dirty_raters.add(user)
 
     def remove_from_blacklist(self, user: str, target: str) -> None:
-        if self.journal is not None:
-            self.journal("user.unblacklist", {"user": user,
-                                              "target": target})
+        self.journal("user.unblacklist", user, target)
         self._blacklists.get(user, set()).discard(target)
         self._dirty_raters.add(user)
-
-    # ------------------------------------------------------------------ #
-    # Journal replay                                                     #
-    # ------------------------------------------------------------------ #
-
-    def apply_record(self, kind: str, payload: Mapping[str, Any]) -> None:
-        """Replay one journalled mutation through the live ingest path.
-
-        A record that cannot apply raises :class:`ValueError` before it
-        mutates.
-        """
-        if kind == "user.rate":
-            self.rate(*journal_fields(kind, payload))
-        elif kind == "user.friend":
-            self.add_friend(*journal_fields(kind, payload))
-        elif kind == "user.blacklist":
-            self.add_to_blacklist(*journal_fields(kind, payload))
-        elif kind == "user.unfriend":
-            self.remove_friend(*journal_fields(kind, payload))
-        elif kind == "user.unblacklist":
-            self.remove_from_blacklist(*journal_fields(kind, payload))
-        else:
-            raise ValueError(f"unknown user-trust record kind {kind!r}")
 
     # ------------------------------------------------------------------ #
     # Delta tracking                                                     #

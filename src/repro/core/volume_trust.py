@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import fsum
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..lint.contracts import check_row_stochastic
 from .config import DEFAULT_CONFIG, ReputationConfig
-from .evaluation import EvaluationStore, JournalSink, journal_fields
+from .evaluation import EvaluationStore
+from .journal_table import JournalSink, check_record
 from .matrix import TrustMatrix
 
 __all__ = ["DownloadLedger", "valid_download_volume",
@@ -47,10 +48,11 @@ class DownloadLedger:
     _uploaders: Dict[str, Set[str]] = field(default_factory=dict)
     #: Downloaders whose entries changed since the last :meth:`clear_dirty`.
     _dirty_downloaders: Set[str] = field(default_factory=set)
-    #: Optional write-ahead hook (see :data:`~repro.core.evaluation
-    #: .JournalSink`): mutators emit a record before the mutation lands.
-    journal: Optional[JournalSink] = field(default=None, repr=False,
-                                           compare=False)
+    #: Write-ahead hook (see :mod:`~repro.core.journal_table`): mutators
+    #: hand it their record before the mutation lands; the default only
+    #: checks it.
+    journal: JournalSink = field(default=check_record, repr=False,
+                                 compare=False)
 
     def record_download(self, downloader: str, uploader: str, file_id: str,
                         size_bytes: float, timestamp: float = 0.0) -> None:
@@ -58,10 +60,8 @@ class DownloadLedger:
             raise ValueError(f"size_bytes must be >= 0, got {size_bytes}")
         if downloader == uploader:
             raise ValueError("a user cannot download from itself")
-        if self.journal is not None:
-            self.journal("ledger.download", {
-                "downloader": downloader, "uploader": uploader,
-                "file": file_id, "size": size_bytes, "timestamp": timestamp})
+        self.journal("ledger.download", downloader, uploader, file_id,
+                     size_bytes, timestamp)
         self._entries.setdefault((downloader, uploader), []).append(
             _DownloadEntry(file_id=file_id, size_bytes=size_bytes,
                            timestamp=timestamp))
@@ -88,8 +88,7 @@ class DownloadLedger:
 
     def prune_older_than(self, cutoff_timestamp: float) -> int:
         """Drop download records last seen before ``cutoff_timestamp``."""
-        if self.journal is not None:
-            self.journal("ledger.prune", {"cutoff": cutoff_timestamp})
+        self.journal("ledger.prune", cutoff_timestamp)
         removed = 0
         for key in list(self._entries):
             kept = [e for e in self._entries[key] if e.timestamp >= cutoff_timestamp]
@@ -124,26 +123,6 @@ class DownloadLedger:
 
     def clear_dirty(self) -> None:
         self._dirty_downloaders.clear()
-
-    # ------------------------------------------------------------------ #
-    # Journal replay                                                     #
-    # ------------------------------------------------------------------ #
-
-    def apply_record(self, kind: str, payload: Mapping[str, Any]) -> None:
-        """Replay one journalled mutation through the live ingest path.
-
-        ``ledger.prune`` is journalled as the *call* (cutoff), not the
-        individual deletions: pruning is a pure function of the entries
-        already reconstructed by earlier records, so replaying the call
-        deletes exactly the same ones.  A record that cannot apply raises
-        :class:`ValueError` before it mutates.
-        """
-        if kind == "ledger.download":
-            self.record_download(*journal_fields(kind, payload))
-        elif kind == "ledger.prune":
-            self.prune_older_than(*journal_fields(kind, payload))
-        else:
-            raise ValueError(f"unknown ledger record kind {kind!r}")
 
     def __len__(self) -> int:
         return sum(len(entries) for entries in self._entries.values())

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import MultiDimensionalReputationSystem
 from repro.core.durability import SnapshotStore, flip_byte, truncate_file
+from repro.core.persistence import snapshot_checksum
 
 
 def _system(marker: float = 0.9):
@@ -116,3 +117,18 @@ class TestLoad:
         loaded = store.load_latest()
         assert loaded.last_seq == 1
         assert "JSON object" in loaded.quarantined[0].reason
+
+    @pytest.mark.parametrize("field", ["size", "timestamp"])
+    def test_non_finite_download_is_quarantined(self, tmp_path, field):
+        """Restore re-enters the store mutators, which refuse what the
+        journal table refuses, even in a correctly stamped generation."""
+        store = SnapshotStore(tmp_path)
+        store.write(_system(0.2), last_seq=1)
+        newest = store.write(_system(0.9), last_seq=2)
+        data = json.loads(newest.read_text())
+        data["downloads"][0][field] = float("inf")
+        data["checksum"] = snapshot_checksum(data)
+        newest.write_text(json.dumps(data, indent=1, sort_keys=True))
+        loaded = store.load_latest()
+        assert loaded.last_seq == 1
+        assert "finite" in loaded.quarantined[0].reason
