@@ -76,6 +76,7 @@ from .baselines import ALL_MECHANISMS, MultiDimensionalMechanism
 from .core import MultiDimensionalReputationSystem, ReputationConfig
 from .core.durability import (WAL_FILENAME, DurabilityManager,
                               SimulatedCrash, read_wal, recover, replay_wal)
+from .core.matrix_backend import BACKEND_SPECS
 from .core.persistence import save_system
 from .lint import (all_rules, lint_paths, result_to_dict, rules_by_id,
                    should_fail)
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "per-iteration convergence residuals into "
                                "the trace (multidimensional only)")
     simulate.add_argument("--matmul-backend",
-                          choices=("auto", "sparse", "dense", "csr"),
+                          choices=BACKEND_SPECS,
                           default=None,
                           help="matrix-product backend for RM = TM^n: "
                                "sparse dict-of-dicts, dense numpy, "
@@ -689,7 +690,7 @@ def _load_profile(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             profile = json.load(handle)
-    except (OSError, ValueError) as error:
+    except (OSError, ValueError, RecursionError) as error:
         print(f"cannot read profile {path}: {error}", file=sys.stderr)
         return None
     if not isinstance(profile, dict):

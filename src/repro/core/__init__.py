@@ -14,8 +14,7 @@ from .file_reputation import FileJudgement, file_reputation, judge_file
 from .file_trust import FileTrustAccumulator, build_file_trust_matrix, file_trust
 from .incentive import (ActionCreditTracker, IncentiveAction,
                         ServiceDifferentiator, ServiceLevel)
-from .integration import (TrustDimension, build_one_step_matrix,
-                          integrate_dimensions)
+from .integration import build_one_step_matrix
 from .matrix import TrustMatrix
 from .matrix_backend import (CSR_BACKEND, DENSE_BACKEND, SPARSE_BACKEND,
                              BackendUnavailableError, CsrBackend,
@@ -23,8 +22,7 @@ from .matrix_backend import (CSR_BACKEND, DENSE_BACKEND, SPARSE_BACKEND,
                              SparseDictBackend, resolve_backend,
                              select_backend)
 from .multitrust import (MultiTierView, TierAssignment,
-                         compute_reputation_matrix, global_reputation_vector,
-                         reputation_between)
+                         compute_reputation_matrix, global_reputation_vector)
 from .persistence import (load_system, save_system, system_from_dict,
                           system_to_dict)
 from .pipeline import RefreshStats, TrustPipeline
@@ -63,9 +61,7 @@ __all__ = [
     "IncentiveAction",
     "ServiceDifferentiator",
     "ServiceLevel",
-    "TrustDimension",
     "build_one_step_matrix",
-    "integrate_dimensions",
     "TrustMatrix",
     "MatmulBackend",
     "SparseDictBackend",
@@ -83,7 +79,6 @@ __all__ = [
     "TierAssignment",
     "compute_reputation_matrix",
     "global_reputation_vector",
-    "reputation_between",
     "MultiDimensionalReputationSystem",
     "RefreshView",
     "load_system",

@@ -25,6 +25,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from .distances import SIMILARITY_METRICS
+from .matrix_backend import BACKEND_SPECS
+
 __all__ = ["ReputationConfig", "ConfigError", "DEFAULT_CONFIG"]
 
 _WEIGHT_TOLERANCE = 1e-9
@@ -59,14 +62,13 @@ class ReputationConfig:
     # Eq. 8 -- number of multi-trust steps (n).
     multitrust_steps: int = 1
 
-    # Matmul backend for RM = TM^n: "sparse" (dict-of-dicts), "dense"
-    # (numpy bridge), "csr" (scipy CSR; needs scipy) or "auto" (density x
-    # size heuristic; see repro.core.matrix_backend).  Resolved only when
-    # a power runs (multitrust_steps >= 2, or a step override >= 2).
+    # Matmul backend for RM = TM^n: one of matrix_backend.BACKEND_SPECS
+    # (see repro.core.matrix_backend).  Resolved only when a power runs
+    # (multitrust_steps >= 2, or a step override >= 2).
     matmul_backend: str = "auto"
 
-    # Eq. 2 -- distance metric between evaluation vectors.  One of
-    # "l1" (paper default), "euclidean", "kl".
+    # Eq. 2 -- distance metric between evaluation vectors: a key of
+    # distances.SIMILARITY_METRICS ("l1" is the paper's).
     distance_metric: str = "l1"
 
     # Eq. 9 -- default per-user threshold for rejecting a file as fake.
@@ -114,14 +116,14 @@ class ReputationConfig:
         if self.multitrust_steps < 1:
             raise ConfigError(
                 f"multitrust_steps must be >= 1, got {self.multitrust_steps}")
-        if self.distance_metric not in ("l1", "euclidean", "kl"):
+        if self.distance_metric not in SIMILARITY_METRICS:
             raise ConfigError(
                 f"unknown distance_metric {self.distance_metric!r}; "
-                "expected 'l1', 'euclidean' or 'kl'")
-        if self.matmul_backend not in ("auto", "sparse", "dense", "csr"):
+                f"expected one of {sorted(SIMILARITY_METRICS)}")
+        if self.matmul_backend not in BACKEND_SPECS:
             raise ConfigError(
                 f"unknown matmul_backend {self.matmul_backend!r}; "
-                "expected 'auto', 'sparse', 'dense' or 'csr'")
+                f"expected one of {list(BACKEND_SPECS)}")
         if self.retention_saturation_seconds <= 0:
             raise ConfigError("retention_saturation_seconds must be positive")
         if self.evaluation_retention_interval <= 0:

@@ -28,60 +28,6 @@ __all__ = [
 _EPSILON = 1e-12
 
 
-def _check_pair(a: Sequence[float], b: Sequence[float]) -> None:
-    if len(a) != len(b):
-        raise ValueError(
-            f"evaluation vectors must have equal length, got {len(a)} and {len(b)}")
-    if not a:
-        raise ValueError("evaluation vectors must be non-empty (m >= 1 in Eq. 2)")
-
-
-def l1_similarity(a: Sequence[float], b: Sequence[float]) -> float:
-    """Paper's Eq. 2: one minus the mean absolute difference."""
-    _check_pair(a, b)
-    total = sum(abs(x - y) for x, y in zip(a, b))
-    return 1.0 - total / len(a)
-
-
-def euclidean_similarity(a: Sequence[float], b: Sequence[float]) -> float:
-    """One minus the root-mean-square difference.
-
-    RMS difference of values in [0, 1] is itself in [0, 1], so the result is
-    a valid similarity.  Compared with L1 it punishes a single large
-    disagreement more than many small ones.
-    """
-    _check_pair(a, b)
-    total = sum((x - y) ** 2 for x, y in zip(a, b))
-    return 1.0 - math.sqrt(total / len(a))
-
-
-def kl_similarity(a: Sequence[float], b: Sequence[float]) -> float:
-    """Similarity derived from a symmetrised Kullback-Leibler divergence.
-
-    Each evaluation ``e`` is treated as a Bernoulli distribution
-    ``(e, 1 - e)`` (the probability the user considers the file good).  The
-    symmetrised KL divergence between the two Bernoullis is averaged over the
-    co-evaluated files and squashed to ``[0, 1]`` via ``exp(-divergence)``.
-    Evaluations are clamped away from {0, 1} to keep the divergence finite.
-    """
-    _check_pair(a, b)
-    total = 0.0
-    for x, y in zip(a, b):
-        p = min(max(x, _EPSILON), 1.0 - _EPSILON)
-        q = min(max(y, _EPSILON), 1.0 - _EPSILON)
-        kl_pq = p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
-        kl_qp = q * math.log(q / p) + (1.0 - q) * math.log((1.0 - q) / (1.0 - p))
-        total += 0.5 * (kl_pq + kl_qp)
-    return math.exp(-total / len(a))
-
-
-SIMILARITY_METRICS: Dict[str, Callable[[Sequence[float], Sequence[float]], float]] = {
-    "l1": l1_similarity,
-    "euclidean": euclidean_similarity,
-    "kl": kl_similarity,
-}
-
-
 def _l1_term(a: float, b: float) -> float:
     return abs(a - b)
 
@@ -98,12 +44,14 @@ def _euclidean_finalize(total: float, count: int) -> float:
     return 1.0 - math.sqrt(total / count)
 
 
+def _bernoulli_kl(p: float, q: float) -> float:
+    return p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
+
+
 def _kl_term(a: float, b: float) -> float:
     p = min(max(a, _EPSILON), 1.0 - _EPSILON)
     q = min(max(b, _EPSILON), 1.0 - _EPSILON)
-    kl_pq = p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
-    kl_qp = q * math.log(q / p) + (1.0 - q) * math.log((1.0 - q) / (1.0 - p))
-    return 0.5 * (kl_pq + kl_qp)
+    return 0.5 * (_bernoulli_kl(p, q) + _bernoulli_kl(q, p))
 
 
 def _kl_finalize(total: float, count: int) -> float:
@@ -117,6 +65,56 @@ PAIRWISE_ACCUMULATORS: Dict[str, tuple] = {
     "l1": (_l1_term, _l1_finalize),
     "euclidean": (_euclidean_term, _euclidean_finalize),
     "kl": (_kl_term, _kl_finalize),
+}
+
+
+def _similarity(term: Callable[[float, float], float],
+                finalize: Callable[[float, int], float],
+                a: Sequence[float], b: Sequence[float]) -> float:
+    """The vector form: ``term`` summed left to right — the order of the
+    matrix builders' per-pair totals, so both agree bit for bit."""
+    if len(a) != len(b):
+        raise ValueError(
+            f"evaluation vectors must have equal length, got {len(a)} and {len(b)}")
+    if not a:
+        raise ValueError("evaluation vectors must be non-empty (m >= 1 in Eq. 2)")
+    total = 0.0
+    for x, y in zip(a, b):
+        total += term(x, y)
+    return finalize(total, len(a))
+
+
+def l1_similarity(a: Sequence[float], b: Sequence[float]) -> float:
+    """Paper's Eq. 2: one minus the mean absolute difference."""
+    return _similarity(_l1_term, _l1_finalize, a, b)
+
+
+def euclidean_similarity(a: Sequence[float], b: Sequence[float]) -> float:
+    """One minus the root-mean-square difference.
+
+    RMS difference of values in [0, 1] is itself in [0, 1], so the result is
+    a valid similarity.  Compared with L1 it punishes a single large
+    disagreement more than many small ones.
+    """
+    return _similarity(_euclidean_term, _euclidean_finalize, a, b)
+
+
+def kl_similarity(a: Sequence[float], b: Sequence[float]) -> float:
+    """Similarity derived from a symmetrised Kullback-Leibler divergence.
+
+    Each evaluation ``e`` is treated as a Bernoulli distribution
+    ``(e, 1 - e)`` (the probability the user considers the file good).  The
+    symmetrised KL divergence between the two Bernoullis is averaged over the
+    co-evaluated files and squashed to ``[0, 1]`` via ``exp(-divergence)``.
+    Evaluations are clamped away from {0, 1} to keep the divergence finite.
+    """
+    return _similarity(_kl_term, _kl_finalize, a, b)
+
+
+SIMILARITY_METRICS: Dict[str, Callable[[Sequence[float], Sequence[float]], float]] = {
+    "l1": l1_similarity,
+    "euclidean": euclidean_similarity,
+    "kl": kl_similarity,
 }
 
 

@@ -143,7 +143,8 @@ class SnapshotStore:
                     data = json.load(handle)
                 system = system_from_dict(data)
                 last_seq = wal_last_seq(data)
-            except (ValueError, KeyError, TypeError, OSError) as error:
+            except (ValueError, KeyError, TypeError, OSError,
+                    RecursionError) as error:
                 quarantined.append(self.quarantine(path, reason=str(error)))
                 continue
             return LoadedSnapshot(system=system, path=path,

@@ -158,7 +158,8 @@ def _decode_body(body: bytes, offset: int,
     seq = _SEQ.unpack_from(body)[0]
     try:
         document = json.loads(body[_SEQ.size:].decode("utf-8"))
-    except (UnicodeDecodeError, ValueError):
+    except (UnicodeDecodeError, ValueError, RecursionError):
+        # RecursionError: JSON nested deeper than the decoder's stack.
         return None, "undecodable record body"
     if (not isinstance(document, dict)
             or not isinstance(document.get("kind"), str)

@@ -17,12 +17,11 @@ Figure 1 replay can test edge existence without materialising a full matrix.
 from __future__ import annotations
 
 from itertools import chain
-from math import fsum
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..lint.contracts import check_row_stochastic
 from .config import DEFAULT_CONFIG, ReputationConfig
-from .distances import get_similarity
+from .distances import PAIRWISE_ACCUMULATORS, get_similarity
 from .evaluation import EvaluationStore
 from .matrix import TrustMatrix
 
@@ -58,8 +57,6 @@ def build_file_trust_matrix(store: EvaluationStore,
     per-file term plus a finaliser (see ``PAIRWISE_ACCUMULATORS``), so each
     co-evaluation costs O(1) instead of re-intersecting vectors.
     """
-    from .distances import PAIRWISE_ACCUMULATORS
-
     universe = set(users) if users is not None else store.users()
     term, finalize = PAIRWISE_ACCUMULATORS[config.distance_metric]
 
@@ -110,16 +107,13 @@ class FileTrustAccumulator:
     re-normalises the perturbed rows.  A rebuild is a refresh of every file
     from an empty snapshot, where every evaluator has moved.
 
-    Bit-identical to :func:`build_file_trust_matrix` by construction: a
-    pair's total is re-summed left-to-right over its term files in sorted
-    order — the same accumulation sequence the full builder produces by
-    walking ``sorted(store.files())`` — and row normalisation shares the
-    order-independent fsum of :meth:`TrustMatrix.row_normalized`.
+    A pair's total is re-summed left-to-right over its term files in sorted
+    order — the accumulation sequence the full builder produces by walking
+    ``sorted(store.files())`` — and rows are normalised by
+    :meth:`TrustMatrix.replace_row_normalized`.
     """
 
     def __init__(self, config: ReputationConfig = DEFAULT_CONFIG):
-        from .distances import PAIRWISE_ACCUMULATORS
-
         self._config = config
         self._term, self._finalize = PAIRWISE_ACCUMULATORS[config.distance_metric]
         #: pair -> {file_id: Eq. 2 term} for every file both users evaluated.
@@ -192,13 +186,7 @@ class FileTrustAccumulator:
                 touched.add(b)
 
         for user in sorted(touched):
-            raw_row = self._raw.row_view(user)
-            total = fsum(raw_row.values())
-            if total > 0:
-                self.matrix.replace_row(
-                    user, {j: value / total for j, value in raw_row.items()})
-            else:
-                self.matrix.replace_row(user, {})
+            self.matrix.replace_row_normalized(user, self._raw.row_view(user))
         self.last_dirty_rows = touched
         check_row_stochastic(self.matrix, name="FM")
         return touched

@@ -26,9 +26,21 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from .config import DEFAULT_CONFIG, ReputationConfig
 from .journal_table import JournalSink, check_record
+from .matrix import TrustMatrix
 
 __all__ = ["ServiceDifferentiator", "ServiceLevel", "IncentiveAction",
-           "ActionCreditTracker"]
+           "ActionCreditTracker", "reference_reputation"]
+
+
+def reference_reputation(reputation: TrustMatrix, observer: str) -> float:
+    """The observer's reputation scale: their largest RM row entry, or 1.0.
+
+    Pairwise multi-trust values are tiny, so service differentiation
+    measures a requester against what the observer grants their most
+    trusted peer (see :class:`ServiceDifferentiator`).
+    """
+    row = reputation.row_view(observer)
+    return max(row.values()) if row else 1.0
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,14 @@
     TM = alpha * FM + beta * DM + gamma * UM     (alpha + beta + gamma = 1)
 
 The paper notes "when there are more methods to get direct trust
-relationship, this equation can be extended easily"; :class:`TrustDimension`
-plus :func:`integrate_dimensions` implement that extensibility — the three
-canonical dimensions are just the default registry.
+relationship, this equation can be extended easily":
+:meth:`TrustMatrix.weighted_sum` takes any number of ``(weight, matrix)``
+terms, so a further dimension is one more term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Tuple
 
 from ..lint.contracts import check_row_stochastic, check_simplex
 from .config import DEFAULT_CONFIG, ReputationConfig
@@ -23,44 +22,7 @@ from .matrix import TrustMatrix
 from .user_trust import UserTrustStore, build_user_trust_matrix
 from .volume_trust import DownloadLedger, build_volume_trust_matrix
 
-__all__ = ["TrustDimension", "integrate_dimensions", "build_one_step_matrix"]
-
-_WEIGHT_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class TrustDimension:
-    """One direct-trust dimension: a name, a weight and its one-step matrix."""
-
-    name: str
-    weight: float
-    matrix: TrustMatrix
-
-    def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError(f"dimension weight must be >= 0, got {self.weight}")
-
-
-def integrate_dimensions(dimensions: Sequence[TrustDimension],
-                         require_normalized: bool = True) -> TrustMatrix:
-    """Generalised Eq. 7: weighted sum of any number of one-step matrices.
-
-    With ``require_normalized`` the weights must sum to 1 (the paper's
-    constraint); disable it for exploratory sweeps.
-    """
-    if not dimensions:
-        raise ValueError("at least one trust dimension is required")
-    total = sum(dimension.weight for dimension in dimensions)
-    if require_normalized and abs(total - 1.0) > _WEIGHT_TOLERANCE:
-        raise ValueError(
-            f"dimension weights must sum to 1 (Eq. 7), got {total}")
-    integrated = TrustMatrix.weighted_sum(
-        (dimension.weight, dimension.matrix) for dimension in dimensions)
-    if require_normalized:
-        # Behind REPRO_CHECK_INVARIANTS: with simplex weights over
-        # row-stochastic dimensions, TM rows can only be sub-stochastic.
-        check_row_stochastic(integrated, name="TM", strict=False)
-    return integrated
+__all__ = ["build_one_step_matrix"]
 
 
 def build_one_step_matrix(evaluations: EvaluationStore,
@@ -75,21 +37,19 @@ def build_one_step_matrix(evaluations: EvaluationStore,
     a deliberately conservative choice that keeps rows sub-stochastic when a
     dimension is missing rather than silently inflating the others.
     """
-    dimensions: List[TrustDimension] = []
+    terms: List[Tuple[float, TrustMatrix]] = []
     if config.alpha > 0:
-        dimensions.append(TrustDimension(
-            "file", config.alpha, build_file_trust_matrix(evaluations, config)))
+        terms.append(
+            (config.alpha, build_file_trust_matrix(evaluations, config)))
     if config.beta > 0 and ledger is not None:
-        dimensions.append(TrustDimension(
-            "volume", config.beta,
-            build_volume_trust_matrix(ledger, evaluations, config)))
+        terms.append((config.beta,
+                      build_volume_trust_matrix(ledger, evaluations, config)))
     if config.gamma > 0 and user_trust is not None:
-        dimensions.append(TrustDimension(
-            "user", config.gamma, build_user_trust_matrix(user_trust)))
-    if not dimensions:
+        terms.append((config.gamma, build_user_trust_matrix(user_trust)))
+    if not terms:
         return TrustMatrix()
     check_simplex((config.alpha, config.beta, config.gamma),
                   name="(alpha, beta, gamma)")
-    integrated = integrate_dimensions(dimensions, require_normalized=False)
+    integrated = TrustMatrix.weighted_sum(terms)
     check_row_stochastic(integrated, name="TM", strict=False)
     return integrated

@@ -28,7 +28,8 @@ class TrustMatrix:
     """A sparse matrix of trust values ``matrix[i][j] = trust of i in j``.
 
     The class is agnostic about normalisation; the Eq. 3/5/6 constructors in
-    the dimension modules call :meth:`row_normalized` to produce the
+    the dimension modules call :meth:`row_normalized` (full builds) or
+    :meth:`replace_row_normalized` (patched rows) to produce the
     row-stochastic one-step matrices the paper uses.
     """
 
@@ -74,6 +75,20 @@ class TrustMatrix:
         else:
             self._rows.pop(i, None)
 
+    def replace_row_normalized(self, i: str, raw: Mapping[str, float]) -> None:
+        """Replace row ``i`` with ``raw`` scaled to sum to 1 (Eqs. 3, 5, 6).
+
+        The one row normaliser: the full builders (via
+        :meth:`row_normalized`) and the incremental accumulators both land
+        here.  The total uses ``math.fsum``, so the row depends only on its
+        *values*, never on dict insertion order — a patched row equals a
+        rebuilt one bit for bit.  A row whose total is not positive is
+        removed.
+        """
+        total = fsum(raw.values())
+        self.replace_row(
+            i, {j: value / total for j, value in raw.items()} if total > 0 else {})
+
     def copy_with_rows(self, updates: Mapping[str, Mapping[str, float]]
                        ) -> "TrustMatrix":
         """Row-level copy-on-write: a new matrix sharing unchanged rows.
@@ -88,11 +103,7 @@ class TrustMatrix:
         result = TrustMatrix()
         result._rows = dict(self._rows)
         for i, values in updates.items():
-            row = {j: value for j, value in values.items() if value > 0.0}
-            if row:
-                result._rows[i] = row
-            else:
-                result._rows.pop(i, None)
+            result.replace_row(i, values)
         return result
 
     # ------------------------------------------------------------------ #
@@ -183,20 +194,10 @@ class TrustMatrix:
     # ------------------------------------------------------------------ #
 
     def row_normalized(self) -> "TrustMatrix":
-        """Return a copy whose non-empty rows sum to 1 (Eqs. 3, 5, 6).
-
-        Row totals use ``math.fsum`` so the result depends only on the row's
-        *values*, never on dict insertion order — the incremental builders
-        re-derive single rows and must land on the same floats a full
-        rebuild produces.
-        """
+        """Return a copy whose non-empty rows sum to 1 (Eqs. 3, 5, 6)."""
         result = TrustMatrix()
         for i, row in self._rows.items():
-            total = fsum(row.values())
-            if total <= 0:
-                continue
-            for j, value in row.items():
-                result.set(i, j, value / total)
+            result.replace_row_normalized(i, row)
         return result
 
     def scaled(self, factor: float) -> "TrustMatrix":
@@ -214,16 +215,32 @@ class TrustMatrix:
     @staticmethod
     def weighted_sum(terms: Iterable[Tuple[float, "TrustMatrix"]]) -> "TrustMatrix":
         """Eq. 7: ``sum_k w_k * M_k`` over (weight, matrix) pairs."""
-        result = TrustMatrix()
+        active: List[Tuple[float, TrustMatrix]] = []
         for weight, matrix in terms:
             if weight < 0:
                 raise ValueError("weights must be >= 0")
-            if weight == 0.0:
-                continue
-            for i, row in matrix._rows.items():
-                for j, value in row.items():
-                    result.add(i, j, weight * value)
+            if weight > 0.0:
+                active.append((weight, matrix))
+        result = TrustMatrix()
+        # Rows in order of first appearance, dimension by dimension.
+        for i in dict.fromkeys(i for _, matrix in active for i in matrix._rows):
+            result.replace_row(i, TrustMatrix.weighted_row(active, i))
         return result
+
+    @staticmethod
+    def weighted_row(terms: Sequence[Tuple[float, "TrustMatrix"]],
+                     i: str) -> Dict[str, float]:
+        """Row ``i`` of Eq. 7's ``sum_k w_k * M_k``, terms added in order.
+
+        :meth:`weighted_sum` builds every row through here and the
+        incremental pipeline re-derives its dirty TM rows through here, so
+        both land on the same floats.
+        """
+        row: Dict[str, float] = {}
+        for weight, matrix in terms:
+            for j, value in matrix._rows.get(i, _EMPTY_ROW).items():
+                row[j] = row.get(j, 0.0) + weight * value
+        return row
 
     def matmul(self, other: "TrustMatrix") -> "TrustMatrix":
         """Sparse matrix product ``self @ other``.
@@ -285,15 +302,19 @@ class TrustMatrix:
 
     @classmethod
     def from_dense(cls, array: np.ndarray, node_ids: Sequence[str]) -> "TrustMatrix":
+        """Inverse of :meth:`to_dense`: the positive entries of ``array``.
+
+        Walks only the non-zero entries (row-major, the order a double loop
+        would visit them), so sparse products pay for what they hold.
+        """
         if array.shape != (len(node_ids), len(node_ids)):
             raise ValueError(
                 f"array shape {array.shape} does not match {len(node_ids)} ids")
         result = cls()
-        for a, i in enumerate(node_ids):
-            for b, j in enumerate(node_ids):
-                value = float(array[a, b])
-                if value > 0.0:
-                    result.set(i, j, value)
+        rows, cols = np.nonzero(array > 0.0)
+        values = array[rows, cols].tolist()
+        for a, b, value in zip(rows.tolist(), cols.tolist(), values):
+            result.set(node_ids[a], node_ids[b], value)
         return result
 
     # ------------------------------------------------------------------ #

@@ -67,9 +67,6 @@ DENSE_MIN_NODES = 32
 #: workloads keep picking ``sparse``).
 CSR_MIN_NODES = 256
 
-#: Config/CLI spellings accepted by :func:`resolve_backend`.
-BACKEND_SPECS = ("auto", "sparse", "dense", "csr")
-
 
 class MatmulBackend:
     """Protocol: how the pipeline multiplies and powers trust matrices."""
@@ -117,7 +114,7 @@ class DenseNumpyBackend(MatmulBackend):
             return TrustMatrix()
         dense_left, _ = left.to_dense(ids)
         dense_right, _ = right.to_dense(ids)
-        return _from_dense_nonzero(dense_left @ dense_right, ids)
+        return TrustMatrix.from_dense(dense_left @ dense_right, ids)
 
     def power(self, matrix: TrustMatrix, n: int) -> TrustMatrix:
         if n < 1:
@@ -128,7 +125,7 @@ class DenseNumpyBackend(MatmulBackend):
         if not ids:
             return TrustMatrix()
         dense, _ = matrix.to_dense(ids)
-        return _from_dense_nonzero(np.linalg.matrix_power(dense, n), ids)
+        return TrustMatrix.from_dense(np.linalg.matrix_power(dense, n), ids)
 
 
 class BackendUnavailableError(RuntimeError):
@@ -235,27 +232,18 @@ def _from_csr(result: Any, ids: Sequence[str]) -> TrustMatrix:
             continue
         cols = indices[start:stop].tolist()
         values = data[start:stop].tolist()
-        row = {ids[b]: value for b, value in zip(cols, values) if value > 0.0}
-        out.replace_row(i, row)
+        out.replace_row(i, {ids[b]: value for b, value in zip(cols, values)})
     return out
-
-
-def _from_dense_nonzero(array: "np.ndarray", ids: Sequence[str]
-                        ) -> TrustMatrix:
-    """``TrustMatrix.from_dense`` touching only the non-zero entries."""
-    result = TrustMatrix()
-    rows, cols = np.nonzero(array > 0.0)
-    values = array[rows, cols].tolist()
-    for a, b, value in zip(rows.tolist(), cols.tolist(), values):
-        result.set(ids[a], ids[b], value)
-    return result
 
 
 SPARSE_BACKEND = SparseDictBackend()
 DENSE_BACKEND = DenseNumpyBackend()
 CSR_BACKEND = CsrBackend()
 _FORCED_BACKENDS: Dict[str, MatmulBackend] = {
-    "sparse": SPARSE_BACKEND, "dense": DENSE_BACKEND, "csr": CSR_BACKEND}
+    backend.name: backend
+    for backend in (SPARSE_BACKEND, DENSE_BACKEND, CSR_BACKEND)}
+#: Config/CLI spellings accepted by :func:`resolve_backend`.
+BACKEND_SPECS = ("auto", *_FORCED_BACKENDS)
 
 
 def select_backend(matrix: TrustMatrix,

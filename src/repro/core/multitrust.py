@@ -13,7 +13,7 @@ This module provides both the reputation matrix and the tier machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..lint.contracts import check_row_stochastic
 from ..obs.recorder import NULL_RECORDER, NullRecorder
@@ -21,8 +21,7 @@ from .config import DEFAULT_CONFIG, ReputationConfig
 from .matrix import TrustMatrix
 from .matrix_backend import SPARSE_BACKEND, MatmulBackend
 
-__all__ = ["compute_reputation_matrix", "reputation_between",
-           "iterated_powers", "matrix_residual", "convergence_residuals",
+__all__ = ["compute_reputation_matrix", "iterated_powers", "matrix_residual",
            "TierAssignment", "MultiTierView", "global_reputation_vector"]
 
 
@@ -51,11 +50,15 @@ def compute_reputation_matrix(one_step: TrustMatrix,
     else:
         with recorder.span("multitrust.power") as span:
             result = backend.power(one_step, n)
-            for iteration, residual, entries in _iterate_residuals(
-                    one_step, n, backend):
+            powers = iterated_powers(one_step, n, backend)
+            previous = next(powers)
+            for iteration, current in enumerate(powers, start=2):
+                residual = matrix_residual(previous, current)
                 recorder.event("multitrust_iteration", iteration=iteration,
-                               residual=residual, entries=entries)
+                               residual=residual,
+                               entries=current.entry_count())
                 recorder.observe("multitrust.residual", residual)
+                previous = current
             span.count("iterations", max(n - 1, 0))
         recorder.inc("multitrust.computations")
         recorder.observe("multitrust.steps", n)
@@ -80,18 +83,6 @@ def iterated_powers(one_step: TrustMatrix, steps: int,
         yield current
 
 
-def _iterate_residuals(one_step: TrustMatrix, steps: int,
-                       backend: MatmulBackend
-                       ) -> Iterator[Tuple[int, float, int]]:
-    """``(iteration, residual, entries)`` for ``TM^2 .. TM^steps``."""
-    powers = iterated_powers(one_step, steps, backend)
-    previous = next(powers)
-    for iteration, current in enumerate(powers, start=2):
-        yield (iteration, matrix_residual(previous, current),
-               current.entry_count())
-        previous = current
-
-
 def matrix_residual(previous: TrustMatrix, current: TrustMatrix) -> float:
     """L∞ distance between two matrices over the union of their entries.
 
@@ -110,24 +101,6 @@ def matrix_residual(previous: TrustMatrix, current: TrustMatrix) -> float:
             if j not in current_row:
                 residual = max(residual, value)
     return residual
-
-
-def convergence_residuals(one_step: TrustMatrix,
-                          steps: int) -> List[Tuple[int, float]]:
-    """``[(iteration, residual), ...]`` for ``TM^2 .. TM^steps``.
-
-    Standalone analysis helper mirroring what the instrumented
-    :func:`compute_reputation_matrix` emits as events.
-    """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    return [(iteration, residual) for iteration, residual, _entries
-            in _iterate_residuals(one_step, steps, SPARSE_BACKEND)]
-
-
-def reputation_between(reputation: TrustMatrix, i: str, j: str) -> float:
-    """``RM_ij``: the reputation user ``i`` assigns to user ``j``."""
-    return reputation.get(i, j)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ flag: any write threw every matrix away and the next query rebuilt the world.
 The hard bar, enforceable at runtime behind ``REPRO_CHECK_INVARIANTS``:
 an incremental refresh produces matrices **bit-identical** to a full
 rebuild.  Every arithmetic path is shared with or order-canonicalised
-against the full builders (fsum row totals, sorted-key accumulation), so
+against the full builders (one row normaliser, sorted-key accumulation), so
 equality is exact ``==``, not tolerance.
 """
 
@@ -298,24 +298,13 @@ class TrustPipeline:
         return dimensions
 
     def _publish_trust(self, dirty_rows: Set[str]) -> None:
-        """Re-apply Eq. 7 to exactly ``dirty_rows``; publish copy-on-write.
-
-        Per-row accumulation adds the dimensions in FM, DM, UM order —
-        the same per-entry addition sequence
-        :meth:`TrustMatrix.weighted_sum` performs in the full builder, so
-        a patched row carries the same floats.
-        """
+        """Re-apply Eq. 7 to exactly ``dirty_rows``; publish copy-on-write."""
         check_simplex((self.config.alpha, self.config.beta, self.config.gamma),
                       name="(alpha, beta, gamma)")
         dimensions = self._dimensions()
-        updates: Dict[str, Dict[str, float]] = {}
-        for i in sorted(dirty_rows):
-            accumulator: Dict[str, float] = {}
-            for weight, matrix in dimensions:
-                for j, value in matrix.row_view(i).items():
-                    accumulator[j] = accumulator.get(j, 0.0) + weight * value
-            updates[i] = accumulator
-        self._trust = self._trust.copy_with_rows(updates)
+        self._trust = self._trust.copy_with_rows(
+            {i: TrustMatrix.weighted_row(dimensions, i)
+             for i in sorted(dirty_rows)})
         check_row_stochastic(self._trust, name="TM", strict=False)
 
     def _power(self, trust: TrustMatrix, steps: int,

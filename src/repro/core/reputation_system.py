@@ -34,7 +34,8 @@ from .config import DEFAULT_CONFIG, ReputationConfig
 from .evaluation import EvaluationStore
 from .file_reputation import FileJudgement, judge_file
 from .incentive import (ActionCreditTracker, IncentiveAction,
-                        ServiceDifferentiator, ServiceLevel)
+                        ServiceDifferentiator, ServiceLevel,
+                        reference_reputation)
 from .journal_table import JOURNAL_RECORDS, check_record, journal_fields
 from .matrix import TrustMatrix
 from .multitrust import MultiTierView, global_reputation_vector
@@ -249,7 +250,7 @@ class MultiDimensionalReputationSystem:
         reputation = self.reputation_matrix()
         return self._effective_reputation(
             reputation, observer, target, self._max_credit(),
-            self._reference_in(reputation, observer))
+            reference_reputation(reputation, observer))
 
     def global_reputation(self) -> Dict[str, float]:
         """Column-mean projection of RM (for baseline comparisons)."""
@@ -270,17 +271,6 @@ class MultiDimensionalReputationSystem:
             return 0.0
         return max(balances.values())
 
-    @staticmethod
-    def _reference_in(reputation: TrustMatrix, observer: str) -> float:
-        """Reference reputation scale for the observer (his max row entry)."""
-        row: Mapping[str, float] = reputation.row_view(observer)
-        if not row:
-            return 1.0
-        return max(row.values())
-
-    def _reference(self, observer: str) -> float:
-        return self._reference_in(self.reputation_matrix(), observer)
-
     def _effective_reputation(self, reputation: TrustMatrix, observer: str,
                               target: str, max_credit: float,
                               reference: float) -> float:
@@ -299,7 +289,7 @@ class MultiDimensionalReputationSystem:
     def service_level(self, observer: str, requester: str) -> ServiceLevel:
         """Section 3.4: the service ``observer`` should grant ``requester``."""
         reputation = self.reputation_matrix()
-        reference = self._reference_in(reputation, observer)
+        reference = reference_reputation(reputation, observer)
         differentiator = ServiceDifferentiator(
             self.config, reference_reputation=max(reference, 1e-12))
         return differentiator.service_level(
@@ -318,7 +308,7 @@ class MultiDimensionalReputationSystem:
         once for the whole queue, not per requester.
         """
         reputation = self.reputation_matrix()
-        reference = self._reference_in(reputation, observer)
+        reference = reference_reputation(reputation, observer)
         differentiator = ServiceDifferentiator(
             self.config, reference_reputation=max(reference, 1e-12))
         max_credit = self._max_credit()

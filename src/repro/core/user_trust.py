@@ -12,7 +12,6 @@ Eq. 6 row-normalises ``UT`` into the user-based one-step matrix ``UM``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import fsum
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..lint.contracts import check_row_stochastic
@@ -181,10 +180,7 @@ class UserTrustAccumulator:
     A rater's UM row (Eq. 6) depends only on their own ratings, friend list
     and blacklist, so rows are independent: the accumulator keeps the
     normalised matrix between refreshes and recomputes exactly the rows
-    named dirty.  Per-row arithmetic mirrors
-    :func:`build_user_trust_matrix` (sorted targets, ``value > 0`` filter,
-    fsum normalisation), so a patched row is bit-identical to a freshly
-    built one.
+    named dirty.
     """
 
     def __init__(self) -> None:
@@ -200,12 +196,7 @@ class UserTrustAccumulator:
             raw_row = {other: value
                        for other, value in store.relationships_of(rater).items()
                        if value > 0.0}
-            total = fsum(raw_row.values())
-            if total > 0:
-                self.matrix.replace_row(
-                    rater, {j: value / total for j, value in raw_row.items()})
-            else:
-                self.matrix.replace_row(rater, {})
+            self.matrix.replace_row_normalized(rater, raw_row)
             touched.add(rater)
         self.last_dirty_rows = touched
         check_row_stochastic(self.matrix, name="UM")

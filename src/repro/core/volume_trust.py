@@ -14,7 +14,6 @@ contributes almost nothing, while well-evaluated bytes contribute fully.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import fsum
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..lint.contracts import check_row_stochastic
@@ -187,9 +186,7 @@ class VolumeTrustAccumulator:
     A downloader's DM row (Eqs. 4-5) depends only on *their own* download
     entries and evaluations, so rows are independent: the accumulator keeps
     the normalised matrix between refreshes and recomputes exactly the rows
-    named dirty.  Per-row arithmetic goes through the same
-    :func:`valid_download_volume` + fsum-normalisation as the full builder,
-    so a patched row is bit-identical to a freshly built one.
+    named dirty.
 
     The recency-decayed (``now``/``half_life``) Eq. 4 variant stays on the
     full :func:`build_volume_trust_matrix` path — under decay every row is a
@@ -213,7 +210,7 @@ class VolumeTrustAccumulator:
                                                uploader)
                 if volume > 0.0:
                     raw_row[uploader] = volume
-            self._set_normalized_row(downloader, raw_row)
+            self.matrix.replace_row_normalized(downloader, raw_row)
             touched.add(downloader)
         self.last_dirty_rows = touched
         check_row_stochastic(self.matrix, name="DM")
@@ -228,12 +225,3 @@ class VolumeTrustAccumulator:
         self.last_dirty_rows = self.refresh(ledger, store,
                                             downloaders) | stale_rows
         return self.last_dirty_rows
-
-    def _set_normalized_row(self, downloader: str,
-                            raw_row: Dict[str, float]) -> None:
-        total = fsum(raw_row.values())
-        if total > 0:
-            self.matrix.replace_row(
-                downloader, {j: value / total for j, value in raw_row.items()})
-        else:
-            self.matrix.replace_row(downloader, {})

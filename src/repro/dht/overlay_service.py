@@ -42,7 +42,8 @@ from ..core.config import DEFAULT_CONFIG, ReputationConfig
 from ..core.evaluation import EvaluationStore
 from ..core.file_reputation import file_reputation
 from ..core.file_trust import build_file_trust_matrix
-from ..core.incentive import ServiceDifferentiator, ServiceLevel
+from ..core.incentive import (ServiceDifferentiator, ServiceLevel,
+                              reference_reputation)
 from ..core.matrix import TrustMatrix
 from ..core.multitrust import compute_reputation_matrix
 from ..obs.recorder import NULL_RECORDER, NullRecorder
@@ -445,8 +446,7 @@ class EvaluationOverlay:
         """What service should ``uploader_id`` grant ``requester_id``?"""
         reputation = self.compute_reputation_matrix(
             uploader_id, [requester_id])
-        row = reputation.row(uploader_id)
-        reference = max(row.values()) if row else 1.0
+        reference = reference_reputation(reputation, uploader_id)
         differentiator = ServiceDifferentiator(
             self.config, reference_reputation=max(reference, 1e-12))
         return differentiator.service_level(

@@ -75,7 +75,7 @@ def read_events(path: str) -> Iterator[Dict[str, FieldValue]]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as error:
+            except (json.JSONDecodeError, RecursionError) as error:
                 raise ValueError(
                     f"{path}:{line_number}: invalid JSON: {error}") from None
             if not isinstance(record, dict) or "event" not in record:

@@ -297,7 +297,7 @@ class Column:
             try:
                 self._values = self._decode_values()
             except (struct.error, IndexError, UnicodeDecodeError,
-                    json.JSONDecodeError) as error:
+                    json.JSONDecodeError, RecursionError) as error:
                 raise TraceFormatError(
                     f"undecodable column {self.name!r}: {error}") from None
         return self._values

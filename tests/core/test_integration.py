@@ -3,58 +3,40 @@
 import pytest
 
 from repro.core import (DownloadLedger, EvaluationStore, ReputationConfig,
-                        TrustDimension, TrustMatrix, UserTrustStore,
-                        build_one_step_matrix, integrate_dimensions)
+                        TrustMatrix, UserTrustStore, build_one_step_matrix)
 
 PURE_EXPLICIT = ReputationConfig(eta=0.0, rho=1.0)
 
 
-def _dimension(name, weight, entries):
+def _matrix(entries):
     matrix = TrustMatrix()
     for i, j, value in entries:
         matrix.set(i, j, value)
-    return TrustDimension(name, weight, matrix)
+    return matrix
 
 
 class TestIntegrateDimensions:
+    """Eq. 7 is ``TrustMatrix.weighted_sum`` over (weight, matrix) terms."""
+
     def test_eq7_weighted_sum(self):
-        fm = _dimension("file", 0.5, [("a", "b", 1.0)])
-        dm = _dimension("volume", 0.3, [("a", "b", 1.0)])
-        um = _dimension("user", 0.2, [("a", "c", 1.0)])
-        tm = integrate_dimensions([fm, dm, um])
+        tm = TrustMatrix.weighted_sum([
+            (0.5, _matrix([("a", "b", 1.0)])),
+            (0.3, _matrix([("a", "b", 1.0)])),
+            (0.2, _matrix([("a", "c", 1.0)])),
+        ])
         assert tm.get("a", "b") == pytest.approx(0.8)
         assert tm.get("a", "c") == pytest.approx(0.2)
 
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            integrate_dimensions([_dimension("file", 0.5, []),
-                                  _dimension("volume", 0.2, [])])
-
-    def test_unnormalized_allowed_when_requested(self):
-        tm = integrate_dimensions([_dimension("file", 0.5,
-                                              [("a", "b", 1.0)])],
-                                  require_normalized=False)
-        assert tm.get("a", "b") == pytest.approx(0.5)
-
     def test_extension_to_more_dimensions(self):
         # "When there are more methods ... this equation can be extended
-        # easily": four dimensions work just like three.
-        dimensions = [
-            _dimension("file", 0.25, [("a", "b", 1.0)]),
-            _dimension("volume", 0.25, [("a", "b", 1.0)]),
-            _dimension("user", 0.25, [("a", "b", 1.0)]),
-            _dimension("play-time", 0.25, [("a", "b", 1.0)]),
-        ]
-        tm = integrate_dimensions(dimensions)
+        # easily": a fourth dimension is one more (weight, matrix) term.
+        tm = TrustMatrix.weighted_sum(
+            (0.25, _matrix([("a", "b", 1.0)])) for _dimension in range(4))
         assert tm.get("a", "b") == pytest.approx(1.0)
-
-    def test_empty_dimension_list_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            integrate_dimensions([])
 
     def test_negative_dimension_weight_rejected(self):
         with pytest.raises(ValueError):
-            _dimension("file", -0.5, [])
+            TrustMatrix.weighted_sum([(-0.5, _matrix([]))])
 
 
 class TestBuildOneStepMatrix:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import (MultiTierView, ReputationConfig, TierAssignment,
                         TrustMatrix, compute_reputation_matrix,
-                        global_reputation_vector, reputation_between)
+                        global_reputation_vector)
 
 
 @pytest.fixture
@@ -32,11 +32,6 @@ class TestReputationMatrix:
         config = ReputationConfig(multitrust_steps=3)
         rm = compute_reputation_matrix(chain, steps=1, config=config)
         assert rm == chain
-
-    def test_reputation_between_reads_entry(self, chain):
-        rm = compute_reputation_matrix(chain, steps=1)
-        assert reputation_between(rm, "a", "b") == 1.0
-        assert reputation_between(rm, "a", "z") == 0.0
 
     def test_weights_split_along_paths(self):
         matrix = TrustMatrix({"a": {"b": 0.5, "c": 0.5},

@@ -86,6 +86,15 @@ class TestLoad:
         assert loaded.last_seq == 1
         assert len(loaded.quarantined) == 1
 
+    def test_deeply_nested_json_is_quarantined(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        store.write(_system(0.2), last_seq=1)
+        newest = store.write(_system(0.9), last_seq=2)
+        newest.write_text("[" * 200_000)
+        loaded = store.load_latest()
+        assert loaded.last_seq == 1
+        assert [q.original for q in loaded.quarantined] == [newest]
+
     def test_all_generations_corrupt_raises(self, tmp_path):
         store = SnapshotStore(tmp_path)
         first = store.write(_system(0.2), last_seq=1)

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import zlib
 
 import pytest
 
@@ -146,6 +147,18 @@ class TestCorruption:
         scan = read_wal(path)
         assert scan.truncated
         assert "body" in scan.reason
+
+    def test_deeply_nested_body_is_undecodable(self, tmp_path):
+        # Nesting past the JSON decoder's stack raises RecursionError; a
+        # CRC-valid frame holding it ends the log like any bad body.
+        path = _write(tmp_path, SAMPLE[:1])
+        body = struct.pack("<Q", 2) + b"[" * 200_000
+        with open(path, "ab") as handle:
+            handle.write(struct.pack("<II", len(body), zlib.crc32(body)))
+            handle.write(body)
+        scan = read_wal(path)
+        assert [record.seq for record in scan.records] == [1]
+        assert scan.reason == "undecodable record body"
 
     def test_truncate_wal_repairs_in_place(self, tmp_path):
         path = _write(tmp_path, SAMPLE)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import main
 from repro.obs.events import EventTrace, read_events
 from repro.obs.traceio import JsonlTraceWriter
 
@@ -92,6 +93,16 @@ class TestRoundTrip:
         path.write_text('{"event": "ok", "seq": 0, "t": 0}\nnot json\n')
         with pytest.raises(ValueError, match="invalid JSON"):
             list(read_events(str(path)))
+
+    def test_read_rejects_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"event": "ok", "seq": 0, "t": 0}\n'
+                        + "[" * 200_000 + "\n")
+        with pytest.raises(ValueError, match="deep.jsonl:2: invalid JSON"):
+            list(read_events(str(path)))
+        assert main(["report", str(path)]) == 1
+        assert "cannot read trace" in capsys.readouterr().err
+        assert main(["trace", "inspect", str(path)]) == 0
 
     def test_read_rejects_non_event_record(self, tmp_path):
         path = tmp_path / "bad.jsonl"

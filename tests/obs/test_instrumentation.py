@@ -13,7 +13,7 @@ import pytest
 from repro.core import ReputationConfig
 from repro.core.matrix import TrustMatrix
 from repro.core.multitrust import (compute_reputation_matrix,
-                                   convergence_residuals, matrix_residual)
+                                   iterated_powers, matrix_residual)
 from repro.obs import NULL_RECORDER, Recorder
 from repro.obs.traceio import canonical_line
 from repro.simulator import (ChaosConfig, FileSharingSimulation,
@@ -95,7 +95,10 @@ class TestMultitrustInstrumentation:
         compute_reputation_matrix(
             matrix, config=ReputationConfig(multitrust_steps=4),
             recorder=recorder)
-        expected = convergence_residuals(matrix, 4)
+        powers = list(iterated_powers(matrix, 4))
+        expected = [(iteration, matrix_residual(powers[iteration - 2],
+                                                powers[iteration - 1]))
+                    for iteration in range(2, 5)]
         events = _of_kind(recorder, "multitrust_iteration")
         assert [(e["iteration"], e["residual"]) for e in events] == expected
 

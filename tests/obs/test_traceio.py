@@ -259,6 +259,22 @@ class TestCorruption:
         assert main(["trace", "inspect", str(path)]) == 0
         assert "TRUNCATED after 0 events" in capsys.readouterr().out
 
+    def test_deeply_nested_json_column_rejected(self, tmp_path, capsys):
+        # ``x`` holds lists, so it takes the JSON fallback column; as the
+        # last column its blob runs to the end of the chunk body.
+        body = bytearray(encode_chunk([_event(0, "a", 1.0, x=[0])])[8:])
+        column = decode_chunk(bytes(body)).columns["x"]
+        blob = "[" * 200_000
+        body[column._value_offset:] = (struct.pack("<I", len(blob))
+                                       + blob.encode())
+        path = self._crafted(tmp_path, body)
+        with pytest.raises(TraceFormatError, match="undecodable column"):
+            with TraceReader(path) as reader:
+                for batch in reader.batches():
+                    batch.events()
+        assert main(["report", str(path)]) == 1
+        assert "cannot read trace" in capsys.readouterr().err
+
     def test_presence_bit_past_chunk_rejected(self, tmp_path, capsys):
         events = _sample_events()  # 5 events: bits 5-7 of the bitmap spare
         body = bytearray(encode_chunk(events)[8:])

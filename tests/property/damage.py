@@ -1,8 +1,8 @@
 """Damage edits and the WAL damage check shared by the damage properties.
 
 :func:`damage_edits` draws at most four bit flips, truncations,
-insertions and appended garbage; :func:`damage` applies them to a byte
-string.
+insertions, spliced runs of deeply nested JSON and appended garbage;
+:func:`damage` applies them to a byte string.
 :func:`check_wal_damage` journals an interleaving of the shared event
 grammar, damages the WAL and requires that what survives is a prefix of
 the original records that ``recover(repair=True)`` replays exactly.
@@ -34,6 +34,12 @@ WAL_DAMAGE = settings(DAMAGE, max_examples=80)
 INTERLEAVINGS = st.lists(events(*SMALL), min_size=1, max_size=25)
 
 
+#: Nested deeper than any JSON decoder's stack: spliced into a body that
+#: a recomputed CRC lets through, it makes ``json.loads`` raise
+#: ``RecursionError`` instead of a ``ValueError``.
+NESTED_RUN = b"[" * 200_000
+
+
 def damage_edits(max_position: int,
                  masks=st.integers(min_value=1, max_value=255)):
     position = st.integers(min_value=0, max_value=max_position)
@@ -41,10 +47,11 @@ def damage_edits(max_position: int,
     truncate = st.tuples(st.just("truncate"), position, st.just(b""))
     insert = st.tuples(st.just("insert"), position,
                        st.binary(min_size=1, max_size=16))
+    nest = st.tuples(st.just("insert"), position, st.just(NESTED_RUN))
     append = st.tuples(st.just("append"), st.just(0),
                        st.binary(min_size=1, max_size=64))
-    return st.lists(st.one_of(flip, truncate, insert, append), min_size=1,
-                    max_size=4)
+    return st.lists(st.one_of(flip, truncate, insert, nest, append),
+                    min_size=1, max_size=4)
 
 
 def damage(data: bytes, edits) -> bytes:

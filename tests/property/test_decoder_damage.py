@@ -1,8 +1,9 @@
 """Property tests: damaged WALs, binary traces and snapshot generations.
 
 Every damage hypothesis draws — bit flips, truncations, insertions,
-appended garbage — must end in a typed, documented outcome, never an
-``IndexError``, ``KeyError`` or ``TypeError`` escaping from a decoder:
+spliced runs of deeply nested JSON, appended garbage — must end in a
+typed, documented outcome, never an ``IndexError``, ``KeyError``,
+``TypeError`` or ``RecursionError`` escaping from a decoder:
 
 * a damaged **WAL**, journalled from the shared event grammar, still
   scans as a prefix of the original records, and ``recover(repair=True)``
@@ -22,7 +23,8 @@ appended garbage — must end in a typed, documented outcome, never an
   state either way.
 
 Inputs are bounded (a ~25 KB trace, at most four edits of at most 64
-bytes) and every test carries a deadline, so no example can hang.  Each
+bytes or one 200 KB nested run each) and every test carries a deadline,
+so no example can hang.  Each
 example works in its own ``TemporaryDirectory`` (hypothesis does not reset
 function-scoped fixtures between examples).
 """

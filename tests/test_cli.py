@@ -820,6 +820,14 @@ class TestProfileCapture:
         assert all("p95_seconds" in stats
                    for stats in payload["profile"].values())
 
+    def test_deeply_nested_profile_fails(self, tmp_path, capsys):
+        trace = tmp_path / "events.jsonl"
+        trace.write_text("")
+        profile = tmp_path / "profile.json"
+        profile.write_text("[" * 200_000)
+        assert main(["report", str(trace), "--profile", str(profile)]) == 1
+        assert "cannot read profile" in capsys.readouterr().err
+
     def test_missing_profile_fails(self, tmp_path, capsys):
         trace = tmp_path / "events.jsonl"
         trace.write_text("")
