@@ -505,7 +505,11 @@ def _cmd_gen_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_stats(args: argparse.Namespace) -> int:
-    trace = _read_trace(args.trace)
+    try:
+        trace = _read_trace(args.trace)
+    except (OSError, ValueError) as error:
+        print(f"cannot read trace: {error}", file=sys.stderr)
+        return 1
     if not len(trace):
         print("trace is empty", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ from .file_trust import FileTrustAccumulator, build_file_trust_matrix, file_trus
 from .incentive import (ActionCreditTracker, IncentiveAction,
                         ServiceDifferentiator, ServiceLevel)
 from .integration import build_one_step_matrix
-from .matrix import TrustMatrix
+from .matrix import CsrTrustMatrix, TrustMatrix
 from .matrix_backend import (CSR_BACKEND, DENSE_BACKEND, SPARSE_BACKEND,
                              BackendUnavailableError, CsrBackend,
                              DenseNumpyBackend, MatmulBackend,
@@ -63,6 +63,7 @@ __all__ = [
     "ServiceLevel",
     "build_one_step_matrix",
     "TrustMatrix",
+    "CsrTrustMatrix",
     "MatmulBackend",
     "SparseDictBackend",
     "DenseNumpyBackend",

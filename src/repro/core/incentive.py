@@ -37,10 +37,11 @@ def reference_reputation(reputation: TrustMatrix, observer: str) -> float:
 
     Pairwise multi-trust values are tiny, so service differentiation
     measures a requester against what the observer grants their most
-    trusted peer (see :class:`ServiceDifferentiator`).
+    trusted peer (see :class:`ServiceDifferentiator`).  The array form
+    keeps every row's maximum, so no row is walked here.
     """
-    row = reputation.row_view(observer)
-    return max(row.values()) if row else 1.0
+    peak = reputation.row_max(observer)
+    return peak if peak > 0.0 else 1.0
 
 
 @dataclass(frozen=True)

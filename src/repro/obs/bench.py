@@ -798,8 +798,11 @@ def _bench_power(seed: int, nodes: int, density: float, baseline: str,
         backend = resolve_backend(name, matrix)
 
         def run() -> float:
+            # A fresh operand per run: a matrix keeps its array form
+            # (``to_csr``), and each refresh powers a new TM.
+            operand = matrix.copy_with_rows({})
             started = time.perf_counter()
-            results[name] = backend.power(matrix, POWER_STEPS)
+            results[name] = backend.power(operand, POWER_STEPS)
             return time.perf_counter() - started
         return run
 

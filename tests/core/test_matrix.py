@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import TrustMatrix
+from repro.core import CsrTrustMatrix, TrustMatrix
 
 
 def matrices(max_nodes: int = 6):
@@ -232,3 +232,77 @@ class TestDenseBridge:
     def test_from_dense_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TrustMatrix.from_dense(np.zeros((2, 2)), ["a"])
+
+
+class TestArrayForm:
+    """``CsrTrustMatrix`` reads like the dict form of the same entries."""
+
+    @given(matrices())
+    def test_to_csr_is_equal_both_ways_with_the_same_reads(self, matrix):
+        form = matrix.to_csr()
+        assert form == matrix and matrix == form
+        assert form.checksum() == matrix.checksum()
+        assert form.entry_count() == matrix.entry_count()
+        assert form.node_ids() == matrix.node_ids()
+        assert form.row_ids() == sorted(matrix.row_ids())
+        assert form.density() == matrix.density()
+        ids = [f"n{i}" for i in range(7)]
+        for i in ids:
+            assert form.row(i) == matrix.row(i)
+            assert form.row_max(i) == matrix.row_max(i)
+            for j in ids:
+                assert form.get(i, j) == matrix.get(i, j)
+        assert dict(form.rows()) == dict(matrix.rows())
+        assert TrustMatrix(dict(form.rows())) == form
+
+    @given(matrices(), matrices())
+    def test_equality_follows_values(self, left, right):
+        assert (left.to_csr() == right) == (left == right)
+        assert (left == right.to_csr()) == (left == right)
+
+    def test_full_and_sparse_rows(self):
+        ids = ["a", "b", "c"]
+        form = CsrTrustMatrix.from_dense(
+            np.array([[0.5, 0.25, 0.25], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
+            ids)
+        assert [form.get("a", j) for j in ids] == [0.5, 0.25, 0.25]
+        assert [form.get("b", j) for j in ids] == [0.0, 0.0, 1.0]
+        assert form.get("c", "a") == form.get("x", "a") == 0.0
+        assert form.row_max("a") == 0.5 and form.row_max("c") == 0.0
+        assert form.row_ids() == ["a", "b"]
+        assert form.node_ids() == ["a", "b", "c"]
+
+    def test_non_positive_entries_are_dropped(self):
+        form = CsrTrustMatrix.from_dense(
+            np.array([[0.0, -1.0], [2.0, 0.0]]), ["a", "b"])
+        assert form.entry_count() == 1
+        assert form == TrustMatrix({"b": {"a": 2.0}})
+
+    def test_ids_must_be_sorted(self):
+        with pytest.raises(ValueError):
+            CsrTrustMatrix.from_dense(np.eye(2), ["b", "a"])
+
+    def test_read_only(self):
+        form = TrustMatrix({"a": {"b": 1.0}}).to_csr()
+        with pytest.raises(TypeError):
+            form.set("a", "b", 0.5)
+        with pytest.raises(TypeError):
+            form.replace_row("a", {})
+
+    def test_to_csr_is_kept_until_a_mutation(self):
+        matrix = TrustMatrix({"a": {"b": 1.0}})
+        form = matrix.to_csr()
+        assert matrix.to_csr() is form
+        matrix.set("b", "a", 0.5)
+        assert matrix.to_csr() is not form
+        assert matrix.to_csr() == matrix
+
+    def test_dict_algebra_on_the_array_form(self):
+        matrix = TrustMatrix({"a": {"b": 0.5, "c": 0.5}, "b": {"c": 1.0},
+                              "c": {"a": 1.0}})
+        form = matrix.to_csr()
+        assert form.matmul(form) == matrix.matmul(matrix)
+        assert form.to_dense()[0].tolist() == matrix.to_dense()[0].tolist()
+        assert form.to_dense(["c", "a"])[0].tolist() == \
+            matrix.to_dense(["c", "a"])[0].tolist()
+        assert form.density(["a", "b"]) == matrix.density(["a", "b"])

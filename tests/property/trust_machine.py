@@ -12,6 +12,11 @@ refresh:
   every drawn backend, so the backend choice never changes TM;
 * the three systems publish identical ``pipeline.checksums()``, so
   observing a run never changes one float;
+* the read mix over every user and file of the population —
+  ``judge_file`` (Eq. 9), ``service_level`` and ``effective_reputation`` —
+  is exactly equal across the three systems, and equal to the same reads
+  on a dict-form copy of the published RM, which is itself ``==`` RM both
+  ways with an equal checksum;
 * RM from the sparse, dense and csr backends agrees to 1e-12.
 
 The 4-user population takes bursts of grammar events over eight rule
@@ -41,9 +46,10 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, rule,
                                  run_state_machine_as_test)
 
 from repro.core import (MultiDimensionalReputationSystem, ReputationConfig,
-                        build_file_trust_matrix, build_one_step_matrix,
-                        build_user_trust_matrix, build_volume_trust_matrix,
-                        compute_reputation_matrix, resolve_backend)
+                        TrustMatrix, build_file_trust_matrix,
+                        build_one_step_matrix, build_user_trust_matrix,
+                        build_volume_trust_matrix, compute_reputation_matrix,
+                        resolve_backend)
 from repro.core.durability import DurabilityManager, recover
 from repro.obs.recorder import NULL_RECORDER, Recorder
 
@@ -76,6 +82,26 @@ def _reputation(trust, steps, config, spec):
                                      backend=resolve_backend(spec, trust))
 
 
+def _reads(system, users, files):
+    """Every judgement, service level and effective reputation of a
+    population, through the façade."""
+    return ([system.judge_file(observer, file)
+             for observer in users for file in files],
+            [system.service_level(observer, requester)
+             for observer in users for requester in users],
+            [system.effective_reputation(observer, target)
+             for observer in users for target in users])
+
+
+def _reads_on(system, reputation, users, files):
+    """:func:`_reads` with ``reputation`` standing in for the published RM."""
+    system.reputation_matrix = lambda steps=None: reputation
+    try:
+        return _reads(system, users, files)
+    finally:
+        del system.reputation_matrix
+
+
 class TrustStateMachine(RuleBasedStateMachine):
     @initialize(**CONFIGURATION, data=st.data())
     def configure(self, steps, backend, weights, metric, min_overlap,
@@ -86,6 +112,7 @@ class TrustStateMachine(RuleBasedStateMachine):
             beta=beta, gamma=gamma, distance_metric=metric,
             min_overlap=min_overlap)
         self.override = override
+        self.users, self.files = SMALL if population == "small" else LARGE
         self.clock = self.recovered_at = self.length = 0
         self.unchecked = False
         self.workdir = Path(tempfile.mkdtemp())
@@ -179,6 +206,15 @@ class TrustStateMachine(RuleBasedStateMachine):
         checksums = pipeline.checksums()
         for observed in self.systems[1:]:
             assert observed.pipeline.checksums() == checksums
+
+        reads = _reads(system, self.users, self.files)
+        for observed in self.systems[1:]:
+            assert _reads(observed, self.users, self.files) == reads
+        published = pipeline.reputation
+        copy = TrustMatrix(dict(published.rows()))
+        assert copy == published and published == copy
+        assert copy.checksum() == published.checksum()
+        assert _reads_on(system, copy, self.users, self.files) == reads
 
         sparse, *others = [_reputation(trust, None, config, spec)
                            for spec in BACKENDS]

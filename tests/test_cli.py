@@ -70,6 +70,22 @@ class TestTraceStats:
         path.write_text("")
         assert main(["trace-stats", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "line", ["[[[[[[[[[[", '{"uploader_id": "a"}', "[" * 200_000],
+        ids=["undecodable", "missing-field", "deep-nesting"])
+    def test_malformed_trace_fails_with_message(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        assert main(["trace-stats", str(path)]) == 1
+        assert "bad.jsonl:1" in capsys.readouterr().err
+
+    def test_csv_missing_column_fails_with_message(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("uploader_id,downloader_id,content_hash,filename\n"
+                        "a,b,f1,f1.dat\n")
+        assert main(["trace-stats", str(path)]) == 1
+        assert "missing field 'timestamp'" in capsys.readouterr().err
+
 
 class TestCoverage:
     def test_coverage_sweep_prints_rows(self, capsys):

@@ -66,3 +66,59 @@ class TestCSV:
         write_jsonl(trace, jsonl_path)
         write_csv(trace, csv_path)
         assert list(read_jsonl(jsonl_path)) == list(read_csv(csv_path))
+
+
+class TestMalformedInput:
+    """A bad line raises ``ValueError`` naming the file and line."""
+
+    @staticmethod
+    def _jsonl(tmp_path, trace, bad_line):
+        path = tmp_path / "bad.jsonl"
+        write_jsonl(trace, path)
+        path.write_text(path.read_text() + bad_line + "\n")
+        return path
+
+    def test_undecodable_line(self, trace, tmp_path):
+        path = self._jsonl(tmp_path, trace, "[[[[[[[[[[")
+        with pytest.raises(ValueError, match=r"bad\.jsonl:3: not JSON"):
+            read_jsonl(path)
+
+    def test_line_nested_past_the_parser_stack(self, trace, tmp_path):
+        path = self._jsonl(tmp_path, trace, "[" * 200_000)
+        with pytest.raises(ValueError, match=r"bad\.jsonl:3: not JSON"):
+            read_jsonl(path)
+
+    def test_non_object_line(self, trace, tmp_path):
+        path = self._jsonl(tmp_path, trace, "[1, 2]")
+        with pytest.raises(ValueError, match=r"bad\.jsonl:3: expected an object"):
+            read_jsonl(path)
+
+    def test_missing_field(self, trace, tmp_path):
+        path = self._jsonl(tmp_path, trace, '{"uploader_id": "a"}')
+        with pytest.raises(ValueError,
+                           match=r"bad\.jsonl:3: missing field 'downloader_id'"):
+            read_jsonl(path)
+
+    def test_non_numeric_field(self, trace, tmp_path):
+        path = self._jsonl(tmp_path, trace, (
+            '{"uploader_id": "a", "downloader_id": "b", "timestamp": "soon", '
+            '"content_hash": "f", "filename": "f.dat"}'))
+        with pytest.raises(ValueError,
+                           match=r"bad\.jsonl:3: field 'timestamp' is not a number"):
+            read_jsonl(path)
+
+    def test_non_finite_field(self, trace, tmp_path):
+        path = self._jsonl(tmp_path, trace, (
+            '{"uploader_id": "a", "downloader_id": "b", "timestamp": NaN, '
+            '"content_hash": "f", "filename": "f.dat"}'))
+        with pytest.raises(ValueError,
+                           match=r"bad\.jsonl:3: field 'timestamp' is not finite"):
+            read_jsonl(path)
+
+    def test_csv_without_timestamp_column(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("uploader_id,downloader_id,content_hash,filename\n"
+                        "a,b,f1,f1.dat\n")
+        with pytest.raises(ValueError,
+                           match=r"bad\.csv:2: missing field 'timestamp'"):
+            read_csv(path)
