@@ -89,6 +89,28 @@ class TestMultitrustInstrumentation:
         current.set("x", "y", 0.05)  # new in current
         assert matrix_residual(previous, current) == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matrix_residual_equals_the_entrywise_maximum(self, seed):
+        # Random operands over overlapping id sets, in dict and array
+        # form: the residual is the largest |current - previous| over
+        # every cell either one stores, bit for bit.
+        import random
+        rng = random.Random(seed)
+        ids = [f"u{index}" for index in range(12)]
+        matrices = []
+        for _ in range(2):
+            matrix = TrustMatrix()
+            for i in rng.sample(ids, 8):
+                for j in rng.sample(ids, rng.randint(1, 6)):
+                    matrix.set(i, j, rng.choice((rng.random(), 0.5)))
+            matrices.append(matrix)
+        previous, current = matrices
+        expected = max(abs(current.get(i, j) - previous.get(i, j))
+                       for i in ids for j in ids)
+        assert matrix_residual(previous, current) == expected
+        assert matrix_residual(previous.to_csr(), current) == expected
+        assert matrix_residual(previous, previous.to_csr()) == 0.0
+
     def test_convergence_residuals_match_events(self):
         matrix = _chain_matrix()
         recorder = Recorder(trace_sink=[])
