@@ -21,7 +21,7 @@ single point to recompute; it may be a no-op for purely incremental ones.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..obs.recorder import NULL_RECORDER, NullRecorder
 
@@ -103,6 +103,18 @@ class ReputationMechanism(abc.ABC):
     @abc.abstractmethod
     def reputation(self, observer: str, target: str) -> float:
         """Trust of ``observer`` in ``target`` (mechanism-specific scale)."""
+
+    def best_reputation(self, observer: str, targets: Iterable[str]) -> float:
+        """The largest :meth:`reputation` ``observer`` assigns any of
+        ``targets`` other than itself, or 0.0 when there are none.
+
+        Service differentiation scales every requester against this on each
+        request.  Mechanisms whose per-observer state is costly to look up
+        override it to read that state once per call; the result must equal
+        this generic scan bit for bit.
+        """
+        return max((self.reputation(observer, target) for target in targets
+                    if target != observer), default=0.0)
 
     def is_distrusted(self, observer: str, target: str) -> bool:
         """True when the observer *explicitly* distrusts the target.

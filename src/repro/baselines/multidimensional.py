@@ -7,7 +7,7 @@ map one-to-one onto the façade; ``file_score`` is Eq. 9's file reputation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.config import DEFAULT_CONFIG, ReputationConfig
 from ..core.reputation_system import MultiDimensionalReputationSystem
@@ -84,6 +84,9 @@ class MultiDimensionalMechanism(ReputationMechanism):
 
     def reputation(self, observer: str, target: str) -> float:
         return self.system.effective_reputation(observer, target)
+
+    def best_reputation(self, observer: str, targets: Iterable[str]) -> float:
+        return self.system.best_effective_reputation(observer, targets)
 
     def is_distrusted(self, observer: str, target: str) -> bool:
         return self.system.user_trust.is_blacklisted(observer, target)

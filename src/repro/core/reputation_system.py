@@ -27,7 +27,8 @@ stale (always-fresh queries); simulations set it to False and call
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..obs.recorder import NULL_RECORDER, NullRecorder
 from .config import DEFAULT_CONFIG, ReputationConfig
@@ -251,6 +252,24 @@ class MultiDimensionalReputationSystem:
         return self._effective_reputation(
             reputation, observer, target, self._max_credit(),
             reference_reputation(reputation, observer))
+
+    def best_effective_reputation(self, observer: str,
+                                  targets: Iterable[str]) -> float:
+        """The largest :meth:`effective_reputation` ``observer`` assigns any
+        of ``targets`` other than itself, or 0.0 when there are none.
+
+        RM, the credit maximum and the observer's reference are read once
+        per call, not per target.  Nothing is kept across calls: credit
+        balances move on every vote, rank, upload and deletion, without a
+        refresh, so a cache keyed on the trust view would go stale.
+        """
+        reputation = self.reputation_matrix()
+        max_credit = self._max_credit()
+        reference = reference_reputation(reputation, observer)
+        return max((self._effective_reputation(reputation, observer, target,
+                                               max_credit, reference)
+                    for target in targets if target != observer),
+                   default=0.0)
 
     def global_reputation(self) -> Dict[str, float]:
         """Column-mean projection of RM (for baseline comparisons)."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Dict, Optional
 
 __all__ = ["EvaluationInfo", "IndexRecord", "MessageKind", "MessageTally",
@@ -35,6 +36,14 @@ class EvaluationInfo:
 
     def payload(self) -> bytes:
         """Canonical byte serialisation covered by the signature."""
+        return self._payload
+
+    @cached_property
+    def _payload(self) -> bytes:
+        # Serialised once per instance: signing, verification and every
+        # wire-size count read the same bytes.  ``cached_property`` stores
+        # into the instance ``__dict__`` directly, so it works on this
+        # frozen dataclass and stays out of ``__eq__``, hash and repr.
         return json.dumps(
             {"file_id": self.file_id, "owner_id": self.owner_id,
              "evaluation": round(self.evaluation, 9)},

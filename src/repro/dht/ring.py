@@ -110,10 +110,31 @@ class DHTNetwork:
         for node in self._nodes.values():
             node.successor = self._first_at_or_after(node.node_id + 1)
             node.predecessor = self._last_before(node.node_id)
-            node.fingers = [
-                self._first_at_or_after(node.finger_start(i))
-                for i in range(self.finger_count)
-            ]
+            node.fingers = self._finger_table(node.node_id)
+
+    def _finger_table(self, node_id: int) -> List[DHTNode]:
+        """Fingers ``i`` = first node at or after ``node_id + 2**i``.
+
+        Consecutive fingers share an owner until their start passes it, so
+        the table takes one bisect per distinct owner (about log2 N + 1),
+        not one per finger.  Owner ``s`` covers every finger whose offset
+        ``2**i`` is at most ``(s - node_id) mod 2**ID_BITS``; the next one
+        starts at that distance's bit length.  An owner equal to the node
+        itself covers the rest of the table (the ring wrapped around).
+        """
+        count = self.finger_count
+        fingers: List[DHTNode] = []
+        index = 0
+        while index < count:
+            owner = self._first_at_or_after(node_id + (1 << index))
+            if owner.node_id == node_id:
+                fingers.extend([owner] * (count - index))
+                break
+            end = min(((owner.node_id - node_id) % ID_SPACE).bit_length(),
+                      count)
+            fingers.extend([owner] * (end - index))
+            index = end
+        return fingers
 
     def _first_at_or_after(self, target: int) -> DHTNode:
         target %= ID_SPACE

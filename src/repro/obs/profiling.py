@@ -50,7 +50,12 @@ class Profiler:
         self._phases: Dict[str, PhaseStats] = {}
 
     def phase(self, name: str) -> PhaseStats:
-        return self._phases.setdefault(name, PhaseStats())
+        # Not ``setdefault``: that would build (and drop) a PhaseStats and
+        # its sketch on every span close.
+        stats = self._phases.get(name)
+        if stats is None:
+            stats = self._phases[name] = PhaseStats()
+        return stats
 
     def record(self, name: str, elapsed: float,
                counters: Optional[Mapping[str, int]] = None) -> None:

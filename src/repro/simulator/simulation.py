@@ -412,9 +412,7 @@ class FileSharingSimulation:
         """
         if self.mechanism.is_distrusted(observer_id, target_id):
             return 0.0, True
-        best = max((self.mechanism.reputation(observer_id, pid)
-                    for pid in self.peers if pid != observer_id),
-                   default=0.0)
+        best = self.mechanism.best_reputation(observer_id, self.peers)
         if best <= 0:
             return 0.0, False
         value = self.mechanism.reputation(observer_id, target_id)

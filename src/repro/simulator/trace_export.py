@@ -11,7 +11,7 @@ simulation, so it sees exactly the downloads the mechanism saw.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from ..baselines.base import ReputationMechanism
 from ..traces.records import DownloadRecord, DownloadTrace
@@ -80,6 +80,9 @@ class TraceRecorder(ReputationMechanism):
 
     def reputation(self, observer: str, target: str) -> float:
         return self.inner.reputation(observer, target)
+
+    def best_reputation(self, observer: str, targets: Iterable[str]) -> float:
+        return self.inner.best_reputation(observer, targets)
 
     def is_distrusted(self, observer: str, target: str) -> bool:
         return self.inner.is_distrusted(observer, target)

@@ -1,5 +1,8 @@
 """Tests for repro.dht.messages."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.dht import (EvaluationInfo, IndexRecord, MessageEnvelope,
@@ -37,6 +40,46 @@ class TestEvaluationInfo:
         unsigned = EvaluationInfo("f", "alice", 0.5)
         signed = unsigned.with_signature(b"x" * 32)
         assert signed.size_bytes() == unsigned.size_bytes() + 32
+
+
+def _fresh_payload(info):
+    return json.dumps({"file_id": info.file_id, "owner_id": info.owner_id,
+                       "evaluation": round(info.evaluation, 9)},
+                      sort_keys=True).encode("utf-8")
+
+
+class TestPayloadCache:
+    def test_cached_bytes_equal_a_fresh_serialisation(self):
+        info = EvaluationInfo("file-7", "alice", 1 / 3, b"sig")
+        first = info.payload()
+        assert first == _fresh_payload(info)
+        assert info.payload() is first
+
+    def test_signed_copy_has_correct_payload(self):
+        unsigned = EvaluationInfo("f", "alice", 0.25)
+        unsigned.payload()
+        signed = unsigned.with_signature(b"s" * 32)
+        assert signed.payload() == _fresh_payload(signed)
+        assert signed.size_bytes() == len(_fresh_payload(signed)) + 32
+
+    def test_replaced_evaluation_is_reserialised(self):
+        info = EvaluationInfo("f", "alice", 0.25, b"sig")
+        info.payload()
+        changed = dataclasses.replace(info, evaluation=0.75)
+        assert changed.payload() == _fresh_payload(changed)
+        assert changed.payload() != info.payload()
+
+    def test_cache_takes_no_part_in_eq_hash_or_repr(self):
+        cached = EvaluationInfo("f", "alice", 0.5, b"sig")
+        before = repr(cached)
+        cached.payload()
+        bare = EvaluationInfo("f", "alice", 0.5, b"sig")
+        assert cached == bare
+        assert hash(cached) == hash(bare)
+        assert repr(cached) == repr(bare) == before
+        assert "payload" not in before
+        assert [f.name for f in dataclasses.fields(cached)] == [
+            "file_id", "owner_id", "evaluation", "signature"]
 
 
 class TestIndexRecord:

@@ -1,10 +1,12 @@
 """Tests for repro.dht.security: Section 4.2 attacks and defences."""
 
+import dataclasses
+
 import pytest
 
 from repro.dht import (DHTNetwork, EvaluationOverlay, KeyAuthority,
                        ProactiveExaminer, attempt_forged_publication,
-                       make_mimic_responder)
+                       hash_key, make_mimic_responder)
 
 
 @pytest.fixture
@@ -33,6 +35,26 @@ class TestAttack1Forgery:
         attempt_forged_publication(overlay, "user-001", "user-002",
                                    "file-x", 0.0, now=0.0)
         retrieved = overlay.retrieve("user-003", "file-x", now=0.5)
+        assert retrieved.rejected >= 1
+
+    def test_tampered_evaluation_rejected(self, overlay):
+        """A genuine signature over a cached payload does not carry over to
+        a copy whose evaluation was changed."""
+        overlay.publish("user-002", "file-x", 0.9, now=0.0)
+        key = hash_key("file:file-x")
+        for replica in overlay.network.replica_nodes(key,
+                                                     overlay.replication):
+            stored = replica.storage.get_owner(key, "user-002", now=0.0)
+            genuine = stored.value.evaluation
+            assert overlay.authority.verify("user-002", genuine.payload(),
+                                            genuine.signature)
+            tampered = dataclasses.replace(
+                stored.value,
+                evaluation=dataclasses.replace(genuine, evaluation=0.0))
+            replica.storage.put(key, "user-002", tampered, 0.0,
+                                overlay.record_ttl)
+        retrieved = overlay.retrieve("user-003", "file-x", now=0.5)
+        assert "user-002" not in retrieved.evaluations
         assert retrieved.rejected >= 1
 
     def test_genuine_publication_unaffected(self, overlay):
