@@ -23,8 +23,7 @@ from repro.analysis import (dimension_densities, matrix_edge_coverage,
                             render_table)
 from repro.core import (DownloadLedger, EvaluationStore, ReputationConfig,
                         TrustMatrix, UserTrustStore, build_file_trust_matrix,
-                        build_one_step_matrix, build_user_trust_matrix,
-                        build_volume_trust_matrix)
+                        build_user_trust_matrix, build_volume_trust_matrix)
 
 from .conftest import DAY, publish_result, run_once
 
@@ -77,7 +76,10 @@ def _run(maze_trace):
     fm = build_file_trust_matrix(evaluations, config)
     dm = build_volume_trust_matrix(ledger, evaluations, config)
     um = build_user_trust_matrix(user_trust)
-    tm = build_one_step_matrix(evaluations, ledger, user_trust, config)
+    # Eq. 7 over the dimensions just built: the same call
+    # build_one_step_matrix ends with, without building FM/DM/UM again.
+    tm = TrustMatrix.weighted_sum(
+        [(config.alpha, fm), (config.beta, dm), (config.gamma, um)])
     densities = dimension_densities(fm, dm, um, tm,
                                     population=maze_trace.parameters.num_users)
     matrices = {

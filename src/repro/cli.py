@@ -151,7 +151,7 @@ def _make_recorder(args: argparse.Namespace):
                         span_sample=span_sample or 0)
     monitor = None
     if args.alerts_out is not None:
-        monitor = Monitor.default().attach(recorder)
+        monitor = Monitor().attach(recorder)
     return recorder, monitor
 
 

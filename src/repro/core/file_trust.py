@@ -113,7 +113,12 @@ class FileTrustAccumulator:
     :meth:`TrustMatrix.replace_row_normalized`.
     """
 
-    def __init__(self, config: ReputationConfig = DEFAULT_CONFIG):
+    #: Key of this dimension in :meth:`TrustPipeline.dimension_matrices`.
+    dimension = "file"
+
+    def __init__(self, store: EvaluationStore,
+                 config: ReputationConfig = DEFAULT_CONFIG):
+        self._store = store
         self._config = config
         self._term, self._finalize = PAIRWISE_ACCUMULATORS[config.distance_metric]
         #: pair -> {file_id: Eq. 2 term} for every file both users evaluated.
@@ -124,16 +129,27 @@ class FileTrustAccumulator:
         self._raw = TrustMatrix()
         #: Row-normalised FM (Eq. 3).
         self.matrix = TrustMatrix()
-        #: Rows changed by the most recent :meth:`refresh`.
-        self.last_dirty_rows: Set[str] = set()
 
-    def refresh(self, store: EvaluationStore,
-                dirty_files: Iterable[str]) -> Set[str]:
-        """Re-derive everything downstream of ``dirty_files``; returns rows touched."""
+    def refresh(self) -> Set[str]:
+        """Re-derive what the store's dirty files touch; returns rows touched."""
+        return self._rederive(self._store.dirty_files())
+
+    def rebuild(self) -> Set[str]:
+        """Full pass: forget everything and re-derive from every file."""
+        stale_rows = set(self.matrix.row_ids())
+        self._pair_terms = {}
+        self._file_values = {}
+        self._raw = TrustMatrix()
+        self.matrix = TrustMatrix()
+        return self._rederive(self._store.files()) | stale_rows
+
+    def _rederive(self, files: Iterable[str]) -> Set[str]:
+        """Diff ``files`` against their snapshots; returns rows touched."""
+        store = self._store
         term = self._term
         pair_terms = self._pair_terms
         changed_pairs: Set[Tuple[str, str]] = set()
-        for file_id in sorted(set(dirty_files)):
+        for file_id in sorted(set(files)):
             old = self._file_values.pop(file_id, {})
             # No universe filter: evaluators are always in store.users().
             new = store.file_evaluations(file_id)
@@ -187,16 +203,5 @@ class FileTrustAccumulator:
 
         for user in sorted(touched):
             self.matrix.replace_row_normalized(user, self._raw.row_view(user))
-        self.last_dirty_rows = touched
         check_row_stochastic(self.matrix, name="FM")
         return touched
-
-    def rebuild(self, store: EvaluationStore) -> Set[str]:
-        """Full pass: forget everything and re-derive from every file."""
-        stale_rows = set(self.matrix.row_ids())
-        self._pair_terms = {}
-        self._file_values = {}
-        self._raw = TrustMatrix()
-        self.matrix = TrustMatrix()
-        self.last_dirty_rows = self.refresh(store, store.files()) | stale_rows
-        return self.last_dirty_rows

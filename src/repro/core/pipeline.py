@@ -2,15 +2,20 @@
 
 The seed's façade cached ``TM``/``RM`` behind a boolean "something changed"
 flag: any write threw every matrix away and the next query rebuilt the world.
-:class:`TrustPipeline` replaces that with a delta pipeline:
+:class:`TrustPipeline` replaces that with a delta pipeline in which the
+stores' *dirty sets* are the one record of what changed:
 
 1. the stores (:class:`~repro.core.evaluation.EvaluationStore`,
    :class:`~repro.core.volume_trust.DownloadLedger`,
-   :class:`~repro.core.user_trust.UserTrustStore`) accumulate *dirty sets*
+   :class:`~repro.core.user_trust.UserTrustStore`) accumulate dirty sets
    — which files, downloaders and raters changed since the last refresh;
-2. the per-dimension accumulators (:class:`FileTrustAccumulator`,
-   :class:`VolumeTrustAccumulator`, :class:`UserTrustAccumulator`) re-derive
-   only the rows/pairs incident to that dirt;
+   :attr:`TrustPipeline.has_dirty` reads them, and so does the façade's
+   freshness check;
+2. each enabled dimension's accumulator (:class:`FileTrustAccumulator`,
+   :class:`VolumeTrustAccumulator`, :class:`UserTrustAccumulator`) is built
+   over its own stores, reads their dirt and re-derives only the rows/pairs
+   incident to it; the pipeline clears the dirt once every dimension has
+   consumed it;
 3. the integrated ``TM`` is patched row-wise (Eq. 7 re-applied to exactly
    the dirty rows) and published copy-on-write, so earlier snapshots stay
    stable while each refresh has a fresh matrix identity;
@@ -29,7 +34,7 @@ equality is exact ``==``, not tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..lint.contracts import (check_matrices_equal, check_row_stochastic,
                               check_simplex, contracts_enabled)
@@ -44,6 +49,9 @@ from .user_trust import UserTrustAccumulator, UserTrustStore
 from .volume_trust import DownloadLedger, VolumeTrustAccumulator
 
 __all__ = ["TrustPipeline", "RefreshStats", "RefreshView"]
+
+_Accumulator = Union[FileTrustAccumulator, VolumeTrustAccumulator,
+                     UserTrustAccumulator]
 
 
 @dataclass(frozen=True)
@@ -126,19 +134,20 @@ class TrustPipeline:
         self.evaluations = evaluations
         self.ledger = ledger
         self.user_trust = user_trust
-        self._file: Optional[FileTrustAccumulator] = (
-            FileTrustAccumulator(config) if config.alpha > 0 else None)
-        self._volume: Optional[VolumeTrustAccumulator] = (
-            VolumeTrustAccumulator(config) if config.beta > 0 else None)
-        self._user: Optional[UserTrustAccumulator] = (
-            UserTrustAccumulator() if config.gamma > 0 else None)
+        dimensions: List[Tuple[float, _Accumulator]] = [
+            (config.alpha, FileTrustAccumulator(evaluations, config)),
+            (config.beta, VolumeTrustAccumulator(ledger, evaluations)),
+            (config.gamma, UserTrustAccumulator(user_trust))]
+        #: ``(weight, accumulator)`` per enabled dimension, in Eq. 7 order.
+        self._dimensions = [(weight, accumulator)
+                            for weight, accumulator in dimensions
+                            if weight > 0]
         self._trust = TrustMatrix()
         self._reputation = TrustMatrix()
         #: RM powers for step overrides, keyed by ``steps``; cleared by
         #: every refresh that consumed dirt.
         self._power_cache: Dict[int, TrustMatrix] = {}
         self._initialized = False
-        self._force_full = False
         #: Monotone refresh counter; bumps whenever matrices re-publish.
         self.version = 0
         self.last_stats: Optional[RefreshStats] = None
@@ -163,18 +172,13 @@ class TrustPipeline:
 
     @property
     def has_dirty(self) -> bool:
-        """Whether any store holds unconsumed deltas."""
-        return (not self._initialized or self._force_full
-                or self.evaluations.has_dirty or self.ledger.has_dirty
-                or self.user_trust.has_dirty)
+        """Whether a :meth:`refresh` has anything to consume.
 
-    def invalidate(self) -> None:
-        """Force the next :meth:`refresh` to rebuild from scratch.
-
-        Escape hatch for callers that mutated store internals without
-        going through the dirty-marking mutators.
+        True before the first refresh and whenever a store holds
+        unconsumed deltas.
         """
-        self._force_full = True
+        return (not self._initialized or self.evaluations.has_dirty
+                or self.ledger.has_dirty or self.user_trust.has_dirty)
 
     def dimension_matrices(self) -> Dict[str, TrustMatrix]:
         """The current per-dimension one-step matrices, keyed by dimension.
@@ -183,12 +187,11 @@ class TrustPipeline:
         a zero weight maps to an empty matrix.  Tests and diagnostics read
         the dimensions here instead of reaching into accumulator internals.
         """
-        empty = TrustMatrix()
-        return {
-            "file": self._file.matrix if self._file else empty,
-            "volume": self._volume.matrix if self._volume else empty,
-            "user": self._user.matrix if self._user else empty,
-        }
+        matrices = {dimension: TrustMatrix()
+                    for dimension in ("file", "volume", "user")}
+        matrices.update((accumulator.dimension, accumulator.matrix)
+                        for _weight, accumulator in self._dimensions)
+        return matrices
 
     # ------------------------------------------------------------------ #
     # Refresh                                                            #
@@ -202,57 +205,38 @@ class TrustPipeline:
         (copy-on-write), even if every value survived unchanged — callers
         use identity to detect "a refresh happened here".
         """
-        dirty_files = self.evaluations.dirty_files()
-        # A user's DM row re-weights when their evaluations move (Eq. 4
-        # weighs downloaded bytes by the downloader's own evaluations).
-        dirty_downloaders = (self.ledger.dirty_downloaders()
-                             | self.evaluations.dirty_users())
-        dirty_raters = self.user_trust.dirty_raters()
-        full = force_full or self._force_full or not self._initialized
-        if not (full or dirty_files or dirty_downloaders or dirty_raters):
+        if not (force_full or self.has_dirty):
             self.recorder.inc("pipeline.noop_refreshes")
             return self.view()
 
+        full = force_full or not self._initialized
+        dirty_files = len(self.evaluations.dirty_files())
         with self.recorder.span("pipeline.refresh") as span:
-            if full:
-                file_rows = (self._file.rebuild(self.evaluations)
-                             if self._file else set())
-                volume_rows = (self._volume.rebuild(self.ledger,
-                                                    self.evaluations)
-                               if self._volume else set())
-                user_rows = (self._user.rebuild(self.user_trust)
-                             if self._user else set())
-            else:
-                file_rows = (self._file.refresh(self.evaluations, dirty_files)
-                             if self._file else set())
-                volume_rows = (self._volume.refresh(
-                    self.ledger, self.evaluations, dirty_downloaders)
-                    if self._volume else set())
-                user_rows = (self._user.refresh(self.user_trust, dirty_raters)
-                             if self._user else set())
-            dirty_rows = file_rows | volume_rows | user_rows
+            touched = {accumulator.dimension: (accumulator.rebuild() if full
+                                               else accumulator.refresh())
+                       for _weight, accumulator in self._dimensions}
+            dirty_rows: Set[str] = set().union(*touched.values())
             self._publish_trust(dirty_rows)
             self._reputation, backend = self._power(
                 self._trust, self.config.multitrust_steps, self.recorder)
             span.count("rows_rebuilt", len(dirty_rows))
-            span.count("dirty_files", len(dirty_files))
+            span.count("dirty_files", dirty_files)
 
         self.evaluations.clear_dirty()
         self.ledger.clear_dirty()
         self.user_trust.clear_dirty()
         self._power_cache.clear()
         self._power_cache[self.config.multitrust_steps] = self._reputation
-        self._force_full = False
         self._initialized = True
         self.version += 1
 
         stats = RefreshStats(
             mode="full" if full else "incremental",
             backend=backend,
-            dirty_files=len(dirty_files),
-            dirty_rows_file=len(file_rows),
-            dirty_rows_volume=len(volume_rows),
-            dirty_rows_user=len(user_rows),
+            dirty_files=dirty_files,
+            dirty_rows_file=len(touched.get("file", ())),
+            dirty_rows_volume=len(touched.get("volume", ())),
+            dirty_rows_user=len(touched.get("user", ())),
             rows_rebuilt=len(dirty_rows),
             total_rows=len(self._trust.row_ids()),
         )
@@ -286,22 +270,12 @@ class TrustPipeline:
     # Internals                                                          #
     # ------------------------------------------------------------------ #
 
-    def _dimensions(self) -> List[Tuple[float, TrustMatrix]]:
-        """Active (weight, one-step matrix) pairs in Eq. 7 order."""
-        dimensions: List[Tuple[float, TrustMatrix]] = []
-        if self._file is not None:
-            dimensions.append((self.config.alpha, self._file.matrix))
-        if self._volume is not None:
-            dimensions.append((self.config.beta, self._volume.matrix))
-        if self._user is not None:
-            dimensions.append((self.config.gamma, self._user.matrix))
-        return dimensions
-
     def _publish_trust(self, dirty_rows: Set[str]) -> None:
         """Re-apply Eq. 7 to exactly ``dirty_rows``; publish copy-on-write."""
         check_simplex((self.config.alpha, self.config.beta, self.config.gamma),
                       name="(alpha, beta, gamma)")
-        dimensions = self._dimensions()
+        dimensions = [(weight, accumulator.matrix)
+                      for weight, accumulator in self._dimensions]
         self._trust = self._trust.copy_with_rows(
             {i: TrustMatrix.weighted_row(dimensions, i)
              for i in sorted(dirty_rows)})

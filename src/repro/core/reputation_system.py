@@ -20,9 +20,9 @@ three questions the paper's mechanisms need:
 Matrix construction is owned by the :class:`~repro.core.pipeline.TrustPipeline`:
 stores accumulate per-entity dirty sets, and a refresh re-derives only the
 rows those deltas touch, bit-identical to a full rebuild.  The façade keeps
-the staleness policy — with ``auto_refresh`` every write marks the matrices
-stale (always-fresh queries); simulations set it to False and call
-:meth:`recompute` at their maintenance cadence instead.
+only the refresh policy: with ``auto_refresh`` a query refreshes whenever
+the stores hold deltas (always-fresh queries); simulations set it to False
+and call :meth:`recompute` at their maintenance cadence instead.
 """
 
 from __future__ import annotations
@@ -61,10 +61,11 @@ class MultiDimensionalReputationSystem:
                  recorder: NullRecorder = NULL_RECORDER):
         self.config = config
         self._recorder = recorder
-        #: With ``auto_refresh`` every write marks the matrices stale
-        #: (always-fresh queries, O(delta) per write burst).  Simulations
-        #: ingesting thousands of events set it to False and call
-        #: :meth:`recompute` at their maintenance cadence instead.
+        #: With ``auto_refresh`` a query refreshes whenever the stores hold
+        #: deltas, however they were written (always-fresh queries, O(delta)
+        #: per write burst).  Simulations ingesting thousands of events set
+        #: it to False and call :meth:`recompute` at their maintenance
+        #: cadence instead.
         self.auto_refresh = auto_refresh
         self.evaluations = EvaluationStore(config=config)
         self.ledger = DownloadLedger()
@@ -73,6 +74,8 @@ class MultiDimensionalReputationSystem:
         #: The incremental compute path from stores to ``TM``/``RM``.
         self.pipeline = TrustPipeline(self.evaluations, self.ledger,
                                       self.user_trust, config, recorder)
+        #: A refresh requested by :meth:`recompute` (or owed to the first
+        #: query); deltas themselves live only in the stores' dirty sets.
         self._stale = True
         self._tier_view: Optional[MultiTierView] = None
         self._tier_version = -1
@@ -93,12 +96,8 @@ class MultiDimensionalReputationSystem:
     # Event ingestion                                                    #
     # ------------------------------------------------------------------ #
 
-    def _invalidate(self) -> None:
-        if self.auto_refresh:
-            self._stale = True
-
     def recompute(self) -> None:
-        """Mark cached matrices stale so the next query refreshes them.
+        """Ask the next query to refresh the matrices.
 
         The stores track their deltas regardless of ``auto_refresh``, so
         the refresh this triggers re-derives only what actually changed —
@@ -111,7 +110,6 @@ class MultiDimensionalReputationSystem:
         """A completed download; feeds the volume-trust dimension (Eq. 4)."""
         self.ledger.record_download(downloader, uploader, file_id,
                                     size_bytes, timestamp)
-        self._invalidate()
 
     def record_retention(self, user_id: str, file_id: str,
                          retention_seconds: float,
@@ -119,35 +117,29 @@ class MultiDimensionalReputationSystem:
         """Refresh a file's implicit evaluation from its retention time."""
         self.evaluations.record_retention(user_id, file_id,
                                           retention_seconds, timestamp)
-        self._invalidate()
 
     def record_vote(self, user_id: str, file_id: str, vote: float,
                     timestamp: float = 0.0) -> None:
         """An explicit vote; also earns incentive credit (Section 3.4)."""
         self.evaluations.record_vote(user_id, file_id, vote, timestamp)
         self.credits.record(user_id, IncentiveAction.VOTE)
-        self._invalidate()
 
     def record_play(self, user_id: str, file_id: str, play_fraction: float,
                     timestamp: float = 0.0) -> None:
         """Play-time implicit evaluation for playable media (Section 1)."""
         self.evaluations.record_play(user_id, file_id, play_fraction,
                                      timestamp)
-        self._invalidate()
 
     def record_rank(self, rater: str, ratee: str, rating: float) -> None:
         """A direct user rating; earns rank credit."""
         self.user_trust.rate(rater, ratee, rating)
         self.credits.record(rater, IncentiveAction.RANK_USER)
-        self._invalidate()
 
     def add_friend(self, user: str, friend: str) -> None:
         self.user_trust.add_friend(user, friend)
-        self._invalidate()
 
     def add_to_blacklist(self, user: str, target: str) -> None:
         self.user_trust.add_to_blacklist(user, target)
-        self._invalidate()
 
     def record_real_upload(self, uploader: str, size_bytes: float = 1.0) -> None:
         """Credit an uploader for serving a file later judged real."""
@@ -163,7 +155,6 @@ class MultiDimensionalReputationSystem:
         check_record("eval.implicit", user_id, file_id, 0.0, timestamp)
         self.credits.record(user_id, IncentiveAction.DELETE_FAKE_FILE)
         self.evaluations.record_implicit(user_id, file_id, 0.0, timestamp)
-        self._invalidate()
 
     def apply_record(self, kind: str, payload: Mapping[str, Any]) -> None:
         """Apply one journalled store mutation through the live ingest path.
@@ -173,29 +164,24 @@ class MultiDimensionalReputationSystem:
         so WAL replay drives the incremental pipeline identically to never
         having crashed.  A record that cannot apply raises
         :class:`ValueError` before it mutates.  Credit records do not touch
-        the matrices and therefore do not invalidate them, mirroring the
-        live write paths.
+        the matrices: they mark no store dirty, so they trigger no refresh,
+        mirroring the live write paths.
         """
         values = journal_fields(kind, payload)
         spec = JOURNAL_RECORDS[kind]
         getattr(getattr(self, spec.store), spec.mutator)(*values)
-        if spec.store != "credits":
-            self._invalidate()
 
     def prune_before(self, cutoff_timestamp: float) -> int:
         """Section 4.3: drop evaluations and downloads older than cutoff."""
-        removed = self.evaluations.prune_older_than(cutoff_timestamp)
-        removed += self.ledger.prune_older_than(cutoff_timestamp)
-        if removed:
-            self._invalidate()
-        return removed
+        return (self.evaluations.prune_older_than(cutoff_timestamp)
+                + self.ledger.prune_older_than(cutoff_timestamp))
 
     # ------------------------------------------------------------------ #
     # Matrices                                                           #
     # ------------------------------------------------------------------ #
 
     def _ensure_fresh(self) -> None:
-        if self._stale:
+        if self._stale or (self.auto_refresh and self.pipeline.has_dirty):
             self.pipeline.refresh()
             self._stale = False
 

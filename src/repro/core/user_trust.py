@@ -12,7 +12,7 @@ Eq. 6 row-normalises ``UT`` into the user-based one-step matrix ``UM``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..lint.contracts import check_row_stochastic
 from .journal_table import JournalSink, check_record
@@ -179,32 +179,34 @@ class UserTrustAccumulator:
 
     A rater's UM row (Eq. 6) depends only on their own ratings, friend list
     and blacklist, so rows are independent: the accumulator keeps the
-    normalised matrix between refreshes and recomputes exactly the rows
-    named dirty.
+    normalised matrix between refreshes and recomputes exactly the rows of
+    the raters the store names dirty.
     """
 
-    def __init__(self) -> None:
+    #: Key of this dimension in :meth:`TrustPipeline.dimension_matrices`.
+    dimension = "user"
+
+    def __init__(self, store: UserTrustStore):
+        self._store = store
         self.matrix = TrustMatrix()
-        #: Rows changed by the most recent :meth:`refresh`.
-        self.last_dirty_rows: Set[str] = set()
 
-    def refresh(self, store: UserTrustStore,
-                dirty_raters: Iterable[str]) -> Set[str]:
-        """Re-derive the rows of ``dirty_raters``; returns rows touched."""
-        touched: Set[str] = set()
-        for rater in sorted(set(dirty_raters)):
-            raw_row = {other: value
-                       for other, value in store.relationships_of(rater).items()
-                       if value > 0.0}
-            self.matrix.replace_row_normalized(rater, raw_row)
-            touched.add(rater)
-        self.last_dirty_rows = touched
-        check_row_stochastic(self.matrix, name="UM")
-        return touched
+    def refresh(self) -> Set[str]:
+        """Re-derive the rows of the store's dirty raters; returns them."""
+        return self._rederive(self._store.dirty_raters())
 
-    def rebuild(self, store: UserTrustStore) -> Set[str]:
+    def rebuild(self) -> Set[str]:
         """Full pass: forget everything and re-derive every row."""
         stale_rows = set(self.matrix.row_ids())
         self.matrix = TrustMatrix()
-        self.last_dirty_rows = self.refresh(store, store.raters()) | stale_rows
-        return self.last_dirty_rows
+        return self._rederive(self._store.raters()) | stale_rows
+
+    def _rederive(self, raters: Set[str]) -> Set[str]:
+        """Re-derive the rows of ``raters``; returns rows touched."""
+        for rater in sorted(raters):
+            raw_row = {other: value
+                       for other, value in self._store.relationships_of(
+                           rater).items()
+                       if value > 0.0}
+            self.matrix.replace_row_normalized(rater, raw_row)
+        check_row_stochastic(self.matrix, name="UM")
+        return raters

@@ -186,42 +186,46 @@ class VolumeTrustAccumulator:
     A downloader's DM row (Eqs. 4-5) depends only on *their own* download
     entries and evaluations, so rows are independent: the accumulator keeps
     the normalised matrix between refreshes and recomputes exactly the rows
-    named dirty.
+    whose inputs moved.  Eq. 4 weighs each downloaded byte by the
+    downloader's own evaluation, so a row is dirty when the ledger names
+    its downloader *or* the evaluation store names them among its dirty
+    users.
 
     The recency-decayed (``now``/``half_life``) Eq. 4 variant stays on the
     full :func:`build_volume_trust_matrix` path — under decay every row is a
     function of ``now``, and there is no delta to exploit.
     """
 
-    def __init__(self, config: ReputationConfig = DEFAULT_CONFIG):
-        self._config = config
+    #: Key of this dimension in :meth:`TrustPipeline.dimension_matrices`.
+    dimension = "volume"
+
+    def __init__(self, ledger: DownloadLedger, store: EvaluationStore):
+        self._ledger = ledger
+        self._store = store
         self.matrix = TrustMatrix()
-        #: Rows changed by the most recent :meth:`refresh`.
-        self.last_dirty_rows: Set[str] = set()
 
-    def refresh(self, ledger: DownloadLedger, store: EvaluationStore,
-                dirty_downloaders: Iterable[str]) -> Set[str]:
-        """Re-derive the rows of ``dirty_downloaders``; returns rows touched."""
-        touched: Set[str] = set()
-        for downloader in sorted(set(dirty_downloaders)):
-            raw_row: Dict[str, float] = {}
-            for uploader in ledger.uploaders_of(downloader):
-                volume = valid_download_volume(ledger, store, downloader,
-                                               uploader)
-                if volume > 0.0:
-                    raw_row[uploader] = volume
-            self.matrix.replace_row_normalized(downloader, raw_row)
-            touched.add(downloader)
-        self.last_dirty_rows = touched
-        check_row_stochastic(self.matrix, name="DM")
-        return touched
+    def refresh(self) -> Set[str]:
+        """Re-derive the rows whose downloads or evaluations moved."""
+        return self._rederive(self._ledger.dirty_downloaders()
+                              | self._store.dirty_users())
 
-    def rebuild(self, ledger: DownloadLedger,
-                store: EvaluationStore) -> Set[str]:
+    def rebuild(self) -> Set[str]:
         """Full pass: forget everything and re-derive every row."""
         stale_rows = set(self.matrix.row_ids())
         self.matrix = TrustMatrix()
-        downloaders = {downloader for downloader, _ in ledger.pairs()}
-        self.last_dirty_rows = self.refresh(ledger, store,
-                                            downloaders) | stale_rows
-        return self.last_dirty_rows
+        downloaders = {downloader for downloader, _ in self._ledger.pairs()}
+        return self._rederive(downloaders) | stale_rows
+
+    def _rederive(self, downloaders: Set[str]) -> Set[str]:
+        """Re-derive the rows of ``downloaders``; returns rows touched."""
+        ledger = self._ledger
+        for downloader in sorted(downloaders):
+            raw_row: Dict[str, float] = {}
+            for uploader in ledger.uploaders_of(downloader):
+                volume = valid_download_volume(ledger, self._store,
+                                               downloader, uploader)
+                if volume > 0.0:
+                    raw_row[uploader] = volume
+            self.matrix.replace_row_normalized(downloader, raw_row)
+        check_row_stochastic(self.matrix, name="DM")
+        return downloaders

@@ -23,10 +23,11 @@ The measurement substrate the quantitative claims run on:
 * :mod:`~repro.obs.bench` — the one bench harness behind ``repro bench``:
   stamped ``BENCH_<section>.json`` snapshots (obs, wal, trace, pipeline)
   with alternating-pair timing, identity checks and gates;
-* :mod:`~repro.obs.alerts` — threshold/windowed alert rules and severities;
+* :mod:`~repro.obs.alerts` — the alert record and its severities;
 * :mod:`~repro.obs.detectors` — streaming anomaly detectors (convergence
-  stall, fake outbreak, collusion ring, whitewashing, starvation);
-* :mod:`~repro.obs.monitor` — the live/offline monitor tying them together;
+  stall, fake outbreak, collusion ring, whitewashing, starvation) and the
+  threshold/windowed alert rules, as one detector list;
+* :mod:`~repro.obs.monitor` — the live/offline monitor feeding that list;
 * :mod:`~repro.obs.timeline` — per-peer reputation timelines from a trace;
 * :mod:`~repro.obs.dashboard` — self-contained HTML dashboard rendering;
 * :mod:`~repro.obs.diff` — differential analysis of two trace summaries.
@@ -39,10 +40,10 @@ Trace consumers stream — they accept lazy readers and never materialise
 the full event list.
 """
 
-from .alerts import (Alert, RulesEngine, Severity, ThresholdRule,
-                     WindowedCountRule, default_rules)
+from .alerts import Alert, Severity
 from .dashboard import render_dashboard
-from .detectors import Detector, default_detectors
+from .detectors import (Detector, ThresholdRule, WindowedCountRule,
+                        default_detectors)
 from .diff import diff_summaries
 from .events import EventTrace, read_events
 from .flame import FoldedStacks, folded_from_trees, render_flamegraph
@@ -67,13 +68,11 @@ from .traceio import (JsonlTraceWriter, TraceFormatError, TraceReader,
 
 __all__ = [
     "Alert",
-    "RulesEngine",
     "Severity",
-    "ThresholdRule",
-    "WindowedCountRule",
-    "default_rules",
     "render_dashboard",
     "Detector",
+    "ThresholdRule",
+    "WindowedCountRule",
     "default_detectors",
     "diff_summaries",
     "EventTrace",

@@ -1,31 +1,20 @@
-"""Alerts and the declarative rules engine.
+"""Alerts: the atom the monitoring layer produces.
 
-An :class:`Alert` is the atom the monitoring layer produces: a severity, the
-detector (or rule) that raised it, a deterministic message, and the
-*simulation* time it refers to.  Alerts are re-emitted through the recorder
-as ``alert`` events, so they land in the same ``events.jsonl`` as the
-signals that triggered them — one trace tells the whole story, and two runs
-at the same seed produce byte-identical alert streams.
-
-:class:`RulesEngine` evaluates declarative rules against the raw event
-stream, complementing the stateful :mod:`~repro.obs.detectors`:
-
-* :class:`ThresholdRule` — fire when a single event's field crosses a bound
-  (e.g. a lookup taking more hops than the overlay should ever need);
-* :class:`WindowedCountRule` — fire when matching events bunch up inside a
-  sliding simulation-time window (e.g. a burst of failed lookups).
-
-Windowed rules re-arm only after a full window without firing, so a
-sustained condition produces one alert per window, not one per event.
+An :class:`Alert` carries a severity, the detector that raised it, a
+deterministic message, and the *simulation* time it refers to.  The
+detectors (:mod:`~repro.obs.detectors`, declarative rules included) raise
+them; alerts are re-emitted through the recorder as ``alert`` events, so
+they land in the same ``events.jsonl`` as the signals that triggered them —
+one trace tells the whole story, and two runs at the same seed produce
+byte-identical alert streams.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Tuple
 
-__all__ = ["Severity", "Alert", "ThresholdRule", "WindowedCountRule",
-           "RulesEngine", "default_rules", "SEVERITIES"]
+__all__ = ["Severity", "Alert", "SEVERITIES"]
 
 #: Severity levels, mildest first.  Kept as plain strings in events so the
 #: trace stays dependency-free to parse.
@@ -74,130 +63,3 @@ class Alert:
                    detector=str(event.get("detector", "unknown")),
                    severity=str(event.get("severity", "info")),
                    message=str(event.get("message", "")))
-
-
-Predicate = Callable[[Mapping], bool]
-
-
-def _field_matches(event: Mapping, kind: str,
-                   where: Optional[Predicate]) -> bool:
-    if event.get("event") != kind:
-        return False
-    return where is None or bool(where(event))
-
-
-@dataclass(frozen=True)
-class ThresholdRule:
-    """Fire when one event's numeric field crosses a bound.
-
-    ``op`` is ``">"``, ``">="``, ``"<"`` or ``"<="``; events without the
-    field (or with a non-numeric value) never match.
-    """
-
-    name: str
-    event_kind: str
-    field_name: str
-    op: str
-    bound: float
-    severity: str = Severity.WARNING
-    #: Optional extra filter on the event.
-    where: Optional[Predicate] = None
-
-    _OPS = {">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
-            "<": lambda a, b: a < b, "<=": lambda a, b: a <= b}
-
-    def __post_init__(self) -> None:
-        if self.op not in self._OPS:
-            raise ValueError(f"unknown op {self.op!r}")
-
-    def evaluate(self, event: Mapping) -> Optional[Alert]:
-        if not _field_matches(event, self.event_kind, self.where):
-            return None
-        value = event.get(self.field_name)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            return None
-        if not self._OPS[self.op](float(value), self.bound):
-            return None
-        return Alert(
-            t=float(event.get("t", 0.0)),
-            detector=f"rule:{self.name}",
-            severity=self.severity,
-            message=(f"{self.event_kind}.{self.field_name}={value:g} "
-                     f"{self.op} {self.bound:g}"))
-
-
-@dataclass
-class WindowedCountRule:
-    """Fire when >= ``min_count`` matching events land inside a window.
-
-    The window is simulation time; state is purely derived from the event
-    stream, so offline replay reproduces live firings exactly.  After
-    firing, the rule stays silent until the window has fully slid past the
-    firing point (one alert per sustained burst, not per event).
-    """
-
-    name: str
-    event_kind: str
-    window_seconds: float
-    min_count: int
-    severity: str = Severity.WARNING
-    where: Optional[Predicate] = None
-    _times: List[float] = field(default_factory=list)
-    _muted_until: float = field(default=float("-inf"))
-
-    def __post_init__(self) -> None:
-        if self.window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
-        if self.min_count < 1:
-            raise ValueError("min_count must be >= 1")
-
-    def evaluate(self, event: Mapping) -> Optional[Alert]:
-        if not _field_matches(event, self.event_kind, self.where):
-            return None
-        t = float(event.get("t", 0.0))
-        self._times.append(t)
-        horizon = t - self.window_seconds
-        self._times = [ts for ts in self._times if ts > horizon]
-        if t < self._muted_until or len(self._times) < self.min_count:
-            return None
-        self._muted_until = t + self.window_seconds
-        return Alert(
-            t=t, detector=f"rule:{self.name}", severity=self.severity,
-            message=(f"{len(self._times)} {self.event_kind} events within "
-                     f"{self.window_seconds:g}s (threshold "
-                     f"{self.min_count})"))
-
-
-class RulesEngine:
-    """Evaluates a fixed rule set against an event stream, in rule order."""
-
-    def __init__(self, rules: Sequence[object]):
-        self.rules = list(rules)
-
-    def observe(self, event: Mapping) -> List[Alert]:
-        alerts: List[Alert] = []
-        for rule in self.rules:
-            alert = rule.evaluate(event)
-            if alert is not None:
-                alerts.append(alert)
-        return alerts
-
-
-def default_rules() -> List[object]:
-    """The standard rule set ``Monitor.default()`` ships with."""
-    return [
-        WindowedCountRule(
-            name="lookup_failure_burst", event_kind="dht_lookup",
-            window_seconds=500.0, min_count=5,
-            severity=Severity.WARNING,
-            where=lambda event: not event.get("ok", True)),
-        WindowedCountRule(
-            name="quorum_miss_burst", event_kind="dht_retrieve",
-            window_seconds=500.0, min_count=5,
-            severity=Severity.WARNING,
-            where=lambda event: not event.get("complete", True)),
-        ThresholdRule(
-            name="lookup_hop_blowup", event_kind="dht_lookup",
-            field_name="hops", op=">", bound=24.0,
-            severity=Severity.WARNING),
-    ]

@@ -193,7 +193,7 @@ def render_dashboard(events: Iterable[Mapping],
     ``events`` may be any iterable — including the lazy trace readers —
     and is consumed exactly once.
     """
-    monitor = Monitor.default()
+    monitor = Monitor()
     result = MonitorResult()
     summarizer = TraceSummarizer()
     timeline_builder = TimelineBuilder()

@@ -21,17 +21,30 @@ graph and interaction stream:
   prior (the attack paid off);
 * :class:`StarvationDetector` — honest peers pinned in the lowest service
   class across consecutive refreshes (incentive mechanism misfiring).
+
+Two declarative rules are detectors too, configured by fields rather than
+code; their alerts are named ``rule:<name>``:
+
+* :class:`ThresholdRule` — fire when a single event's field crosses a bound
+  (e.g. a lookup taking more hops than the overlay should ever need);
+* :class:`WindowedCountRule` — fire when matching events bunch up inside a
+  sliding simulation-time window (e.g. a burst of failed lookups).  It
+  re-arms only after a full window without firing, so a sustained
+  condition produces one alert per window, not one per event.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional, Set,
+                    Tuple)
 
 from .alerts import Alert, Severity
 
 __all__ = ["Detector", "ConvergenceStallDetector", "FakeOutbreakDetector",
            "CollusionRingDetector", "WhitewashDetector",
-           "StarvationDetector", "default_detectors"]
+           "StarvationDetector", "ThresholdRule", "WindowedCountRule",
+           "default_detectors"]
 
 
 class Detector:
@@ -422,12 +435,121 @@ class StarvationDetector(Detector):
         return alerts
 
 
+Predicate = Callable[[Mapping], bool]
+
+
+def _field_matches(event: Mapping, kind: str,
+                   where: Optional[Predicate]) -> bool:
+    if event.get("event") != kind:
+        return False
+    return where is None or bool(where(event))
+
+
+@dataclass(frozen=True)
+class ThresholdRule(Detector):
+    """Fire when one event's numeric field crosses a bound.
+
+    ``op`` is ``">"``, ``">="``, ``"<"`` or ``"<="``; events without the
+    field (or with a non-numeric value) never match.
+    """
+
+    #: ``field()``: without it, ``Detector.name`` would become the default.
+    name: str = field()
+    event_kind: str
+    field_name: str
+    op: str
+    bound: float
+    severity: str = Severity.WARNING
+    #: Optional extra filter on the event.
+    where: Optional[Predicate] = None
+
+    _OPS = {">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
+            "<": lambda a, b: a < b, "<=": lambda a, b: a <= b}
+
+    def __post_init__(self) -> None:
+        if self.op not in self._OPS:
+            raise ValueError(f"unknown op {self.op!r}")
+
+    def observe(self, event: Mapping) -> List[Alert]:
+        if not _field_matches(event, self.event_kind, self.where):
+            return []
+        value = event.get(self.field_name)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            return []
+        if not self._OPS[self.op](float(value), self.bound):
+            return []
+        return [Alert(
+            t=float(event.get("t", 0.0)),
+            detector=f"rule:{self.name}",
+            severity=self.severity,
+            message=(f"{self.event_kind}.{self.field_name}={value:g} "
+                     f"{self.op} {self.bound:g}"))]
+
+
+@dataclass
+class WindowedCountRule(Detector):
+    """Fire when >= ``min_count`` matching events land inside a window.
+
+    The window is simulation time; state is purely derived from the event
+    stream, so offline replay reproduces live firings exactly.  After
+    firing, the rule stays silent until the window has fully slid past the
+    firing point (one alert per sustained burst, not per event).
+    """
+
+    #: ``field()``: without it, ``Detector.name`` would become the default.
+    name: str = field()
+    event_kind: str
+    window_seconds: float
+    min_count: int
+    severity: str = Severity.WARNING
+    where: Optional[Predicate] = None
+    _times: List[float] = field(default_factory=list)
+    _muted_until: float = field(default=float("-inf"))
+
+    def __post_init__(self) -> None:
+        if self.window_seconds <= 0:
+            raise ValueError("window_seconds must be positive")
+        if self.min_count < 1:
+            raise ValueError("min_count must be >= 1")
+
+    def observe(self, event: Mapping) -> List[Alert]:
+        if not _field_matches(event, self.event_kind, self.where):
+            return []
+        t = float(event.get("t", 0.0))
+        self._times.append(t)
+        horizon = t - self.window_seconds
+        self._times = [ts for ts in self._times if ts > horizon]
+        if t < self._muted_until or len(self._times) < self.min_count:
+            return []
+        self._muted_until = t + self.window_seconds
+        return [Alert(
+            t=t, detector=f"rule:{self.name}", severity=self.severity,
+            message=(f"{len(self._times)} {self.event_kind} events within "
+                     f"{self.window_seconds:g}s (threshold "
+                     f"{self.min_count})"))]
+
+
 def default_detectors() -> List[Detector]:
-    """The standard detector set ``Monitor.default()`` ships with."""
+    """The standard detector set every :class:`~repro.obs.monitor.Monitor`
+    runs, live and offline; the rules come last."""
     return [
         ConvergenceStallDetector(),
         FakeOutbreakDetector(),
         CollusionRingDetector(),
         WhitewashDetector(),
         StarvationDetector(),
+        WindowedCountRule(
+            name="lookup_failure_burst", event_kind="dht_lookup",
+            window_seconds=500.0, min_count=5,
+            severity=Severity.WARNING,
+            where=lambda event: not event.get("ok", True)),
+        WindowedCountRule(
+            name="quorum_miss_burst", event_kind="dht_retrieve",
+            window_seconds=500.0, min_count=5,
+            severity=Severity.WARNING,
+            where=lambda event: not event.get("complete", True)),
+        ThresholdRule(
+            name="lookup_hop_blowup", event_kind="dht_lookup",
+            field_name="hops", op=">", bound=24.0,
+            severity=Severity.WARNING),
     ]

@@ -1,7 +1,8 @@
-"""The streaming monitor: detectors + rules over one event stream.
+"""The streaming monitor: one detector list over one event stream.
 
-:class:`Monitor` owns a detector set (:mod:`~repro.obs.detectors`) and a
-rules engine (:mod:`~repro.obs.alerts`) and feeds them one event at a time.
+:class:`Monitor` owns the default detector list
+(:mod:`~repro.obs.detectors`, declarative rules included) and feeds it one
+event at a time, in list order.
 It runs in two modes that must — and do — agree exactly:
 
 * **live**: :meth:`attach` subscribes to a :class:`~repro.obs.recorder
@@ -18,10 +19,10 @@ It runs in two modes that must — and do — agree exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional
 
-from .alerts import Alert, RulesEngine, Severity, default_rules
-from .detectors import Detector, default_detectors
+from .alerts import Alert, Severity
+from .detectors import default_detectors
 from .recorder import NullRecorder
 
 __all__ = ["Monitor", "MonitorResult", "monitor_events"]
@@ -31,7 +32,7 @@ __all__ = ["Monitor", "MonitorResult", "monitor_events"]
 class MonitorResult:
     """Outcome of an offline monitoring pass over one trace."""
 
-    #: Alerts produced by this pass's detectors and rules.
+    #: Alerts produced by this pass's detectors.
     alerts: List[Alert] = field(default_factory=list)
     #: ``alert`` events already embedded in the trace (live-mode output).
     recorded_alerts: List[Alert] = field(default_factory=list)
@@ -56,23 +57,18 @@ class MonitorResult:
 
 
 class Monitor:
-    """Feeds detectors and rules; optionally re-emits alerts live."""
+    """Feeds the default detectors; optionally re-emits alerts live.
 
-    def __init__(self, detectors: Optional[Sequence[Detector]] = None,
-                 rules: Optional[Sequence[object]] = None):
-        self.detectors = (list(detectors) if detectors is not None
-                          else default_detectors())
-        self.engine = RulesEngine(rules if rules is not None
-                                  else default_rules())
+    The CLI uses the same configuration live and offline, which is what
+    lets an offline pass reproduce a live alert stream.
+    """
+
+    def __init__(self) -> None:
+        self.detectors = default_detectors()
         self.alerts: List[Alert] = []
         self._recorder: Optional[NullRecorder] = None
         self._last_t = 0.0
         self._finished = False
-
-    @classmethod
-    def default(cls) -> "Monitor":
-        """The standard configuration used by the CLI, live and offline."""
-        return cls()
 
     # ------------------------------------------------------------------ #
     # Live mode                                                          #
@@ -98,7 +94,6 @@ class Monitor:
         raised: List[Alert] = []
         for detector in self.detectors:
             raised.extend(detector.observe(event))
-        raised.extend(self.engine.observe(event))
         self._register(raised)
         return raised
 
@@ -125,7 +120,7 @@ def monitor_events(events: Iterable[Mapping],
                    monitor: Optional[Monitor] = None) -> MonitorResult:
     """Run an offline monitoring pass over a saved trace."""
     if monitor is None:
-        monitor = Monitor.default()
+        monitor = Monitor()
     result = MonitorResult()
     for event in events:
         result.events_seen += 1

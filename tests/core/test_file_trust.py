@@ -136,9 +136,9 @@ class TestAccumulatorCost:
         return calls
 
     def _built(self, store, config):
-        accumulator = FileTrustAccumulator(config)
+        accumulator = FileTrustAccumulator(store, config)
         calls = self._count_terms(accumulator)
-        accumulator.rebuild(store)
+        accumulator.rebuild()
         store.clear_dirty()
         return accumulator, calls
 
@@ -153,7 +153,7 @@ class TestAccumulatorCost:
         accumulator, calls = self._built(populated, config)
         calls.clear()
         populated.record_vote("u3", "popular", 0.95)
-        accumulator.refresh(populated, populated.dirty_files())
+        accumulator.refresh()
         assert len(calls) == self.EVALUATORS - 1
         assert accumulator.matrix == build_file_trust_matrix(populated,
                                                              config)
@@ -163,7 +163,7 @@ class TestAccumulatorCost:
         accumulator, calls = self._built(populated, config)
         calls.clear()
         populated.record_vote("newcomer", "popular", 0.5)
-        accumulator.refresh(populated, populated.dirty_files())
+        accumulator.refresh()
         assert len(calls) == self.EVALUATORS
         assert accumulator.matrix == build_file_trust_matrix(populated,
                                                              config)
@@ -172,7 +172,7 @@ class TestAccumulatorCost:
         accumulator, calls = self._built(populated, config)
         calls.clear()
         populated.record_vote("u3", "popular", 0.1 * 3)
-        accumulator.refresh(populated, populated.dirty_files())
+        accumulator.refresh()
         assert calls == []
         assert accumulator.matrix == build_file_trust_matrix(populated,
                                                              config)
@@ -182,7 +182,7 @@ class TestAccumulatorCost:
         calls.clear()
         populated.remove("u1", "niche")
         populated.remove("u3", "popular")
-        accumulator.refresh(populated, populated.dirty_files())
+        accumulator.refresh()
         assert calls == []
         assert accumulator.matrix == build_file_trust_matrix(populated,
                                                              config)

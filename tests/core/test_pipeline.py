@@ -75,15 +75,16 @@ class TestRefreshModes:
         pipeline.refresh(force_full=True)
         assert pipeline.last_stats.mode == "full"
 
-    def test_invalidate_forces_full_rebuild(self):
+    def test_force_full_with_no_dirt_rebuilds_identically(self):
         pipeline, evaluations, ledger, user_trust = _pipeline()
         _populate(evaluations, ledger, user_trust)
         pipeline.refresh()
         checksums = pipeline.checksums()
-        pipeline.invalidate()
-        assert pipeline.has_dirty
-        pipeline.refresh()
+        version = pipeline.version
+        assert not pipeline.has_dirty
+        pipeline.refresh(force_full=True)
         assert pipeline.last_stats.mode == "full"
+        assert pipeline.version == version + 1
         assert pipeline.checksums() == checksums
 
     def test_version_increments_on_real_refreshes(self):
@@ -317,14 +318,13 @@ class TestFacadeIntegration:
         assert after.reputation is before.reputation
         assert pipeline.version == version
 
-    def test_facade_invalidate_forces_full_rebuild(self):
+    def test_facade_force_full_rebuilds_identically(self):
         system = MultiDimensionalReputationSystem(auto_refresh=False)
         _drive_facade(system, events=60)
         pipeline = system.pipeline
         checksums = pipeline.checksums()
-        pipeline.invalidate()
-        assert pipeline.has_dirty
-        pipeline.refresh()
+        assert not pipeline.has_dirty
+        pipeline.refresh(force_full=True)
         assert pipeline.last_stats.mode == "full"
         assert pipeline.checksums() == checksums
 

@@ -15,6 +15,7 @@ import pytest
 from repro.core import MultiDimensionalReputationSystem
 from repro.core.durability import DurabilityManager, read_wal
 from repro.core.incentive import IncentiveAction
+from repro.core.integration import build_one_step_matrix
 from repro.core.journal_table import JOURNAL_RECORDS, check_record
 from repro.core.persistence import system_to_dict
 
@@ -161,3 +162,34 @@ class TestFakeDeletionIsAtomic:
         _, records = _journalled(tmp_path / "state", CALLS["eval.implicit"])
         assert [record.kind for record in records] \
             == ["credit.record", "eval.implicit"]
+
+
+
+@pytest.mark.parametrize("kind", list(JOURNAL_RECORDS))
+def test_each_kind_keeps_an_auto_refresh_facade_fresh(kind):
+    """A default façade's next query sees every record kind's write.
+
+    The façade is refreshed just before the kind's own record lands (from
+    the journal sink, which runs before the mutation), so any setup the
+    call does first is already consumed.  Whether the call goes through a
+    façade wrapper or straight to a store, the store's dirt is what makes
+    the next query refresh; a credit write marks no store dirty, so it
+    publishes nothing.
+    """
+    system = MultiDimensionalReputationSystem()
+    versions = []
+
+    def refresh_before_own_record(record_kind, *values):
+        check_record(record_kind, *values)
+        if record_kind == kind:
+            system.one_step_matrix()
+            versions.append(system.pipeline.version)
+
+    for store in {spec.store for spec in JOURNAL_RECORDS.values()}:
+        getattr(system, store).journal = refresh_before_own_record
+    CALLS[kind](system)
+    assert len(versions) == 1
+    assert system.one_step_matrix() == build_one_step_matrix(
+        system.evaluations, system.ledger, system.user_trust, system.config)
+    if kind == "credit.record":
+        assert system.pipeline.version == versions[0]

@@ -258,7 +258,8 @@ class TestStarvation:
 
 class TestDefaultSet:
     def test_catalogue_is_complete(self):
-        names = {d.name for d in default_detectors()}
-        assert names == {"convergence_stall", "fake_outbreak",
+        names = [d.name for d in default_detectors()]
+        assert names == ["convergence_stall", "fake_outbreak",
                          "collusion_ring", "whitewash",
-                         "incentive_starvation"}
+                         "incentive_starvation", "lookup_failure_burst",
+                         "quorum_miss_burst", "lookup_hop_blowup"]

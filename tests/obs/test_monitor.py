@@ -28,7 +28,7 @@ def _run_monitored(seed=5):
     mechanism = MultiDimensionalMechanism(ReputationConfig(
         retention_saturation_seconds=config.duration_seconds / 3))
     recorder = Recorder(trace_sink=[])
-    monitor = Monitor.default().attach(recorder)
+    monitor = Monitor().attach(recorder)
     FileSharingSimulation(config, mechanism, recorder=recorder).run()
     monitor.finish()
     return recorder, monitor
@@ -90,14 +90,14 @@ class TestOfflineReplay:
 
 class TestMonitorMechanics:
     def test_alert_events_are_not_fed_to_detectors(self):
-        monitor = Monitor.default()
+        monitor = Monitor()
         raised = monitor.feed(_event("alert", 1.0, detector="x",
                                      severity="critical", message="m"))
         assert raised == []
         assert monitor.alerts == []
 
     def test_no_reemission_without_recorder(self):
-        monitor = Monitor.default()
+        monitor = Monitor()
         for t in range(5):
             monitor.feed(_event("dht_lookup", float(t * 50), hops=3,
                                 ok=False))
@@ -105,7 +105,7 @@ class TestMonitorMechanics:
 
     def test_attach_to_null_recorder_swallows_reemission(self):
         # NullRecorder.subscribe is a no-op; feeding still works directly.
-        monitor = Monitor.default().attach(NULL_RECORDER)
+        monitor = Monitor().attach(NULL_RECORDER)
         monitor.feed(_event("whitewash", 1.0, retired="a", fresh="b"))
         assert len(monitor.alerts) == 1
 
