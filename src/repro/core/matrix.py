@@ -72,20 +72,6 @@ class TrustMatrix:
         current = self.get(i, j)
         self.set(i, j, max(current + delta, 0.0))
 
-    def replace_row(self, i: str, values: Mapping[str, float]) -> None:
-        """Replace row ``i`` wholesale; zero/negative entries are dropped.
-
-        The incremental builders patch exactly the rows whose inputs went
-        dirty; replacing the row in one call keeps the "no stored zeros, no
-        empty rows" invariants without touching untouched rows.
-        """
-        self._csr = None
-        row = {j: value for j, value in values.items() if value > 0.0}
-        if row:
-            self._rows[i] = row
-        else:
-            self._rows.pop(i, None)
-
     def replace_row_normalized(self, i: str, raw: Mapping[str, float]) -> None:
         """Replace row ``i`` with ``raw`` scaled to sum to 1 (Eqs. 3, 5, 6).
 
@@ -93,28 +79,39 @@ class TrustMatrix:
         :meth:`row_normalized`) and the incremental accumulators both land
         here.  The total uses ``math.fsum``, so the row depends only on its
         *values*, never on dict insertion order — a patched row equals a
-        rebuilt one bit for bit.  A row whose total is not positive is
-        removed.
+        rebuilt one bit for bit.  Quotients that underflow to 0.0 are
+        dropped, and a row whose total is not positive is removed.
         """
+        self._csr = None
         total = fsum(raw.values())
-        self.replace_row(
-            i, {j: value / total for j, value in raw.items()} if total > 0 else {})
+        row = ({j: quotient for j, value in raw.items()
+                if (quotient := value / total) > 0.0} if total > 0 else {})
+        if row:
+            self._rows[i] = row
+        else:
+            self._rows.pop(i, None)
 
-    def copy_with_rows(self, updates: Mapping[str, Mapping[str, float]]
+    def copy_with_rows(self, updates: Mapping[str, Dict[str, float]]
                        ) -> "TrustMatrix":
         """Row-level copy-on-write: a new matrix sharing unchanged rows.
 
         ``updates`` maps row ids to their new contents (empty mapping =
-        remove the row).  Unchanged rows are *shared by reference* with
-        ``self`` and are never mutated afterwards — each refresh that
+        remove the row).  Each new row must already hold only positive
+        entries — :meth:`weighted_row` builds them that way — and is
+        *adopted*, not copied: the caller hands it over and must not
+        mutate it afterwards.  Unchanged rows are *shared by reference*
+        with ``self`` and are never mutated afterwards — each refresh that
         touches them again replaces them here the same way — so snapshots
         handed out earlier stay stable while a refresh publishes a fresh
         matrix identity.
         """
         result = TrustMatrix()
-        result._rows = dict(self._rows)
+        rows = result._rows = dict(self._rows)
         for i, values in updates.items():
-            result.replace_row(i, values)
+            if values:
+                rows[i] = values
+            else:
+                rows.pop(i, None)
         return result
 
     # ------------------------------------------------------------------ #
@@ -231,11 +228,11 @@ class TrustMatrix:
                 raise ValueError("weights must be >= 0")
             if weight > 0.0:
                 active.append((weight, matrix))
-        result = TrustMatrix()
         # Rows in order of first appearance, dimension by dimension.
-        for i in dict.fromkeys(i for _, matrix in active for i in matrix._rows):
-            result.replace_row(i, TrustMatrix.weighted_row(active, i))
-        return result
+        return TrustMatrix().copy_with_rows({
+            i: TrustMatrix.weighted_row(active, i)
+            for i in dict.fromkeys(i for _, matrix in active
+                                   for i in matrix._rows)})
 
     @staticmethod
     def weighted_row(terms: Sequence[Tuple[float, "TrustMatrix"]],
@@ -244,12 +241,27 @@ class TrustMatrix:
 
         :meth:`weighted_sum` builds every row through here and the
         incremental pipeline re-derives its dirty TM rows through here, so
-        both land on the same floats.
+        both land on the same floats.  The row is seeded from the first
+        non-empty term's products (``0.0 + x == x`` for ``x >= 0``, so the
+        floats match a sum started from zero) and later terms add in
+        place; products that underflow to 0.0 are dropped, so the result
+        can go straight into :meth:`copy_with_rows`.
         """
-        row: Dict[str, float] = {}
+        row: Optional[Dict[str, float]] = None
         for weight, matrix in terms:
-            for j, value in matrix._rows.get(i, _EMPTY_ROW).items():
-                row[j] = row.get(j, 0.0) + weight * value
+            values = matrix._rows.get(i)
+            if not values:
+                continue
+            if row is None:
+                row = {j: weight * value for j, value in values.items()}
+                continue
+            get = row.get
+            for j, value in values.items():
+                row[j] = get(j, 0.0) + weight * value
+        if row is None:
+            return {}
+        if 0.0 in row.values():
+            row = {j: value for j, value in row.items() if value > 0.0}
         return row
 
     def matmul(self, other: "TrustMatrix") -> "TrustMatrix":
@@ -496,7 +508,7 @@ class CsrTrustMatrix(TrustMatrix):
     def set(self, i: str, j: str, value: float) -> None:
         raise TypeError("CsrTrustMatrix is read-only")
 
-    def replace_row(self, i: str, values: Mapping[str, float]) -> None:
+    def replace_row_normalized(self, i: str, raw: Mapping[str, float]) -> None:
         raise TypeError("CsrTrustMatrix is read-only")
 
     def to_csr(self) -> "CsrTrustMatrix":

@@ -271,7 +271,11 @@ class TrustPipeline:
     # ------------------------------------------------------------------ #
 
     def _publish_trust(self, dirty_rows: Set[str]) -> None:
-        """Re-apply Eq. 7 to exactly ``dirty_rows``; publish copy-on-write."""
+        """Re-apply Eq. 7 to exactly ``dirty_rows``; publish copy-on-write.
+
+        Each row is one dict, built by :meth:`TrustMatrix.weighted_row`
+        and adopted as it is by :meth:`TrustMatrix.copy_with_rows`.
+        """
         check_simplex((self.config.alpha, self.config.beta, self.config.gamma),
                       name="(alpha, beta, gamma)")
         dimensions = [(weight, accumulator.matrix)

@@ -14,7 +14,7 @@ contributes almost nothing, while well-evaluated bytes contribute fully.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, KeysView, List, Optional, Set, Tuple
 
 from ..lint.contracts import check_row_stochastic
 from .config import DEFAULT_CONFIG, ReputationConfig
@@ -45,8 +45,12 @@ class DownloadLedger:
     #: incremental DM builder re-derive one downloader's row without
     #: scanning every (downloader, uploader) pair in the system.
     _uploaders: Dict[str, Set[str]] = field(default_factory=dict)
-    #: Downloaders whose entries changed since the last :meth:`clear_dirty`.
-    _dirty_downloaders: Set[str] = field(default_factory=set)
+    #: Downloader -> file id -> uploaders it was fetched from; finds the
+    #: pairs an evaluation of that file re-weights without scanning entries.
+    _sources: Dict[str, Dict[str, Set[str]]] = field(default_factory=dict)
+    #: ``(downloader, uploader)`` pairs whose entries changed since the
+    #: last :meth:`clear_dirty`; the dirty downloaders derive from them.
+    _dirty_pairs: Set[Tuple[str, str]] = field(default_factory=set)
     #: Write-ahead hook (see :mod:`~repro.core.journal_table`): mutators
     #: hand it their record before the mutation lands; the default only
     #: checks it.
@@ -65,7 +69,9 @@ class DownloadLedger:
             _DownloadEntry(file_id=file_id, size_bytes=size_bytes,
                            timestamp=timestamp))
         self._uploaders.setdefault(downloader, set()).add(uploader)
-        self._dirty_downloaders.add(downloader)
+        self._sources.setdefault(downloader, {}).setdefault(
+            file_id, set()).add(uploader)
+        self._dirty_pairs.add((downloader, uploader))
 
     def downloads(self, downloader: str, uploader: str) -> List[Tuple[str, float]]:
         """``(file_id, size)`` pairs downloaded by ``downloader`` from ``uploader``."""
@@ -82,21 +88,43 @@ class DownloadLedger:
         """Uploaders this downloader got files from, sorted for determinism."""
         return sorted(self._uploaders.get(downloader, ()))
 
-    def pairs(self) -> Iterable[Tuple[str, str]]:
+    def pairs(self) -> KeysView[Tuple[str, str]]:
+        """Pairs with at least one entry (a live view: ``in`` is O(1))."""
         return self._entries.keys()
+
+    def pairs_naming(self, downloader: str,
+                     file_ids: Set[str]) -> Set[Tuple[str, str]]:
+        """``(downloader, uploader)`` pairs with an entry on one of
+        ``file_ids``."""
+        sources = self._sources.get(downloader)
+        if not sources:
+            return set()
+        return {(downloader, uploader)
+                for file_id in sources.keys() & file_ids
+                for uploader in sources[file_id]}
 
     def prune_older_than(self, cutoff_timestamp: float) -> int:
         """Drop download records last seen before ``cutoff_timestamp``."""
         self.journal("ledger.prune", cutoff_timestamp)
         removed = 0
         for key in list(self._entries):
-            kept = [e for e in self._entries[key] if e.timestamp >= cutoff_timestamp]
-            dropped = len(self._entries[key]) - len(kept)
+            entries = self._entries[key]
+            kept = [e for e in entries if e.timestamp >= cutoff_timestamp]
+            dropped = len(entries) - len(kept)
             if not dropped:
                 continue
             removed += dropped
             downloader, uploader = key
-            self._dirty_downloaders.add(downloader)
+            self._dirty_pairs.add(key)
+            sources = self._sources[downloader]
+            for file_id in ({e.file_id for e in entries}
+                            - {e.file_id for e in kept}):
+                served = sources[file_id]
+                served.discard(uploader)
+                if not served:
+                    del sources[file_id]
+            if not sources:
+                del self._sources[downloader]
             if kept:
                 self._entries[key] = kept
             else:
@@ -112,16 +140,21 @@ class DownloadLedger:
     # Delta tracking                                                     #
     # ------------------------------------------------------------------ #
 
+    def dirty_pairs(self) -> Set[Tuple[str, str]]:
+        """``(downloader, uploader)`` pairs whose entries changed since the
+        last clear."""
+        return set(self._dirty_pairs)
+
     def dirty_downloaders(self) -> Set[str]:
         """Downloaders whose DM row inputs changed since the last clear."""
-        return set(self._dirty_downloaders)
+        return {downloader for downloader, _ in self._dirty_pairs}
 
     @property
     def has_dirty(self) -> bool:
-        return bool(self._dirty_downloaders)
+        return bool(self._dirty_pairs)
 
     def clear_dirty(self) -> None:
-        self._dirty_downloaders.clear()
+        self._dirty_pairs.clear()
 
     def __len__(self) -> int:
         return sum(len(entries) for entries in self._entries.values())
@@ -181,15 +214,23 @@ def build_volume_trust_matrix(ledger: DownloadLedger, store: EvaluationStore,
 
 
 class VolumeTrustAccumulator:
-    """Patch-based DM builder: re-derives only dirty downloaders' rows.
+    """Patch-based DM builder: re-sums only the pairs whose inputs moved.
 
-    A downloader's DM row (Eqs. 4-5) depends only on *their own* download
-    entries and evaluations, so rows are independent: the accumulator keeps
-    the normalised matrix between refreshes and recomputes exactly the rows
-    whose inputs moved.  Eq. 4 weighs each downloaded byte by the
-    downloader's own evaluation, so a row is dirty when the ledger names
-    its downloader *or* the evaluation store names them among its dirty
-    users.
+    ``VD_ij`` (Eq. 4) depends only on the entries ``D_ij`` and on ``i``'s
+    own evaluations of the files they name, so the accumulator caches the
+    raw volume of every ledger pair and re-sums a pair — with
+    :func:`valid_download_volume`, over the same entries in the same
+    left-to-right order — only when the ledger marked it dirty (a new
+    download or a prune), or when ``i`` is among the evaluation store's
+    dirty users and one of ``D_ij``'s entries names one of its dirty
+    files (:meth:`DownloadLedger.pairs_naming` finds those from the
+    ledger's per-downloader file index).  Only rows holding a re-summed
+    pair are re-normalised (Eq. 5), each raw row built from the cache in
+    :meth:`DownloadLedger.uploaders_of` order; every other row's volumes
+    are exactly what a full pass would re-sum, so a patched DM equals a
+    rebuilt one bit for bit.  A refresh still reports every dirty
+    downloader and dirty user as touched: their TM rows are the ones
+    Eq. 7 re-applies to.
 
     The recency-decayed (``now``/``half_life``) Eq. 4 variant stays on the
     full :func:`build_volume_trust_matrix` path — under decay every row is a
@@ -202,30 +243,48 @@ class VolumeTrustAccumulator:
     def __init__(self, ledger: DownloadLedger, store: EvaluationStore):
         self._ledger = ledger
         self._store = store
+        #: ``(downloader, uploader)`` -> raw ``VD_ij`` for every ledger pair.
+        self._volumes: Dict[Tuple[str, str], float] = {}
         self.matrix = TrustMatrix()
 
     def refresh(self) -> Set[str]:
-        """Re-derive the rows whose downloads or evaluations moved."""
-        return self._rederive(self._ledger.dirty_downloaders()
-                              | self._store.dirty_users())
+        """Re-sum the pairs whose downloads or evaluations moved; returns
+        the dirty downloaders and dirty users."""
+        ledger = self._ledger
+        stale = ledger.dirty_pairs()
+        dirty_users = self._store.dirty_users()
+        dirty_files = self._store.dirty_files()
+        for downloader in dirty_users:
+            stale |= ledger.pairs_naming(downloader, dirty_files)
+        self._resum(stale)
+        return ledger.dirty_downloaders() | dirty_users
 
     def rebuild(self) -> Set[str]:
-        """Full pass: forget everything and re-derive every row."""
+        """Full pass: forget everything and re-sum every pair."""
         stale_rows = set(self.matrix.row_ids())
         self.matrix = TrustMatrix()
-        downloaders = {downloader for downloader, _ in self._ledger.pairs()}
-        return self._rederive(downloaders) | stale_rows
+        self._volumes = {}
+        return self._resum(set(self._ledger.pairs())) | stale_rows
 
-    def _rederive(self, downloaders: Set[str]) -> Set[str]:
-        """Re-derive the rows of ``downloaders``; returns rows touched."""
+    def _resum(self, pairs: Set[Tuple[str, str]]) -> Set[str]:
+        """Re-sum ``pairs`` and re-normalise their rows; returns the rows."""
         ledger = self._ledger
-        for downloader in sorted(downloaders):
+        volumes = self._volumes
+        rows: Set[str] = set()
+        for pair in pairs:
+            downloader, uploader = pair
+            rows.add(downloader)
+            if pair in ledger.pairs():
+                volumes[pair] = valid_download_volume(
+                    ledger, self._store, downloader, uploader)
+            else:
+                volumes.pop(pair, None)
+        for downloader in sorted(rows):
             raw_row: Dict[str, float] = {}
             for uploader in ledger.uploaders_of(downloader):
-                volume = valid_download_volume(ledger, self._store,
-                                               downloader, uploader)
+                volume = volumes[(downloader, uploader)]
                 if volume > 0.0:
                     raw_row[uploader] = volume
             self.matrix.replace_row_normalized(downloader, raw_row)
         check_row_stochastic(self.matrix, name="DM")
-        return downloaders
+        return rows

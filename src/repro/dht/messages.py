@@ -77,6 +77,11 @@ class IndexRecord:
 
 
 class MessageKind(Enum):
+    # Members are singletons compared by identity; the identity hash spares
+    # :meth:`MessageTally.record` two Python-level ``Enum.__hash__`` calls
+    # per message.
+    __hash__ = object.__hash__
+
     LOOKUP = "lookup"
     LOOKUP_HOP = "lookup_hop"
     PUBLISH = "publish"

@@ -116,11 +116,9 @@ class Monitor:
                                      **alert.to_fields())
 
 
-def monitor_events(events: Iterable[Mapping],
-                   monitor: Optional[Monitor] = None) -> MonitorResult:
+def monitor_events(events: Iterable[Mapping]) -> MonitorResult:
     """Run an offline monitoring pass over a saved trace."""
-    if monitor is None:
-        monitor = Monitor()
+    monitor = Monitor()
     result = MonitorResult()
     for event in events:
         result.events_seen += 1

@@ -76,15 +76,10 @@ class TestBasicOps:
 
 
 class TestRowPatching:
-    def test_replace_row_drops_stale_entries(self):
+    def test_replace_row_normalized_drops_stale_entries(self):
         matrix = TrustMatrix({"a": {"b": 0.5, "c": 0.5}})
-        matrix.replace_row("a", {"d": 1.0})
+        matrix.replace_row_normalized("a", {"d": 2.0})
         assert matrix.row("a") == {"d": 1.0}
-
-    def test_replace_row_with_empty_removes_row(self):
-        matrix = TrustMatrix({"a": {"b": 1.0}})
-        matrix.replace_row("a", {})
-        assert "a" not in matrix.row_ids()
 
     def test_copy_with_rows_new_identity_shared_untouched_rows(self):
         matrix = TrustMatrix({"a": {"b": 1.0}, "c": {"d": 1.0}})
@@ -99,6 +94,55 @@ class TestRowPatching:
         patched = matrix.copy_with_rows({"a": {}})
         assert "a" not in patched.row_ids()
         assert "a" in matrix.row_ids()
+
+    def test_copy_with_rows_keeps_earlier_snapshots(self):
+        base = TrustMatrix({"a": {"b": 1.0}, "c": {"d": 1.0}})
+        first = base.copy_with_rows({"a": {"b": 0.5, "c": 0.5}})
+        before = {i: first.row(i) for i in first.row_ids()}
+        second = first.copy_with_rows({"a": {"d": 1.0}, "c": {}})
+        assert {i: first.row(i) for i in first.row_ids()} == before
+        assert second.row("a") == {"d": 1.0}
+        assert "c" not in second.row_ids()
+        assert base.row("a") == {"b": 1.0}
+
+    def test_weighted_row_drops_underflow_and_empties(self):
+        tiny = TrustMatrix({"a": {"b": 5e-324, "c": 0.5}, "x": {"y": 5e-324}})
+        # 0.5 * 5e-324 rounds to 0.0: the entry goes, the rest stays.
+        assert TrustMatrix.weighted_row([(0.5, tiny)], "a") == {"c": 0.25}
+        # Every product underflows: the row is empty, and publishing it
+        # removes the row.
+        assert TrustMatrix.weighted_row([(0.5, tiny)], "x") == {}
+        patched = TrustMatrix({"x": {"y": 1.0}}).copy_with_rows(
+            {"x": TrustMatrix.weighted_row([(0.5, tiny)], "x")})
+        assert patched.row_ids() == []
+        assert TrustMatrix.weighted_row([(0.5, tiny)], "absent") == {}
+
+    def test_weighted_row_is_a_new_dict(self):
+        # The published row is adopted by copy_with_rows, so it must never
+        # alias a dimension's own row.
+        fm = TrustMatrix({"a": {"b": 1.0}})
+        row = TrustMatrix.weighted_row([(1.0, fm), (0.5, TrustMatrix())], "a")
+        row["b"] = 9.0
+        assert fm.get("a", "b") == 1.0
+
+    def test_weighted_row_adds_terms_in_order(self):
+        first = TrustMatrix({"a": {"b": 0.1, "c": 0.9}})
+        second = TrustMatrix({"a": {"d": 0.3, "b": 0.7}})
+        row = TrustMatrix.weighted_row([(0.3, first), (0.7, second)], "a")
+        assert list(row) == ["b", "c", "d"]
+        assert row["b"] == (0.0 + 0.3 * 0.1) + 0.7 * 0.7
+        assert row["d"] == 0.0 + 0.7 * 0.3
+
+    def test_replace_row_normalized_drops_underflow(self):
+        matrix = TrustMatrix()
+        matrix.replace_row_normalized("a", {"b": 5e-324, "c": 1e300})
+        assert matrix.row("a") == {"c": 1.0}
+
+    def test_replace_row_normalized_removes_empty_row(self):
+        matrix = TrustMatrix({"a": {"b": 1.0}, "c": {"d": 1.0}})
+        matrix.replace_row_normalized("a", {})
+        matrix.replace_row_normalized("c", {"d": 0.0})
+        assert matrix.row_ids() == []
 
 
 class TestNormalization:
@@ -287,7 +331,7 @@ class TestArrayForm:
         with pytest.raises(TypeError):
             form.set("a", "b", 0.5)
         with pytest.raises(TypeError):
-            form.replace_row("a", {})
+            form.replace_row_normalized("a", {"b": 1.0})
 
     def test_to_csr_is_kept_until_a_mutation(self):
         matrix = TrustMatrix({"a": {"b": 1.0}})
