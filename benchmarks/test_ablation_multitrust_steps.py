@@ -22,6 +22,7 @@ import pytest
 from repro.analysis import render_table
 from repro.core import (EvaluationStore, ReputationConfig,
                         build_file_trust_matrix)
+from repro.core.multitrust import iterated_powers
 
 from .conftest import DAY, publish_result, run_once
 
@@ -72,13 +73,8 @@ def _run(maze_trace):
                                     dense_users),
                                    ("sparse (k=5%)", sparse_one_step,
                                     sparse_users)):
-        current = one_step
-        per_step = []
-        for n in STEPS:
-            if n > 1:
-                current = current.matmul(one_step)
-            per_step.append(_reach(current, users))
-        results[label] = per_step
+        results[label] = [_reach(current, users) for current
+                          in iterated_powers(one_step, STEPS[-1])]
         convergence[label] = steps_to_converge(one_step, max_steps=4,
                                                tolerance=0.95)
     return results, convergence

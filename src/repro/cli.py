@@ -256,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=BACKEND_SPECS,
                           default=None,
                           help="matrix-product backend for RM = TM^n: "
-                               "sparse dict-of-dicts, dense numpy, "
-                               "compressed-sparse-row, or auto-select by "
-                               "density x size (multidimensional only)")
+                               "dense numpy, compressed-sparse-row ('sparse' "
+                               "is an older name for csr), or auto-select "
+                               "by density x size (multidimensional only)")
     simulate.add_argument("--wal-out", default=None, metavar="DIR",
                           help="journal every trust-state mutation to a "
                                "write-ahead log + snapshots in this "

@@ -16,11 +16,9 @@ from .incentive import (ActionCreditTracker, IncentiveAction,
                         ServiceDifferentiator, ServiceLevel)
 from .integration import build_one_step_matrix
 from .matrix import CsrTrustMatrix, TrustMatrix
-from .matrix_backend import (CSR_BACKEND, DENSE_BACKEND, SPARSE_BACKEND,
-                             BackendUnavailableError, CsrBackend,
+from .matrix_backend import (CSR_BACKEND, DENSE_BACKEND, CsrBackend,
                              DenseNumpyBackend, MatmulBackend,
-                             SparseDictBackend, resolve_backend,
-                             select_backend)
+                             resolve_backend, select_backend)
 from .multitrust import (MultiTierView, TierAssignment,
                          compute_reputation_matrix, global_reputation_vector)
 from .persistence import (load_system, save_system, system_from_dict,
@@ -65,13 +63,10 @@ __all__ = [
     "TrustMatrix",
     "CsrTrustMatrix",
     "MatmulBackend",
-    "SparseDictBackend",
     "DenseNumpyBackend",
     "CsrBackend",
-    "SPARSE_BACKEND",
     "DENSE_BACKEND",
     "CSR_BACKEND",
-    "BackendUnavailableError",
     "select_backend",
     "resolve_backend",
     "TrustPipeline",

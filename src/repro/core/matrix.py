@@ -4,8 +4,10 @@ Every one-step trust dimension (FM, DM, UM), the integrated matrix TM and
 the multi-trust reputation matrix RM are row-indexed by the *trusting* user
 and column-indexed by the *trusted* user.  Real P2P trust matrices are
 extremely sparse (the paper's central "coverage" problem is precisely this
-sparsity), so the canonical representation is a dict-of-dicts; a dense numpy
-bridge is provided for eigen-analysis and fast matrix powers.
+sparsity), so the canonical representation is a dict-of-dicts; array
+bridges (CSR and dense numpy) are provided for eigen-analysis and for the
+products behind ``RM = TM^n``, which :mod:`~repro.core.matrix_backend`
+computes: a trust matrix has no product of its own.
 
 :class:`CsrTrustMatrix` is the read-only array form the numpy and scipy
 backends publish ``RM = TM^n`` in: canonical CSR arrays over the sorted id
@@ -263,44 +265,6 @@ class TrustMatrix:
         if 0.0 in row.values():
             row = {j: value for j, value in row.items() if value > 0.0}
         return row
-
-    def matmul(self, other: "TrustMatrix") -> "TrustMatrix":
-        """Sparse matrix product ``self @ other``.
-
-        The inner loop walks ``self``'s row keys in sorted order so each
-        output entry accumulates its products in a canonical sequence:
-        value-equal operands give bit-identical products no matter how
-        their row dicts were built (full rebuild vs incremental patch).
-        """
-        result = TrustMatrix()
-        for i, row in self._rows.items():
-            accumulator: Dict[str, float] = {}
-            for k in sorted(row):
-                other_row = other._rows.get(k)
-                if not other_row:
-                    continue
-                v_ik = row[k]
-                for j, v_kj in other_row.items():
-                    accumulator[j] = accumulator.get(j, 0.0) + v_ik * v_kj
-            for j, value in accumulator.items():
-                if value > 0.0:
-                    result.set(i, j, value)
-        return result
-
-    def power(self, n: int) -> "TrustMatrix":
-        """Eq. 8: ``self ** n`` via repeated squaring (n >= 1)."""
-        if n < 1:
-            raise ValueError(f"matrix power requires n >= 1, got {n}")
-        base = self
-        result: Optional[TrustMatrix] = None
-        while n:
-            if n & 1:
-                result = base if result is None else result.matmul(base)
-            n >>= 1
-            if n:
-                base = base.matmul(base)
-        assert result is not None
-        return result
 
     # ------------------------------------------------------------------ #
     # Array bridges                                                      #

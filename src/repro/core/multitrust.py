@@ -21,7 +21,7 @@ from ..lint.contracts import check_row_stochastic
 from ..obs.recorder import NULL_RECORDER, NullRecorder
 from .config import DEFAULT_CONFIG, ReputationConfig
 from .matrix import TrustMatrix
-from .matrix_backend import SPARSE_BACKEND, MatmulBackend
+from .matrix_backend import CSR_BACKEND, MatmulBackend
 
 __all__ = ["compute_reputation_matrix", "iterated_powers", "matrix_residual",
            "TierAssignment", "MultiTierView", "global_reputation_vector"]
@@ -31,11 +31,11 @@ def compute_reputation_matrix(one_step: TrustMatrix,
                               steps: Optional[int] = None,
                               config: ReputationConfig = DEFAULT_CONFIG,
                               recorder: NullRecorder = NULL_RECORDER,
-                              backend: MatmulBackend = SPARSE_BACKEND
+                              backend: MatmulBackend = CSR_BACKEND
                               ) -> TrustMatrix:
     """Eq. 8: ``RM = TM ** n``; ``steps`` overrides ``config.multitrust_steps``.
 
-    The result is always one ``backend.power`` call (sparse repeated
+    The result is always one ``backend.power`` call (csr repeated
     squaring by default, or the dense numpy product — see
     :mod:`~repro.core.matrix_backend`), so observing a run never changes
     its RM.  A live recorder additionally gets a ``multitrust_iteration``
@@ -69,7 +69,7 @@ def compute_reputation_matrix(one_step: TrustMatrix,
 
 
 def iterated_powers(one_step: TrustMatrix, steps: int,
-                    backend: MatmulBackend = SPARSE_BACKEND
+                    backend: MatmulBackend = CSR_BACKEND
                     ) -> Iterator[TrustMatrix]:
     """``TM^1 .. TM^steps``, each power the previous one times ``TM``.
 

@@ -309,7 +309,7 @@ class TrustPipeline:
         full_trust = build_one_step_matrix(
             self.evaluations, self.ledger, self.user_trust, self.config)
         check_matrices_equal(self._trust, full_trust, name="TM(incremental)")
-        # Same backend choice as the incremental path: sparse and dense
+        # Same backend choice as the incremental path: the csr and dense
         # products agree only to tolerance, and the bar here is exact.
         full_reputation, _backend = self._power(
             full_trust, self.config.multitrust_steps, NULL_RECORDER)

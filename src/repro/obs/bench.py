@@ -665,14 +665,16 @@ SCALE_EVENTS = 50
 
 #: Matmul backend pairs as (name, nodes, density, baseline, candidate);
 #: ``speedup`` is baseline seconds over candidate seconds for TM^2.
-#: dense_vs_sparse sits above the 30% auto-threshold, so the heuristic
-#: must pick dense.  csr_vs_dense sits deep in the CSR regime (>= 256
-#: nodes) well under the dense threshold, so auto must pick csr; the
-#: csr-vs-dense margin widens with node count, and 1000 nodes keeps the
-#: bench under a few seconds while the win is clearly measurable.
+#: dense_vs_csr sits above the 30% auto-threshold, so the heuristic must
+#: pick dense.  csr_vs_dense sits well under the dense threshold, so auto
+#: must pick csr; its TM^2 has more terms than cells, so csr runs scipy's
+#: csr x dense kernel.  csr_sparse_vs_dense has about 0.04 terms per cell,
+#: so csr runs the sparse x sparse kernel, the one that fits a large,
+#: sparse product (n^2 floats for 10k peers is 800 MB).
 POWER_BENCHES: Tuple[Tuple[str, int, float, str, str], ...] = (
-    ("dense_vs_sparse", 120, 0.5, "sparse", "dense"),
+    ("dense_vs_csr", 120, 0.5, "csr", "dense"),
     ("csr_vs_dense", 1000, 0.05, "dense", "csr"),
+    ("csr_sparse_vs_dense", 2000, 0.005, "dense", "csr"),
 )
 POWER_STEPS = 2
 
@@ -789,9 +791,9 @@ def _bench_power(seed: int, nodes: int, density: float, baseline: str,
                  candidate: str) -> Dict[str, object]:
     """TM^2 on two backends over one random matrix, alternated."""
     from ..core import resolve_backend, select_backend
+    from ..core.multitrust import matrix_residual
 
     matrix = _random_matrix(seed, nodes, density)
-    ids = matrix.node_ids()
     results: Dict[str, Any] = {}
 
     def power(name: str) -> Callable[[], float]:
@@ -808,16 +810,14 @@ def _bench_power(seed: int, nodes: int, density: float, baseline: str,
 
     seconds = alternate({name: power(name) for name in (baseline,
                                                          candidate)})
-    a, b = results[baseline], results[candidate]
     return {
         "nodes": nodes,
-        "density": matrix.density(ids),
+        "density": matrix.density(),
         "steps": POWER_STEPS,
         "timings": {name: timing(runs) for name, runs in seconds.items()},
         "speedup": ratio(seconds[baseline], seconds[candidate]),
-        "results_max_abs_diff": max(
-            (abs(a.get(i, j) - b.get(i, j)) for i in ids for j in ids),
-            default=0.0),
+        "results_max_abs_diff": matrix_residual(results[baseline],
+                                                results[candidate]),
         "auto_selects": select_backend(matrix).name,
     }
 

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 import repro.core.matrix_backend as mb
-from repro.core import (CSR_BACKEND, DENSE_BACKEND, SPARSE_BACKEND,
-                        BackendUnavailableError, CsrBackend, CsrTrustMatrix,
-                        DenseNumpyBackend, SparseDictBackend, TrustMatrix,
+from repro.core import (CSR_BACKEND, DENSE_BACKEND, CsrBackend,
+                        CsrTrustMatrix, DenseNumpyBackend, TrustMatrix,
                         resolve_backend, select_backend)
-from repro.core.matrix_backend import (CSR_MIN_NODES,
-                                       DENSE_DENSITY_THRESHOLD,
+from repro.core.matrix_backend import (DENSE_DENSITY_THRESHOLD,
                                        DENSE_MIN_NODES)
 
 
@@ -51,11 +49,27 @@ def _matrix_with_entries(nodes: int, entries: int) -> TrustMatrix:
     return matrix
 
 
+def _reference_product(left: TrustMatrix, right: TrustMatrix
+                       ) -> TrustMatrix:
+    """``left @ right`` the textbook way: each entry's terms added in
+    ``left``'s sorted column order, from 0.0 — the order the csr backend
+    promises."""
+    product = TrustMatrix()
+    for i, row in left.rows():
+        sums = {}
+        for k in sorted(row):
+            for j, value in right.row_view(k).items():
+                sums[j] = sums.get(j, 0.0) + row[k] * value
+        for j, value in sums.items():
+            product.set(i, j, value)
+    return product
+
+
 class TestBackendEquivalence:
     def test_matmul_agrees_with_sparse(self):
         left = _random_stochastic(20, 8, seed=1)
         right = _random_stochastic(20, 8, seed=2)
-        sparse = SPARSE_BACKEND.matmul(left, right)
+        sparse = CSR_BACKEND.matmul(left, right)
         dense = DENSE_BACKEND.matmul(left, right)
         ids = sorted(set(sparse.node_ids()) | set(dense.node_ids()))
         for i in ids:
@@ -65,7 +79,7 @@ class TestBackendEquivalence:
 
     def test_power_agrees_with_sparse(self):
         matrix = _random_stochastic(16, 10)
-        sparse = SPARSE_BACKEND.power(matrix, 3)
+        sparse = CSR_BACKEND.power(matrix, 3)
         dense = DENSE_BACKEND.power(matrix, 3)
         for i in matrix.node_ids():
             for j in matrix.node_ids():
@@ -104,7 +118,7 @@ class TestSelection:
     def test_small_matrix_stays_sparse_even_when_dense(self):
         matrix = _random_stochastic(DENSE_MIN_NODES - 2,
                                     DENSE_MIN_NODES - 3)
-        assert select_backend(matrix) is SPARSE_BACKEND
+        assert select_backend(matrix) is CSR_BACKEND
 
     def test_large_dense_matrix_selects_dense(self):
         matrix = _random_stochastic(DENSE_MIN_NODES + 8,
@@ -113,25 +127,27 @@ class TestSelection:
 
     def test_large_sparse_matrix_stays_sparse(self):
         matrix = _random_stochastic(100, 3)
-        assert select_backend(matrix) is SPARSE_BACKEND
+        assert select_backend(matrix) is CSR_BACKEND
 
     def test_resolve_forced_spellings(self):
-        matrix = TrustMatrix()
-        assert resolve_backend("sparse", matrix) is SPARSE_BACKEND
+        # "sparse" named the dict-of-dicts product, which gave csr's bits:
+        # configs, flags and snapshots that name it get the csr backend.
+        matrix = _random_stochastic(DENSE_MIN_NODES + 8, DENSE_MIN_NODES)
+        assert resolve_backend("sparse", matrix) is CSR_BACKEND
         assert resolve_backend("dense", matrix) is DENSE_BACKEND
+        assert mb.BACKEND_SPECS == ("auto", "sparse", "dense", "csr")
 
     def test_resolve_auto_delegates_to_heuristic(self):
         dense_matrix = _random_stochastic(DENSE_MIN_NODES + 8,
                                           DENSE_MIN_NODES)
         assert resolve_backend("auto", dense_matrix) is DENSE_BACKEND
-        assert resolve_backend("auto", TrustMatrix()) is SPARSE_BACKEND
+        assert resolve_backend("auto", TrustMatrix()) is CSR_BACKEND
 
     def test_unknown_spec_rejected(self):
         with pytest.raises(ValueError, match="unknown matmul backend"):
             resolve_backend("blas", TrustMatrix())
 
     def test_backend_names(self):
-        assert SparseDictBackend().name == "sparse"
         assert DenseNumpyBackend().name == "dense"
         assert CsrBackend().name == "csr"
 
@@ -140,23 +156,25 @@ class TestCsrBackend:
     def test_matmul_agrees_with_sparse(self):
         left = _random_stochastic(24, 6, seed=5)
         right = _random_stochastic(24, 6, seed=6)
-        sparse = SPARSE_BACKEND.matmul(left, right)
+        expected = _reference_product(left, right)
         csr = CSR_BACKEND.matmul(left, right)
-        ids = sorted(set(sparse.node_ids()) | set(csr.node_ids()))
-        for i in ids:
-            for j in ids:
-                assert csr.get(i, j) == pytest.approx(
-                    sparse.get(i, j), abs=1e-12)
+        assert csr == expected and expected == csr
+        assert csr.checksum() == expected.checksum()
 
     @pytest.mark.parametrize("steps", [2, 3, 5])
     def test_power_agrees_with_sparse(self, steps):
+        # Repeated squaring: TM^5 = TM^4 · TM, with TM^4 = TM^2 · TM^2.
         matrix = _random_stochastic(18, 8, seed=7)
-        sparse = SPARSE_BACKEND.power(matrix, steps)
+        squares = [matrix]
+        while 2 ** len(squares) <= steps:
+            squares.append(_reference_product(squares[-1], squares[-1]))
+        expected = None
+        for bit, square in enumerate(squares):
+            if steps >> bit & 1:
+                expected = (square if expected is None
+                            else _reference_product(expected, square))
         csr = CSR_BACKEND.power(matrix, steps)
-        for i in matrix.node_ids():
-            for j in matrix.node_ids():
-                assert csr.get(i, j) == pytest.approx(
-                    sparse.get(i, j), abs=1e-12)
+        assert csr.checksum() == expected.checksum()
 
     def test_power_one_returns_same_object(self):
         matrix = _random_stochastic(8, 3)
@@ -172,31 +190,16 @@ class TestCsrBackend:
                                   TrustMatrix()) == TrustMatrix()
 
     def test_without_scipy_csr_raises_typed_error(self, monkeypatch):
-        # A scipy-less environment: forcing csr must fail loudly, naming
-        # the missing dependency, instead of degrading to another product.
-        from repro.core import (MultiDimensionalReputationSystem,
-                                ReputationConfig)
-        monkeypatch.setattr(mb, "_scipy_sparse", lambda: None)
+        # The paper's n = 1 returns TM itself before scipy is imported;
+        # an actual product fails loudly, naming the missing dependency.
+        for name in ("scipy", "scipy.sparse"):
+            monkeypatch.setitem(sys.modules, name, None)
         matrix = _random_stochastic(19, 7, seed=8)
-        with pytest.raises(BackendUnavailableError, match="scipy"):
+        assert CSR_BACKEND.power(matrix, 1) is matrix
+        with pytest.raises(ImportError, match="scipy"):
             CSR_BACKEND.power(matrix, 3)
-        with pytest.raises(BackendUnavailableError, match="scipy"):
+        with pytest.raises(ImportError, match="scipy"):
             CsrBackend().matmul(matrix, matrix)
-        system = MultiDimensionalReputationSystem(ReputationConfig(
-            matmul_backend="csr", multitrust_steps=2))
-        system.record_vote("a", "f1", 0.9)
-        system.record_vote("b", "f1", 0.8)
-        with pytest.raises(BackendUnavailableError, match="scipy"):
-            system.reputation_matrix()
-
-    def test_without_scipy_auto_picks_dense_in_csr_regime(self, monkeypatch):
-        monkeypatch.setattr(mb, "_scipy_sparse", lambda: None)
-        matrix = _matrix_with_entries(CSR_MIN_NODES, CSR_MIN_NODES)
-        assert select_backend(matrix) is DENSE_BACKEND
-        assert resolve_backend("auto", matrix) is DENSE_BACKEND
-        # The other regimes do not depend on scipy.
-        below = _matrix_with_entries(CSR_MIN_NODES - 1, CSR_MIN_NODES - 1)
-        assert select_backend(below) is SPARSE_BACKEND
 
     def test_resolve_forced_csr(self):
         assert resolve_backend("csr", TrustMatrix()) is CSR_BACKEND
@@ -206,12 +209,12 @@ class TestSelectionBoundaries:
     """The density × size heuristic at its exact crossover points."""
 
     def test_zero_node_matrix_stays_sparse(self):
-        assert select_backend(TrustMatrix()) is SPARSE_BACKEND
+        assert select_backend(TrustMatrix()) is CSR_BACKEND
 
     def test_one_node_matrix_stays_sparse(self):
         matrix = TrustMatrix()
         matrix.set("solo", "solo", 1.0)
-        assert select_backend(matrix) is SPARSE_BACKEND
+        assert select_backend(matrix) is CSR_BACKEND
 
     def test_density_exactly_at_threshold_selects_dense(self):
         # 41 nodes: 0.3 * 41 * 40 = 492 entries exactly — the quotient
@@ -223,34 +226,31 @@ class TestSelectionBoundaries:
     def test_density_one_entry_below_threshold(self):
         matrix = _matrix_with_entries(41, 491)
         assert matrix.density(matrix.node_ids()) < DENSE_DENSITY_THRESHOLD
-        # 32 <= 41 < 256 and sparse: the middle regime stays dict-based.
-        assert select_backend(matrix) is SPARSE_BACKEND
+        assert select_backend(matrix) is CSR_BACKEND
 
     def test_min_nodes_edge(self):
         # Same (high) density on both sides of DENSE_MIN_NODES: one node
-        # fewer flips dense -> sparse.
+        # fewer flips dense -> csr.
         below = _matrix_with_entries(DENSE_MIN_NODES - 1,
                                      (DENSE_MIN_NODES - 1) * 10)
         at = _matrix_with_entries(DENSE_MIN_NODES, DENSE_MIN_NODES * 10)
         assert below.density(below.node_ids()) >= DENSE_DENSITY_THRESHOLD
         assert at.density(at.node_ids()) >= DENSE_DENSITY_THRESHOLD
-        assert select_backend(below) is SPARSE_BACKEND
+        assert select_backend(below) is CSR_BACKEND
         assert select_backend(at) is DENSE_BACKEND
 
     def test_csr_min_nodes_edge(self):
-        # Sparse ring on both sides of CSR_MIN_NODES: one node fewer
-        # flips csr -> sparse.
-        below = _matrix_with_entries(CSR_MIN_NODES - 1, CSR_MIN_NODES - 1)
-        at = _matrix_with_entries(CSR_MIN_NODES, CSR_MIN_NODES)
-        assert select_backend(below) is SPARSE_BACKEND
+        # A sparse ring on both sides of 256 nodes, where the csr regime
+        # used to begin (the dict product took sparse matrices below it):
+        # csr is now the whole sparse regime.
+        below = _matrix_with_entries(255, 255)
+        at = _matrix_with_entries(256, 256)
+        assert select_backend(below) is CSR_BACKEND
         assert select_backend(at) is CSR_BACKEND
 
     def test_large_dense_beats_csr_regime(self):
-        # density >= threshold wins before the csr_min_nodes check even
-        # for populations big enough for CSR.
-        matrix = _matrix_with_entries(CSR_MIN_NODES,
-                                      CSR_MIN_NODES * (CSR_MIN_NODES - 1)
-                                      * 3 // 10 + CSR_MIN_NODES)
+        # density >= threshold picks dense even for large populations.
+        matrix = _matrix_with_entries(256, 256 * 255 * 3 // 10 + 256)
         assert matrix.density(matrix.node_ids()) >= DENSE_DENSITY_THRESHOLD
         assert select_backend(matrix) is DENSE_BACKEND
 
@@ -273,7 +273,7 @@ class TestPublishedArrayForm:
         left = TrustMatrix({"a": {"b": 0.5, "c": 0.5}})
         right = TrustMatrix({"b": {"d": 1.0}, "c": {"a": 0.25, "d": 0.75}})
         product = backend.matmul(left, right)
-        assert product == SPARSE_BACKEND.matmul(left, right)
+        assert product == _reference_product(left, right)
         assert product.node_ids() == ["a", "d"]
 
 
@@ -303,19 +303,13 @@ class TestCsrKernels:
         assert CSR_BACKEND.matmul(left, right) == via_sparse
 
     @pytest.mark.parametrize("per_row,dense", [(2, False), (8, True)])
-    def test_power_takes_both_kernels(self, monkeypatch, per_row, dense):
+    def test_power_takes_both_kernels(self, csr_kernels_taken, per_row,
+                                      dense):
         # TM @ TM has nnz(TM) * per_row terms over 40 * 40 cells.
         matrix = _random_stochastic(40, per_row, seed=4)
-        taken = []
-        for name in ("_csr_csr_kernel", "_csr_dense_kernel"):
-            kernel = getattr(mb, name)
-            monkeypatch.setattr(
-                mb, name,
-                lambda a, b, ids, kernel=kernel, name=name: (
-                    taken.append(name) or kernel(a, b, ids)))
         CSR_BACKEND.power(matrix, 2)
-        assert taken == [("_csr_dense_kernel" if dense
-                          else "_csr_csr_kernel")]
+        assert csr_kernels_taken == [("_csr_dense_kernel" if dense
+                                      else "_csr_csr_kernel")]
 
 
 class TestWithoutScipy:
@@ -323,7 +317,6 @@ class TestWithoutScipy:
 
     @pytest.fixture
     def no_scipy(self, monkeypatch):
-        monkeypatch.setattr(mb, "_scipy_sparse", lambda: None)
         for name in ("scipy", "scipy.sparse"):
             monkeypatch.setitem(sys.modules, name, None)
 

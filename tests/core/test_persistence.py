@@ -14,10 +14,10 @@ from repro.core.persistence import (FORMAT_VERSION, snapshot_checksum,
 DAY = 24 * 3600.0
 
 
-@pytest.fixture
-def populated_system():
-    config = ReputationConfig(eta=0.3, rho=0.7, alpha=0.4, beta=0.4,
-                              gamma=0.2, multitrust_steps=2)
+def _populated(**overrides):
+    config = ReputationConfig(**{
+        **dict(eta=0.3, rho=0.7, alpha=0.4, beta=0.4, gamma=0.2,
+               multitrust_steps=2), **overrides})
     system = MultiDimensionalReputationSystem(config)
     system.record_retention("alice", "f1", 20 * DAY, timestamp=10.0)
     system.record_vote("alice", "f1", 0.9, timestamp=11.0)
@@ -30,6 +30,11 @@ def populated_system():
     system.record_fake_deletion("bob", "junk", timestamp=15.0)
     system.record_real_upload("bob")
     return system
+
+
+@pytest.fixture
+def populated_system():
+    return _populated()
 
 
 class TestRoundTrip:
@@ -52,6 +57,19 @@ class TestRoundTrip:
         system.record_vote("alice", "f1", 0.9)
         restored = system_from_dict(system_to_dict(system))
         assert restored.config.matmul_backend == "dense"
+
+    def test_sparse_spelling_loads_as_csr(self):
+        # "sparse" named the deleted dict-of-dicts product, which gave the
+        # csr backend's bits: a document naming it loads, keeps the
+        # spelling, and publishes the csr backend's RM.
+        restored = system_from_dict(system_to_dict(
+            _populated(matmul_backend="sparse")))
+        assert restored.config.matmul_backend == "sparse"
+        csr = _populated(matmul_backend="csr")
+        reputation = restored.reputation_matrix()
+        assert reputation.entry_count() > 0
+        assert reputation.checksum() == csr.reputation_matrix().checksum()
+        assert restored.pipeline.last_stats.backend == "csr"
 
     def test_evaluation_channels_restored(self, populated_system):
         restored = system_from_dict(system_to_dict(populated_system))

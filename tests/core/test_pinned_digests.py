@@ -1,4 +1,5 @@
-"""Pinned digests of the Eq. 2 metrics, the row normaliser and the dense bridge.
+"""Pinned digests of the Eq. 2 metrics, the row normaliser, the dense bridge
+and the csr product.
 
 Each paper equation has one implementation in ``repro.core``; these digests
 pin its floats bit-for-bit across commits, so a refactor that moves the
@@ -11,6 +12,12 @@ that alters them on purpose must recompute them the same way and say why.
 The matrices fed to ``DenseNumpyBackend.power`` hold dyadic entries (k/8)
 so every product and partial sum is exact in binary64: BLAS kernels sum in
 a CPU-dependent order, and exact operands keep that order out of the digest.
+
+The csr product adds each entry's terms in a fixed order, so its digest
+runs on non-dyadic entries spanning twelve orders of magnitude.
+``PRODUCT_DIGEST`` was computed with the dict-of-dicts product that the csr
+backend replaced (``SparseDictBackend``, since deleted), and the csr
+backend gave the same digest at that commit.
 """
 
 import hashlib
@@ -20,12 +27,14 @@ import struct
 import numpy as np
 
 from repro.core import TrustMatrix, get_similarity
-from repro.core.matrix_backend import DENSE_BACKEND
+from repro.core.matrix_backend import CSR_BACKEND, DENSE_BACKEND
 
 SIMILARITY_DIGEST = (
     "7387e13eba256c20a76c3c779de19036f0d23cbe111b78131694476359a67f28")
 MATRIX_DIGEST = (
     "bac6352ae6cfe946b8f594dbd3a4ba66afc03952afe8c338a29f8c743fc32a20")
+PRODUCT_DIGEST = (
+    "be4aa07584fab061b082436df844045d87d173d17d8f242aade0cd9d3c0b95ea")
 
 
 def _unit_value(rng):
@@ -83,9 +92,41 @@ def matrix_digest(seed=1903, matrices=60):
     return digest.hexdigest()
 
 
+def _stochastic(rng, nodes, density):
+    ids = [f"q{index:02d}" for index in range(nodes)]
+    matrix = TrustMatrix()
+    for i in ids:
+        for j in ids:
+            if rng.random() < density:
+                matrix.set(i, j, rng.random() * 10.0 ** -rng.randint(0, 12))
+    return matrix.row_normalized()
+
+
+def product_digest(backend=CSR_BACKEND, seed=2609, matrices=40):
+    """sha256 over ``matmul`` and ``power`` (n = 2..4) checksums on seeded
+    row-stochastic matrices of 2 to 40 nodes at densities 0.03 to 0.8."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(matrices):
+        nodes = rng.randint(2, 40)
+        density = rng.choice((0.03, 0.1, 0.3, 0.8))
+        left = _stochastic(rng, nodes, density)
+        right = _stochastic(rng, nodes, density)
+        digest.update(backend.matmul(left, right).checksum().encode())
+        for n in (2, 3, 4):
+            digest.update(backend.power(left, n).checksum().encode())
+    return digest.hexdigest()
+
+
 def test_similarity_metrics_match_pinned_digest():
     assert similarity_digest() == SIMILARITY_DIGEST
 
 
 def test_row_normaliser_and_dense_bridge_match_pinned_digest():
     assert matrix_digest() == MATRIX_DIGEST
+
+
+def test_csr_product_matches_pinned_digest(csr_kernels_taken):
+    assert product_digest() == PRODUCT_DIGEST
+    # The batch must reach both of the csr backend's kernels.
+    assert set(csr_kernels_taken) == {"_csr_csr_kernel", "_csr_dense_kernel"}

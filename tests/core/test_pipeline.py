@@ -189,8 +189,8 @@ class TestBackendResolution:
         chosen = []
         select = matrix_backend.select_backend
 
-        def spy(matrix, *args):
-            backend = select(matrix, *args)
+        def spy(matrix):
+            backend = select(matrix)
             chosen.append(backend.name)
             return backend
         monkeypatch.setattr(matrix_backend, "select_backend", spy)
@@ -199,7 +199,7 @@ class TestBackendResolution:
         pipeline.refresh()
         assert chosen == []
         pipeline.reputation_at(2)
-        assert chosen == ["sparse"]
+        assert chosen == ["csr"]
 
     @pytest.mark.parametrize("steps", [1, 2, 4])
     def test_reputation_at_overrides(self, steps):

@@ -9,8 +9,10 @@ a benchmark.
 
 import pytest
 
+from repro.core import CSR_BACKEND, select_backend
 from repro.obs import bench
-from repro.obs.bench import PAIRS, SCALE_EVENTS, collect_pipeline
+from repro.obs.bench import (PAIRS, POWER_BENCHES, POWER_STEPS,
+                             SCALE_EVENTS, collect_pipeline)
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +54,15 @@ class TestMiniatureRun:
         assert snapshot["checks"] == {"checksums_match": True}
 
     def test_dense_speedup_still_reported(self, snapshot):
-        dense = snapshot["dense_vs_sparse"]
+        dense = snapshot["dense_vs_csr"]
         assert dense["auto_selects"] == "dense"
         assert dense["speedup"]["median"] > 0
+
+    def test_sparse_kernel_section_present(self, snapshot):
+        csr = snapshot["csr_sparse_vs_dense"]
+        assert csr["auto_selects"] == "csr"
+        assert csr["results_max_abs_diff"] < 1e-9
+        assert csr["speedup"]["median"] > 0
 
     def test_stamp_covers_scaling_knobs(self, snapshot, miniature_bench):
         # The tier list is part of the stamped config: a different one
@@ -63,6 +71,26 @@ class TestMiniatureRun:
                                  scale_sizes=(30,))
         assert snapshot["seed"] == 5
         assert other["config_hash"] != snapshot["config_hash"]
+
+
+class TestPowerBenchKernels:
+    """Each csr section times the kernel it is named for, at full size.
+
+    ``POWER_BENCHES`` was imported before the miniature fixture patched
+    the module, so these are the committed shapes."""
+
+    @pytest.mark.parametrize("name,kernel", [
+        ("csr_vs_dense", "_csr_dense_kernel"),
+        ("csr_sparse_vs_dense", "_csr_csr_kernel")])
+    def test_csr_section_runs_its_kernel(self, csr_kernels_taken, name,
+                                         kernel):
+        (nodes, density), = [(nodes, density)
+                             for entry, nodes, density, *_ in POWER_BENCHES
+                             if entry == name]
+        matrix = bench._random_matrix(5, nodes, density)
+        assert select_backend(matrix) is CSR_BACKEND
+        CSR_BACKEND.power(matrix, POWER_STEPS)
+        assert csr_kernels_taken == [kernel]
 
 
 class TestChecks:

@@ -10,7 +10,7 @@ The two properties the whole layer stands on:
 
 import pytest
 
-from repro.core import ReputationConfig
+from repro.core import CSR_BACKEND, ReputationConfig
 from repro.core.matrix import TrustMatrix
 from repro.core.multitrust import (compute_reputation_matrix,
                                    iterated_powers, matrix_residual)
@@ -57,7 +57,8 @@ class TestMultitrustInstrumentation:
         matrix = _chain_matrix()
         config = ReputationConfig(multitrust_steps=3)
         plain = compute_reputation_matrix(matrix, config=config)
-        assert plain.get("a", "d") == matrix.power(3).get("a", "d")
+        assert plain.get("a", "d") == CSR_BACKEND.power(matrix, 3).get("a",
+                                                                        "d")
 
     def test_enabled_path_emits_residual_events(self):
         recorder = Recorder(trace_sink=[])
@@ -68,7 +69,7 @@ class TestMultitrustInstrumentation:
         assert [event["iteration"] for event in events] == [2, 3]
         assert all(event["residual"] >= 0.0 for event in events)
         # Exactly the unobserved result: the residuals never feed RM.
-        assert result == _chain_matrix().power(3)
+        assert result == CSR_BACKEND.power(_chain_matrix(), 3)
         snapshot = recorder.registry.snapshot()
         assert snapshot["counters"]["multitrust.computations"] == 1
         assert snapshot["histograms"]["multitrust.residual"]["count"] == 2

@@ -4,8 +4,8 @@ Each test runs the trust state machine (``trust_machine.py``) with one
 corner of its configuration pinned, over the 4-user population unless it
 draws the population too.  After every refresh the machine compares every
 stage (FM, DM, UM, TM, RM and a ``reputation_at`` override) against the
-independent full builders with no tolerance, and RM from the sparse, dense
-and csr backends to 1e-12.
+independent full builders with no tolerance, and RM from the csr and dense
+backends to 1e-12.
 """
 
 import pytest
@@ -52,5 +52,5 @@ class TestBackendEquivalence:
     def test_backend_choice_never_changes_tm(self):
         # TM is checked against the backend-free full builder under each
         # drawn backend.
-        _run(20, backend=st.sampled_from(["sparse", "dense", "auto"]),
+        _run(20, backend=st.sampled_from(["csr", "dense", "auto"]),
              population=ANY_POPULATION)

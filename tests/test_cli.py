@@ -415,9 +415,10 @@ class TestBenchPipeline:
         snapshot = json.loads(out.read_text())
         assert snapshot["seed"] == 5
         assert {"config_hash", "git_sha", "git_dirty", "refresh",
-                "dense_vs_sparse", "csr_vs_dense"} <= set(snapshot)
+                "dense_vs_csr", "csr_vs_dense",
+                "csr_sparse_vs_dense"} <= set(snapshot)
         assert snapshot["refresh"][0]["peers"] == 20
-        assert snapshot["dense_vs_sparse"]["density"] > 0.3
+        assert snapshot["dense_vs_csr"]["density"] > 0.3
         output = capsys.readouterr().out
         assert "refresh.0.incremental_speedup" in output
         assert "check passed: checksums_match" in output
@@ -430,10 +431,10 @@ class TestBenchPipeline:
         code = main(["bench", "pipeline", "--out", str(out),
                      "--history", str(history),
                      "--gate", "refresh.0.incremental_speedup.median>=0.001",
-                     "--gate", "dense_vs_sparse.speedup.median>=0.001"]
+                     "--gate", "dense_vs_csr.speedup.median>=0.001"]
                     + self._SMALL)
         assert code == 0
-        assert ("gate passed: dense_vs_sparse.speedup.median>=0.001"
+        assert ("gate passed: dense_vs_csr.speedup.median>=0.001"
                 in capsys.readouterr().out)
         lines = history.read_text().splitlines()
         assert len(lines) == 1
