@@ -110,11 +110,10 @@ class EvaluationStore:
     config: ReputationConfig = field(default=DEFAULT_CONFIG)
     _by_user: Dict[str, Dict[str, FileEvaluation]] = field(default_factory=dict)
     _by_file: Dict[str, Dict[str, FileEvaluation]] = field(default_factory=dict)
-    #: Files / users whose evaluations changed since the last
+    #: ``(user, file)`` pairs whose evaluation changed since the last
     #: :meth:`clear_dirty` — the delta the incremental pipeline rebuilds
-    #: from, instead of a boolean "something changed" invalidation.
-    _dirty_files: Set[str] = field(default_factory=set)
-    _dirty_users: Set[str] = field(default_factory=set)
+    #: from; the dirty files derive from them.
+    _dirty_pairs: Set[Tuple[str, str]] = field(default_factory=set)
     #: Write-ahead hook (see :mod:`~repro.core.journal_table`): public
     #: mutators hand it their record after validating and before mutating.
     #: The default only checks the record; a WAL sink also persists it.
@@ -171,8 +170,7 @@ class EvaluationStore:
     def _upsert(self, user_id: str, file_id: str, timestamp: float,
                 implicit: Optional[float] = None,
                 explicit: Optional[float] = None) -> FileEvaluation:
-        self._dirty_files.add(file_id)
-        self._dirty_users.add(user_id)
+        self._dirty_pairs.add((user_id, file_id))
         per_user = self._by_user.setdefault(user_id, {})
         evaluation = per_user.get(file_id)
         if evaluation is None:
@@ -190,8 +188,7 @@ class EvaluationStore:
     def remove(self, user_id: str, file_id: str) -> None:
         """Drop one evaluation (e.g. the user deleted the file long ago)."""
         self.journal("eval.remove", user_id, file_id)
-        self._dirty_files.add(file_id)
-        self._dirty_users.add(user_id)
+        self._dirty_pairs.add((user_id, file_id))
         per_user = self._by_user.get(user_id)
         if per_user and file_id in per_user:
             del per_user[file_id]
@@ -221,22 +218,21 @@ class EvaluationStore:
     # Delta tracking                                                     #
     # ------------------------------------------------------------------ #
 
+    def dirty_pairs(self) -> Set[Tuple[str, str]]:
+        """``(user, file)`` pairs upserted or removed since the last clear."""
+        return set(self._dirty_pairs)
+
     def dirty_files(self) -> Set[str]:
         """Files touched (upserted/removed) since the last clear."""
-        return set(self._dirty_files)
-
-    def dirty_users(self) -> Set[str]:
-        """Users whose evaluation vectors changed since the last clear."""
-        return set(self._dirty_users)
+        return {file_id for _, file_id in self._dirty_pairs}
 
     @property
     def has_dirty(self) -> bool:
-        return bool(self._dirty_files) or bool(self._dirty_users)
+        return bool(self._dirty_pairs)
 
     def clear_dirty(self) -> None:
         """Mark the current state as built; next deltas start from here."""
-        self._dirty_files.clear()
-        self._dirty_users.clear()
+        self._dirty_pairs.clear()
 
     # ------------------------------------------------------------------ #
     # Queries                                                            #

@@ -221,10 +221,10 @@ class VolumeTrustAccumulator:
     raw volume of every ledger pair and re-sums a pair — with
     :func:`valid_download_volume`, over the same entries in the same
     left-to-right order — only when the ledger marked it dirty (a new
-    download or a prune), or when ``i`` is among the evaluation store's
-    dirty users and one of ``D_ij``'s entries names one of its dirty
-    files (:meth:`DownloadLedger.pairs_naming` finds those from the
-    ledger's per-downloader file index).  Only rows holding a re-summed
+    download or a prune), or when one of ``D_ij``'s entries names a file
+    whose evaluation *by* ``i`` the store marked dirty
+    (:meth:`DownloadLedger.pairs_naming` finds those from the ledger's
+    per-downloader file index).  Only rows holding a re-summed
     pair are re-normalised (Eq. 5), each raw row built from the cache in
     :meth:`DownloadLedger.uploaders_of` order; every other row's volumes
     are exactly what a full pass would re-sum, so a patched DM equals a
@@ -252,12 +252,13 @@ class VolumeTrustAccumulator:
         the dirty downloaders and dirty users."""
         ledger = self._ledger
         stale = ledger.dirty_pairs()
-        dirty_users = self._store.dirty_users()
-        dirty_files = self._store.dirty_files()
-        for downloader in dirty_users:
-            stale |= ledger.pairs_naming(downloader, dirty_files)
+        evaluated: Dict[str, Set[str]] = {}
+        for user_id, file_id in self._store.dirty_pairs():
+            evaluated.setdefault(user_id, set()).add(file_id)
+        for downloader, file_ids in evaluated.items():
+            stale |= ledger.pairs_naming(downloader, file_ids)
         self._resum(stale)
-        return ledger.dirty_downloaders() | dirty_users
+        return ledger.dirty_downloaders() | evaluated.keys()
 
     def rebuild(self) -> Set[str]:
         """Full pass: forget everything and re-sum every pair."""

@@ -60,8 +60,7 @@ from .report import (TraceSummarizer, TraceSummary, summarize_trace,
 from .stats import (DEFAULT_QUANTILES, QuantileSketch, mean, percentile,
                     percentiles, summarize)
 from .timeline import (FakeFractionAccumulator, PeerSample, PeerTimeline,
-                       TimelineBuilder, build_timelines, class_mean_series,
-                       fake_fraction_series)
+                       TimelineBuilder, build_timelines, class_mean_series)
 from .traceio import (JsonlTraceWriter, TraceFormatError, TraceReader,
                       TraceWriter, is_binary_trace, iter_trace_events,
                       open_trace_sink, trace_info)
@@ -123,7 +122,6 @@ __all__ = [
     "FakeFractionAccumulator",
     "build_timelines",
     "class_mean_series",
-    "fake_fraction_series",
     "DEFAULT_QUANTILES",
     "QuantileSketch",
     "mean",

@@ -68,16 +68,15 @@ class ConvergenceStallDetector(Detector):
     ``multitrust_iteration`` events arrive as runs of ``iteration=2..n``
     per computation; a new run starts whenever the iteration number does
     not increase.  A computation stalls when its final L∞ residual is
-    still above ``residual_floor`` *and* the last step shrank the residual
-    by less than ``min_shrink`` (multiplicatively).
+    still above :attr:`RESIDUAL_FLOOR` *and* the last step left at least
+    :attr:`MIN_SHRINK` of the previous residual (it shrank by 5% or less).
     """
 
     name = "convergence_stall"
+    RESIDUAL_FLOOR = 0.01
+    MIN_SHRINK = 0.95
 
-    def __init__(self, residual_floor: float = 0.01,
-                 min_shrink: float = 0.95):
-        self.residual_floor = residual_floor
-        self.min_shrink = min_shrink
+    def __init__(self) -> None:
         self._residuals: List[float] = []
         self._last_iteration = 0
         self._last_t = 0.0
@@ -106,37 +105,36 @@ class ConvergenceStallDetector(Detector):
         if len(residuals) < 2:
             return []
         final, previous = residuals[-1], residuals[-2]
-        if final <= self.residual_floor:
+        if final <= self.RESIDUAL_FLOOR:
             return []
-        if previous > 0 and final < self.min_shrink * previous:
+        if previous > 0 and final < self.MIN_SHRINK * previous:
             return []
         return [Alert(
             t=t, detector=self.name, severity=Severity.WARNING,
             message=(f"multitrust residual stalled at {final:.6g} after "
                      f"{len(residuals) + 1} steps (previous "
-                     f"{previous:.6g}, floor {self.residual_floor:g})"))]
+                     f"{previous:.6g}, floor {self.RESIDUAL_FLOOR:g})"))]
 
 
 class FakeOutbreakDetector(Detector):
     """Windowed fake-download fraction spiking over its trailing baseline.
 
-    Downloads are bucketed into fixed simulation-time windows.  A closed
-    window alerts when its fake fraction exceeds both an absolute floor and
-    the mean of previously closed windows by ``spike_delta`` — or, with no
-    history yet, when it exceeds ``critical_fraction`` outright.
+    Downloads are bucketed into fixed :attr:`WINDOW_SECONDS` windows of
+    simulation time; one with fewer than :attr:`MIN_DOWNLOADS` downloads
+    is skipped.  A closed window is critical when its fake fraction
+    reaches :attr:`CRITICAL_FRACTION`, and a warning when it reaches both
+    :attr:`ABSOLUTE_FLOOR` and the mean of previously closed windows plus
+    :attr:`SPIKE_DELTA`.
     """
 
     name = "fake_outbreak"
+    WINDOW_SECONDS = 6 * 3600.0
+    MIN_DOWNLOADS = 5
+    SPIKE_DELTA = 0.2
+    ABSOLUTE_FLOOR = 0.3
+    CRITICAL_FRACTION = 0.6
 
-    def __init__(self, window_seconds: float = 6 * 3600.0,
-                 min_downloads: int = 5, spike_delta: float = 0.2,
-                 absolute_floor: float = 0.3,
-                 critical_fraction: float = 0.6):
-        self.window_seconds = window_seconds
-        self.min_downloads = min_downloads
-        self.spike_delta = spike_delta
-        self.absolute_floor = absolute_floor
-        self.critical_fraction = critical_fraction
+    def __init__(self) -> None:
         self._window_start = 0.0
         self._downloads = 0
         self._fakes = 0
@@ -147,9 +145,9 @@ class FakeOutbreakDetector(Detector):
             return []
         t = float(event.get("t", 0.0))
         alerts: List[Alert] = []
-        while t >= self._window_start + self.window_seconds:
+        while t >= self._window_start + self.WINDOW_SECONDS:
             alerts.extend(self._close_window())
-            self._window_start += self.window_seconds
+            self._window_start += self.WINDOW_SECONDS
         self._downloads += 1
         if event.get("fake"):
             self._fakes += 1
@@ -161,17 +159,17 @@ class FakeOutbreakDetector(Detector):
     def _close_window(self) -> List[Alert]:
         downloads, fakes = self._downloads, self._fakes
         self._downloads = self._fakes = 0
-        if downloads < self.min_downloads:
+        if downloads < self.MIN_DOWNLOADS:
             return []
         fraction = fakes / downloads
         baseline = (sum(self._history) / len(self._history)
                     if self._history else None)
         self._history.append(fraction)
-        window_end = self._window_start + self.window_seconds
-        if fraction >= self.critical_fraction:
+        window_end = self._window_start + self.WINDOW_SECONDS
+        if fraction >= self.CRITICAL_FRACTION:
             severity = Severity.CRITICAL
-        elif (baseline is not None and fraction >= self.absolute_floor
-                and fraction >= baseline + self.spike_delta):
+        elif (baseline is not None and fraction >= self.ABSOLUTE_FLOOR
+                and fraction >= baseline + self.SPIKE_DELTA):
             severity = Severity.WARNING
         else:
             return []
@@ -188,33 +186,34 @@ class CollusionRingDetector(Detector):
     """Dense mutual-trust cliques that outsiders do not validate.
 
     Consumes the ``trust_edge`` events the simulator emits at each
-    mechanism refresh (the strongest out-edges of ``TM``).  Edges sharing a
-    timestamp form one snapshot; when the snapshot closes, peers connected
-    by *mutual* edges are grouped into components, and a component is
-    flagged as a collusion ring when all three signatures hold:
+    mechanism refresh (the strongest out-edges of ``TM``); edges below
+    :attr:`MIN_EDGE` are ignored.  Edges sharing a timestamp form one
+    snapshot; when the snapshot closes, peers connected by *mutual* edges
+    are grouped into components, and a component of at least
+    :attr:`MIN_SIZE` peers is flagged as a collusion ring when all three
+    signatures hold:
 
-    * **dense**: at least ``min_density`` of its member pairs are mutual.
+    * **dense**: at least :attr:`MIN_DENSITY` of its member pairs are mutual.
       Honest peers also trust each other, but with only the strongest
       ``k`` edges sampled per peer a large organic cluster cannot be a
       near-clique, while a small colluding cell pairwise-rating itself is;
     * **inward-facing**: internal mass exceeds what members extend to
       outsiders (they trust each other more than everyone else combined);
-    * **externally unvalidated**: internal mass exceeds ``external_ratio``
-      times the trust *outsiders place in members*.  This is the decisive
-      signal — honest cliques are trusted by the rest of the population,
-      colluders are trusted only by each other.
+    * **externally unvalidated**: internal mass exceeds
+      :attr:`EXTERNAL_RATIO` times the trust *outsiders place in members*.
+      This is the decisive signal — honest cliques are trusted by the rest
+      of the population, colluders are trusted only by each other.
 
     Each distinct member set alerts once.
     """
 
     name = "collusion_ring"
+    MIN_SIZE = 3
+    MIN_DENSITY = 0.8
+    EXTERNAL_RATIO = 2.0
+    MIN_EDGE = 1e-6
 
-    def __init__(self, min_size: int = 3, min_density: float = 0.8,
-                 external_ratio: float = 2.0, min_edge: float = 1e-6):
-        self.min_size = min_size
-        self.min_density = min_density
-        self.external_ratio = external_ratio
-        self.min_edge = min_edge
+    def __init__(self) -> None:
         self._edges: Dict[Tuple[str, str], float] = {}
         self._snapshot_t: Optional[float] = None
         self._reported: Set[FrozenSet[str]] = set()
@@ -229,7 +228,7 @@ class CollusionRingDetector(Detector):
         self._snapshot_t = t
         src, dst = str(event.get("src")), str(event.get("dst"))
         value = event.get("value")
-        if isinstance(value, (int, float)) and value >= self.min_edge:
+        if isinstance(value, (int, float)) and value >= self.MIN_EDGE:
             self._edges[(src, dst)] = float(value)
         return alerts
 
@@ -250,7 +249,7 @@ class CollusionRingDetector(Detector):
                 mutual_pairs.add((src, dst))
         alerts: List[Alert] = []
         for component in _components(mutual):
-            if len(component) < self.min_size:
+            if len(component) < self.MIN_SIZE:
                 continue
             members = frozenset(component)
             if members in self._reported:
@@ -259,7 +258,7 @@ class CollusionRingDetector(Detector):
             pairs = sum(1 for pair in mutual_pairs
                         if pair[0] in members and pair[1] in members)
             density = pairs / (size * (size - 1) / 2)
-            if density < self.min_density:
+            if density < self.MIN_DENSITY:
                 continue
             in_mass = out_mass = inbound_mass = 0.0
             for (src, dst), value in edges.items():
@@ -271,7 +270,7 @@ class CollusionRingDetector(Detector):
                     inbound_mass += value
             if in_mass <= out_mass:
                 continue
-            if in_mass <= self.external_ratio * inbound_mass:
+            if in_mass <= self.EXTERNAL_RATIO * inbound_mass:
                 continue
             self._reported.add(members)
             listed = ", ".join(sorted(members))
@@ -312,19 +311,18 @@ class WhitewashDetector(Detector):
     * every ``whitewash`` event (a peer retired one identity for a fresh
       one) raises an info alert — the act itself is worth flagging;
     * a whitewashed identity whose later ``reputation_snapshot`` shows a
-      normalised reputation at or above the newcomer prior means the reset
-      *gained* reputation — warning;
+      normalised reputation at or above the :attr:`NEWCOMER_PRIOR` means the
+      reset *gained* reputation — warning;
     * chaos-harness peers cycling through ``churn_rejoin`` (or DHT
-      ``dht_node_join`` with ``rejoined=true``) more than
-      ``rejoin_threshold`` times — warning for rejoin abuse.
+      ``dht_node_join`` with ``rejoined=true``) at least
+      :attr:`REJOIN_THRESHOLD` times — warning for rejoin abuse.
     """
 
     name = "whitewash"
+    NEWCOMER_PRIOR = 0.5
+    REJOIN_THRESHOLD = 3
 
-    def __init__(self, newcomer_prior: float = 0.5,
-                 rejoin_threshold: int = 3):
-        self.newcomer_prior = newcomer_prior
-        self.rejoin_threshold = rejoin_threshold
+    def __init__(self) -> None:
         self._fresh_identities: Set[str] = set()
         self._flagged: Set[str] = set()
         self._rejoins: Dict[str, int] = {}
@@ -346,13 +344,13 @@ class WhitewashDetector(Detector):
             if (peer in self._fresh_identities
                     and peer not in self._flagged
                     and isinstance(norm, (int, float))
-                    and norm >= self.newcomer_prior):
+                    and norm >= self.NEWCOMER_PRIOR):
                 self._flagged.add(peer)
                 return [Alert(
                     t=t, detector=self.name, severity=Severity.WARNING,
                     message=(f"whitewashed identity {peer} reset above the "
                              f"newcomer prior (norm {norm:.3f} >= "
-                             f"{self.newcomer_prior:g})"))]
+                             f"{self.NEWCOMER_PRIOR:g})"))]
             return []
         if kind == "churn_rejoin" or (kind == "dht_node_join"
                                       and event.get("rejoined")):
@@ -360,7 +358,7 @@ class WhitewashDetector(Detector):
             peer = str(event.get("peer", event.get("user")))
             count = self._rejoins.get(peer, 0) + 1
             self._rejoins[peer] = count
-            if (count >= self.rejoin_threshold
+            if (count >= self.REJOIN_THRESHOLD
                     and peer not in self._rejoin_flagged):
                 self._rejoin_flagged.add(peer)
                 return [Alert(
@@ -375,15 +373,15 @@ class StarvationDetector(Detector):
 
     Consumes ``reputation_snapshot`` events.  A peer whose behaviour class
     is ``honest`` and whose ``service_class`` stays 0 for
-    ``consecutive_refreshes`` snapshots — while differentiation is clearly
-    active (some peer reached class >= 2 in the same snapshot) — is
+    :attr:`CONSECUTIVE_REFRESHES` snapshots — while differentiation is
+    clearly active (some peer reached class >= 2 in the same snapshot) — is
     starving despite honest behaviour.  One alert per peer.
     """
 
     name = "incentive_starvation"
+    CONSECUTIVE_REFRESHES = 3
 
-    def __init__(self, consecutive_refreshes: int = 3):
-        self.consecutive_refreshes = consecutive_refreshes
+    def __init__(self) -> None:
         self._streaks: Dict[str, int] = {}
         self._snapshot_t: Optional[float] = None
         self._pending: List[Tuple[str, float]] = []
@@ -424,7 +422,7 @@ class StarvationDetector(Detector):
         for peer, t in pending:
             streak = self._streaks.get(peer, 0) + 1
             self._streaks[peer] = streak
-            if streak == self.consecutive_refreshes \
+            if streak == self.CONSECUTIVE_REFRESHES \
                     and peer not in self._flagged:
                 self._flagged.add(peer)
                 alerts.append(Alert(

@@ -12,10 +12,11 @@ Everything is plain data derived deterministically from the trace.
 
 :class:`TimelineBuilder` and :class:`FakeFractionAccumulator` are the
 feed-style (one event at a time) forms the single-pass dashboard uses so
-one loop over a streamed trace can feed every consumer at once; the
-function APIs wrap them.  Note timelines inherently hold one sample per
-snapshot — they are the one dashboard input whose size scales with refresh
-count (not with the raw event count), which is fine: snapshots are sparse.
+one loop over a streamed trace can feed every consumer at once;
+:func:`build_timelines` wraps the first.  Note timelines inherently hold
+one sample per snapshot — they are the one dashboard input whose size
+scales with refresh count (not with the raw event count), which is fine:
+snapshots are sparse.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Tuple
 
+from .detectors import FakeOutbreakDetector
+
 __all__ = ["PeerSample", "PeerTimeline", "TimelineBuilder",
            "FakeFractionAccumulator", "build_timelines",
-           "class_mean_series", "fake_fraction_series"]
+           "class_mean_series"]
 
 
 @dataclass(frozen=True)
@@ -122,21 +125,19 @@ def class_mean_series(timelines: Mapping[str, PeerTimeline],
 class FakeFractionAccumulator:
     """Feed-style windowed fake-fraction counting (one counter per window).
 
-    Mirrors the bucketing of the fake-outbreak detector so the dashboard
-    curve and the detector's alerts line up.
+    Buckets downloads by :attr:`FakeOutbreakDetector.WINDOW_SECONDS`, so
+    the dashboard curve and the detector's alerts line up.
     """
 
-    def __init__(self, window_seconds: float = 6 * 3600.0) -> None:
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
-        self.window_seconds = window_seconds
+    def __init__(self) -> None:
         self._counts: Dict[int, List[int]] = {}
 
     def feed(self, event: Mapping) -> None:
         """Absorb one event; non-download kinds are ignored."""
         if event.get("event") != "download":
             return
-        bucket = int(float(event.get("t", 0.0)) // self.window_seconds)
+        bucket = int(float(event.get("t", 0.0))
+                     // FakeOutbreakDetector.WINDOW_SECONDS)
         pair = self._counts.setdefault(bucket, [0, 0])
         pair[0] += 1
         if event.get("fake"):
@@ -144,18 +145,8 @@ class FakeFractionAccumulator:
 
     def finish(self) -> List[Tuple[float, float, int]]:
         """``(window_end, fake_fraction, downloads)`` per fixed window."""
-        return [((bucket + 1) * self.window_seconds,
+        return [((bucket + 1) * FakeOutbreakDetector.WINDOW_SECONDS,
                  (fakes / downloads) if downloads else 0.0,
                  downloads)
                 for bucket, (downloads, fakes)
                 in sorted(self._counts.items())]
-
-
-def fake_fraction_series(events: Iterable[Mapping],
-                         window_seconds: float = 6 * 3600.0
-                         ) -> List[Tuple[float, float, int]]:
-    """``(window_end, fake_fraction, downloads)`` per fixed window."""
-    accumulator = FakeFractionAccumulator(window_seconds)
-    for event in events:
-        accumulator.feed(event)
-    return accumulator.finish()

@@ -37,6 +37,9 @@ from ..obs.stats import mean
 __all__ = ["ChaosConfig", "ChaosResult", "run_chaos_point",
            "run_chaos_sweep"]
 
+#: A repair sweep runs on every round whose number is a multiple of this.
+REPAIR_EVERY = 3
+
 
 @dataclass(frozen=True)
 class ChaosConfig:
@@ -51,7 +54,6 @@ class ChaosConfig:
     churn_rate: float = 0.0
     crash_rate: float = 0.0
     replication: int = 3
-    repair_every: int = 3
     record_ttl: float = 10_000.0
     seed: int = 11
 
@@ -174,8 +176,7 @@ def run_chaos_point(config: ChaosConfig,
                     failed_lookups += 1
 
             # Repair sweep: re-replicate what crashes took down.
-            if config.repair_every > 0 \
-                    and round_number % config.repair_every == 0:
+            if round_number % REPAIR_EVERY == 0:
                 overlay.repair_replicas(now)
 
     scores = _recover_scores(overlay, peer_ids, file_ids, now, hops,

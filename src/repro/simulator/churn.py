@@ -13,16 +13,16 @@ from dataclasses import dataclass
 
 __all__ = ["ChurnModel"]
 
+#: Peers join staggered uniformly over this initial window.
+JOIN_SPREAD_SECONDS = 3600.0
+
 
 @dataclass
 class ChurnModel:
-    """Exponential session/offline churn; ``enabled=False`` disables churn."""
+    """Exponential session/offline churn."""
 
-    enabled: bool = True
     mean_session_seconds: float = 6 * 3600.0
     mean_offline_seconds: float = 18 * 3600.0
-    #: Peers join staggered over this initial window.
-    join_spread_seconds: float = 3600.0
     seed: int = 23
 
     def __post_init__(self) -> None:
@@ -30,15 +30,11 @@ class ChurnModel:
             raise ValueError("mean_session_seconds must be positive")
         if self.mean_offline_seconds <= 0:
             raise ValueError("mean_offline_seconds must be positive")
-        if self.join_spread_seconds < 0:
-            raise ValueError("join_spread_seconds must be >= 0")
         self._rng = random.Random(self.seed)
 
     def initial_join_delay(self) -> float:
         """Delay before a peer's first join."""
-        if self.join_spread_seconds == 0:
-            return 0.0
-        return self._rng.uniform(0.0, self.join_spread_seconds)
+        return self._rng.uniform(0.0, JOIN_SPREAD_SECONDS)
 
     def session_duration(self) -> float:
         """How long the peer stays online this session."""
@@ -58,8 +54,6 @@ class ChurnModel:
         if factor <= 0:
             raise ValueError("factor must be positive")
         return ChurnModel(
-            enabled=self.enabled,
             mean_session_seconds=self.mean_session_seconds / factor,
             mean_offline_seconds=self.mean_offline_seconds / factor,
-            join_spread_seconds=self.join_spread_seconds,
             seed=self.seed)

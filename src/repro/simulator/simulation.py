@@ -78,21 +78,13 @@ class SimulationConfig:
     seed: int = 42
     #: Apply Eq. 9-style filtering before downloads.
     use_file_filtering: bool = True
-    #: Reject threshold on the mechanism's file score.
-    file_score_threshold: float = 0.5
     #: Apply queue offsets and bandwidth quotas (Section 3.4).
     use_service_differentiation: bool = True
-    max_queue_offset_seconds: float = 120.0
-    min_bandwidth_quota: float = 16 * 1024.0
-    #: Mean delay between finishing a download and judging the file (the
-    #: user has to actually watch/listen before recognising a fake).
-    mean_consumption_delay_seconds: float = 2 * 3600.0
     #: Maintenance tick: retention refresh + mechanism refresh + periodic
     #: behaviours.
     maintenance_interval_seconds: float = 6 * 3600.0
+    #: Session churn; ``None`` keeps every peer online from time 0.
     churn: Optional[ChurnModel] = None
-    #: Copies of each file seeded before the run starts.
-    initial_replicas: int = 3
 
     def __post_init__(self) -> None:
         if self.duration_seconds <= 0:
@@ -101,14 +93,23 @@ class SimulationConfig:
             raise ValueError("need at least two peers")
         if self.maintenance_interval_seconds <= 0:
             raise ValueError("maintenance_interval_seconds must be positive")
-        if not 0.0 <= self.file_score_threshold <= 1.0:
-            raise ValueError("file_score_threshold must be in [0,1]")
-        if self.mean_consumption_delay_seconds < 0:
-            raise ValueError("mean_consumption_delay_seconds must be >= 0")
 
 
 class FileSharingSimulation:
     """A complete, deterministic P2P file-sharing simulation run."""
+
+    #: Reject threshold on the mechanism's file score (Eq. 9 filtering).
+    FILE_SCORE_THRESHOLD = 0.5
+    #: Section 3.4 as the simulator applies it to every mechanism: the
+    #: queue offset of a fully reputable requester, and the bandwidth
+    #: floor a known requester's quota interpolates up from.
+    MAX_QUEUE_OFFSET_SECONDS = 120.0
+    MIN_BANDWIDTH_QUOTA = 16 * 1024.0
+    #: Mean delay between finishing a download and judging the file (the
+    #: user has to actually watch/listen before recognising a fake).
+    MEAN_CONSUMPTION_DELAY_SECONDS = 2 * 3600.0
+    #: Copies of each file seeded before the run starts.
+    INITIAL_REPLICAS = 3
 
     def __init__(self, config: SimulationConfig,
                  mechanism: Optional[ReputationMechanism] = None,
@@ -220,7 +221,7 @@ class FileSharingSimulation:
         for catalog_file in self.catalog:
             pool = (fake_friendly if catalog_file.is_fake and fake_friendly
                     else sharers or list(self.peers))
-            k = min(self.config.initial_replicas, len(pool))
+            k = min(self.INITIAL_REPLICAS, len(pool))
             for holder in self.rng.sample(pool, k):
                 self.registry.add_copy(holder, catalog_file.file_id, 0.0)
                 if catalog_file.is_fake:
@@ -248,9 +249,9 @@ class FileSharingSimulation:
     def _schedule_joins(self) -> None:
         churn = self.config.churn
         for peer in self.peers.values():
-            if churn is not None and churn.enabled:
-                delay = churn.initial_join_delay()
-                self.engine.schedule(delay, self._join_callback(peer.peer_id))
+            if churn is not None:
+                self.engine.schedule(churn.initial_join_delay(),
+                                     self._join_callback(peer.peer_id, churn))
             else:
                 peer.online = True
                 peer.joined_at = 0.0
@@ -259,7 +260,7 @@ class FileSharingSimulation:
                     self.recorder.event("peer_join", t=0.0,
                                         peer=peer.peer_id, cls=peer.label)
 
-    def _join_callback(self, peer_id: str):
+    def _join_callback(self, peer_id: str, churn: ChurnModel):
         def _join(engine: EventEngine) -> None:
             peer = self.peers.get(peer_id)
             if peer is None:
@@ -270,13 +271,11 @@ class FileSharingSimulation:
             if self.recorder.enabled:
                 self.recorder.event("peer_join", peer=peer_id,
                                     cls=peer.label)
-            churn = self.config.churn
-            if churn is not None and churn.enabled:
-                engine.schedule(churn.session_duration(),
-                                self._leave_callback(peer_id))
+            engine.schedule(churn.session_duration(),
+                            self._leave_callback(peer_id, churn))
         return _join
 
-    def _leave_callback(self, peer_id: str):
+    def _leave_callback(self, peer_id: str, churn: ChurnModel):
         def _leave(engine: EventEngine) -> None:
             peer = self.peers.get(peer_id)
             if peer is None or not peer.online:
@@ -287,10 +286,8 @@ class FileSharingSimulation:
             if self.recorder.enabled:
                 self.recorder.event("peer_leave", peer=peer_id,
                                     cls=peer.label)
-            churn = self.config.churn
-            if churn is not None and churn.enabled:
-                engine.schedule(churn.offline_duration(),
-                                self._join_callback(peer_id))
+            engine.schedule(churn.offline_duration(),
+                            self._join_callback(peer_id, churn))
         return _leave
 
     # ------------------------------------------------------------------ #
@@ -350,7 +347,7 @@ class FileSharingSimulation:
         self.metrics.record_judgement(blind=score is None)
         if score is None:
             return False  # optimistic when blind
-        return score < self.config.file_score_threshold
+        return score < self.FILE_SCORE_THRESHOLD
 
     def _choose_uploader(self, requester_id: str,
                          file_id: str) -> Optional[str]:
@@ -397,7 +394,7 @@ class FileSharingSimulation:
         normalized, known = self._service_factor(uploader_id, requester_id)
         if not known:
             return 0.0
-        return normalized * self.config.max_queue_offset_seconds
+        return normalized * self.MAX_QUEUE_OFFSET_SECONDS
 
     def _service_factor(self, observer_id: str,
                         target_id: str) -> Tuple[float, bool]:
@@ -436,11 +433,9 @@ class FileSharingSimulation:
             normalized, known = self._service_factor(uploader.peer_id,
                                                      request.requester_id)
             if known:
-                quota = (self.config.min_bandwidth_quota
-                         + normalized * (base_bandwidth
-                                         - self.config.min_bandwidth_quota))
-                bandwidth = min(base_bandwidth,
-                                max(quota, self.config.min_bandwidth_quota))
+                floor = self.MIN_BANDWIDTH_QUOTA
+                quota = floor + normalized * (base_bandwidth - floor)
+                bandwidth = min(base_bandwidth, max(quota, floor))
         duration = size / bandwidth
         wait = self.engine.now - request.arrival_time
         self.engine.schedule(duration, self._complete_callback(
@@ -503,8 +498,7 @@ class FileSharingSimulation:
 
         # The requester judges the file only after consuming it.
         delay = self.rng.expovariate(
-            1.0 / self.config.mean_consumption_delay_seconds) \
-            if self.config.mean_consumption_delay_seconds > 0 else 0.0
+            1.0 / self.MEAN_CONSUMPTION_DELAY_SECONDS)
         requester_id = request.requester_id
 
         def _judge(engine: EventEngine) -> None:

@@ -15,6 +15,9 @@ from .files import FileRegistry
 
 __all__ = ["WorkloadModel"]
 
+#: Log-normal sigma of per-peer activity weights.
+ACTIVITY_SIGMA = 1.0
+
 
 @dataclass
 class WorkloadModel:
@@ -22,8 +25,6 @@ class WorkloadModel:
 
     #: Mean requests per simulated second across the whole system.
     request_rate: float = 0.05
-    #: Log-normal sigma of per-peer activity weights.
-    activity_sigma: float = 1.0
     seed: int = 11
 
     def __post_init__(self) -> None:
@@ -36,7 +37,7 @@ class WorkloadModel:
         """Draw (once) the peer's activity weight."""
         if peer_id not in self._activity:
             self._activity[peer_id] = self._rng.lognormvariate(
-                0.0, self.activity_sigma)
+                0.0, ACTIVITY_SIGMA)
 
     def next_interarrival(self) -> float:
         """Seconds until the next request arrival."""

@@ -25,8 +25,15 @@ __all__ = ["CatalogFile", "FileCatalog", "zipf_weights"]
 
 _DAY_SECONDS = 24 * 3600.0
 
+#: Zipf exponent of title popularity.
+ZIPF_EXPONENT = 0.8
+#: Median file size in MiB (log-normal with sigma 1, capped at 200 MiB).
+MEDIAN_SIZE_MB = 8.0
+#: Mean of the exponential file life cycle.
+MEAN_LIFETIME_DAYS = 10.0
 
-def zipf_weights(n: int, exponent: float = 0.8) -> List[float]:
+
+def zipf_weights(n: int, exponent: float = ZIPF_EXPONENT) -> List[float]:
     """Normalised Zipf weights ``w_r ~ 1 / r^exponent`` for ranks 1..n."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -67,10 +74,7 @@ class FileCatalog:
     @classmethod
     def generate(cls, num_files: int, rng: random.Random,
                  fake_ratio: float = 0.25,
-                 zipf_exponent: float = 0.8,
-                 mean_size_mb: float = 8.0,
-                 trace_days: float = 30.0,
-                 mean_lifetime_days: float = 10.0) -> "FileCatalog":
+                 trace_days: float = 30.0) -> "FileCatalog":
         """Generate a synthetic catalog.
 
         ``fake_ratio`` is the fraction of *titles* that are fake; because
@@ -83,7 +87,7 @@ class FileCatalog:
             raise ValueError(f"num_files must be >= 1, got {num_files}")
         if not 0.0 <= fake_ratio <= 1.0:
             raise ValueError(f"fake_ratio must be in [0,1], got {fake_ratio}")
-        weights = zipf_weights(num_files, zipf_exponent)
+        weights = zipf_weights(num_files)
         horizon = trace_days * _DAY_SECONDS
 
         # Plant fakes alternately among popular ranks: rank order is a proxy
@@ -107,9 +111,9 @@ class FileCatalog:
             is_fake = rank in fake_ranks
             quality = (rng.uniform(0.0, 0.2) if is_fake
                        else rng.uniform(0.75, 1.0))
-            size = min(rng.lognormvariate(0.0, 1.0) * mean_size_mb, 200.0)
+            size = min(rng.lognormvariate(0.0, 1.0) * MEDIAN_SIZE_MB, 200.0)
             birth = rng.uniform(0.0, horizon * 0.6)
-            lifetime = rng.expovariate(1.0 / (mean_lifetime_days * _DAY_SECONDS))
+            lifetime = rng.expovariate(1.0 / (MEAN_LIFETIME_DAYS * _DAY_SECONDS))
             files.append(CatalogFile(
                 file_id=f"file-{rank:06d}",
                 filename=f"title_{rank:06d}.dat",

@@ -31,6 +31,14 @@ __all__ = ["TraceParameters", "MazeTraceGenerator", "GeneratedTrace"]
 
 _DAY_SECONDS = 24 * 3600.0
 
+#: Standard deviation of the log-normal user-activity distribution;
+#: larger means heavier heavy-hitters.
+ACTIVITY_SIGMA = 1.2
+#: Number of users seeded as initial holders of each file at its birth.
+INITIAL_HOLDERS = 3
+#: Fraction of users that leave before the end of the window.
+DEPARTURE_FRACTION = 0.2
+
 
 @dataclass(frozen=True)
 class TraceParameters:
@@ -42,18 +50,10 @@ class TraceParameters:
     trace_days: float = 30.0
     seed: int = 7
     fake_ratio: float = 0.2
-    zipf_exponent: float = 0.8
-    #: Standard deviation of the log-normal user-activity distribution;
-    #: larger means heavier heavy-hitters.
-    activity_sigma: float = 1.2
-    #: Number of users seeded as initial holders of each file at its birth.
-    initial_holders: int = 3
     #: Files each user already shares when the window opens (their library
     #: predates the log, exactly as for real Maze users).  Sampled by
     #: popularity.
     library_size: int = 0
-    #: Fraction of users that leave before the end of the window.
-    departure_fraction: float = 0.2
 
     def __post_init__(self) -> None:
         if self.num_users < 2:
@@ -64,10 +64,6 @@ class TraceParameters:
             raise ValueError("num_actions must be >= 0")
         if self.trace_days <= 0:
             raise ValueError("trace_days must be positive")
-        if not 0.0 <= self.departure_fraction < 1.0:
-            raise ValueError("departure_fraction must be in [0, 1)")
-        if self.initial_holders < 1:
-            raise ValueError("initial_holders must be >= 1")
         if self.library_size < 0:
             raise ValueError("library_size must be >= 0")
 
@@ -197,11 +193,11 @@ class MazeTraceGenerator:
 
         catalog = FileCatalog.generate(
             p.num_files, rng, fake_ratio=p.fake_ratio,
-            zipf_exponent=p.zipf_exponent, trace_days=p.trace_days)
+            trace_days=p.trace_days)
 
         user_ids = [f"user-{i:06d}" for i in range(p.num_users)]
         lifetimes = self._draw_lifetimes(user_ids, horizon, rng)
-        activity = {uid: rng.lognormvariate(0.0, p.activity_sigma)
+        activity = {uid: rng.lognormvariate(0.0, ACTIVITY_SIGMA)
                     for uid in user_ids}
 
         holders: Dict[str, Set[str]] = {}
@@ -242,7 +238,7 @@ class MazeTraceGenerator:
         for uid in user_ids:
             join = rng.uniform(0.0, horizon * 0.4)
             leave = (rng.uniform(join + horizon * 0.1, horizon)
-                     if rng.random() < self.parameters.departure_fraction
+                     if rng.random() < DEPARTURE_FRACTION
                      else horizon)
             lifetimes[uid] = (join, leave)
         return lifetimes
@@ -255,7 +251,7 @@ class MazeTraceGenerator:
                     if lifetimes[uid][0] <= catalog_file.birth_time < lifetimes[uid][1]]
         if not eligible:
             eligible = list(user_ids)
-        k = min(self.parameters.initial_holders, len(eligible))
+        k = min(INITIAL_HOLDERS, len(eligible))
         return rng.sample(eligible, k)
 
     def _seed_libraries(self, catalog: FileCatalog,

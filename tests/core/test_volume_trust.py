@@ -218,6 +218,18 @@ class TestAccumulatorCost:
         assert calls == []
         self._assert_matches_full_build(accumulator, ledger, store)
 
+    def test_vote_resums_only_pairs_of_the_voters_own_file(self, built,
+                                                           ledger, store):
+        # "a" re-evaluates f2 (fetched from "c") in the same refresh that
+        # "e" votes on f1, which "a" also fetched (from "b"): only f2's
+        # pair may re-sum, since "a"'s value of f1 stands.
+        accumulator, calls = built
+        store.record_vote("a", "f2", 0.1)
+        store.record_vote("e", "f1", 0.0)
+        assert accumulator.refresh() == {"a", "e"}
+        assert calls == [("a", "c")]
+        self._assert_matches_full_build(accumulator, ledger, store)
+
     def test_prune_resums_the_pruned_pairs(self, built, ledger, store):
         accumulator, calls = built
         ledger.prune_older_than(25.0)

@@ -123,14 +123,6 @@ class TestDegenerateDHT:
 
 
 class TestExtremeConfigs:
-    def test_zero_consumption_delay(self):
-        config = SimulationConfig(
-            scenario=ScenarioSpec(honest=6, polluters=2),
-            duration_seconds=0.25 * DAY, num_files=15,
-            request_rate=0.005, seed=3,
-            mean_consumption_delay_seconds=0.0)
-        FileSharingSimulation(config, ALL_MECHANISMS["null"]()).run()
-
     def test_extreme_multitrust_steps(self):
         config = ReputationConfig(multitrust_steps=8, alpha=0.0, beta=0.0,
                                   gamma=1.0)

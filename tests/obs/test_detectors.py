@@ -163,7 +163,7 @@ class TestWhitewash:
         assert "w-0-w1" in alerts[0].message
 
     def test_reset_above_prior_warns_once(self):
-        detector = WhitewashDetector(newcomer_prior=0.5)
+        detector = WhitewashDetector()
         detector.observe(
             _event("whitewash", 50.0, retired="w-0", fresh="w-0-w1"))
         quiet = detector.observe(_event(
@@ -182,7 +182,7 @@ class TestWhitewash:
         assert alerts == []
 
     def test_rejoin_abuse_threshold(self):
-        detector = WhitewashDetector(rejoin_threshold=3)
+        detector = WhitewashDetector()
         alerts = []
         for t in (10.0, 20.0, 30.0, 40.0):
             alerts.extend(detector.observe(
@@ -191,14 +191,15 @@ class TestWhitewash:
         assert "3 times" in alerts[0].message
 
     def test_dht_rejoin_counts_by_user_field(self):
-        detector = WhitewashDetector(rejoin_threshold=2)
-        detector.observe(
-            _event("dht_node_join", 1.0, user="u-1", rejoined=True))
+        detector = WhitewashDetector()
+        for t in (1.0, 2.0):
+            detector.observe(
+                _event("dht_node_join", t, user="u-1", rejoined=True))
         # First joins never count.
         detector.observe(
-            _event("dht_node_join", 2.0, user="u-2", rejoined=False))
+            _event("dht_node_join", 3.0, user="u-2", rejoined=False))
         alerts = detector.observe(
-            _event("dht_node_join", 3.0, user="u-1", rejoined=True))
+            _event("dht_node_join", 4.0, user="u-1", rejoined=True))
         assert len(alerts) == 1
         assert "u-1" in alerts[0].message
 
@@ -210,7 +211,7 @@ def _snapshot(t, peer, cls, service_class, norm=0.1):
 
 class TestStarvation:
     def test_honest_peer_stuck_at_zero_warns_once(self):
-        detector = StarvationDetector(consecutive_refreshes=3)
+        detector = StarvationDetector()
         alerts = []
         for tick in range(5):
             t = (tick + 1) * 100.0
@@ -223,7 +224,7 @@ class TestStarvation:
     def test_no_alert_without_differentiation(self):
         # Everyone is in class 0: the incentive layer isn't differentiating,
         # so nobody is being starved relative to anyone else.
-        detector = StarvationDetector(consecutive_refreshes=2)
+        detector = StarvationDetector()
         alerts = []
         for tick in range(4):
             t = (tick + 1) * 100.0
@@ -233,7 +234,7 @@ class TestStarvation:
         assert alerts == []
 
     def test_freerider_in_class_zero_is_working_as_intended(self):
-        detector = StarvationDetector(consecutive_refreshes=2)
+        detector = StarvationDetector()
         alerts = []
         for tick in range(4):
             t = (tick + 1) * 100.0
@@ -244,7 +245,7 @@ class TestStarvation:
         assert alerts == []
 
     def test_recovery_resets_streak(self):
-        detector = StarvationDetector(consecutive_refreshes=3)
+        detector = StarvationDetector()
         alerts = []
         classes = [0, 0, 2, 0, 0]  # never 3 consecutive zeros
         for tick, service_class in enumerate(classes):

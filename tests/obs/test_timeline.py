@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.obs.timeline import (PeerTimeline, build_timelines,
-                                class_mean_series, fake_fraction_series)
+from repro.obs.detectors import FakeOutbreakDetector
+from repro.obs.timeline import (FakeFractionAccumulator, PeerTimeline,
+                                build_timelines, class_mean_series)
 
 
 def _snapshot(t, peer, cls="honest", **fields):
@@ -65,15 +66,14 @@ class TestFakeFractionSeries:
         return {"seq": 0, "t": t, "event": "download", "fake": fake}
 
     def test_windows_fold_download_stream(self):
-        window = 100.0
+        window = FakeOutbreakDetector.WINDOW_SECONDS
         events = [self._download(10.0, False), self._download(20.0, True),
-                  self._download(150.0, True), self._download(160.0, True)]
-        series = fake_fraction_series(events, window_seconds=window)
-        assert series == [
-            (100.0, pytest.approx(0.5), 2),
-            (200.0, pytest.approx(1.0), 2),
+                  self._download(window + 50.0, True),
+                  self._download(window + 60.0, True)]
+        accumulator = FakeFractionAccumulator()
+        for event in events:
+            accumulator.feed(event)
+        assert accumulator.finish() == [
+            (window, pytest.approx(0.5), 2),
+            (2 * window, pytest.approx(1.0), 2),
         ]
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="window_seconds"):
-            fake_fraction_series([], window_seconds=0.0)

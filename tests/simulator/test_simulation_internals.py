@@ -86,11 +86,14 @@ class TestQueueOffset:
         assert simulation._queue_offset("honest-0000", "honest-0001") == 0.0
 
     def test_offset_scales_with_factor(self):
-        mechanism = ScriptedMechanism(
-            reputations={("honest-0000", "honest-0001"): 1.0})
-        simulation = _simulation(mechanism, max_queue_offset_seconds=100.0)
+        mechanism = ScriptedMechanism(reputations={
+            ("honest-0000", "honest-0001"): 0.5,
+            ("honest-0000", "honest-0002"): 1.0,
+        })
+        simulation = _simulation(mechanism)
         offset = simulation._queue_offset("honest-0000", "honest-0001")
-        assert offset == pytest.approx(100.0)
+        assert offset == pytest.approx(
+            0.5 * FileSharingSimulation.MAX_QUEUE_OFFSET_SECONDS)
 
     def test_uninformed_uploader_gives_no_offset(self):
         simulation = _simulation(NullMechanism())

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.simulator import ChurnModel, FileRegistry, WorkloadModel
+from repro.simulator.churn import JOIN_SPREAD_SECONDS
 from repro.traces import FileCatalog
 
 
@@ -49,7 +50,7 @@ class TestWorkloadModel:
         assert workload._activity["a"] == weight
 
     def test_heavy_requesters_dominate(self, registry):
-        workload = WorkloadModel(seed=4, activity_sigma=2.0)
+        workload = WorkloadModel(seed=4)
         peers = [f"p{i}" for i in range(20)]
         for peer_id in peers:
             workload.register_peer(peer_id)
@@ -63,9 +64,6 @@ class TestWorkloadModel:
 
 
 class TestChurnModel:
-    def test_disabled_flag_survives(self):
-        assert not ChurnModel(enabled=False).enabled
-
     def test_invalid_durations_rejected(self):
         with pytest.raises(ValueError):
             ChurnModel(mean_session_seconds=0.0)
@@ -73,17 +71,11 @@ class TestChurnModel:
             ChurnModel(mean_offline_seconds=-1.0)
         with pytest.raises(ValueError):
             ChurnModel(mean_offline_seconds=0.0)
-        with pytest.raises(ValueError):
-            ChurnModel(join_spread_seconds=-1.0)
 
     def test_join_delay_within_spread(self):
-        churn = ChurnModel(join_spread_seconds=100.0, seed=1)
+        churn = ChurnModel(seed=1)
         for _ in range(100):
-            assert 0.0 <= churn.initial_join_delay() <= 100.0
-
-    def test_zero_spread_joins_immediately(self):
-        churn = ChurnModel(join_spread_seconds=0.0)
-        assert churn.initial_join_delay() == 0.0
+            assert 0.0 <= churn.initial_join_delay() <= JOIN_SPREAD_SECONDS
 
     def test_session_durations_exponential_mean(self):
         churn = ChurnModel(mean_session_seconds=1000.0, seed=2)
@@ -96,14 +88,11 @@ class TestChurnModel:
 
     def test_scaled_divides_both_means(self):
         churn = ChurnModel(mean_session_seconds=4000.0,
-                           mean_offline_seconds=8000.0,
-                           join_spread_seconds=120.0, seed=9)
+                           mean_offline_seconds=8000.0, seed=9)
         fast = churn.scaled(4.0)
         assert fast.mean_session_seconds == 1000.0
         assert fast.mean_offline_seconds == 2000.0
-        assert fast.join_spread_seconds == 120.0  # spread is not a rate
         assert fast.seed == 9
-        assert fast.enabled
 
     def test_scaled_preserves_online_fraction(self):
         churn = ChurnModel(mean_session_seconds=6000.0,

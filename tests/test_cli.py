@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import copy
+import functools
 import json
 
 import pytest
@@ -238,9 +240,36 @@ class TestReport:
         assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def bench_memo(miniature_bench):
+    """Miniature ``repro bench`` collections, one per section and option
+    set, shared by every test in this module that asks for the same."""
+    collectors = dict(miniature_bench.SECTIONS)
+    snapshots = {}
+
+    def collect(section, **options):
+        key = (section, repr(sorted(options.items())))
+        if key not in snapshots:
+            snapshots[key] = collectors[section](**options)
+        return copy.deepcopy(snapshots[key])
+
+    return collect
+
+
+@pytest.fixture
+def shared_bench(bench_memo, monkeypatch):
+    """``bench.SECTIONS`` answering from :func:`bench_memo`: each test gets
+    a snapshot collected with exactly the options the CLI passed."""
+    from repro.obs import bench
+    for section in tuple(bench.SECTIONS):
+        monkeypatch.setitem(bench.SECTIONS, section,
+                            functools.partial(bench_memo, section))
+    return bench
+
+
 class TestBenchObs:
     def test_writes_stamped_snapshot(self, tmp_path, capsys,
-                                     miniature_bench):
+                                     shared_bench):
         out = tmp_path / "BENCH_obs.json"
         assert main(["bench", "obs", "--out", str(out), "--seed", "5"]) == 0
         snapshot = json.loads(out.read_text())
@@ -425,7 +454,7 @@ class TestBenchPipeline:
 
     def test_history_appended_and_generous_gate_passes(self, tmp_path,
                                                        capsys,
-                                                       miniature_bench):
+                                                       shared_bench):
         out = tmp_path / "BENCH_pipeline.json"
         history = tmp_path / "BENCH_pipeline_history.jsonl"
         code = main(["bench", "pipeline", "--out", str(out),
@@ -440,7 +469,7 @@ class TestBenchPipeline:
         assert len(lines) == 1
         assert json.loads(lines[0])["seed"] == 5
 
-    def test_impossible_gate_fails(self, tmp_path, capsys, miniature_bench):
+    def test_impossible_gate_fails(self, tmp_path, capsys, shared_bench):
         out = tmp_path / "BENCH_pipeline.json"
         code = main(["bench", "pipeline", "--out", str(out),
                      "--gate", "refresh.0.incremental_speedup.median>=1e9"]
@@ -452,7 +481,7 @@ class TestBenchPipeline:
 class TestBenchObsGate:
     def test_history_appended_and_generous_gate_passes(self, tmp_path,
                                                        capsys,
-                                                       miniature_bench):
+                                                       shared_bench):
         out = tmp_path / "BENCH_obs.json"
         history = tmp_path / "BENCH_history.jsonl"
         code = main(["bench", "obs", "--out", str(out), "--seed", "5",
@@ -464,7 +493,7 @@ class TestBenchObsGate:
         assert len(lines) == 1
         assert json.loads(lines[0])["seed"] == 5
 
-    def test_impossible_gate_fails(self, tmp_path, capsys, miniature_bench):
+    def test_impossible_gate_fails(self, tmp_path, capsys, shared_bench):
         out = tmp_path / "BENCH_obs.json"
         code = main(["bench", "obs", "--out", str(out), "--seed", "5",
                      "--gate", "ratios.instrumentation_overhead.median<=0"])
@@ -528,7 +557,7 @@ class TestBenchGates:
         ("pipeline", ["--sizes", "20", "--events", "5"])])
     def test_false_identity_flag_exits_1(self, section, extra, tmp_path,
                                          monkeypatch, capsys,
-                                         miniature_bench):
+                                         shared_bench):
         from repro.obs import bench
         collect = bench.SECTIONS[section]
 
@@ -541,7 +570,7 @@ class TestBenchGates:
         monkeypatch.setitem(bench.SECTIONS, section, broken)
         # A generous gate passes; the false flag still fails the run.
         code = main(["bench", section, "--out", str(tmp_path / "b.json"),
-                     "--gate", "seed>=0"] + extra)
+                     "--seed", "5", "--gate", "seed>=0"] + extra)
         assert code == 1
         assert "check failed" in capsys.readouterr().err
 
@@ -786,7 +815,7 @@ class TestSpanTracing:
         assert main(["flame", str(trace), "--width", "100"]) == 2
 
     def test_bench_obs_gates_span_overheads(self, tmp_path, capsys,
-                                            miniature_bench):
+                                            shared_bench):
         out = tmp_path / "BENCH_obs.json"
         assert main(["bench", "obs", "--out", str(out), "--seed", "5",
                      "--gate", "ratios.span_overhead.median<=1000",
@@ -800,7 +829,7 @@ class TestSpanTracing:
 
     def test_bench_obs_impossible_sampled_gate_fails(self, tmp_path,
                                                      capsys,
-                                                     miniature_bench):
+                                                     shared_bench):
         out = tmp_path / "BENCH_obs.json"
         assert main(["bench", "obs", "--out", str(out), "--seed", "5",
                      "--gate", "ratios.span_sampled_overhead.median<=0"]
@@ -857,13 +886,13 @@ class TestBenchTrace:
     _SMALL = ["--seed", "5"]
 
     def test_writes_stamped_snapshot(self, tmp_path, capsys,
-                                     miniature_bench):
+                                     shared_bench):
         out = tmp_path / "BENCH_trace.json"
         assert main(["bench", "trace", "--out", str(out)]
                     + self._SMALL) == 0
         snapshot = json.loads(out.read_text())
         assert snapshot["seed"] == 5
-        assert snapshot["events"] == miniature_bench.TRACE_EVENTS
+        assert snapshot["events"] == shared_bench.TRACE_EVENTS
         assert {"config_hash", "git_sha", "git_dirty", "binary", "jsonl"} \
             <= set(snapshot)
         assert snapshot["checks"] == {"scan_aggregates_match": True,
@@ -873,7 +902,7 @@ class TestBenchTrace:
 
     def test_history_appended_and_generous_gate_passes(self, tmp_path,
                                                        capsys,
-                                                       miniature_bench):
+                                                       shared_bench):
         out = tmp_path / "BENCH_trace.json"
         history = tmp_path / "BENCH_history.jsonl"
         code = main(["bench", "trace", "--out", str(out),
@@ -887,7 +916,7 @@ class TestBenchTrace:
         assert len(lines) == 1
         assert json.loads(lines[0])["seed"] == 5
 
-    def test_impossible_gate_fails(self, tmp_path, capsys, miniature_bench):
+    def test_impossible_gate_fails(self, tmp_path, capsys, shared_bench):
         out = tmp_path / "BENCH_trace.json"
         code = main(["bench", "trace", "--out", str(out),
                      "--gate", "timings.binary_write.events_per_s>=1e15"]

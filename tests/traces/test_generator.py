@@ -26,14 +26,6 @@ class TestParameters:
         with pytest.raises(ValueError):
             TraceParameters(num_actions=-1)
 
-    def test_departure_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            TraceParameters(departure_fraction=1.0)
-
-    def test_initial_holders_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TraceParameters(initial_holders=0)
-
 
 class TestGeneratedTrace:
     def test_yields_most_requested_actions(self, generated):
