@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from ..obs.stats import mean
+from ..obs.stats import mean, ordered_sum
 
 __all__ = ["kendall_tau", "top_k_overlap", "rank_of", "separation",
            "jain_fairness"]
@@ -75,10 +75,10 @@ def jain_fairness(values: Sequence[float]) -> float:
         raise ValueError("values must be non-empty")
     if any(v < 0 for v in data):
         raise ValueError("values must be non-negative")
-    total = sum(data)
+    total = ordered_sum(data)
     if total == 0:
         return 1.0  # nobody gets anything: trivially equal
-    squares = sum(v * v for v in data)
+    squares = ordered_sum(v * v for v in data)
     return (total * total) / (len(data) * squares)
 
 

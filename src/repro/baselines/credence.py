@@ -27,10 +27,10 @@ class CredenceMechanism(ReputationMechanism):
 
     name = "credence"
 
-    def __init__(self, min_overlap: int = 2):
-        if min_overlap < 1:
-            raise ValueError("min_overlap must be >= 1")
-        self._min_overlap = min_overlap
+    #: Files two users must both have voted on before they correlate.
+    MIN_OVERLAP = 2
+
+    def __init__(self) -> None:
         # user -> file -> binary vote (True = positive).
         self._votes: Dict[str, Dict[str, bool]] = {}
 
@@ -49,7 +49,7 @@ class CredenceMechanism(ReputationMechanism):
     def correlation(self, user_a: str, user_b: str) -> Optional[float]:
         """Phi coefficient between two users' overlapping binary votes.
 
-        Returns None when the overlap is below ``min_overlap``; returns a
+        Returns None when the overlap is below :attr:`MIN_OVERLAP`; returns a
         value in [-1, 1] otherwise (degenerate all-same-vote overlaps count
         as perfect agreement/disagreement by convention).
         """
@@ -58,7 +58,7 @@ class CredenceMechanism(ReputationMechanism):
         if len(votes_a) > len(votes_b):
             votes_a, votes_b = votes_b, votes_a
         shared = [file_id for file_id in votes_a if file_id in votes_b]
-        if len(shared) < self._min_overlap:
+        if len(shared) < self.MIN_OVERLAP:
             return None
         both_pos = sum(1 for f in shared
                        if self._votes[user_a].get(f) and self._votes[user_b].get(f))

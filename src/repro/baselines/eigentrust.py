@@ -9,12 +9,13 @@ distribution of a random walk over the normalised local-trust matrix —
    with ``j`` (clamped at 0); here satisfaction is the downloader's
    evaluation of the received file.
 2. Normalise: ``c_ij = max(s_ij, 0) / sum_j max(s_ij, 0)``.
-3. Power iteration with pre-trusted damping::
+3. Power iteration with damping::
 
        t <- (1 - a) * C^T t + a * p
 
-   where ``p`` is uniform over the pre-trusted set and ``a`` the damping
-   weight.
+   where ``p`` is the pre-trusted distribution and ``a`` the damping
+   weight.  No peer is pre-trusted here, so ``p`` is uniform over all
+   peers.
 
 Benchmark C2 reproduces the paper's critique: EigenTrust produces *false
 negatives* (honest peers with little traffic get ~zero trust) and *false
@@ -23,7 +24,7 @@ positives* (colluders inflate each other above honest peers).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 import numpy as np
 
@@ -33,21 +34,19 @@ __all__ = ["EigenTrustMechanism"]
 
 
 class EigenTrustMechanism(ReputationMechanism):
-    """Full EigenTrust with pre-trusted peers and power iteration."""
+    """Full EigenTrust with damping and power iteration."""
 
     name = "eigentrust"
 
-    def __init__(self, pre_trusted: Optional[Iterable[str]] = None,
-                 damping: float = 0.15, max_iterations: int = 100,
-                 tolerance: float = 1e-10, auto_refresh: bool = True):
+    #: The power iteration stops after this many steps, or earlier once
+    #: one step moves the trust vector by less than ``TOLERANCE`` (L1).
+    MAX_ITERATIONS = 100
+    TOLERANCE = 1e-10
+
+    def __init__(self, damping: float = 0.15, auto_refresh: bool = True):
         if not 0.0 <= damping <= 1.0:
             raise ValueError(f"damping must be in [0,1], got {damping}")
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        self._pre_trusted: Set[str] = set(pre_trusted or ())
         self._damping = damping
-        self._max_iterations = max_iterations
-        self._tolerance = tolerance
         # s_ij accumulators: (i, j) -> satisfaction sum.
         self._local: Dict[Tuple[str, str], float] = {}
         self._pending: Dict[Tuple[str, str, str], float] = {}
@@ -99,10 +98,6 @@ class EigenTrustMechanism(ReputationMechanism):
     # Computation                                                        #
     # ------------------------------------------------------------------ #
 
-    def set_pre_trusted(self, pre_trusted: Iterable[str]) -> None:
-        self._pre_trusted = set(pre_trusted)
-        self._dirty = True
-
     def refresh(self) -> None:
         """Run the power iteration to a fixed point."""
         users = sorted(self._users)
@@ -124,14 +119,9 @@ class EigenTrustMechanism(ReputationMechanism):
                 c[index[i], index[j]] += value
         row_sums = c.sum(axis=1)
 
-        pre = np.zeros(n)
-        trusted = [index[u] for u in self._pre_trusted if u in index]
-        if trusted:
-            pre[trusted] = 1.0 / len(trusted)
-        else:
-            pre[:] = 1.0 / n
+        pre = np.full(n, 1.0 / n)
 
-        # Rows with no positive local trust defer to the pre-trusted vector
+        # Rows with no positive local trust defer to the uniform vector
         # (the standard EigenTrust fix for dangling rows).
         for row in range(n):
             if row_sums[row] > 0:
@@ -142,12 +132,12 @@ class EigenTrustMechanism(ReputationMechanism):
         t = pre.copy()
         a = self._damping
         iterations_used = 0
-        for iteration in range(1, self._max_iterations + 1):
+        for iteration in range(1, self.MAX_ITERATIONS + 1):
             t_next = (1.0 - a) * (c.T @ t) + a * pre
             delta = float(np.abs(t_next - t).sum())
             t = t_next
             iterations_used = iteration
-            if delta < self._tolerance:
+            if delta < self.TOLERANCE:
                 break
         self._iterations_used = iterations_used
         self._scores = {user: float(t[index[user]]) for user in users}

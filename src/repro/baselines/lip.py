@@ -33,19 +33,17 @@ class _FileState:
 class LIPMechanism(ReputationMechanism):
     """Score files by normalised lifetime x log-popularity, minus deletions.
 
-    ``half_owners`` sets the owner count at which the popularity term reaches
-    0.5; ``lifetime_scale_seconds`` plays the same role for lifetime.
+    :attr:`HALF_OWNERS` is the owner count at which the popularity term
+    reaches 0.5; ``lifetime_scale_seconds`` sets the lifetime term's scale.
     """
 
     name = "lip"
 
-    def __init__(self, half_owners: int = 8,
-                 lifetime_scale_seconds: float = 10 * 24 * 3600.0):
-        if half_owners < 1:
-            raise ValueError("half_owners must be >= 1")
+    HALF_OWNERS = 8
+
+    def __init__(self, lifetime_scale_seconds: float = 10 * 24 * 3600.0):
         if lifetime_scale_seconds <= 0:
             raise ValueError("lifetime_scale_seconds must be positive")
-        self._half_owners = half_owners
         self._lifetime_scale = lifetime_scale_seconds
         self._files: Dict[str, _FileState] = {}
 
@@ -82,7 +80,7 @@ class LIPMechanism(ReputationMechanism):
         lifetime = max(state.last_seen - state.first_seen, 0.0)
         lifetime_term = 1.0 - math.exp(-lifetime / self._lifetime_scale)
         owner_count = len(state.owners)
-        popularity_term = owner_count / (owner_count + self._half_owners)
+        popularity_term = owner_count / (owner_count + self.HALF_OWNERS)
         # Deletions are the negative signal: each deletion relative to the
         # surviving owner population pushes the score down.
         total_holders = owner_count + state.deletions

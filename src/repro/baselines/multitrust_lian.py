@@ -27,10 +27,10 @@ class LianMultiTrustMechanism(ReputationMechanism):
 
     name = "multitrust-lian"
 
-    def __init__(self, max_tier: int = 3):
-        if max_tier < 1:
-            raise ValueError(f"max_tier must be >= 1, got {max_tier}")
-        self._max_tier = max_tier
+    #: Deepest tier: ``TM^1 .. TM^MAX_TIER`` are derived.
+    MAX_TIER = 3
+
+    def __init__(self) -> None:
         self._volume: Dict[Tuple[str, str], float] = {}
         self._view: Optional[MultiTierView] = None
         self._dirty = True
@@ -46,7 +46,7 @@ class LianMultiTrustMechanism(ReputationMechanism):
         for (i, j), volume in self._volume.items():
             if volume > 0:
                 raw.set(i, j, volume)
-        self._view = MultiTierView(raw.row_normalized(), self._max_tier)
+        self._view = MultiTierView(raw.row_normalized(), self.MAX_TIER)
         self._dirty = False
 
     def _ensure_view(self) -> MultiTierView:
@@ -63,14 +63,14 @@ class LianMultiTrustMechanism(ReputationMechanism):
         """Scalarised tier assignment: higher is better.
 
         A target at tier ``k`` with in-tier value ``v`` maps to
-        ``(max_tier - k + v)`` so any tier-k target outranks every
+        ``(MAX_TIER - k + v)`` so any tier-k target outranks every
         tier-(k+1) target, matching the paper's ordering rule; unreachable
         targets score 0.
         """
         assignment = self.assign_tier(observer, target)
         if assignment.tier is None:
             return 0.0
-        return (self._max_tier - assignment.tier) + min(assignment.value, 1.0)
+        return (self.MAX_TIER - assignment.tier) + min(assignment.value, 1.0)
 
     def one_step_matrix(self) -> TrustMatrix:
         return self._ensure_view().tier_matrix(1)

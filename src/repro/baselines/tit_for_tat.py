@@ -10,7 +10,7 @@ uploads", Section 2).  Benchmark C1 measures that coverage.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .base import ReputationMechanism
 
@@ -20,48 +20,18 @@ __all__ = ["TitForTatMechanism"]
 class TitForTatMechanism(ReputationMechanism):
     """Private-history reciprocity: trust = bytes downloaded from target.
 
-    ``history_window_seconds`` bounds the private history (the paper's
-    experiment uses a one-month log); older contributions are discarded on
-    :meth:`refresh`.
+    The history is never expired: it covers the whole run.
     """
 
     name = "tit-for-tat"
 
-    def __init__(self, history_window_seconds: Optional[float] = None):
+    def __init__(self) -> None:
         self._received: Dict[Tuple[str, str], float] = {}
-        self._events: list = []  # (timestamp, downloader, uploader, size)
-        self._window = history_window_seconds
-        self._now = 0.0
 
     def record_download(self, downloader: str, uploader: str, file_id: str,
                         size_bytes: float, timestamp: float = 0.0) -> None:
         key = (downloader, uploader)
         self._received[key] = self._received.get(key, 0.0) + size_bytes
-        self._now = max(self._now, timestamp)
-        if self._window is not None:
-            self._events.append((timestamp, downloader, uploader, size_bytes))
-
-    def refresh(self) -> None:
-        """Expire history that fell outside the window."""
-        if self._window is None:
-            return
-        cutoff = self._now - self._window
-        kept = []
-        expired: Dict[Tuple[str, str], float] = {}
-        for event in self._events:
-            timestamp, downloader, uploader, size_bytes = event
-            if timestamp < cutoff:
-                key = (downloader, uploader)
-                expired[key] = expired.get(key, 0.0) + size_bytes
-            else:
-                kept.append(event)
-        self._events = kept
-        for key, size_bytes in expired.items():
-            remaining = self._received.get(key, 0.0) - size_bytes
-            if remaining > 1e-9:
-                self._received[key] = remaining
-            else:
-                self._received.pop(key, None)
 
     def reputation(self, observer: str, target: str) -> float:
         """Bytes ``observer`` has received from ``target`` (private history)."""

@@ -66,6 +66,7 @@ All commands are seeded and print fixed-width tables to stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -558,14 +559,8 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.scenario is not None:
         preset = get_scenario(args.scenario, seed=args.seed)
-        config = SimulationConfig(
-            scenario=preset.scenario,
-            duration_seconds=preset.duration_seconds,
-            num_files=preset.num_files,
-            fake_ratio=preset.fake_ratio,
-            request_rate=preset.request_rate,
-            seed=preset.seed,
-            churn=preset.churn,
+        config = dataclasses.replace(
+            preset,
             use_file_filtering=not args.no_filtering,
             use_service_differentiation=not args.no_differentiation,
         )

@@ -67,7 +67,7 @@ class DurabilityManager:
 
     def __init__(self, system: MultiDimensionalReputationSystem,
                  directory: Union[str, Path], fsync: str = "batch",
-                 snapshot_every: int = 0, keep_snapshots: int = 3,
+                 snapshot_every: int = 0,
                  recorder: NullRecorder = NULL_RECORDER,
                  start_seq: int = 0,
                  fileobj: Optional[BinaryIO] = None) -> None:
@@ -78,7 +78,7 @@ class DurabilityManager:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.wal_path = self.directory / WAL_FILENAME
-        self.snapshots = SnapshotStore(self.directory, keep=keep_snapshots)
+        self.snapshots = SnapshotStore(self.directory)
         self.snapshot_every = snapshot_every
         self.recorder = recorder
         self._writer = WalWriter(self.wal_path, fsync=fsync,

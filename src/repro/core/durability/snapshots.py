@@ -4,9 +4,9 @@ A snapshot is a v2 :mod:`repro.core.persistence` document written
 atomically (temp file + ``rename`` + directory fsync) under the name
 ``snapshot-<last_seq:020d>.json`` — the zero-padded journal sequence it is
 current through doubles as the generation number, so lexicographic order is
-recovery order.  Old generations are pruned down to ``keep`` so the
-directory stays bounded, but never below one: a corrupt latest generation
-must always leave an older one to fall back to.
+recovery order.  Old generations are pruned down to
+:data:`KEEP_GENERATIONS` so the directory stays bounded, leaving older
+generations for a corrupt latest one to fall back to.
 
 Corruption handling is quarantine-first: a snapshot that fails JSON
 parsing, checksum verification or restore is renamed to ``*.corrupt``
@@ -27,9 +27,12 @@ from ..persistence import (save_system, system_from_dict, wal_last_seq)
 from ..reputation_system import MultiDimensionalReputationSystem
 
 __all__ = ["SnapshotStore", "LoadedSnapshot", "QuarantinedSnapshot",
-           "SNAPSHOT_PATTERN"]
+           "SNAPSHOT_PATTERN", "KEEP_GENERATIONS"]
 
 SNAPSHOT_PATTERN = re.compile(r"^snapshot-(\d{20})\.json$")
+
+#: Generations a write leaves on disk, the newest included.
+KEEP_GENERATIONS = 3
 
 
 @dataclass(frozen=True)
@@ -56,11 +59,8 @@ class LoadedSnapshot:
 class SnapshotStore:
     """Writes, prunes, and fault-tolerantly reloads snapshot generations."""
 
-    def __init__(self, directory: Union[str, Path], keep: int = 3) -> None:
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
+    def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
-        self.keep = keep
 
     def path_for(self, last_seq: int) -> Path:
         return self.directory / f"snapshot-{last_seq:020d}.json"
@@ -100,8 +100,7 @@ class SnapshotStore:
         return final
 
     def _prune(self) -> None:
-        generations = self.generations()
-        for _seq, path in generations[:max(0, len(generations) - self.keep)]:
+        for _seq, path in self.generations()[:-KEEP_GENERATIONS]:
             path.unlink()
         self._fsync_directory()
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Mapping, Sequence, Tuple
 
 from ..lint.contracts import check_simplex
+from ..obs.stats import ordered_sum
 from .config import DEFAULT_CONFIG, ReputationConfig
 from .matrix import TrustMatrix
 
@@ -134,10 +135,11 @@ def separation_objective(build_reputation: Callable[[ReputationConfig],
         good_total = bad_total = 0.0
         for observer in observers:
             row = reputation.row(observer)
-            good_total += sum(row.get(target, 0.0) for target in good
-                              if target != observer)
-            bad_total += sum(row.get(target, 0.0) for target in bad
-                             if target != observer)
+            good_total += ordered_sum(row.get(target, 0.0)
+                                      for target in good
+                                      if target != observer)
+            bad_total += ordered_sum(row.get(target, 0.0) for target in bad
+                                     if target != observer)
         good_mean = good_total / (len(observers) * len(good))
         bad_mean = bad_total / (len(observers) * len(bad))
         return good_mean - bad_mean

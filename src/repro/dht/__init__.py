@@ -4,9 +4,8 @@ from .crypto import KeyAuthority, SignatureError
 from .deployment import DHTBackedMechanism
 from .faults import FaultPlan, RPCOutcome
 from .id_space import ID_BITS, ID_SPACE, distance, hash_key, in_interval
-from .retry import (DEFAULT_RETRY_POLICY, DHTError, EmptyNetworkError,
-                    NetworkPartitionError, RetryBudget, RetryBudgetExhausted,
-                    RetryPolicy, RoutingError)
+from .retry import (DHTError, EmptyNetworkError, NetworkPartitionError,
+                    RetryBudget, RetryBudgetExhausted, RoutingError)
 from .messages import (EvaluationInfo, IndexRecord, MessageEnvelope,
                        MessageKind, MessageTally)
 from .node import DHTNode
@@ -24,13 +23,11 @@ __all__ = [
     "DHTBackedMechanism",
     "FaultPlan",
     "RPCOutcome",
-    "DEFAULT_RETRY_POLICY",
     "DHTError",
     "EmptyNetworkError",
     "NetworkPartitionError",
     "RetryBudget",
     "RetryBudgetExhausted",
-    "RetryPolicy",
     "RoutingError",
     "ID_BITS",
     "ID_SPACE",

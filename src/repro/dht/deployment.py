@@ -30,8 +30,8 @@ from ..core.file_reputation import file_reputation
 from .crypto import KeyAuthority
 from .faults import FaultPlan
 from .overlay_service import EvaluationOverlay
-from .retry import RetryPolicy
 from .ring import DHTNetwork
+from .storage import DEFAULT_TTL_SECONDS
 
 __all__ = ["DHTBackedMechanism"]
 
@@ -44,14 +44,13 @@ class DHTBackedMechanism(MultiDimensionalMechanism):
     def __init__(self, config: ReputationConfig = DEFAULT_CONFIG,
                  overlay: Optional[EvaluationOverlay] = None,
                  replication: int = 2,
-                 record_ttl: float = 24 * 3600.0,
-                 faults: Optional[FaultPlan] = None,
-                 retry_policy: Optional[RetryPolicy] = None):
+                 record_ttl: float = DEFAULT_TTL_SECONDS,
+                 faults: Optional[FaultPlan] = None):
         super().__init__(config)
         self.overlay = overlay if overlay is not None else EvaluationOverlay(
             DHTNetwork(), KeyAuthority(), config=config,
             replication=replication, record_ttl=record_ttl,
-            faults=faults, retry_policy=retry_policy)
+            faults=faults)
         self._known_users: Set[str] = set()
         self._now = 0.0
 

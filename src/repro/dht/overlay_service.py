@@ -22,11 +22,11 @@ benchmark F2 can check the paper's cost claim: piggybacking evaluations adds
 
 **Resilience.**  When constructed with an active
 :class:`~repro.dht.faults.FaultPlan`, every publication write and retrieval
-read becomes a fault-subjected RPC with retries
-(:class:`~repro.dht.retry.RetryPolicy`).  Retrieval degrades gracefully: it
-reads from the key's whole replica set, merges the freshest record per
-owner, and returns a *partial* :class:`RetrievedEvaluations` whose
-``complete`` flag says whether the read quorum was met — callers keep
+read becomes a fault-subjected RPC with retries (:mod:`repro.dht.retry`).
+Retrieval degrades gracefully: it reads from the key's whole replica set,
+merges the freshest record per owner, and returns a *partial*
+:class:`RetrievedEvaluations` whose ``complete`` flag says whether a
+majority of the replicas answered (the read quorum) — callers keep
 working with whatever survived.  :meth:`EvaluationOverlay.repair_replicas`
 re-replicates under-replicated records after node failures.  With the
 default ``faults=None`` all of this is dormant and the overlay behaves
@@ -54,10 +54,10 @@ from .id_space import hash_key
 from .messages import (EvaluationInfo, IndexRecord, MessageEnvelope,
                        MessageKind, MessageTally)
 from .node import DHTNode
-from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from .retry import MAX_ATTEMPTS
 from .ring import DHTNetwork
 from .routing import LookupResult, lookup
-from .storage import StoredRecord
+from .storage import DEFAULT_TTL_SECONDS, StoredRecord
 
 __all__ = ["EvaluationOverlay", "RetrievedEvaluations"]
 
@@ -96,27 +96,19 @@ class EvaluationOverlay:
     def __init__(self, network: DHTNetwork, authority: KeyAuthority,
                  config: ReputationConfig = DEFAULT_CONFIG,
                  replication: int = 2,
-                 record_ttl: float = 24 * 3600.0,
+                 record_ttl: float = DEFAULT_TTL_SECONDS,
                  faults: Optional[FaultPlan] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 read_quorum: Optional[int] = None,
                  recorder: NullRecorder = NULL_RECORDER):
         if replication < 1:
             raise ValueError("replication must be >= 1")
-        if read_quorum is not None and not 1 <= read_quorum <= replication:
-            raise ValueError("read_quorum must be in [1, replication]")
         self.network = network
         self.authority = authority
         self.config = config
         self.replication = replication
         self.record_ttl = record_ttl
         self.faults = faults
-        self.retry_policy = (retry_policy if retry_policy is not None
-                             else DEFAULT_RETRY_POLICY)
-        #: Replicas that must answer a fault-injected read (default:
-        #: majority of the replica set).
-        self.read_quorum = (read_quorum if read_quorum is not None
-                            else replication // 2 + 1)
+        #: Replicas that must answer a fault-injected read: a majority.
+        self.read_quorum = replication // 2 + 1
         self.tally = MessageTally()
         #: Observability sink; NULL_RECORDER keeps the overlay unmetered.
         self.recorder = recorder
@@ -204,8 +196,7 @@ class EvaluationOverlay:
             return lookup(self.network, key, start=start,
                           recorder=self.recorder)
         return lookup(self.network, key, start=start, faults=self.faults,
-                      retry_policy=self.retry_policy, tally=self.tally,
-                      recorder=self.recorder)
+                      tally=self.tally, recorder=self.recorder)
 
     def _rpc(self, src_user: str, dst: DHTNode,
              span: NullSpan = NULL_SPAN) -> bool:
@@ -218,7 +209,7 @@ class EvaluationOverlay:
             self.tally.record(MessageKind.TIMEOUT, 0)
             span.count("timeouts")
             return False
-        for attempt in range(self.retry_policy.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             outcome, wire_latency = self.faults.transmit(src_user,
                                                          dst.user_id)
             span.add_cost(wire_latency)
@@ -234,7 +225,7 @@ class EvaluationOverlay:
                 span.count("timeouts")
                 return False
             self.tally.record(MessageKind.DROP, 0)
-            if attempt + 1 < self.retry_policy.max_attempts:
+            if attempt + 1 < MAX_ATTEMPTS:
                 self.tally.record(MessageKind.RETRY, 0)
                 span.count("retries")
         return False

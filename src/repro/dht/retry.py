@@ -1,4 +1,4 @@
-"""Typed DHT failures and retry discipline (timeouts, capped backoff).
+"""Typed DHT failures and the retry discipline (capped backoff, budget).
 
 Real overlays never get to assume delivery: every RPC can time out, and the
 caller must decide how often to retry and how long to wait.  This module
@@ -8,8 +8,9 @@ provides the two pieces the rest of :mod:`repro.dht` builds on:
   network is empty" from "routing diverged" from "the retry budget ran dry"
   (the seed used bare ``assert``/``RuntimeError``, which vanish under
   ``python -O`` and are indistinguishable to callers);
-* :class:`RetryPolicy` — timeout + capped exponential backoff with jitter,
-  plus a per-operation :class:`RetryBudget` so a single lookup cannot retry
+* the retry discipline: at most :data:`MAX_ATTEMPTS` tries per target,
+  capped exponential backoff with jitter (:func:`backoff_delay`), and a
+  per-operation :class:`RetryBudget` so a single lookup cannot retry
   forever on a partitioned target.
 
 ``DHTError`` deliberately subclasses :class:`RuntimeError`: existing callers
@@ -20,7 +21,6 @@ catch the precise subtype.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 __all__ = [
     "DHTError",
@@ -28,10 +28,23 @@ __all__ = [
     "RoutingError",
     "NetworkPartitionError",
     "RetryBudgetExhausted",
-    "RetryPolicy",
     "RetryBudget",
-    "DEFAULT_RETRY_POLICY",
+    "MAX_ATTEMPTS",
+    "RETRY_BUDGET",
+    "backoff_delay",
 ]
+
+#: Tries against *one* target before it counts as unreachable.
+MAX_ATTEMPTS = 4
+#: Retry ``k`` (0-based) waits ``BASE_DELAY_SECONDS * BACKOFF_FACTOR ** k``,
+#: capped at ``MAX_DELAY_SECONDS`` and jittered by ``±JITTER_FRACTION``.
+BASE_DELAY_SECONDS = 0.05
+BACKOFF_FACTOR = 2.0
+MAX_DELAY_SECONDS = 2.0
+JITTER_FRACTION = 0.1
+#: Retries one whole operation may spend: a lookup contacts many nodes,
+#: each with its own attempts, but they share one budget.
+RETRY_BUDGET = 48
 
 
 class DHTError(RuntimeError):
@@ -54,62 +67,23 @@ class RetryBudgetExhausted(DHTError):
     """The operation's retry budget drained before it could complete."""
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Timeout + capped exponential backoff with jitter.
+def backoff_delay(attempt: int, rng: random.Random) -> float:
+    """Delay before retry number ``attempt`` (0-based), jittered.
 
-    ``max_attempts`` bounds tries against *one* target; ``retry_budget``
-    bounds total retries across a whole operation (a lookup may contact many
-    nodes, each with its own attempts, but shares one budget).
+    Deterministic for a given ``rng`` state — chaos sweeps stay
+    reproducible because the fault plan owns the only RNG.
     """
-
-    max_attempts: int = 4
-    base_delay_seconds: float = 0.05
-    backoff_factor: float = 2.0
-    max_delay_seconds: float = 2.0
-    jitter_fraction: float = 0.1
-    retry_budget: int = 48
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_delay_seconds < 0:
-            raise ValueError("base_delay_seconds must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.max_delay_seconds < self.base_delay_seconds:
-            raise ValueError("max_delay_seconds must be >= base_delay_seconds")
-        if not 0.0 <= self.jitter_fraction <= 1.0:
-            raise ValueError("jitter_fraction must be in [0, 1]")
-        if self.retry_budget < 0:
-            raise ValueError("retry_budget must be >= 0")
-
-    def backoff_delay(self, attempt: int, rng: random.Random) -> float:
-        """Delay before retry number ``attempt`` (0-based), jittered.
-
-        Deterministic for a given ``rng`` state — chaos sweeps stay
-        reproducible because the fault plan owns the only RNG.
-        """
-        if attempt < 0:
-            raise ValueError("attempt must be >= 0")
-        raw = min(self.base_delay_seconds * self.backoff_factor ** attempt,
-                  self.max_delay_seconds)
-        if self.jitter_fraction == 0.0 or raw == 0.0:
-            return raw
-        spread = self.jitter_fraction * (2.0 * rng.random() - 1.0)
-        return max(raw * (1.0 + spread), 0.0)
-
-
-#: The policy used when callers do not supply one.
-DEFAULT_RETRY_POLICY = RetryPolicy()
+    raw = min(BASE_DELAY_SECONDS * BACKOFF_FACTOR ** attempt,
+              MAX_DELAY_SECONDS)
+    spread = JITTER_FRACTION * (2.0 * rng.random() - 1.0)
+    return max(raw * (1.0 + spread), 0.0)
 
 
 class RetryBudget:
     """Mutable per-operation retry counter drawn down by each retry."""
 
-    def __init__(self, policy: RetryPolicy):
-        self.policy = policy
-        self.remaining = policy.retry_budget
+    def __init__(self) -> None:
+        self.remaining = RETRY_BUDGET
         self.spent = 0
 
     def try_consume(self) -> bool:

@@ -14,7 +14,7 @@ fingers are tolerated via successor fallback.
 
 When a :class:`~repro.dht.faults.FaultPlan` is supplied every hop becomes a
 real RPC that can drop, crash the contacted node, or be partitioned away.
-Drops are retried under a :class:`~repro.dht.retry.RetryPolicy` (capped
+Drops are retried under :mod:`repro.dht.retry`'s discipline (capped
 exponential backoff with jitter, a shared per-lookup retry budget); nodes
 that stay unreachable are routed around.  When the budget drains, the
 lookup returns a *typed failure* (``result.error``) instead of raising, so
@@ -31,9 +31,9 @@ from .faults import FaultPlan, RPCOutcome
 from .id_space import ID_SPACE, in_interval
 from .messages import MessageKind, MessageTally
 from .node import DHTNode
-from .retry import (DEFAULT_RETRY_POLICY, DHTError, EmptyNetworkError,
+from .retry import (MAX_ATTEMPTS, DHTError, EmptyNetworkError,
                     NetworkPartitionError, RetryBudget, RetryBudgetExhausted,
-                    RetryPolicy, RoutingError)
+                    RoutingError, backoff_delay)
 from .ring import DHTNetwork
 
 __all__ = ["LookupResult", "lookup"]
@@ -70,7 +70,6 @@ class LookupResult:
 def lookup(network: DHTNetwork, key: int,
            start: Optional[DHTNode] = None,
            faults: Optional[FaultPlan] = None,
-           retry_policy: Optional[RetryPolicy] = None,
            tally: Optional[MessageTally] = None,
            recorder: NullRecorder = NULL_RECORDER) -> LookupResult:
     """Route from ``start`` (default: an arbitrary node) to ``key``'s owner.
@@ -86,8 +85,7 @@ def lookup(network: DHTNetwork, key: int,
     per-query attribution the flat ``dht_lookup`` event cannot give.
     """
     with recorder.request_span("dht.lookup") as span:
-        result = _lookup_impl(network, key, start, faults, retry_policy,
-                              tally, recorder)
+        result = _lookup_impl(network, key, start, faults, tally, recorder)
         span.add_cost(result.latency)
         span.count("hops", result.hops)
         span.count("retries", result.retries)
@@ -99,7 +97,6 @@ def lookup(network: DHTNetwork, key: int,
 def _lookup_impl(network: DHTNetwork, key: int,
                  start: Optional[DHTNode],
                  faults: Optional[FaultPlan],
-                 retry_policy: Optional[RetryPolicy],
                  tally: Optional[MessageTally],
                  recorder: NullRecorder) -> LookupResult:
     if len(network) == 0:
@@ -110,8 +107,7 @@ def _lookup_impl(network: DHTNetwork, key: int,
         raise EmptyNetworkError("network has no alive start node")
 
     injecting = faults is not None and faults.active
-    policy = retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
-    budget = RetryBudget(policy)
+    budget = RetryBudget()
     path = [current.user_id]
     hops = 0
     timeouts = 0
@@ -161,8 +157,8 @@ def _lookup_impl(network: DHTNetwork, key: int,
                 f"toward key {key:#x}"))
 
         if injecting:
-            delivered, cost = _contact(network, faults, policy, budget,
-                                       current, next_node, tally)
+            delivered, cost = _contact(network, faults, budget, current,
+                                       next_node, tally)
             latency += cost.latency
             timeouts += cost.timeouts
             retries += cost.retries
@@ -207,8 +203,8 @@ class _ContactCost:
     partitioned: bool = False
 
 
-def _contact(network: DHTNetwork, faults: FaultPlan, policy: RetryPolicy,
-             budget: RetryBudget, src: DHTNode, dst: DHTNode,
+def _contact(network: DHTNetwork, faults: FaultPlan, budget: RetryBudget,
+             src: DHTNode, dst: DHTNode,
              tally: Optional[MessageTally]) -> "tuple[bool, _ContactCost]":
     """One fault-subjected RPC with per-target retries under a shared budget."""
     cost = _ContactCost()
@@ -218,7 +214,7 @@ def _contact(network: DHTNetwork, faults: FaultPlan, policy: RetryPolicy,
         if tally is not None:
             tally.record(MessageKind.TIMEOUT, 0)
         return False, cost
-    for attempt in range(policy.max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         outcome, wire_latency = faults.transmit(src.user_id, dst.user_id)
         cost.latency += wire_latency
         if outcome is RPCOutcome.DELIVERED:
@@ -237,10 +233,10 @@ def _contact(network: DHTNetwork, faults: FaultPlan, policy: RetryPolicy,
                          else MessageKind.TIMEOUT, 0)
         if outcome is RPCOutcome.CRASHED:
             return False, cost
-        if attempt + 1 >= policy.max_attempts or not budget.try_consume():
+        if attempt + 1 >= MAX_ATTEMPTS or not budget.try_consume():
             return False, cost
         cost.retries += 1
-        cost.latency += policy.backoff_delay(attempt, faults.rng)
+        cost.latency += backoff_delay(attempt, faults.rng)
         if tally is not None:
             tally.record(MessageKind.RETRY, 0)
     return False, cost

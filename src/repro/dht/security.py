@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..obs.stats import ordered_sum
 from .messages import EvaluationInfo
 from .overlay_service import EvaluationOverlay
 
@@ -83,17 +84,14 @@ class ExaminationReport:
 class ProactiveExaminer:
     """Virtual-user examination of evaluation lists (Swamynathan-style)."""
 
-    def __init__(self, overlay: EvaluationOverlay,
-                 divergence_threshold: float = 0.3,
-                 overlap_threshold: float = 0.5,
-                 seed: int = 17):
-        if not 0.0 <= divergence_threshold <= 1.0:
-            raise ValueError("divergence_threshold must be in [0,1]")
-        if not 0.0 <= overlap_threshold <= 1.0:
-            raise ValueError("overlap_threshold must be in [0,1]")
+    #: A suspect is flagged when its two answers share less than this
+    #: Jaccard overlap of files, or differ by more than this mean absolute
+    #: evaluation on the files they share.
+    OVERLAP_THRESHOLD = 0.5
+    DIVERGENCE_THRESHOLD = 0.3
+
+    def __init__(self, overlay: EvaluationOverlay, seed: int = 17):
         self.overlay = overlay
-        self.divergence_threshold = divergence_threshold
-        self.overlap_threshold = overlap_threshold
         self._rng = random.Random(seed)
         self._probe_counter = 0
 
@@ -125,12 +123,12 @@ class ProactiveExaminer:
         overlap = len(common) / len(union) if union else 1.0
         divergence: Optional[float] = None
         if common:
-            divergence = sum(abs(answer_a[f] - answer_b[f])
-                             for f in common) / len(common)
+            divergence = ordered_sum(abs(answer_a[f] - answer_b[f])
+                                     for f in sorted(common)) / len(common)
 
-        flagged = overlap < self.overlap_threshold or (
+        flagged = overlap < self.OVERLAP_THRESHOLD or (
             divergence is not None
-            and divergence > self.divergence_threshold)
+            and divergence > self.DIVERGENCE_THRESHOLD)
         if not answer_a and not answer_b:
             # Nothing to examine; an empty list is not evidence of forgery.
             flagged = False

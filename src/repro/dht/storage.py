@@ -12,9 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generic, Iterator, List, Optional, TypeVar
 
-__all__ = ["StoredRecord", "NodeStorage"]
+__all__ = ["StoredRecord", "NodeStorage", "DEFAULT_TTL_SECONDS"]
 
 T = TypeVar("T")
+
+#: A record's life past its last (re-)publication, unless the writer
+#: says otherwise.
+DEFAULT_TTL_SECONDS = 24 * 3600.0
 
 
 @dataclass
@@ -37,18 +41,14 @@ class StoredRecord(Generic[T]):
 class NodeStorage(Generic[T]):
     """Key -> per-owner records.  One owner holds one record per key."""
 
-    def __init__(self, default_ttl: float = 24 * 3600.0):
-        if default_ttl <= 0:
-            raise ValueError("default_ttl must be positive")
-        self.default_ttl = default_ttl
+    def __init__(self) -> None:
         self._records: Dict[int, Dict[str, StoredRecord[T]]] = {}
 
     def put(self, key: int, owner_id: str, value: T, now: float,
-            ttl: Optional[float] = None) -> StoredRecord[T]:
+            ttl: float = DEFAULT_TTL_SECONDS) -> StoredRecord[T]:
         """Store/refresh ``owner_id``'s record under ``key``."""
         record = StoredRecord(key=key, owner_id=owner_id, value=value,
-                              stored_at=now,
-                              ttl=ttl if ttl is not None else self.default_ttl)
+                              stored_at=now, ttl=ttl)
         self._records.setdefault(key, {})[owner_id] = record
         return record
 

@@ -33,6 +33,7 @@ import ast
 import re
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
+from ..obs.stats import ordered_sum
 from .context import ModuleContext
 from .diagnostics import Diagnostic, Severity
 
@@ -379,7 +380,7 @@ class WeightSimplexRule(Rule):
                 literals[keyword.arg] = value
         for group in self._GROUPS:
             if all(name in literals for name in group):
-                total = sum(literals[name] for name in group)
+                total = ordered_sum(literals[name] for name in group)
                 if abs(total - 1.0) > _TOLERANCE:
                     yield self.report(
                         ctx, node,
@@ -389,7 +390,7 @@ class WeightSimplexRule(Rule):
                 and len(node.args) == 3):
             values = [ctx.number_literal(arg) for arg in node.args]
             if all(value is not None for value in values):
-                total = sum(values)  # type: ignore[arg-type]
+                total = ordered_sum(values)  # type: ignore[arg-type]
                 if abs(total - 1.0) > _TOLERANCE:
                     yield self.report(
                         ctx, node,
@@ -416,7 +417,7 @@ class WeightSimplexRule(Rule):
                           in self._GROUPS)
         if not named_weights and not unpacked_group:
             return None
-        total = sum(values)
+        total = ordered_sum(values)
         if abs(total - 1.0) <= _TOLERANCE:
             return None
         label = (target.id if isinstance(target, ast.Name)

@@ -55,7 +55,7 @@ from typing import (Any, Callable, Dict, Iterator, List, NamedTuple,
 
 from .events import read_events
 from .recorder import NULL_RECORDER, NullRecorder, Recorder
-from .stats import mean, percentile
+from .stats import mean, ordered_sum, percentile
 from .traceio import (DEFAULT_CHUNK_EVENTS, JsonlTraceWriter, TraceReader,
                       TraceWriter, canonical_line)
 
@@ -537,7 +537,7 @@ def _scan_binary(path: Path) -> Dict[str, Any]:
         for batch in reader.batches():
             events += batch.n_events
             kinds.update(batch.kind_counts())
-            wait_sum += sum(batch.column_values("wait"))
+            wait_sum += ordered_sum(batch.column_values("wait"))
             hops_sum += sum(batch.column_values("hops"))
     return {"events": events, "kinds": dict(sorted(kinds.items())),
             "wait_sum": wait_sum, "hops_sum": hops_sum}
@@ -781,7 +781,7 @@ def _random_matrix(seed: int, nodes: int, density: float):
     for i in ids:
         targets = rng.sample([j for j in ids if j != i], per_row)
         values = {j: rng.random() for j in targets}
-        total = sum(values.values())
+        total = ordered_sum(values.values())
         for j, value in values.items():
             matrix.set(i, j, value / total)
     return matrix

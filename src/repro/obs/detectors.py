@@ -40,6 +40,7 @@ from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional, Set,
                     Tuple)
 
 from .alerts import Alert, Severity
+from .stats import ordered_sum
 
 __all__ = ["Detector", "ConvergenceStallDetector", "FakeOutbreakDetector",
            "CollusionRingDetector", "WhitewashDetector",
@@ -162,7 +163,7 @@ class FakeOutbreakDetector(Detector):
         if downloads < self.MIN_DOWNLOADS:
             return []
         fraction = fakes / downloads
-        baseline = (sum(self._history) / len(self._history)
+        baseline = (ordered_sum(self._history) / len(self._history)
                     if self._history else None)
         self._history.append(fraction)
         window_end = self._window_start + self.WINDOW_SECONDS

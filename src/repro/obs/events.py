@@ -22,7 +22,7 @@ restores the old behaviour where needed).
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Mapping, Optional, Union
 
 __all__ = ["EventTrace", "read_events"]
 
@@ -40,6 +40,13 @@ class EventTrace:
     def record(self, kind: str, t: float,
                **fields: FieldValue) -> Dict[str, FieldValue]:
         """Stamp one event and pass it to the sink; returns the record."""
+        return self.record_fields(kind, t, fields)
+
+    def record_fields(self, kind: str, t: float,
+                      fields: Mapping[str, FieldValue]
+                      ) -> Dict[str, FieldValue]:
+        """:meth:`record` with the caller's fields as one mapping, which
+        is copied into the record after ``seq``, ``t`` and ``event``."""
         for reserved in ("seq", "t", "event"):
             if reserved in fields:
                 raise ValueError(f"field name {reserved!r} is reserved")

@@ -19,6 +19,7 @@ import zlib
 from typing import Dict, Iterable, List, Tuple
 
 from .spans import SpanNode
+from .stats import ordered_sum
 
 __all__ = ["FoldedStacks", "folded_from_trees", "render_flamegraph"]
 
@@ -78,7 +79,7 @@ class FoldedStacks:
     @property
     def total(self) -> float:
         """Total folded cost in (simulated) seconds."""
-        return sum(self._stacks.values())
+        return ordered_sum(self._stacks.values())
 
     def items(self) -> List[Tuple[Tuple[str, ...], float]]:
         """(path, seconds) pairs, sorted by path for determinism."""
@@ -110,8 +111,8 @@ class _Frame:
 
     @property
     def value(self) -> float:
-        return self.self_value + sum(child.value for child in
-                                     self.children.values())
+        return self.self_value + ordered_sum(child.value for child in
+                                             self.children.values())
 
     def depth(self) -> int:
         if not self.children:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from contextlib import nullcontext
-from typing import Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from .events import EventTrace
 from .profiling import Profiler
@@ -143,8 +143,13 @@ class Recorder(NullRecorder):
             pass
 
     def event(self, kind: str, t: Optional[float] = None, **fields) -> None:
-        record = self.trace.record(kind, self._clock() if t is None else t,
-                                   **fields)
+        self.event_fields(kind, self._clock() if t is None else t, fields)
+
+    def event_fields(self, kind: str, t: float,
+                     fields: Dict[str, Any]) -> None:
+        """:meth:`event` with the fields as one dict, handed to the trace
+        as it is (a kept span builds its record once)."""
+        record = self.trace.record_fields(kind, t, fields)
         for callback in self._subscribers:
             callback(record)
 

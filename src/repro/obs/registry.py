@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Tuple, Union
 
-from .stats import summarize
+from .stats import ordered_sum, summarize
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -68,7 +68,7 @@ class Histogram:
 
     @property
     def total(self) -> float:
-        return sum(self._values)
+        return ordered_sum(self._values)
 
     def values(self) -> List[float]:
         return list(self._values)

@@ -59,7 +59,7 @@ from typing import (
     Tuple,
 )
 
-from .stats import QuantileSketch
+from .stats import QuantileSketch, ordered_sum
 
 __all__ = [
     "NULL_SPAN",
@@ -323,7 +323,7 @@ class Span(NullSpan):
             record["t_end"] = recorder.now()
             record["dur"] = self._dur
             record["busy"] = self._busy
-            recorder.event("span", t=self.t_begin, **record)
+            recorder.event_fields("span", self.t_begin, record)
         return False
 
     def add_cost(self, seconds: float) -> None:
@@ -366,7 +366,7 @@ class SpanNode:
 
     @property
     def children_dur(self) -> float:
-        return sum(child.dur for child in self.children)
+        return ordered_sum(child.dur for child in self.children)
 
     @property
     def consistent(self) -> bool:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-__all__ = ["mean", "percentile", "percentiles", "summarize",
+__all__ = ["ordered_sum", "mean", "percentile", "percentiles", "summarize",
            "DEFAULT_QUANTILES", "QuantileSketch"]
 
 #: The quantiles every histogram summary reports: median plus the two tail
@@ -32,10 +32,24 @@ __all__ = ["mean", "percentile", "percentiles", "summarize",
 DEFAULT_QUANTILES: Sequence[float] = (50.0, 95.0, 99.0)
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Add ``values`` left to right from 0.0, rounding after every step.
+
+    Builtin ``sum()`` does exactly this up to CPython 3.11; from 3.12 it
+    compensates float rounding (Neumaier), so the same inputs can sum to a
+    different last bit.  Every float total in the package goes through
+    here, so outputs match across interpreters.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def mean(values: Iterable[float]) -> float:
     """Arithmetic mean; 0.0 for empty input."""
     data = list(values)
-    return sum(data) / len(data) if data else 0.0
+    return ordered_sum(data) / len(data) if data else 0.0
 
 
 def percentile(values: Iterable[float], q: float) -> float:
@@ -84,10 +98,10 @@ def summarize(values: Iterable[float]) -> Dict[str, float]:
 class QuantileSketch:
     """Bounded-memory streaming quantiles with a deterministic compression.
 
-    Below ``exact_limit`` observations the sketch simply buffers values and
-    :meth:`summary` is *identical* to :func:`summarize` — small traces keep
-    byte-stable reports.  Past the limit, the buffer is folded into at most
-    ``compressed_size`` weighted centroids ``(value, weight)``: the merged
+    Below :attr:`EXACT_LIMIT` observations the sketch simply buffers values
+    and :meth:`summary` is *identical* to :func:`summarize` — small traces
+    keep byte-stable reports.  Past the limit, the buffer is folded into at
+    most :attr:`COMPRESSED_SIZE` weighted centroids ``(value, weight)``: the merged
     sequence is sorted and adjacent observations are grouped into
     equal-mass runs whose weighted mean becomes the centroid.  No
     randomness, no wall clock — the same stream always compresses to the
@@ -95,20 +109,19 @@ class QuantileSketch:
     percentiles.
 
     Rank error after compression is bounded by the centroid mass
-    (``count / compressed_size``), i.e. ~0.1% of ranks at the defaults —
+    (``count / COMPRESSED_SIZE``), i.e. ~0.1% of ranks —
     ample for the p50/p95/p99 marks the reports quote.  ``min``/``max``/
     ``mean``/``count`` stay exact throughout.
     """
 
-    __slots__ = ("exact_limit", "compressed_size", "count", "_sum",
-                 "_min", "_max", "_buffer", "_centroids")
+    #: Observations buffered exactly before the first compression.
+    EXACT_LIMIT = 4096
+    #: Centroids a compression folds the observations into, at most.
+    COMPRESSED_SIZE = 1024
 
-    def __init__(self, exact_limit: int = 4096,
-                 compressed_size: int = 1024) -> None:
-        if exact_limit < 2 or compressed_size < 2:
-            raise ValueError("exact_limit and compressed_size must be >= 2")
-        self.exact_limit = exact_limit
-        self.compressed_size = compressed_size
+    __slots__ = ("count", "_sum", "_min", "_max", "_buffer", "_centroids")
+
+    def __init__(self) -> None:
         self.count = 0
         self._sum = 0.0
         self._min = math.inf
@@ -132,7 +145,7 @@ class QuantileSketch:
         if value > self._max:
             self._max = value
         self._buffer.append(value)
-        if len(self._buffer) >= self.exact_limit:
+        if len(self._buffer) >= self.EXACT_LIMIT:
             self._compress()
 
     @property
@@ -148,13 +161,13 @@ class QuantileSketch:
         return self._max if self.count else 0.0
 
     def _compress(self) -> None:
-        """Fold the buffer into at most ``compressed_size`` centroids."""
+        """Fold the buffer into at most :attr:`COMPRESSED_SIZE` centroids."""
         merged: List[Tuple[float, float]] = self._centroids + [
             (value, 1.0) for value in sorted(self._buffer)]
         merged.sort(key=lambda pair: pair[0])
         self._buffer = []
-        total = sum(weight for _, weight in merged)
-        target_mass = total / self.compressed_size
+        total = ordered_sum(weight for _, weight in merged)
+        target_mass = total / self.COMPRESSED_SIZE
         centroids: List[Tuple[float, float]] = []
         acc_value = 0.0
         acc_weight = 0.0
@@ -170,7 +183,7 @@ class QuantileSketch:
         self._centroids = centroids
 
     def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0..100); exact below ``exact_limit``."""
+        """The ``q``-th percentile (0..100); exact below :attr:`EXACT_LIMIT`."""
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
         if self.count == 0:

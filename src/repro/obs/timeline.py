@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .detectors import FakeOutbreakDetector
+from .stats import ordered_sum
 
 __all__ = ["PeerSample", "PeerTimeline", "TimelineBuilder",
            "FakeFractionAccumulator", "build_timelines",
@@ -117,7 +118,7 @@ def class_mean_series(timelines: Mapping[str, PeerTimeline],
                 float(getattr(sample, attribute)))
     series: Dict[str, List[Tuple[float, float]]] = {}
     for cls in sorted(buckets):
-        series[cls] = [(t, sum(values) / len(values))
+        series[cls] = [(t, ordered_sum(values) / len(values))
                        for t, values in sorted(buckets[cls].items())]
     return series
 

@@ -40,16 +40,17 @@ def _clamp(value: float, low: float = 0.0, high: float = 1.0) -> float:
 class PeerBehavior:
     """Base behaviour: hooks default to fully honest, fully passive."""
 
+    #: Probability of blacklisting the uploader of a detected fake.
+    BLACKLIST_PROBABILITY = 0.5
+    #: Standard deviation of the Gaussian noise added to honest votes.
+    VOTE_NOISE = 0.1
+
     #: Probability of casting an explicit vote after judging a file.
     vote_probability: float = 0.3
     #: Probability of recognising a fake file after consuming it.
     detection_probability: float = 0.9
-    #: Probability of blacklisting the uploader of a detected fake.
-    blacklist_probability: float = 0.5
     #: Probability of ranking an uploader positively after a good download.
     rank_probability: float = 0.1
-    #: Gaussian noise added to honest votes.
-    vote_noise: float = 0.1
 
     #: Class label used in benchmark tables.
     label: str = "honest"
@@ -68,7 +69,7 @@ class PeerBehavior:
 
     def honest_vote(self, quality: float, rng: random.Random) -> float:
         """A noisy honest vote around the file's true quality."""
-        return _clamp(quality + rng.gauss(0.0, self.vote_noise))
+        return _clamp(quality + rng.gauss(0.0, self.VOTE_NOISE))
 
     def vote_value(self, quality: float, is_fake: bool,
                    rng: random.Random) -> float:
@@ -89,7 +90,7 @@ class PeerBehavior:
             if rng.random() < self.vote_probability:
                 simulation.peer_votes(peer, file_id,
                                       self.vote_value(quality, True, rng))
-            if rng.random() < self.blacklist_probability:
+            if rng.random() < self.BLACKLIST_PROBABILITY:
                 simulation.peer_blacklists(peer, uploader_id)
             return
 
@@ -244,14 +245,15 @@ class ForgerBehavior(PeerBehavior):
 class WhitewasherBehavior(PolluterBehavior):
     """A polluter that re-joins under a fresh identity when caught.
 
-    ``rejoin_threshold`` is the number of blacklistings the peer tolerates
-    before shedding the identity; the simulation assigns the new id.
+    The peer sheds its identity once it has been blacklisted
+    :attr:`REJOIN_THRESHOLD` times; the simulation assigns the new id.
     """
 
+    REJOIN_THRESHOLD = 3
+
     label: str = "whitewasher"
-    rejoin_threshold: int = 3
 
     def on_periodic(self, simulation: "FileSharingSimulation",
                     peer: "Peer") -> None:
-        if simulation.blacklist_count(peer.peer_id) >= self.rejoin_threshold:
+        if simulation.blacklist_count(peer.peer_id) >= self.REJOIN_THRESHOLD:
             simulation.whitewash(peer)

@@ -3,8 +3,8 @@
 Section 4.3 claims the evaluation framework survives churn.  The regular
 churn benchmarks model churn as clean membership changes on a perfect
 network; this harness makes the network itself hostile — seeded message
-loss, crash-mid-RPC, latency — while peers churn, and measures what the
-resilience toolkit (retries, replica quorum reads, repair sweeps) actually
+loss — while peers crash and rejoin, and measures what the resilience
+toolkit (retries, replica quorum reads, repair sweeps) actually
 delivers:
 
 * **availability** — fraction of retrievals that met their read quorum;
@@ -29,7 +29,6 @@ from ..analysis.ranking import kendall_tau
 from ..dht.crypto import KeyAuthority
 from ..dht.faults import FaultPlan
 from ..dht.overlay_service import EvaluationOverlay
-from ..dht.retry import RetryPolicy
 from ..dht.ring import DHTNetwork
 from ..obs.recorder import NULL_RECORDER, NullRecorder
 from ..obs.stats import mean
@@ -52,7 +51,6 @@ class ChaosConfig:
     #: Per-round probability that one random alive peer crashes (and one
     #: previously-crashed peer rejoins).
     churn_rate: float = 0.0
-    crash_rate: float = 0.0
     replication: int = 3
     record_ttl: float = 10_000.0
     seed: int = 11
@@ -101,14 +99,11 @@ def run_chaos_point(config: ChaosConfig,
                     recorder: NullRecorder = NULL_RECORDER) -> ChaosResult:
     """Run one deterministic chaos cell and measure resilience."""
     faults = FaultPlan(drop_probability=config.loss_rate,
-                       crash_probability=config.crash_rate,
                        seed=config.seed + 1)
-    policy = RetryPolicy()
     overlay = EvaluationOverlay(DHTNetwork(), KeyAuthority(),
                                 replication=config.replication,
                                 record_ttl=config.record_ttl,
-                                faults=faults, retry_policy=policy,
-                                recorder=recorder)
+                                faults=faults, recorder=recorder)
     rng = random.Random(config.seed)
     #: Lookup hops of every retrieval, for the hop-inflation mean.
     hops: List[int] = []

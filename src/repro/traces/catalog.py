@@ -21,6 +21,8 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from ..obs.stats import ordered_sum
+
 __all__ = ["CatalogFile", "FileCatalog", "zipf_weights"]
 
 _DAY_SECONDS = 24 * 3600.0
@@ -40,7 +42,7 @@ def zipf_weights(n: int, exponent: float = ZIPF_EXPONENT) -> List[float]:
     if exponent < 0:
         raise ValueError(f"exponent must be >= 0, got {exponent}")
     raw = [1.0 / (rank ** exponent) for rank in range(1, n + 1)]
-    total = sum(raw)
+    total = ordered_sum(raw)
     return [w / total for w in raw]
 
 

@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
+from ..obs.stats import ordered_sum
 from .records import DownloadTrace
 
 __all__ = ["TraceStatistics", "compute_statistics", "zipf_exponent_fit",
@@ -33,12 +34,13 @@ def zipf_exponent_fit(counts: Sequence[int]) -> float:
     xs = [math.log(rank) for rank in range(1, len(positive) + 1)]
     ys = [math.log(count) for count in positive]
     n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
+    mean_x = ordered_sum(xs) / n
+    mean_y = ordered_sum(ys) / n
+    sxx = ordered_sum((x - mean_x) ** 2 for x in xs)
     if sxx == 0:
         raise ValueError("degenerate rank axis")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    sxy = ordered_sum((x - mean_x) * (y - mean_y)
+                      for x, y in zip(xs, ys))
     return -(sxy / sxx)
 
 
@@ -47,11 +49,12 @@ def gini_coefficient(values: Sequence[float]) -> float:
     data = sorted(v for v in values if v >= 0)
     if not data:
         return 0.0
-    total = sum(data)
+    total = ordered_sum(data)
     if total == 0:
         return 0.0
     n = len(data)
-    weighted = sum((index + 1) * value for index, value in enumerate(data))
+    weighted = ordered_sum((index + 1) * value
+                           for index, value in enumerate(data))
     gini = (2.0 * weighted) / (n * total) - (n + 1.0) / n
     return min(max(gini, 0.0), 1.0)
 

@@ -54,26 +54,19 @@ class TestBasics:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             EigenTrustMechanism(damping=1.5)
-        with pytest.raises(ValueError):
-            EigenTrustMechanism(max_iterations=0)
 
 
 class TestPreTrusted:
-    def test_pre_trusted_peers_anchor_scores(self):
-        mechanism = EigenTrustMechanism(pre_trusted=["anchor"])
-        _transaction(mechanism, "anchor", "b", "f1", 1.0)
-        _transaction(mechanism, "x", "y", "f2", 1.0)
-        scores = mechanism.global_scores()
-        # b is endorsed by the pre-trusted anchor; y only by a nobody.
-        assert scores["b"] > scores["y"]
-
-    def test_set_pre_trusted_invalidates(self):
+    def test_no_local_trust_leaves_the_uniform_vector(self):
+        # No peer is pre-trusted, so the pre-trusted distribution is
+        # uniform; with only unsatisfactory transactions every row is
+        # dangling and the walk stays on it.
         mechanism = EigenTrustMechanism()
-        _transaction(mechanism, "a", "b", "f1", 1.0)
-        before = mechanism.global_scores()
-        mechanism.set_pre_trusted(["b"])
-        after = mechanism.global_scores()
-        assert after["b"] > before["b"]
+        _transaction(mechanism, "a", "b", "f1", 0.0)
+        _transaction(mechanism, "c", "d", "f2", 0.0)
+        scores = mechanism.global_scores()
+        assert scores == pytest.approx(dict.fromkeys("abcd", 0.25))
+        assert mechanism.iterations_used == 1
 
     def test_converges_quickly(self):
         mechanism = EigenTrustMechanism()

@@ -10,23 +10,23 @@ DAY = 24 * 3600.0
 
 class TestLianMultiTrust:
     def test_tier_one_for_direct_uploader(self):
-        mechanism = LianMultiTrustMechanism(max_tier=3)
+        mechanism = LianMultiTrustMechanism()
         mechanism.record_download("a", "b", "f1", 100.0)
         assert mechanism.assign_tier("a", "b").tier == 1
 
     def test_tier_two_for_friend_of_friend(self):
-        mechanism = LianMultiTrustMechanism(max_tier=3)
+        mechanism = LianMultiTrustMechanism()
         mechanism.record_download("a", "b", "f1", 100.0)
         mechanism.record_download("b", "c", "f2", 100.0)
         assert mechanism.assign_tier("a", "c").tier == 2
 
     def test_unreachable_scores_zero(self):
-        mechanism = LianMultiTrustMechanism(max_tier=2)
+        mechanism = LianMultiTrustMechanism()
         mechanism.record_download("a", "b", "f1", 100.0)
         assert mechanism.reputation("a", "z") == 0.0
 
     def test_lower_tier_always_outranks_deeper(self):
-        mechanism = LianMultiTrustMechanism(max_tier=3)
+        mechanism = LianMultiTrustMechanism()
         mechanism.record_download("a", "direct", "f1", 1.0)  # tiny volume
         mechanism.record_download("a", "hub", "f2", 1000.0)
         mechanism.record_download("hub", "fof", "f3", 1000.0)
@@ -47,10 +47,6 @@ class TestLianMultiTrust:
         matrix = mechanism.one_step_matrix()
         assert matrix.get("a", "b") == pytest.approx(1.0)
         assert matrix.entry_count() == 1
-
-    def test_invalid_max_tier(self):
-        with pytest.raises(ValueError):
-            LianMultiTrustMechanism(max_tier=0)
 
 
 class TestLIP:
@@ -98,8 +94,6 @@ class TestLIP:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            LIPMechanism(half_owners=0)
-        with pytest.raises(ValueError):
             LIPMechanism(lifetime_scale_seconds=0.0)
 
 
@@ -124,7 +118,7 @@ class TestCredence:
         assert mechanism.correlation("a", "b") == pytest.approx(-1.0)
 
     def test_insufficient_overlap_gives_none(self):
-        mechanism = CredenceMechanism(min_overlap=2)
+        mechanism = CredenceMechanism()
         mechanism.record_vote("a", "f0", 1.0)
         mechanism.record_vote("b", "f0", 1.0)
         assert mechanism.correlation("a", "b") is None

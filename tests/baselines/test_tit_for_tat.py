@@ -40,16 +40,8 @@ class TestPrivateHistory:
 
 
 class TestHistoryWindow:
-    def test_old_history_expires_on_refresh(self):
-        mechanism = TitForTatMechanism(history_window_seconds=30 * DAY)
-        mechanism.record_download("a", "b", "f1", 100.0, timestamp=0.0)
-        mechanism.record_download("a", "b", "f2", 50.0, timestamp=35 * DAY)
-        mechanism.refresh()
-        # The day-0 download fell outside the 30-day window ending at day 35.
-        assert mechanism.reputation("a", "b") == pytest.approx(50.0)
-
     def test_recent_history_survives_refresh(self):
-        mechanism = TitForTatMechanism(history_window_seconds=30 * DAY)
+        mechanism = TitForTatMechanism()
         mechanism.record_download("a", "b", "f1", 100.0, timestamp=10 * DAY)
         mechanism.record_download("a", "c", "f2", 10.0, timestamp=20 * DAY)
         mechanism.refresh()
@@ -61,10 +53,3 @@ class TestHistoryWindow:
         mechanism.record_download("a", "b", "f2", 1.0, timestamp=365 * DAY)
         mechanism.refresh()
         assert mechanism.reputation("a", "b") == pytest.approx(101.0)
-
-    def test_fully_expired_pair_removed(self):
-        mechanism = TitForTatMechanism(history_window_seconds=DAY)
-        mechanism.record_download("a", "b", "f1", 100.0, timestamp=0.0)
-        mechanism.record_download("a", "c", "f2", 1.0, timestamp=10 * DAY)
-        mechanism.refresh()
-        assert not mechanism.has_history("a", "b")

@@ -6,9 +6,10 @@ import pytest
 
 from repro.dht import (DHTError, DHTNetwork, EmptyNetworkError, FaultPlan,
                        NetworkPartitionError, RetryBudget,
-                       RetryBudgetExhausted, RetryPolicy, RoutingError,
-                       RPCOutcome, hash_key, lookup)
+                       RetryBudgetExhausted, RoutingError, RPCOutcome,
+                       hash_key, lookup)
 from repro.dht.messages import MessageKind, MessageTally
+from repro.dht.retry import RETRY_BUDGET, backoff_delay
 
 
 def _network(n, prefix="node"):
@@ -78,38 +79,27 @@ class TestFaultPlan:
 
 
 class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay_seconds=1.0, max_delay_seconds=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter_fraction=1.5)
-
     def test_backoff_grows_then_caps(self):
-        policy = RetryPolicy(base_delay_seconds=0.1, backoff_factor=2.0,
-                             max_delay_seconds=0.4, jitter_fraction=0.0)
+        # 0.05 s doubling per retry, capped at 2 s, each within 10% jitter.
         rng = random.Random(0)
-        delays = [policy.backoff_delay(a, rng) for a in range(5)]
-        assert delays == [0.1, 0.2, 0.4, 0.4, 0.4]
+        delays = [backoff_delay(a, rng) for a in range(8)]
+        raws = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]
+        for delay, raw in zip(delays, raws):
+            assert 0.9 * raw <= delay <= 1.1 * raw
 
     def test_jitter_stays_bounded(self):
-        policy = RetryPolicy(base_delay_seconds=1.0, backoff_factor=1.0,
-                             max_delay_seconds=1.0, jitter_fraction=0.2)
         rng = random.Random(7)
-        for _ in range(50):
-            delay = policy.backoff_delay(0, rng)
-            assert 0.8 <= delay <= 1.2
+        delays = [backoff_delay(0, rng) for _ in range(50)]
+        assert all(0.045 <= delay <= 0.055 for delay in delays)
+        assert len(set(delays)) > 1
 
     def test_budget_drains(self):
-        budget = RetryBudget(RetryPolicy(retry_budget=2))
-        assert budget.try_consume()
-        assert budget.try_consume()
+        budget = RetryBudget()
+        for _ in range(RETRY_BUDGET):
+            assert budget.try_consume()
         assert not budget.try_consume()
         assert budget.exhausted
-        assert budget.spent == 2
+        assert budget.spent == RETRY_BUDGET
 
 
 class TestErrorHierarchy:
@@ -155,22 +145,25 @@ class TestFaultAwareLookup:
         assert tally.retries > 0
 
     def test_budget_exhaustion_returns_typed_failure(self):
-        network = _network(16)
-        plan = FaultPlan(drop_probability=0.95, seed=2)
-        policy = RetryPolicy(max_attempts=2, retry_budget=2,
-                             jitter_fraction=0.0)
-        failures = 0
-        for probe in range(30):
+        # Most lookups on a drop-heavy ring run out of reachable routes;
+        # on a ring this size a few of them spend the whole budget first.
+        network = _network(128)
+        plan = FaultPlan(drop_probability=0.9, seed=2)
+        failures = []
+        for probe in range(100):
             start = network.any_node()
             key = hash_key(f"file-{probe}")
             if start is not None and lookup(network, key).owner is start:
                 continue  # zero-hop lookups cannot fail
-            result = lookup(network, key, faults=plan, retry_policy=policy)
+            result = lookup(network, key, faults=plan)
             if not result.ok:
-                failures += 1
                 assert result.owner is None
                 assert isinstance(result.error, DHTError)
-        assert failures > 0
+                failures.append(result)
+        exhausted = [result for result in failures
+                     if isinstance(result.error, RetryBudgetExhausted)]
+        assert exhausted
+        assert all(result.retries == RETRY_BUDGET for result in exhausted)
 
     def test_partitioned_target_fails_typed(self):
         network = _network(8)

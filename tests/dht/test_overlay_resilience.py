@@ -1,20 +1,17 @@
 """Tests for the overlay's graceful degradation, quorum reads and repair."""
 
-import pytest
-
 from repro.core import ReputationConfig
 from repro.dht import (DHTNetwork, EvaluationOverlay, FaultPlan, KeyAuthority,
-                       RetryPolicy, hash_key)
+                       hash_key)
 
 PURE_EXPLICIT = ReputationConfig(eta=0.0, rho=1.0)
 
 
-def _overlay(faults=None, replication=3, **kwargs):
+def _overlay(faults=None, replication=3):
     overlay = EvaluationOverlay(DHTNetwork(), KeyAuthority(),
                                 config=PURE_EXPLICIT,
                                 replication=replication,
-                                record_ttl=100_000.0, faults=faults,
-                                **kwargs)
+                                record_ttl=100_000.0, faults=faults)
     for index in range(24):
         overlay.register_user(f"user-{index:03d}")
     return overlay
@@ -48,11 +45,6 @@ class TestDefaultPathUnchanged:
         b = gated.retrieve("user-002", "file-x", now=1.0)
         assert a == b
 
-    def test_read_quorum_validation(self):
-        with pytest.raises(ValueError):
-            EvaluationOverlay(DHTNetwork(), KeyAuthority(), replication=2,
-                              read_quorum=3)
-
 
 class TestDegradedRetrieval:
     def test_quorum_read_merges_replicas(self):
@@ -76,9 +68,7 @@ class TestDegradedRetrieval:
         assert overlay.availability < 1.0
 
     def test_heavy_loss_degrades_but_never_raises(self):
-        overlay = _overlay(
-            faults=FaultPlan(drop_probability=0.8, seed=3),
-            retry_policy=RetryPolicy(max_attempts=1, retry_budget=1))
+        overlay = _overlay(faults=FaultPlan(drop_probability=0.8, seed=3))
         overlay.publish("user-001", "file-x", 0.8, now=0.0)
         for probe in range(10):
             retrieved = overlay.retrieve(f"user-{probe:03d}", "file-x",

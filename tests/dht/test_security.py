@@ -103,9 +103,3 @@ class TestAttack3MimicAndExamination:
                                     "__probe-0003", "__probe-0004")
                   if overlay.network.has_node(user)]
         assert len(probes) == 4
-
-    def test_threshold_validation(self, overlay):
-        with pytest.raises(ValueError):
-            ProactiveExaminer(overlay, divergence_threshold=2.0)
-        with pytest.raises(ValueError):
-            ProactiveExaminer(overlay, overlap_threshold=-0.5)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import MultiDimensionalReputationSystem
 from repro.core.durability import SnapshotStore, flip_byte, truncate_file
+from repro.core.durability.snapshots import KEEP_GENERATIONS
 from repro.core.persistence import snapshot_checksum
 
 
@@ -29,15 +30,12 @@ class TestWrite:
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_prunes_to_keep_count(self, tmp_path):
-        store = SnapshotStore(tmp_path, keep=2)
+        store = SnapshotStore(tmp_path)
         for seq in (1, 2, 3, 4):
             store.write(_system(), last_seq=seq)
         seqs = [seq for seq, _ in store.generations()]
-        assert seqs == [3, 4]
-
-    def test_keep_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="keep"):
-            SnapshotStore(tmp_path, keep=0)
+        assert KEEP_GENERATIONS == 3
+        assert seqs == [2, 3, 4]
 
 
 class TestLoad:

@@ -149,11 +149,11 @@ class TestMetricsExport:
                        for section in snapshot.values() for name in section)
 
     def test_retrievals_incomplete_complements_availability(self):
-        # A lossy, crash-prone cell at replication 2 misses most quorums;
+        # A lossy, churning cell at replication 2 misses some quorums;
         # the overlay's own counts feed both numbers.
         result = run_chaos_point(ChaosConfig(
             peers=12, files=16, rounds=8, loss_rate=0.3, churn_rate=0.5,
-            crash_rate=0.1, replication=2, seed=3))
+            replication=2, seed=3))
         assert result.retrievals_incomplete > 0
         assert result.availability == pytest.approx(
             1 - result.retrievals_incomplete / result.retrievals)

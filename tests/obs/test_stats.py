@@ -3,7 +3,17 @@
 import pytest
 
 from repro.obs.stats import (DEFAULT_QUANTILES, QuantileSketch, mean,
-                             percentile, percentiles, summarize)
+                             ordered_sum, percentile, percentiles, summarize)
+
+
+class TestOrderedSum:
+    def test_adds_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16; a compensated sum gives 1.0.
+        assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+
+    def test_empty_is_zero(self):
+        assert ordered_sum([]) == 0.0
+        assert isinstance(ordered_sum(iter(())), float)
 
 
 class TestMean:
@@ -93,12 +103,6 @@ class TestQuantileSketchExactMode:
         with pytest.raises(ValueError):
             QuantileSketch().percentile(101.0)
 
-    def test_rejects_degenerate_budgets(self):
-        with pytest.raises(ValueError):
-            QuantileSketch(exact_limit=1)
-        with pytest.raises(ValueError):
-            QuantileSketch(compressed_size=1)
-
 
 class TestQuantileSketchCompressed:
     def _stream(self, n, seed=3):
@@ -106,7 +110,8 @@ class TestQuantileSketchCompressed:
         return [float((seed + 37 * i) % 9973) for i in range(n)]
 
     def _filled(self, n):
-        sketch = QuantileSketch(exact_limit=256, compressed_size=64)
+        # Past QuantileSketch.EXACT_LIMIT (4096): compressed at least once.
+        sketch = QuantileSketch()
         for value in self._stream(n):
             sketch.observe(value)
         return sketch
@@ -142,15 +147,15 @@ class TestQuantileSketchCompressed:
 
     def test_memory_stays_bounded(self):
         sketch = self._filled(50000)
-        assert len(sketch._centroids) <= sketch.compressed_size + 1
-        assert len(sketch._buffer) < sketch.exact_limit
+        assert len(sketch._centroids) <= QuantileSketch.COMPRESSED_SIZE + 1
+        assert len(sketch._buffer) < QuantileSketch.EXACT_LIMIT
 
 
 class TestQuantileSketchBoundary:
     """Behaviour at exactly the exact/compressed transition (4096)."""
 
     def _filled(self, n):
-        sketch = QuantileSketch()  # default exact_limit=4096
+        sketch = QuantileSketch()  # EXACT_LIMIT = 4096
         for i in range(n):
             sketch.observe(float((37 * i) % 8009))
         return sketch

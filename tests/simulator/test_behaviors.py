@@ -1,13 +1,16 @@
 """Tests for repro.simulator.behaviors via a recording stub simulation."""
 
 import random
+import statistics
 
 import pytest
 
 from repro.simulator import (ColluderBehavior, ForgerBehavior,
                              FreeRiderBehavior, HonestBehavior,
-                             LazyVoterBehavior, Peer, PolluterBehavior,
-                             WhitewasherBehavior)
+                             LazyVoterBehavior, Peer, PeerBehavior,
+                             PolluterBehavior, WhitewasherBehavior)
+
+NOISE = PeerBehavior.VOTE_NOISE
 
 
 class StubSimulation:
@@ -74,18 +77,22 @@ class TestHonestBehavior:
     def test_detects_and_deletes_fake(self):
         sim = StubSimulation(fake_files={"fake"}, seed=1)
         behavior = HonestBehavior(detection_probability=1.0,
-                                  vote_probability=0.0,
-                                  blacklist_probability=0.0)
+                                  vote_probability=0.0)
         behavior.on_download_complete(sim, _peer(behavior), "fake", "up")
         assert sim.deleted == [("p", "fake")]
 
     def test_blacklists_fake_uploader(self):
-        sim = StubSimulation(fake_files={"fake"}, seed=1)
-        behavior = HonestBehavior(detection_probability=1.0,
-                                  blacklist_probability=1.0,
-                                  vote_probability=0.0)
-        behavior.on_download_complete(sim, _peer(behavior), "fake", "up")
-        assert sim.blacklisted == [("p", "up")]
+        # Each detected fake blacklists its uploader with probability 0.5.
+        blacklisted = 0
+        for seed in range(400):
+            sim = StubSimulation(fake_files={"fake"}, seed=seed)
+            behavior = HonestBehavior(detection_probability=1.0,
+                                      vote_probability=0.0)
+            behavior.on_download_complete(sim, _peer(behavior), "fake", "up")
+            assert sim.blacklisted in ([], [("p", "up")])
+            blacklisted += len(sim.blacklisted)
+        assert PeerBehavior.BLACKLIST_PROBABILITY == 0.5
+        assert 160 <= blacklisted <= 240
 
     def test_keeps_real_file(self):
         sim = StubSimulation(seed=1)
@@ -94,12 +101,18 @@ class TestHonestBehavior:
         assert sim.deleted == []
 
     def test_votes_near_quality(self):
-        sim = StubSimulation(qualities={"real": 0.8}, seed=2)
-        behavior = HonestBehavior(vote_probability=1.0, vote_noise=0.0,
-                                  rank_probability=0.0)
-        behavior.on_download_complete(sim, _peer(behavior), "real", "up")
-        assert len(sim.voted) == 1
-        assert sim.voted[0][2] == pytest.approx(0.8)
+        votes = []
+        for seed in range(400):
+            sim = StubSimulation(qualities={"real": 0.5}, seed=seed)
+            behavior = HonestBehavior(vote_probability=1.0,
+                                      rank_probability=0.0)
+            behavior.on_download_complete(sim, _peer(behavior), "real", "up")
+            assert len(sim.voted) == 1
+            votes.append(sim.voted[0][2])
+        # Gaussian noise of standard deviation 0.1 around the quality.
+        assert NOISE == 0.1
+        assert statistics.mean(votes) == pytest.approx(0.5, abs=0.02)
+        assert statistics.stdev(votes) == pytest.approx(NOISE, abs=0.015)
 
     def test_ranks_uploader_sometimes(self):
         sim = StubSimulation(seed=3)
@@ -124,8 +137,7 @@ class TestLazyVoter:
 
     def test_still_deletes_fakes(self):
         sim = StubSimulation(fake_files={"fake"}, seed=1)
-        behavior = LazyVoterBehavior(detection_probability=1.0,
-                                     blacklist_probability=0.0)
+        behavior = LazyVoterBehavior(detection_probability=1.0)
         behavior.on_download_complete(sim, _peer(behavior), "fake", "up")
         assert sim.deleted == [("p", "fake")]
 
@@ -207,15 +219,15 @@ class TestForger:
 class TestWhitewasher:
     def test_rejoins_after_enough_blacklistings(self):
         sim = StubSimulation(seed=1)
-        sim._blacklist_counts["p"] = 3
-        behavior = WhitewasherBehavior(rejoin_threshold=3)
+        sim._blacklist_counts["p"] = WhitewasherBehavior.REJOIN_THRESHOLD
+        behavior = WhitewasherBehavior()
         behavior.on_periodic(sim, _peer(behavior))
         assert sim.whitewashed == ["p"]
 
     def test_stays_below_threshold(self):
         sim = StubSimulation(seed=1)
-        sim._blacklist_counts["p"] = 2
-        behavior = WhitewasherBehavior(rejoin_threshold=3)
+        sim._blacklist_counts["p"] = WhitewasherBehavior.REJOIN_THRESHOLD - 1
+        behavior = WhitewasherBehavior()
         behavior.on_periodic(sim, _peer(behavior))
         assert sim.whitewashed == []
 
@@ -224,10 +236,10 @@ class TestCamouflagedPolluter:
     def test_votes_honestly_on_real_files(self):
         from repro.simulator import CamouflagedPolluterBehavior
         sim = StubSimulation(qualities={"real": 0.8}, seed=2)
-        behavior = CamouflagedPolluterBehavior(vote_probability=1.0,
-                                               vote_noise=0.0)
+        behavior = CamouflagedPolluterBehavior(vote_probability=1.0)
         behavior.on_download_complete(sim, _peer(behavior), "real", "up")
-        assert sim.voted[0][2] == pytest.approx(0.8)
+        # An honest noisy vote, not a polluter's disparaging one (<= 0.2).
+        assert sim.voted[0][2] == pytest.approx(0.8, abs=3 * NOISE)
 
     def test_still_praises_fakes(self):
         from repro.simulator import CamouflagedPolluterBehavior

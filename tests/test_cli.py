@@ -7,8 +7,10 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.obs import read_events
+from repro.obs import Recorder, read_events
 from repro.obs.traceio import iter_trace_events
+from repro.simulator import FileSharingSimulation
+from repro.simulator.scenarios import chaos_storm
 from repro.traces import read_csv, read_jsonl
 
 
@@ -126,6 +128,21 @@ class TestSimulate:
                      "--request-rate", "0.01", "--no-filtering",
                      "--no-differentiation"])
         assert code == 0
+
+    def test_scenario_keeps_every_preset_field(self, tmp_path, capsys):
+        # chaos-storm ticks every 2 h, not the default 6 h.
+        trace = tmp_path / "storm.jsonl"
+        assert main(["simulate", "--scenario", "chaos-storm", "--seed", "3",
+                     "--trace-out", str(trace)]) == 0
+        events = []
+        FileSharingSimulation(chaos_storm(3),
+                              recorder=Recorder(trace_sink=events)).run()
+
+        def ticks(records):
+            return sum(1 for record in records
+                       if record["event"] == "maintenance")
+
+        assert ticks(read_events(str(trace))) == ticks(events) == 12
 
 
 _SIMULATE_SMALL = ["simulate", "--honest", "8", "--free-riders", "2",

@@ -1,6 +1,8 @@
 """Tests for repro.traces.catalog."""
 
+import hashlib
 import random
+import struct
 
 import pytest
 from hypothesis import given
@@ -28,6 +30,24 @@ class TestZipfWeights:
             zipf_weights(0)
         with pytest.raises(ValueError):
             zipf_weights(10, -1.0)
+
+    @pytest.mark.parametrize("n, digest", [
+        (80,
+         "dba1a56d309ea0ba8c6d38c708d779528deefc2681912e87d557436bb036e9c5"),
+        (300,
+         "3bd56f48e5aa99354a19b1578adfed3522bb9238ed32587fe8d7e0381e71df9a"),
+        (2000,
+         "b290965b11443f05bd7523bccae44ac26b847b0763617d28a96a7905d4618b17"),
+        (3000,
+         "734e4834e853d17b83f4bb00d8d16c53f3c78c98f0095391131fab4d427a156f"),
+    ])
+    def test_weights_pinned(self, n, digest):
+        # sha256 of the little-endian doubles, computed on CPython 3.11,
+        # whose builtin sum() adds left to right.  The same bits on every
+        # interpreter: 3.12's compensated sum() would move the last bits.
+        weights = zipf_weights(n)
+        packed = struct.pack(f"<{n}d", *weights)
+        assert hashlib.sha256(packed).hexdigest() == digest
 
     @given(n=st.integers(min_value=1, max_value=200),
            exponent=st.floats(min_value=0.0, max_value=2.0))
