@@ -103,7 +103,8 @@ def explain_reputation(system: MultiDimensionalReputationSystem,
     reputation = system.user_reputation(observer, target)
     one_step = system.one_step_matrix()
     direct = one_step.get(observer, target)
-    # The refresh above already published FM, DM and UM; the pipeline's
+    # The refresh above brought the accumulators' raw rows up to date, and
+    # this read normalises them into FM, DM and UM; the pipeline's
     # incremental == full-rebuild bar makes them the stores' exact values.
     dimensions = system.pipeline.dimension_matrices()
 

@@ -23,7 +23,7 @@ from ..lint.contracts import check_row_stochastic
 from .config import DEFAULT_CONFIG, ReputationConfig
 from .distances import PAIRWISE_ACCUMULATORS, get_similarity
 from .evaluation import EvaluationStore
-from .matrix import TrustMatrix
+from .matrix import TrustMatrix, retotal
 
 __all__ = ["file_trust", "build_file_trust_matrix", "FileTrustAccumulator"]
 
@@ -104,17 +104,20 @@ class FileTrustAccumulator:
     dirty file's snapshot against the store, re-derives exactly the pairs
     (moved user, co-evaluator) — each once, even when both users moved —
     drops the terms of users who left, re-finalises the perturbed pairs and
-    re-normalises the perturbed rows.  A rebuild is a refresh of every file
+    re-totals the perturbed rows.  A rebuild is a refresh of every file
     from an empty snapshot, where every evaluator has moved.
 
     A pair's total is re-summed left-to-right over its term files in sorted
     order — the accumulation sequence the full builder produces by walking
-    ``sorted(store.files())`` — and rows are normalised by
-    :meth:`TrustMatrix.replace_row_normalized`.
+    ``sorted(store.files())``.  No normalised FM is kept: the pipeline's
+    Eq. 7 publish divides each :attr:`raw` row by its ``math.fsum`` in
+    :attr:`totals`, and :attr:`matrix` normalises :attr:`raw` when read.
     """
 
     #: Key of this dimension in :meth:`TrustPipeline.dimension_matrices`.
     dimension = "file"
+    #: The span :meth:`TrustPipeline.refresh` times this dimension under.
+    span = "pipeline.file_trust"
 
     def __init__(self, store: EvaluationStore,
                  config: ReputationConfig = DEFAULT_CONFIG):
@@ -126,9 +129,16 @@ class FileTrustAccumulator:
         #: file_id -> {user: Eq. 1 value} the file's current terms came from.
         self._file_values: Dict[str, Dict[str, float]] = {}
         #: Un-normalised symmetric FT matrix (Eq. 2 finalised values).
-        self._raw = TrustMatrix()
-        #: Row-normalised FM (Eq. 3).
-        self.matrix = TrustMatrix()
+        self.raw = TrustMatrix()
+        #: row -> ``math.fsum`` of its :attr:`raw` values, Eq. 3's divisor.
+        self.totals: Dict[str, float] = {}
+
+    @property
+    def matrix(self) -> TrustMatrix:
+        """FM (Eq. 3): :attr:`raw` row-normalised, built afresh per read."""
+        matrix = self.raw.row_normalized()
+        check_row_stochastic(matrix, name="FM")
+        return matrix
 
     def refresh(self) -> Set[str]:
         """Re-derive what the store's dirty files touch; returns rows touched."""
@@ -136,11 +146,11 @@ class FileTrustAccumulator:
 
     def rebuild(self) -> Set[str]:
         """Full pass: forget everything and re-derive from every file."""
-        stale_rows = set(self.matrix.row_ids())
+        stale_rows = set(self.raw.row_ids())
         self._pair_terms = {}
         self._file_values = {}
-        self._raw = TrustMatrix()
-        self.matrix = TrustMatrix()
+        self.raw = TrustMatrix()
+        self.totals = {}
         return self._rederive(self._store.files()) | stale_rows
 
     def _rederive(self, files: Iterable[str]) -> Set[str]:
@@ -195,13 +205,11 @@ class FileTrustAccumulator:
                     total += terms[term_file]
                 trust = self._finalize(total, len(terms))
             value = trust if trust > 0.0 else 0.0
-            if value != self._raw.get(a, b):
-                self._raw.set(a, b, value)
-                self._raw.set(b, a, value)
+            if value != self.raw.get(a, b):
+                self.raw.set(a, b, value)
+                self.raw.set(b, a, value)
                 touched.add(a)
                 touched.add(b)
 
-        for user in sorted(touched):
-            self.matrix.replace_row_normalized(user, self._raw.row_view(user))
-        check_row_stochastic(self.matrix, name="FM")
+        retotal(self.raw, self.totals, touched)
         return touched

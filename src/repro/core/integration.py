@@ -12,7 +12,7 @@ terms, so a further dimension is one more term.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from ..lint.contracts import check_row_stochastic, check_simplex
 from .config import DEFAULT_CONFIG, ReputationConfig
@@ -22,7 +22,7 @@ from .matrix import TrustMatrix
 from .user_trust import UserTrustStore, build_user_trust_matrix
 from .volume_trust import DownloadLedger, build_volume_trust_matrix
 
-__all__ = ["build_one_step_matrix"]
+__all__ = ["build_one_step_matrix", "build_dimension_matrices", "integrate"]
 
 
 def build_one_step_matrix(evaluations: EvaluationStore,
@@ -37,19 +37,43 @@ def build_one_step_matrix(evaluations: EvaluationStore,
     a deliberately conservative choice that keeps rows sub-stochastic when a
     dimension is missing rather than silently inflating the others.
     """
-    terms: List[Tuple[float, TrustMatrix]] = []
+    return integrate(build_dimension_matrices(evaluations, ledger,
+                                              user_trust, config), config)
+
+
+def build_dimension_matrices(evaluations: EvaluationStore,
+                             ledger: Optional[DownloadLedger] = None,
+                             user_trust: Optional[UserTrustStore] = None,
+                             config: ReputationConfig = DEFAULT_CONFIG
+                             ) -> Dict[str, TrustMatrix]:
+    """FM, DM and UM (Eqs. 3, 5, 6) in Eq. 7 order, keyed by dimension.
+
+    The keys are those of
+    :meth:`~repro.core.pipeline.TrustPipeline.dimension_matrices`; a
+    dimension whose weight is zero or whose store is absent is left out.
+    """
+    matrices: Dict[str, TrustMatrix] = {}
     if config.alpha > 0:
-        terms.append(
-            (config.alpha, build_file_trust_matrix(evaluations, config)))
+        matrices["file"] = build_file_trust_matrix(evaluations, config)
     if config.beta > 0 and ledger is not None:
-        terms.append((config.beta,
-                      build_volume_trust_matrix(ledger, evaluations, config)))
+        matrices["volume"] = build_volume_trust_matrix(ledger, evaluations,
+                                                       config)
     if config.gamma > 0 and user_trust is not None:
-        terms.append((config.gamma, build_user_trust_matrix(user_trust)))
-    if not terms:
+        matrices["user"] = build_user_trust_matrix(user_trust)
+    return matrices
+
+
+def integrate(matrices: Mapping[str, TrustMatrix],
+              config: ReputationConfig = DEFAULT_CONFIG) -> TrustMatrix:
+    """Eq. 7 over :func:`build_dimension_matrices`' result."""
+    if not matrices:
         return TrustMatrix()
     check_simplex((config.alpha, config.beta, config.gamma),
                   name="(alpha, beta, gamma)")
-    integrated = TrustMatrix.weighted_sum(terms)
+    weights = {"file": config.alpha, "volume": config.beta,
+               "user": config.gamma}
+    integrated = TrustMatrix.weighted_sum(
+        (weights[dimension], matrix)
+        for dimension, matrix in matrices.items())
     check_row_stochastic(integrated, name="TM", strict=False)
     return integrated

@@ -31,15 +31,18 @@ __all__ = ["TrustMatrix", "CsrTrustMatrix"]
 
 #: Shared immutable empty row for :meth:`TrustMatrix.row_view` misses.
 _EMPTY_ROW: Mapping[str, float] = MappingProxyType({})
+#: The row totals of an already-normalised matrix in
+#: :meth:`TrustMatrix.weighted_row`: none, so every row divides by 1.0.
+_NORMALISED: Mapping[str, float] = MappingProxyType({})
 
 
 class TrustMatrix:
     """A sparse matrix of trust values ``matrix[i][j] = trust of i in j``.
 
     The class is agnostic about normalisation; the Eq. 3/5/6 constructors in
-    the dimension modules call :meth:`row_normalized` (full builds) or
-    :meth:`replace_row_normalized` (patched rows) to produce the
-    row-stochastic one-step matrices the paper uses.
+    the dimension modules call :meth:`row_normalized` to produce the
+    row-stochastic one-step matrices the paper uses, and Eq. 7's
+    :meth:`weighted_row` divides raw rows by their totals itself.
     """
 
     def __init__(self, rows: Optional[Mapping[str, Mapping[str, float]]] = None):
@@ -74,24 +77,33 @@ class TrustMatrix:
         current = self.get(i, j)
         self.set(i, j, max(current + delta, 0.0))
 
-    def replace_row_normalized(self, i: str, raw: Mapping[str, float]) -> None:
-        """Replace row ``i`` with ``raw`` scaled to sum to 1 (Eqs. 3, 5, 6).
+    def replace_row(self, i: str, row: Dict[str, float]) -> None:
+        """Adopt ``row`` as row ``i``; an empty ``row`` removes the row.
 
-        The one row normaliser: the full builders (via
-        :meth:`row_normalized`) and the incremental accumulators both land
-        here.  The total uses ``math.fsum``, so the row depends only on its
-        *values*, never on dict insertion order — a patched row equals a
-        rebuilt one bit for bit.  Quotients that underflow to 0.0 are
-        dropped, and a row whose total is not positive is removed.
+        ``row`` must hold only positive entries, and the caller must not
+        mutate it afterwards.
         """
         self._csr = None
-        total = fsum(raw.values())
-        row = ({j: quotient for j, value in raw.items()
-                if (quotient := value / total) > 0.0} if total > 0 else {})
         if row:
             self._rows[i] = row
         else:
             self._rows.pop(i, None)
+
+    def replace_row_normalized(self, i: str, raw: Mapping[str, float]) -> None:
+        """Replace row ``i`` with ``raw`` scaled to sum to 1 (Eqs. 3, 5, 6).
+
+        The one row normaliser, reached through :meth:`row_normalized`.
+        The total uses ``math.fsum``, so the row depends only on its
+        *values*, never on dict insertion order — a patched row equals a
+        rebuilt one bit for bit; the dimension accumulators keep the same
+        ``fsum`` of each raw row for :meth:`weighted_row`.  Quotients that
+        underflow to 0.0 are dropped, and a row whose total is not positive
+        is removed.
+        """
+        total = fsum(raw.values())
+        self.replace_row(i, {j: quotient for j, value in raw.items()
+                             if (quotient := value / total) > 0.0}
+                         if total > 0 else {})
 
     def copy_with_rows(self, updates: Mapping[str, Dict[str, float]]
                        ) -> "TrustMatrix":
@@ -224,43 +236,58 @@ class TrustMatrix:
     @staticmethod
     def weighted_sum(terms: Iterable[Tuple[float, "TrustMatrix"]]) -> "TrustMatrix":
         """Eq. 7: ``sum_k w_k * M_k`` over (weight, matrix) pairs."""
-        active: List[Tuple[float, TrustMatrix]] = []
+        active: List[Tuple[float, TrustMatrix, Mapping[str, float]]] = []
         for weight, matrix in terms:
             if weight < 0:
                 raise ValueError("weights must be >= 0")
             if weight > 0.0:
-                active.append((weight, matrix))
+                active.append((weight, matrix, _NORMALISED))
         # Rows in order of first appearance, dimension by dimension.
         return TrustMatrix().copy_with_rows({
             i: TrustMatrix.weighted_row(active, i)
-            for i in dict.fromkeys(i for _, matrix in active
+            for i in dict.fromkeys(i for _, matrix, _ in active
                                    for i in matrix._rows)})
 
     @staticmethod
-    def weighted_row(terms: Sequence[Tuple[float, "TrustMatrix"]],
+    def weighted_row(terms: Sequence[Tuple[float, "TrustMatrix",
+                                           Mapping[str, float]]],
                      i: str) -> Dict[str, float]:
-        """Row ``i`` of Eq. 7's ``sum_k w_k * M_k``, terms added in order.
+        """Row ``i`` of Eq. 7, ``sum_k w_k * M_k[i] / total_k[i]``, in order.
 
-        :meth:`weighted_sum` builds every row through here and the
-        incremental pipeline re-derives its dirty TM rows through here, so
-        both land on the same floats.  The row is seeded from the first
-        non-empty term's products (``0.0 + x == x`` for ``x >= 0``, so the
-        floats match a sum started from zero) and later terms add in
-        place; products that underflow to 0.0 are dropped, so the result
-        can go straight into :meth:`copy_with_rows`.
+        Each term is a weight, a dimension's raw matrix and the
+        ``math.fsum`` total of each of its rows, so ``value / total`` is
+        the entry :meth:`replace_row_normalized` would store (Eqs. 3, 5,
+        6) and no normalised FM/DM/UM has to exist.  A row the totals do
+        not name divides by 1.0: an already-normalised matrix comes with
+        no totals, since ``x / 1.0 == x``.  :meth:`weighted_sum` and the
+        incremental pipeline both build every row here, so they land on
+        the same floats, and on the floats of normalising first:
+
+        - a quotient that underflows to 0.0 is skipped, as the normaliser
+          drops it, so it takes no key position in the row;
+        - the row is seeded from the first non-empty term's products
+          (``0.0 + x == x`` for ``x >= 0``, so the floats match a sum
+          started from zero) and later terms add in place;
+        - products that underflow to 0.0 keep their key until the end and
+          are dropped there, so the result can go straight into
+          :meth:`copy_with_rows`.
         """
         row: Optional[Dict[str, float]] = None
-        for weight, matrix in terms:
+        for weight, matrix, totals in terms:
             values = matrix._rows.get(i)
             if not values:
                 continue
+            total = totals.get(i, 1.0)
             if row is None:
-                row = {j: weight * value for j, value in values.items()}
+                row = {j: weight * quotient for j, value in values.items()
+                       if (quotient := value / total) > 0.0}
                 continue
             get = row.get
             for j, value in values.items():
-                row[j] = get(j, 0.0) + weight * value
-        if row is None:
+                quotient = value / total
+                if quotient > 0.0:
+                    row[j] = get(j, 0.0) + weight * quotient
+        if not row:
             return {}
         if 0.0 in row.values():
             row = {j: value for j, value in row.items() if value > 0.0}
@@ -341,6 +368,23 @@ class TrustMatrix:
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(rows={len(self._rows)}, "
                 f"entries={self.entry_count()})")
+
+
+def retotal(raw: TrustMatrix, totals: Dict[str, float],
+            rows: Iterable[str]) -> None:
+    """Set ``totals[i]`` to the ``math.fsum`` of ``raw``'s row ``i`` for
+    each of ``rows``; a row ``raw`` no longer holds leaves ``totals``.
+
+    The dimension accumulators keep their raw rows' totals this way, the
+    divisors :meth:`TrustMatrix.weighted_row` takes: the same ``fsum``
+    :meth:`TrustMatrix.replace_row_normalized` takes of the same values.
+    """
+    for i in rows:
+        row = raw._rows.get(i)
+        if row:
+            totals[i] = fsum(row.values())
+        else:
+            totals.pop(i, None)
 
 
 def _entry_rows(indptr: np.ndarray) -> np.ndarray:
@@ -472,7 +516,7 @@ class CsrTrustMatrix(TrustMatrix):
     def set(self, i: str, j: str, value: float) -> None:
         raise TypeError("CsrTrustMatrix is read-only")
 
-    def replace_row_normalized(self, i: str, raw: Mapping[str, float]) -> None:
+    def replace_row(self, i: str, row: Dict[str, float]) -> None:
         raise TypeError("CsrTrustMatrix is read-only")
 
     def to_csr(self) -> "CsrTrustMatrix":

@@ -14,11 +14,16 @@ stores' *dirty sets* are the one record of what changed:
 2. each enabled dimension's accumulator (:class:`FileTrustAccumulator`,
    :class:`VolumeTrustAccumulator`, :class:`UserTrustAccumulator`) is built
    over its own stores, reads their dirt and re-derives only the rows/pairs
-   incident to it; the pipeline clears the dirt once every dimension has
+   incident to it: its raw rows (Eq. 2's FT, Eq. 4's VD, UT) and the
+   ``math.fsum`` total of each row it touched.  No accumulator keeps a
+   normalised FM/DM/UM; :meth:`TrustPipeline.dimension_matrices` normalises
+   them when read.  The pipeline clears the dirt once every dimension has
    consumed it;
-3. the integrated ``TM`` is patched row-wise (Eq. 7 re-applied to exactly
-   the dirty rows) and published copy-on-write, so earlier snapshots stay
-   stable while each refresh has a fresh matrix identity;
+3. the integrated ``TM`` is patched row-wise — Eq. 7 re-applied to exactly
+   the dirty rows, one pass per row that adds ``weight * value / total``
+   term by term, so the division of Eqs. 3/5/6 happens inside it — and
+   published copy-on-write, so earlier snapshots stay stable while each
+   refresh has a fresh matrix identity;
 4. ``RM = TM^n`` (Eq. 8) goes through a pluggable
    :mod:`~repro.core.matrix_backend`, resolved only when a power actually
    runs; for the paper's default ``n = 1`` RM *is* the patched ``TM``, no
@@ -184,8 +189,10 @@ class TrustPipeline:
         """The current per-dimension one-step matrices, keyed by dimension.
 
         ``{"file": FM, "volume": DM, "user": UM}``; a dimension disabled by
-        a zero weight maps to an empty matrix.  Tests and diagnostics read
-        the dimensions here instead of reaching into accumulator internals.
+        a zero weight maps to an empty matrix.  Each is normalised from its
+        accumulator's raw rows on this call, so it is the caller's own copy.
+        Tests and diagnostics read the dimensions here instead of reaching
+        into accumulator internals.
         """
         matrices = {dimension: TrustMatrix()
                     for dimension in ("file", "volume", "user")}
@@ -212,11 +219,15 @@ class TrustPipeline:
         full = force_full or not self._initialized
         dirty_files = len(self.evaluations.dirty_files())
         with self.recorder.span("pipeline.refresh") as span:
-            touched = {accumulator.dimension: (accumulator.rebuild() if full
-                                               else accumulator.refresh())
-                       for _weight, accumulator in self._dimensions}
+            touched: Dict[str, Set[str]] = {}
+            for _weight, accumulator in self._dimensions:
+                with self.recorder.span(accumulator.span):
+                    touched[accumulator.dimension] = (
+                        accumulator.rebuild() if full
+                        else accumulator.refresh())
             dirty_rows: Set[str] = set().union(*touched.values())
-            self._publish_trust(dirty_rows)
+            with self.recorder.span("pipeline.publish"):
+                self._publish_trust(dirty_rows)
             self._reputation, backend = self._power(
                 self._trust, self.config.multitrust_steps, self.recorder)
             span.count("rows_rebuilt", len(dirty_rows))
@@ -274,11 +285,12 @@ class TrustPipeline:
         """Re-apply Eq. 7 to exactly ``dirty_rows``; publish copy-on-write.
 
         Each row is one dict, built by :meth:`TrustMatrix.weighted_row`
-        and adopted as it is by :meth:`TrustMatrix.copy_with_rows`.
+        from every dimension's raw rows and their totals, and adopted as it
+        is by :meth:`TrustMatrix.copy_with_rows`.
         """
         check_simplex((self.config.alpha, self.config.beta, self.config.gamma),
                       name="(alpha, beta, gamma)")
-        dimensions = [(weight, accumulator.matrix)
+        dimensions = [(weight, accumulator.raw, accumulator.totals)
                       for weight, accumulator in self._dimensions]
         self._trust = self._trust.copy_with_rows(
             {i: TrustMatrix.weighted_row(dimensions, i)
@@ -301,13 +313,23 @@ class TrustPipeline:
             backend=backend), backend.name
 
     def _verify_against_full_rebuild(self) -> None:
-        """Contracts-gated hard bar: patched state == full rebuild, exactly."""
+        """Contracts-gated hard bar: patched state == full rebuild, exactly.
+
+        FM, DM and UM are built from the stores once, compared with the
+        ones the accumulators' raw rows give on read, and integrated for
+        the ``TM`` check.
+        """
         if not contracts_enabled():
             return
-        from .integration import build_one_step_matrix
+        from .integration import build_dimension_matrices, integrate
 
-        full_trust = build_one_step_matrix(
+        full_dimensions = build_dimension_matrices(
             self.evaluations, self.ledger, self.user_trust, self.config)
+        dimensions = self.dimension_matrices()
+        for dimension, full_matrix in full_dimensions.items():
+            check_matrices_equal(dimensions[dimension], full_matrix,
+                                 name=f"{dimension}(incremental)")
+        full_trust = integrate(full_dimensions, self.config)
         check_matrices_equal(self._trust, full_trust, name="TM(incremental)")
         # Same backend choice as the incremental path: the csr and dense
         # products agree only to tolerance, and the bar here is exact.

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from ..lint.contracts import check_row_stochastic
 from .journal_table import JournalSink, check_record
-from .matrix import TrustMatrix
+from .matrix import TrustMatrix, retotal
 
 __all__ = ["UserTrustStore", "build_user_trust_matrix",
            "UserTrustAccumulator", "FRIEND_TRUST", "DEFAULT_RATING"]
@@ -178,17 +178,31 @@ class UserTrustAccumulator:
     """Patch-based UM builder: re-derives only dirty raters' rows.
 
     A rater's UM row (Eq. 6) depends only on their own ratings, friend list
-    and blacklist, so rows are independent: the accumulator keeps the
-    normalised matrix between refreshes and recomputes exactly the rows of
-    the raters the store names dirty.
+    and blacklist, so rows are independent: the accumulator keeps the raw
+    ``UT`` rows and their ``math.fsum`` totals between refreshes and
+    recomputes exactly the rows of the raters the store names dirty.  No
+    normalised UM is kept: the pipeline's Eq. 7 publish divides each raw
+    row by its total, and :attr:`matrix` normalises :attr:`raw` when read.
     """
 
     #: Key of this dimension in :meth:`TrustPipeline.dimension_matrices`.
     dimension = "user"
+    #: The span :meth:`TrustPipeline.refresh` times this dimension under.
+    span = "pipeline.user_trust"
 
     def __init__(self, store: UserTrustStore):
         self._store = store
-        self.matrix = TrustMatrix()
+        #: Un-normalised UT rows: a rater's positive relationships.
+        self.raw = TrustMatrix()
+        #: row -> ``math.fsum`` of its :attr:`raw` values, Eq. 6's divisor.
+        self.totals: Dict[str, float] = {}
+
+    @property
+    def matrix(self) -> TrustMatrix:
+        """UM (Eq. 6): :attr:`raw` row-normalised, built afresh per read."""
+        matrix = self.raw.row_normalized()
+        check_row_stochastic(matrix, name="UM")
+        return matrix
 
     def refresh(self) -> Set[str]:
         """Re-derive the rows of the store's dirty raters; returns them."""
@@ -196,8 +210,9 @@ class UserTrustAccumulator:
 
     def rebuild(self) -> Set[str]:
         """Full pass: forget everything and re-derive every row."""
-        stale_rows = set(self.matrix.row_ids())
-        self.matrix = TrustMatrix()
+        stale_rows = set(self.raw.row_ids())
+        self.raw = TrustMatrix()
+        self.totals = {}
         return self._rederive(self._store.raters()) | stale_rows
 
     def _rederive(self, raters: Set[str]) -> Set[str]:
@@ -207,6 +222,6 @@ class UserTrustAccumulator:
                        for other, value in self._store.relationships_of(
                            rater).items()
                        if value > 0.0}
-            self.matrix.replace_row_normalized(rater, raw_row)
-        check_row_stochastic(self.matrix, name="UM")
+            self.raw.replace_row(rater, raw_row)
+        retotal(self.raw, self.totals, raters)
         return raters

@@ -20,7 +20,7 @@ from ..lint.contracts import check_row_stochastic
 from .config import DEFAULT_CONFIG, ReputationConfig
 from .evaluation import EvaluationStore
 from .journal_table import JournalSink, check_record
-from .matrix import TrustMatrix
+from .matrix import TrustMatrix, retotal
 
 __all__ = ["DownloadLedger", "valid_download_volume",
            "build_volume_trust_matrix", "VolumeTrustAccumulator"]
@@ -224,13 +224,15 @@ class VolumeTrustAccumulator:
     download or a prune), or when one of ``D_ij``'s entries names a file
     whose evaluation *by* ``i`` the store marked dirty
     (:meth:`DownloadLedger.pairs_naming` finds those from the ledger's
-    per-downloader file index).  Only rows holding a re-summed
-    pair are re-normalised (Eq. 5), each raw row built from the cache in
-    :meth:`DownloadLedger.uploaders_of` order; every other row's volumes
-    are exactly what a full pass would re-sum, so a patched DM equals a
-    rebuilt one bit for bit.  A refresh still reports every dirty
-    downloader and dirty user as touched: their TM rows are the ones
-    Eq. 7 re-applies to.
+    per-downloader file index).  Only rows holding a re-summed pair are
+    rebuilt in :attr:`raw`, from the cache in
+    :meth:`DownloadLedger.uploaders_of` order, and re-totalled; every other
+    row's volumes are exactly what a full pass would re-sum, so a patched
+    DM equals a rebuilt one bit for bit.  No normalised DM is kept: the
+    pipeline's Eq. 7 publish divides each raw row by its ``math.fsum`` in
+    :attr:`totals` (Eq. 5), and :attr:`matrix` normalises :attr:`raw` when
+    read.  A refresh still reports every dirty downloader and dirty user as
+    touched: their TM rows are the ones Eq. 7 re-applies to.
 
     The recency-decayed (``now``/``half_life``) Eq. 4 variant stays on the
     full :func:`build_volume_trust_matrix` path — under decay every row is a
@@ -239,13 +241,25 @@ class VolumeTrustAccumulator:
 
     #: Key of this dimension in :meth:`TrustPipeline.dimension_matrices`.
     dimension = "volume"
+    #: The span :meth:`TrustPipeline.refresh` times this dimension under.
+    span = "pipeline.volume_trust"
 
     def __init__(self, ledger: DownloadLedger, store: EvaluationStore):
         self._ledger = ledger
         self._store = store
         #: ``(downloader, uploader)`` -> raw ``VD_ij`` for every ledger pair.
         self._volumes: Dict[Tuple[str, str], float] = {}
-        self.matrix = TrustMatrix()
+        #: Un-normalised VD rows: a downloader's positive volumes.
+        self.raw = TrustMatrix()
+        #: row -> ``math.fsum`` of its :attr:`raw` values, Eq. 5's divisor.
+        self.totals: Dict[str, float] = {}
+
+    @property
+    def matrix(self) -> TrustMatrix:
+        """DM (Eq. 5): :attr:`raw` row-normalised, built afresh per read."""
+        matrix = self.raw.row_normalized()
+        check_row_stochastic(matrix, name="DM")
+        return matrix
 
     def refresh(self) -> Set[str]:
         """Re-sum the pairs whose downloads or evaluations moved; returns
@@ -262,13 +276,14 @@ class VolumeTrustAccumulator:
 
     def rebuild(self) -> Set[str]:
         """Full pass: forget everything and re-sum every pair."""
-        stale_rows = set(self.matrix.row_ids())
-        self.matrix = TrustMatrix()
+        stale_rows = set(self.raw.row_ids())
+        self.raw = TrustMatrix()
+        self.totals = {}
         self._volumes = {}
         return self._resum(set(self._ledger.pairs())) | stale_rows
 
     def _resum(self, pairs: Set[Tuple[str, str]]) -> Set[str]:
-        """Re-sum ``pairs`` and re-normalise their rows; returns the rows."""
+        """Re-sum ``pairs`` and rebuild their raw rows; returns the rows."""
         ledger = self._ledger
         volumes = self._volumes
         rows: Set[str] = set()
@@ -286,6 +301,6 @@ class VolumeTrustAccumulator:
                 volume = volumes[(downloader, uploader)]
                 if volume > 0.0:
                     raw_row[uploader] = volume
-            self.matrix.replace_row_normalized(downloader, raw_row)
-        check_row_stochastic(self.matrix, name="DM")
+            self.raw.replace_row(downloader, raw_row)
+        retotal(self.raw, self.totals, rows)
         return rows

@@ -1,11 +1,15 @@
 """Tests for repro.core.matrix: the sparse trust matrix."""
 
+from math import fsum
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import CSR_BACKEND, CsrTrustMatrix, TrustMatrix
+from repro.core import (CSR_BACKEND, CsrTrustMatrix, DownloadLedger,
+                        EvaluationStore, TrustMatrix, TrustPipeline,
+                        UserTrustStore, build_one_step_matrix)
 
 
 def matrices(max_nodes: int = 6):
@@ -108,30 +112,65 @@ class TestRowPatching:
     def test_weighted_row_drops_underflow_and_empties(self):
         tiny = TrustMatrix({"a": {"b": 5e-324, "c": 0.5}, "x": {"y": 5e-324}})
         # 0.5 * 5e-324 rounds to 0.0: the entry goes, the rest stays.
-        assert TrustMatrix.weighted_row([(0.5, tiny)], "a") == {"c": 0.25}
+        assert TrustMatrix.weighted_row([(0.5, tiny, {})], "a") == {"c": 0.25}
         # Every product underflows: the row is empty, and publishing it
         # removes the row.
-        assert TrustMatrix.weighted_row([(0.5, tiny)], "x") == {}
+        assert TrustMatrix.weighted_row([(0.5, tiny, {})], "x") == {}
         patched = TrustMatrix({"x": {"y": 1.0}}).copy_with_rows(
-            {"x": TrustMatrix.weighted_row([(0.5, tiny)], "x")})
+            {"x": TrustMatrix.weighted_row([(0.5, tiny, {})], "x")})
         assert patched.row_ids() == []
-        assert TrustMatrix.weighted_row([(0.5, tiny)], "absent") == {}
+        assert TrustMatrix.weighted_row([(0.5, tiny, {})], "absent") == {}
 
     def test_weighted_row_is_a_new_dict(self):
         # The published row is adopted by copy_with_rows, so it must never
         # alias a dimension's own row.
         fm = TrustMatrix({"a": {"b": 1.0}})
-        row = TrustMatrix.weighted_row([(1.0, fm), (0.5, TrustMatrix())], "a")
+        row = TrustMatrix.weighted_row(
+            [(1.0, fm, {}), (0.5, TrustMatrix(), {})], "a")
         row["b"] = 9.0
         assert fm.get("a", "b") == 1.0
 
     def test_weighted_row_adds_terms_in_order(self):
         first = TrustMatrix({"a": {"b": 0.1, "c": 0.9}})
         second = TrustMatrix({"a": {"d": 0.3, "b": 0.7}})
-        row = TrustMatrix.weighted_row([(0.3, first), (0.7, second)], "a")
+        row = TrustMatrix.weighted_row([(0.3, first, {}), (0.7, second, {})],
+                                       "a")
         assert list(row) == ["b", "c", "d"]
         assert row["b"] == (0.0 + 0.3 * 0.1) + 0.7 * 0.7
         assert row["d"] == 0.0 + 0.7 * 0.3
+
+    def test_weighted_row_from_raw_rows_equals_normalising_first(self):
+        raw = TrustMatrix({"a": {"b": 3.0, "c": 1e-7, "d": 0.25}})
+        total = fsum(raw.row_view("a").values())
+        fused = TrustMatrix.weighted_row([(0.3, raw, {"a": total})], "a")
+        assert fused == TrustMatrix.weighted_row(
+            [(0.3, raw.row_normalized(), {})], "a")
+        assert fused["c"] == 0.3 * (1e-7 / total)
+
+    def test_weighted_row_underflowed_quotient_takes_no_key_position(self):
+        # 5e-324 / 1e300 underflows: the normaliser drops "b", so when the
+        # second term adds "b" it lands after "d", and the fused row must
+        # put it there too.
+        first = TrustMatrix({"a": {"b": 5e-324, "c": 1e300}})
+        second = TrustMatrix({"a": {"d": 0.5, "b": 0.5}})
+        normalized = first.row_normalized()
+        assert list(normalized.row_view("a")) == ["c"]
+        totals = {"a": fsum(first.row_view("a").values())}
+        fused = TrustMatrix.weighted_row(
+            [(0.5, first, totals), (0.5, second, {})], "a")
+        expected = TrustMatrix.weighted_row(
+            [(0.5, normalized, {}), (0.5, second, {})], "a")
+        assert list(fused) == list(expected) == ["c", "d", "b"]
+        assert fused == expected
+        assert fused["b"] == 0.5 * 0.5
+
+    def test_weighted_row_every_quotient_underflows(self):
+        # No key survives the division, so the row is absent from TM.
+        raw = TrustMatrix({"x": {"y": 5e-324, "z": 5e-324}})
+        row = TrustMatrix.weighted_row([(0.5, raw, {"x": 1e300})], "x")
+        assert row == {}
+        patched = TrustMatrix({"x": {"y": 1.0}}).copy_with_rows({"x": row})
+        assert patched.row_ids() == []
 
     def test_replace_row_normalized_drops_underflow(self):
         matrix = TrustMatrix()
@@ -199,6 +238,32 @@ class TestWeightedSum:
             [(0.6, normalized), (0.4, normalized)])
         for _, row in combined.rows():
             assert sum(row.values()) == pytest.approx(1.0)
+
+
+class TestDimensionsNormalisedOnRead:
+    def test_mutating_returned_dimensions_does_not_reach_the_pipeline(self):
+        evaluations, ledger, user_trust = (EvaluationStore(), DownloadLedger(),
+                                           UserTrustStore())
+        for user, file_id, value in [("a", "f1", 0.9), ("b", "f1", 0.8),
+                                     ("b", "f2", 0.4), ("c", "f2", 0.3)]:
+            evaluations.record_vote(user, file_id, value)
+        ledger.record_download("a", "b", "f1", 5e6)
+        user_trust.rate("a", "c", 0.8)
+        pipeline = TrustPipeline(evaluations, ledger, user_trust)
+        pipeline.refresh()
+        before = pipeline.dimension_matrices()
+        for matrix in pipeline.dimension_matrices().values():
+            assert matrix.row_ids()
+            for i in matrix.row_ids():
+                matrix.set(i, "intruder", 5.0)
+            matrix.replace_row("intruder", {"a": 1.0})
+        assert pipeline.dimension_matrices() == before
+        # The next publish still reads the accumulators' own rows.
+        evaluations.record_vote("c", "f1", 0.1)
+        pipeline.refresh()
+        assert pipeline.trust == build_one_step_matrix(
+            evaluations, ledger, user_trust)
+        assert "intruder" not in pipeline.trust.node_ids()
 
 
 class TestMatmulAndPower:

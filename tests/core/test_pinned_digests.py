@@ -1,5 +1,5 @@
-"""Pinned digests of the Eq. 2 metrics, the row normaliser, the dense bridge
-and the csr product.
+"""Pinned digests of the Eq. 2 metrics, the row normaliser, the dense bridge,
+the csr product and Eq. 7's rows.
 
 Each paper equation has one implementation in ``repro.core``; these digests
 pin its floats bit-for-bit across commits, so a refactor that moves the
@@ -18,11 +18,28 @@ runs on non-dyadic entries spanning twelve orders of magnitude.
 ``PRODUCT_DIGEST`` was computed with the dict-of-dicts product that the csr
 backend replaced (``SparseDictBackend``, since deleted), and the csr
 backend gave the same digest at that commit.
+
+``EQ7_DIGEST`` pins Eq. 7's rows, each row's keys in insertion order with
+the IEEE bytes of its values, because the order of a published row is the
+order later sums over it run in.  It was computed with
+:func:`eq7_digest` at the commit before the pipeline stopped keeping
+normalised FM/DM/UM, by ``TrustMatrix.weighted_sum`` over
+``row_normalized()`` copies of the raw terms (the only path there was).
+The fused path, :meth:`TrustMatrix.weighted_row` over raw rows and their
+``math.fsum`` totals, must land on the same digest; one that kept the
+keys of quotients that underflow to 0.0 gives the same values but not
+the same digest, because those keys take earlier places.  The raw rows mix
+subnormal entries with entries near 1e300, so some quotients underflow,
+some of them in columns a later term adds; subnormal weights make
+products underflow and flat rows under them come out empty; some rows
+are absent from some terms; and the terms' column supports are disjoint
+in some cases and overlapping in the rest.
 """
 
 import hashlib
 import random
 import struct
+from math import fsum
 
 import numpy as np
 
@@ -35,6 +52,8 @@ MATRIX_DIGEST = (
     "bac6352ae6cfe946b8f594dbd3a4ba66afc03952afe8c338a29f8c743fc32a20")
 PRODUCT_DIGEST = (
     "be4aa07584fab061b082436df844045d87d173d17d8f242aade0cd9d3c0b95ea")
+EQ7_DIGEST = (
+    "a8e3ed644e386279897cd836f267e26c9650553658c994e9a552388c012b9b20")
 
 
 def _unit_value(rng):
@@ -118,6 +137,80 @@ def product_digest(backend=CSR_BACKEND, seed=2609, matrices=40):
     return digest.hexdigest()
 
 
+def _eq7_value(rng):
+    roll = rng.random()
+    if roll < 0.15:
+        return 5e-324 * rng.randint(1, 1000)
+    if roll < 0.3:
+        return (1.0 + rng.random()) * 1e300
+    return (1.0 - rng.random()) * 10.0 ** -rng.randint(0, 12)
+
+
+def _eq7_weight(rng):
+    roll = rng.random()
+    if roll < 0.15:
+        return 5e-324
+    if roll < 0.3:
+        return (1.0 - rng.random()) * 1e-300
+    return 1.0 - rng.random()
+
+
+def _eq7_terms(rng):
+    """Row ids and 1 to 3 ``(weight, raw matrix)`` terms."""
+    ids = [f"r{index:02d}" for index in range(rng.randint(1, 10))]
+    count = rng.randint(1, 3)
+    disjoint = rng.random() < 0.3
+    density = rng.choice((0.2, 0.5, 1.0))
+    terms = []
+    for k in range(count):
+        raw = TrustMatrix()
+        columns = [j for index, j in enumerate(ids)
+                   if not disjoint or index % count == k]
+        for i in ids:
+            roll = rng.random()
+            if roll < 0.15:
+                continue
+            for j in columns:
+                if roll < 0.3:
+                    raw.set(i, j, 1.0 + rng.random())
+                elif rng.random() < density:
+                    raw.set(i, j, _eq7_value(rng))
+        terms.append((_eq7_weight(rng), raw))
+    return ids, terms
+
+
+def eq7_digest(publish, seed=707, cases=400):
+    """sha256 over the rows ``publish(terms)`` returns for seeded terms,
+    each row's keys in insertion order with its values' IEEE bytes."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(cases):
+        ids, terms = _eq7_terms(rng)
+        rows = publish(terms)
+        for i in ids:
+            row = rows.get(i, {})
+            digest.update(i.encode("utf-8") + b"\x00")
+            digest.update(struct.pack("<q", len(row)))
+            for j, value in row.items():
+                digest.update(j.encode("utf-8") + b"\x00")
+                digest.update(struct.pack("<d", value))
+    return digest.hexdigest()
+
+
+def _normalised_then_summed(terms):
+    tm = TrustMatrix.weighted_sum(
+        [(weight, raw.row_normalized()) for weight, raw in terms])
+    return {i: dict(tm.row_view(i)) for i in tm.row_ids()}
+
+
+def _fused_from_raw_rows(terms):
+    fused = [(weight, raw, {i: fsum(raw.row_view(i).values())
+                            for i in raw.row_ids()})
+             for weight, raw in terms]
+    return {i: TrustMatrix.weighted_row(fused, i)
+            for _, raw in terms for i in raw.row_ids()}
+
+
 def test_similarity_metrics_match_pinned_digest():
     assert similarity_digest() == SIMILARITY_DIGEST
 
@@ -130,3 +223,8 @@ def test_csr_product_matches_pinned_digest(csr_kernels_taken):
     assert product_digest() == PRODUCT_DIGEST
     # The batch must reach both of the csr backend's kernels.
     assert set(csr_kernels_taken) == {"_csr_csr_kernel", "_csr_dense_kernel"}
+
+
+def test_eq7_rows_match_pinned_digest():
+    assert eq7_digest(_normalised_then_summed) == EQ7_DIGEST
+    assert eq7_digest(_fused_from_raw_rows) == EQ7_DIGEST

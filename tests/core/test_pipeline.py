@@ -242,6 +242,22 @@ class TestStatsAndObservability:
                  if event["event"] == "pipeline_refresh"]
         assert modes == ["full", "incremental"]
 
+    def test_refresh_spans_each_dimension_and_the_publish(self):
+        pipeline, evaluations, ledger, user_trust = _pipeline()
+        pipeline.recorder = Recorder(trace_sink=[], span_seed=1,
+                                     span_sample=1)
+        _populate(evaluations, ledger, user_trust)
+        pipeline.refresh()
+        spans = [event for event in pipeline.recorder.trace_sink
+                 if event["event"] == "span"]
+        [refresh] = [span for span in spans
+                     if span["name"] == "pipeline.refresh"]
+        children = [span["name"] for span in spans
+                    if span.get("parent") == refresh["span"]]
+        assert children == ["pipeline.file_trust", "pipeline.volume_trust",
+                            "pipeline.user_trust", "pipeline.publish"]
+        assert set(children) <= set(pipeline.recorder.profiler.snapshot())
+
     def test_rebuild_ratio_zero_on_empty(self):
         pipeline, *_ = _pipeline()
         pipeline.refresh()

@@ -46,11 +46,10 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, rule,
                                  run_state_machine_as_test)
 
 from repro.core import (MultiDimensionalReputationSystem, ReputationConfig,
-                        TrustMatrix, build_file_trust_matrix,
-                        build_one_step_matrix, build_user_trust_matrix,
-                        build_volume_trust_matrix, compute_reputation_matrix,
+                        TrustMatrix, compute_reputation_matrix,
                         resolve_backend)
 from repro.core.durability import DurabilityManager, recover
+from repro.core.integration import build_dimension_matrices, integrate
 from repro.obs.recorder import NULL_RECORDER, Recorder
 
 from tests.durability.helpers import assert_identical
@@ -186,17 +185,15 @@ class TrustStateMachine(RuleBasedStateMachine):
         system, config = self.systems[0], self.config
         pipeline = system.pipeline
         dimensions = pipeline.dimension_matrices()
-        if config.alpha:
-            assert dimensions["file"] == build_file_trust_matrix(
-                system.evaluations, config)
-        if config.beta:
-            assert dimensions["volume"] == build_volume_trust_matrix(
-                system.ledger, system.evaluations, config)
-        if config.gamma:
-            assert dimensions["user"] == build_user_trust_matrix(
-                system.user_trust)
-        trust = build_one_step_matrix(system.evaluations, system.ledger,
-                                      system.user_trust, config)
+        full_dimensions = build_dimension_matrices(
+            system.evaluations, system.ledger, system.user_trust, config)
+        assert set(full_dimensions) == {
+            dimension for dimension, weight in (
+                ("file", config.alpha), ("volume", config.beta),
+                ("user", config.gamma)) if weight}
+        for dimension, matrix in full_dimensions.items():
+            assert dimensions[dimension] == matrix
+        trust = integrate(full_dimensions, config)
         assert pipeline.trust == trust
         assert pipeline.reputation == _reputation(
             trust, None, config, config.matmul_backend)
