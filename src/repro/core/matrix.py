@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from itertools import chain
 from math import fsum
 from types import MappingProxyType
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
@@ -49,6 +50,10 @@ class TrustMatrix:
         self._rows: Dict[str, Dict[str, float]] = {}
         #: :meth:`to_csr`'s result, dropped by every mutation.
         self._csr: Optional[CsrTrustMatrix] = None
+        #: Set by :meth:`copy_with_rows`: the parent's array form and the
+        #: ids of the rows replaced since, which :meth:`to_csr` splices
+        #: from; dropped by every mutation and once the form is built.
+        self._patch: Optional[Tuple[CsrTrustMatrix, List[str]]] = None
         if rows:
             for i, row in rows.items():
                 for j, value in row.items():
@@ -62,7 +67,7 @@ class TrustMatrix:
         """Set entry (i, j); zero values are stored as absent."""
         if value < 0:
             raise ValueError(f"trust values must be >= 0, got {value} at ({i},{j})")
-        self._csr = None
+        self._csr = self._patch = None
         if value == 0.0:
             row = self._rows.get(i)
             if row is not None:
@@ -83,7 +88,7 @@ class TrustMatrix:
         ``row`` must hold only positive entries, and the caller must not
         mutate it afterwards.
         """
-        self._csr = None
+        self._csr = self._patch = None
         if row:
             self._rows[i] = row
         else:
@@ -118,6 +123,11 @@ class TrustMatrix:
         touches them again replaces them here the same way — so snapshots
         handed out earlier stay stable while a refresh publishes a fresh
         matrix identity.
+
+        If ``self`` holds its array form, the copy remembers it and the
+        replaced row ids, so its :meth:`to_csr` re-encodes only those
+        rows.  Only that one level is held: the copy of a copy whose form
+        was never built starts from scratch.
         """
         result = TrustMatrix()
         rows = result._rows = dict(self._rows)
@@ -126,6 +136,9 @@ class TrustMatrix:
                 rows[i] = values
             else:
                 rows.pop(i, None)
+        form = self._array_form()
+        if form is not None:
+            result._patch = (form, list(updates))
         return result
 
     # ------------------------------------------------------------------ #
@@ -297,13 +310,23 @@ class TrustMatrix:
     # Array bridges                                                      #
     # ------------------------------------------------------------------ #
 
+    def _array_form(self) -> Optional["CsrTrustMatrix"]:
+        """The array form if it is already built, else ``None``."""
+        return self._csr
+
     def to_csr(self) -> "CsrTrustMatrix":
         """This matrix in array form over its sorted node ids.
 
-        One walk over the rows; the result is kept until the next mutation,
-        so the ``"auto"`` density check and the product that follows share
-        it.
+        One walk over the rows, or, for a :meth:`copy_with_rows` copy of a
+        matrix that held its array form, a splice of that form with only
+        the replaced rows encoded (:func:`_splice_rows`).  The result is
+        kept until the next mutation, so the ``"auto"`` density check and
+        the product that follows share it.
         """
+        if self._patch is not None:
+            parent, replaced = self._patch
+            self._patch = None
+            self._csr = _splice_rows(parent, self._rows, replaced)
         if self._csr is None:
             columns: List[str] = []
             data: List[float] = []
@@ -385,6 +408,59 @@ def retotal(raw: TrustMatrix, totals: Dict[str, float],
             totals[i] = fsum(row.values())
         else:
             totals.pop(i, None)
+
+
+def _splice_rows(parent: "CsrTrustMatrix", rows: Mapping[str, Dict[str, float]],
+                 replaced: Iterable[str]) -> Optional["CsrTrustMatrix"]:
+    """``rows`` in array form, spliced from ``parent``'s form.
+
+    ``rows`` are ``parent``'s rows with those named in ``replaced`` swapped
+    (:meth:`TrustMatrix.copy_with_rows`).  Every other row's entries move
+    by their row's offset in one vectorised pass; only the replaced rows
+    are encoded and column-sorted.  The arrays run over ``parent``'s id
+    list, and the constructor prunes the ids left with no entry, as it
+    does for the full walk.  ``None`` if a replaced row names an id the
+    list lacks: the caller falls back to the full walk.
+    """
+    index = parent._index
+    get = index.__getitem__
+    try:
+        at = sorted(get(i) for i in replaced if i in rows or i in index)
+        new_rows = [rows.get(parent._ids[a], _EMPTY_ROW) for a in at]
+        lengths = list(map(len, new_rows))
+        encoded = np.fromiter(
+            chain.from_iterable(map(get, row) for row in new_rows),
+            dtype=np.int64, count=sum(lengths))
+    except KeyError:
+        return None
+    if not at:
+        return parent
+    n = len(parent._ids)
+    counts = np.diff(parent._indptr)
+    counts[at] = lengths
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    values = np.empty(indptr[-1])
+    # Unchanged rows: every entry shifts by its row's offset.
+    kept = np.ones(n, dtype=bool)
+    kept[at] = False
+    entry_rows = _entry_rows(parent._indptr)
+    source = np.flatnonzero(kept[entry_rows])
+    target = source + (indptr[:-1] - parent._indptr[:-1])[entry_rows[source]]
+    indices[target] = parent._indices[source]
+    values[target] = parent._data[source]
+    # Replaced rows: one sort puts each one's columns in ascending order
+    # (the rows already run in id order), then each lands at its start.
+    order = np.argsort(np.repeat(at, lengths) * n + encoded)
+    firsts = np.cumsum(lengths) - lengths
+    target = (np.arange(len(encoded))
+              + np.repeat(indptr[at] - firsts, lengths))
+    indices[target] = encoded[order]
+    values[target] = np.fromiter(
+        chain.from_iterable(row.values() for row in new_rows),
+        dtype=np.float64, count=len(encoded))[order]
+    return CsrTrustMatrix(parent._ids, indptr, indices, values)
 
 
 def _entry_rows(indptr: np.ndarray) -> np.ndarray:
@@ -478,13 +554,18 @@ class CsrTrustMatrix(TrustMatrix):
     def from_dense(cls, array: np.ndarray,
                    node_ids: Sequence[str]) -> "CsrTrustMatrix":
         """The positive entries of ``array`` over the sorted ``node_ids``."""
-        if array.shape != (len(node_ids), len(node_ids)):
+        n = len(node_ids)
+        if array.shape != (n, n):
             raise ValueError(
-                f"array shape {array.shape} does not match {len(node_ids)} ids")
+                f"array shape {array.shape} does not match {n} ids")
         positive = array > 0.0
-        indptr = np.zeros(len(node_ids) + 1, dtype=np.int64)
+        if n and positive.all():
+            # Every row is full: no mask gathers.
+            return cls(node_ids, np.arange(0, n * n + 1, n),
+                       np.tile(np.arange(n), n), array.ravel())
+        indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.count_nonzero(positive, axis=1), out=indptr[1:])
-        columns = np.broadcast_to(np.arange(len(node_ids)), array.shape)
+        columns = np.broadcast_to(np.arange(n), array.shape)
         return cls(node_ids, indptr, columns[positive], array[positive])
 
     @property
@@ -520,6 +601,9 @@ class CsrTrustMatrix(TrustMatrix):
         raise TypeError("CsrTrustMatrix is read-only")
 
     def to_csr(self) -> "CsrTrustMatrix":
+        return self
+
+    def _array_form(self) -> "CsrTrustMatrix":
         return self
 
     # ------------------------------------------------------------------ #

@@ -109,16 +109,19 @@ class CsrBackend(MatmulBackend):
 
     Runs through ``scipy.sparse`` on the operands' array form
     (:meth:`TrustMatrix.to_csr`: sorted ids, column-sorted rows), so the
-    bridge is canonical regardless of dict insertion order.  Every product
-    — intermediate powers included — is published as a canonical
-    :class:`CsrTrustMatrix`; no row becomes a dict until a caller iterates
-    it.  Each product picks one of scipy's two kernels (see
-    :func:`_csr_product`); both add an entry's terms in the left operand's
-    sorted column order, so the choice never changes a bit of the result.
+    bridge is canonical regardless of dict insertion order.  Each product
+    picks one of scipy's two kernels (see :func:`_product`); both add an
+    entry's terms in the left operand's sorted column order, so the choice
+    never changes a bit of the result.  The result is published as a
+    canonical :class:`CsrTrustMatrix`; no row becomes a dict until a
+    caller iterates it.
 
     ``power(m, 1)`` returns ``m`` itself (the universal fast path) before
     scipy is imported: the default ``n = 1`` configuration never loads it.
-    Larger powers use repeated squaring.
+    Larger powers use repeated squaring over ``m``'s id list, with the
+    intermediate powers left in scipy's form: a csr × dense product stays
+    an array and is the next product's dense operand as it is.  Only the
+    final power is published.
     """
 
     name = "csr"
@@ -131,34 +134,25 @@ class CsrBackend(MatmulBackend):
             raise ValueError(f"matrix power requires n >= 1, got {n}")
         if n == 1:
             return matrix
-        base = matrix.to_csr()
+        from scipy import sparse
+
+        form = matrix.to_csr()
+        one_step = base = _scipy_csr(form, form.ids, sparse)
         result = None
         remaining = n
         while remaining:
             if remaining & 1:
                 result = (base if result is None
-                          else _csr_product(result, base))
+                          else _ladder_product(result, base, one_step))
             remaining >>= 1
             if remaining:
-                base = _csr_product(base, base)
-        assert result is not None
-        return result
+                base = _ladder_product(base, base, one_step)
+        return _publish(result, form.ids)
 
 
 def _csr_product(left: CsrTrustMatrix, right: CsrTrustMatrix
                  ) -> CsrTrustMatrix:
-    """``left @ right`` through scipy, published in canonical form.
-
-    The sparse × sparse kernel does one multiply-add per pair of stored
-    entries ``(i, k)``, ``(k, j)``.  Once those terms reach one per output
-    cell the product comes out mostly dense, and the kernel's scattered
-    accumulation plus the sort of its unordered output cost more than
-    densifying ``right`` and running the csr × dense kernel, which streams
-    whole rows (n² floats for ``right`` and for the product, about what
-    the mostly dense sparse product holds anyway).  Both kernels add the
-    terms of entry ``(i, j)`` in ``left``'s stored order starting from
-    0.0, and the dense kernel's extra terms are ``v * 0.0 = +0.0``, which
-    leave a non-negative sum unchanged: the two agree bit for bit.
+    """``left @ right`` through scipy over the union of their ids.
 
     scipy is imported here, on the first product, not with the module:
     loading it costs about 16 MiB of resident memory, and a run at the
@@ -167,25 +161,93 @@ def _csr_product(left: CsrTrustMatrix, right: CsrTrustMatrix
     from scipy import sparse
 
     ids = _union_ids(left, right)
-    left_csr = _scipy_csr(left, ids, sparse)
-    right_csr = _scipy_csr(right, ids, sparse)
-    terms = int(np.diff(right_csr.indptr)[left_csr.indices].sum())
-    kernel = _csr_dense_kernel if terms >= len(ids) ** 2 else _csr_csr_kernel
-    return kernel(left_csr, right_csr, ids)
+    product = _product(_scipy_csr(left, ids, sparse),
+                       _scipy_csr(right, ids, sparse), len(ids) ** 2)
+    return _publish(product, ids)
 
 
-def _csr_csr_kernel(left: Any, right: Any, ids: List[str]) -> CsrTrustMatrix:
-    """scipy's sparse × sparse product, canonicalised."""
+def _ladder_product(left: Any, right: Any, one_step: Any) -> Any:
+    """One product of :meth:`CsrBackend.power`'s squaring ladder.
+
+    The operands are ``one_step`` (TM in scipy's form) or earlier powers,
+    in scipy's form or as arrays, all over TM's id list.  The kernel rule
+    counts the cells over the ids the operands hold an entry of, as the
+    product over their union would: all of TM's ids when one operand is
+    TM, perhaps fewer when both are powers.
+    """
+    if left is one_step or right is one_step:
+        cells = one_step.shape[0] ** 2
+    else:
+        cells = int(np.count_nonzero(_held(left) | _held(right))) ** 2
+    if isinstance(left, np.ndarray):
+        from scipy import sparse
+
+        left = sparse.csr_matrix(left)
+    return _product(left, right, cells)
+
+
+def _held(operand: Any) -> np.ndarray:
+    """Which ids of a ladder operand hold an entry, as a row or column."""
+    held: np.ndarray
+    if isinstance(operand, np.ndarray):
+        positive = operand > 0.0
+        held = positive.any(axis=0) | positive.any(axis=1)
+    else:
+        held = np.diff(operand.indptr) > 0
+        held[operand.indices] = True
+    return held
+
+
+def _product(left: Any, right: Any, cells: int) -> Any:
+    """``left @ right`` through one of scipy's two kernels.
+
+    ``left`` is a scipy CSR matrix with sorted columns; ``right`` one too,
+    or a dense array.  The sparse × sparse kernel does one multiply-add
+    per pair of stored entries ``(i, k)``, ``(k, j)``.  Once those terms
+    reach one per output cell the product comes out mostly dense, and the
+    kernel's scattered accumulation plus the sort of its unordered output
+    cost more than densifying ``right`` and running the csr × dense
+    kernel, which streams whole rows (n² floats for ``right`` and for the
+    product, about what the mostly dense sparse product holds anyway).
+    Both kernels add the terms of entry ``(i, j)`` in ``left``'s stored
+    order starting from 0.0, and the dense kernel's extra terms are
+    ``v * 0.0 = +0.0``, which leave a non-negative sum unchanged: the two
+    agree bit for bit.
+    """
+    if isinstance(right, np.ndarray):
+        counts = np.count_nonzero(right, axis=1)
+    else:
+        counts = np.diff(right.indptr)
+    terms = int(counts[left.indices].sum())
+    if terms >= cells:
+        return _csr_dense_kernel(left, right)
+    return _csr_csr_kernel(left, right)
+
+
+def _csr_csr_kernel(left: Any, right: Any) -> Any:
+    """scipy's sparse × sparse product, columns sorted."""
+    if isinstance(right, np.ndarray):
+        from scipy import sparse
+
+        right = sparse.csr_matrix(right)
     product = left @ right
     # Duplicate-free, but in scipy's accumulation order within each row.
     product.sort_indices()
+    return product
+
+
+def _csr_dense_kernel(left: Any, right: Any) -> np.ndarray:
+    """scipy's csr × dense product, as an array."""
+    if not isinstance(right, np.ndarray):
+        right = right.toarray()
+    return np.asarray(left @ right)
+
+
+def _publish(product: Any, ids: List[str]) -> CsrTrustMatrix:
+    """A kernel's product over ``ids`` as a :class:`CsrTrustMatrix`."""
+    if isinstance(product, np.ndarray):
+        return CsrTrustMatrix.from_dense(product, ids)
     return CsrTrustMatrix(ids, product.indptr, product.indices, product.data)
-
-
-def _csr_dense_kernel(left: Any, right: Any, ids: List[str]
-                      ) -> CsrTrustMatrix:
-    """scipy's csr × dense product, compressed."""
-    return CsrTrustMatrix.from_dense(left @ right.toarray(), ids)
 
 
 def _scipy_csr(matrix: CsrTrustMatrix, ids: Sequence[str], sparse: Any) -> Any:

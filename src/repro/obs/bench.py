@@ -790,7 +790,7 @@ def _random_matrix(seed: int, nodes: int, density: float):
 def _bench_power(seed: int, nodes: int, density: float, baseline: str,
                  candidate: str) -> Dict[str, object]:
     """TM^2 on two backends over one random matrix, alternated."""
-    from ..core import resolve_backend, select_backend
+    from ..core import TrustMatrix, resolve_backend, select_backend
     from ..core.multitrust import matrix_residual
 
     matrix = _random_matrix(seed, nodes, density)
@@ -800,9 +800,11 @@ def _bench_power(seed: int, nodes: int, density: float, baseline: str,
         backend = resolve_backend(name, matrix)
 
         def run() -> float:
-            # A fresh operand per run: a matrix keeps its array form
-            # (``to_csr``), and each refresh powers a new TM.
-            operand = matrix.copy_with_rows({})
+            # A fresh dict-form operand per run, built from scratch: a
+            # matrix keeps its array form (``to_csr``), and a copy of one
+            # that holds it splices its own, but the timed power must
+            # convert the whole matrix.
+            operand = TrustMatrix().copy_with_rows(dict(matrix.rows()))
             started = time.perf_counter()
             results[name] = backend.power(operand, POWER_STEPS)
             return time.perf_counter() - started

@@ -31,7 +31,9 @@ def miniature_bench():
 
 @pytest.fixture
 def csr_kernels_taken(monkeypatch):
-    """The names of the csr backend's kernels, one per product, in order."""
+    """The names of the csr backend's kernels, one per product, in order:
+    ``matmul`` and every product of ``power``'s squaring ladder, whose
+    intermediate powers never become a ``CsrTrustMatrix``."""
     import repro.core.matrix_backend as mb
 
     taken = []
@@ -39,6 +41,6 @@ def csr_kernels_taken(monkeypatch):
         kernel = getattr(mb, name)
         monkeypatch.setattr(
             mb, name,
-            lambda a, b, ids, kernel=kernel, name=name: (
-                taken.append(name) or kernel(a, b, ids)))
+            lambda left, right, kernel=kernel, name=name: (
+                taken.append(name) or kernel(left, right)))
     return taken

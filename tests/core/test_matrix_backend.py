@@ -296,11 +296,15 @@ class TestCsrKernels:
         left = _random_stochastic(30, per_row, seed=seed)
         right = _random_stochastic(30, per_row + 3, seed=seed + 10)
         a, b, ids = self._operands(left, right)
-        via_sparse = mb._csr_csr_kernel(a, b, ids)
-        via_dense = mb._csr_dense_kernel(a, b, ids)
+        via_sparse = mb._publish(mb._csr_csr_kernel(a, b), ids)
+        via_dense = mb._publish(mb._csr_dense_kernel(a, b), ids)
         assert via_dense == via_sparse and via_sparse == via_dense
         assert via_dense.checksum() == via_sparse.checksum()
         assert CSR_BACKEND.matmul(left, right) == via_sparse
+        # A dense right operand (a ladder's csr × dense intermediate)
+        # gives the same bits through either kernel.
+        for kernel in (mb._csr_csr_kernel, mb._csr_dense_kernel):
+            assert mb._publish(kernel(a, b.toarray()), ids) == via_sparse
 
     @pytest.mark.parametrize("per_row,dense", [(2, False), (8, True)])
     def test_power_takes_both_kernels(self, csr_kernels_taken, per_row,

@@ -1,5 +1,5 @@
 """Pinned digests of the Eq. 2 metrics, the row normaliser, the dense bridge,
-the csr product and Eq. 7's rows.
+the csr product, its squaring ladder and Eq. 7's rows.
 
 Each paper equation has one implementation in ``repro.core``; these digests
 pin its floats bit-for-bit across commits, so a refactor that moves the
@@ -18,6 +18,16 @@ runs on non-dyadic entries spanning twelve orders of magnitude.
 ``PRODUCT_DIGEST`` was computed with the dict-of-dicts product that the csr
 backend replaced (``SparseDictBackend``, since deleted), and the csr
 backend gave the same digest at that commit.
+
+``LADDER_DIGEST`` pins ``CSR_BACKEND.power`` for n = 2..8 on 50- to
+400-node matrices, some with rows that feed layers of sinks, so that in
+some ladders a sparse × sparse product feeds a csr × dense one and in
+others the reverse.  It was computed with :func:`ladder_digest` at the
+commit before the ladder kept its intermediate powers in scipy's form,
+when each of them was published as a ``CsrTrustMatrix`` and converted
+back for the next product.  ``LADDER_KERNELS_DIGEST``, from the same
+run, pins which kernel each product took: the kernel never changes a
+bit, so only this digest holds the kernel rule in place.
 
 ``EQ7_DIGEST`` pins Eq. 7's rows, each row's keys in insertion order with
 the IEEE bytes of its values, because the order of a published row is the
@@ -52,6 +62,10 @@ MATRIX_DIGEST = (
     "bac6352ae6cfe946b8f594dbd3a4ba66afc03952afe8c338a29f8c743fc32a20")
 PRODUCT_DIGEST = (
     "be4aa07584fab061b082436df844045d87d173d17d8f242aade0cd9d3c0b95ea")
+LADDER_DIGEST = (
+    "b00fb2fa274647bb58dce6a36afb229bff2dab949a722a1a830d80ad8c4e8a30")
+LADDER_KERNELS_DIGEST = (
+    "ee1b3c12f2b265d51742644ae369f745c2bc71732fc490e1048e10099dd3c946")
 EQ7_DIGEST = (
     "a8e3ed644e386279897cd836f267e26c9650553658c994e9a552388c012b9b20")
 
@@ -135,6 +149,49 @@ def product_digest(backend=CSR_BACKEND, seed=2609, matrices=40):
         for n in (2, 3, 4):
             digest.update(backend.power(left, n).checksum().encode())
     return digest.hexdigest()
+
+
+def _ladder_matrix(rng):
+    """A row-stochastic matrix of 50 to 400 nodes: either random, or split
+    into 3 to 5 layers that each point into the next, with the last
+    pointing back into the first only now and then, so that powers thin
+    out after filling."""
+    nodes = rng.randint(50, 400)
+    ids = [f"l{index:03d}" for index in range(nodes)]
+    layers = rng.choice((1, 3, 4, 5))
+    width = -(-nodes // layers)
+    per_row = rng.choice((1, 2, 3, 6, 12, 40))
+    sinks = rng.choice((0.0, 0.2, 0.5))
+    matrix = TrustMatrix()
+    for a, i in enumerate(ids):
+        if rng.random() < sinks:
+            continue
+        layer = a // width
+        if layers == 1:
+            targets = ids
+        elif layer + 1 < layers:
+            targets = ids[(layer + 1) * width:(layer + 2) * width]
+        else:
+            targets = ids[:width] if rng.random() < 0.1 else []
+        for j in rng.sample(targets, min(per_row, len(targets))):
+            matrix.set(i, j, rng.random() * 10.0 ** -rng.randint(0, 12))
+    return matrix.row_normalized()
+
+
+def ladder_digest(taken=None, seed=3011, matrices=12):
+    """sha256 over ``CSR_BACKEND.power`` (n = 2..8) checksums, and the
+    kernels each power's products took if ``taken`` is the kernel spy."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    ladders = []
+    for _ in range(matrices):
+        matrix = _ladder_matrix(rng)
+        for n in range(2, 9):
+            start = len(taken) if taken is not None else 0
+            digest.update(CSR_BACKEND.power(matrix, n).checksum().encode())
+            if taken is not None:
+                ladders.append(tuple(taken[start:]))
+    return digest.hexdigest(), ladders
 
 
 def _eq7_value(rng):
@@ -223,6 +280,17 @@ def test_csr_product_matches_pinned_digest(csr_kernels_taken):
     assert product_digest() == PRODUCT_DIGEST
     # The batch must reach both of the csr backend's kernels.
     assert set(csr_kernels_taken) == {"_csr_csr_kernel", "_csr_dense_kernel"}
+
+
+def test_squaring_ladder_matches_pinned_digest(csr_kernels_taken):
+    digest, ladders = ladder_digest(csr_kernels_taken)
+    assert digest == LADDER_DIGEST
+    assert (hashlib.sha256(repr(ladders).encode()).hexdigest()
+            == LADDER_KERNELS_DIGEST)
+    # Each kernel follows the other, and itself, within some ladder.
+    kernels = ("_csr_csr_kernel", "_csr_dense_kernel")
+    steps = {pair for ladder in ladders for pair in zip(ladder, ladder[1:])}
+    assert steps == {(a, b) for a in kernels for b in kernels}
 
 
 def test_eq7_rows_match_pinned_digest():

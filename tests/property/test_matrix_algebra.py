@@ -81,3 +81,94 @@ class TestAlgebraicLaws:
     def test_round_trip_through_dense(self, a):
         dense, ids = a.to_dense(IDS)
         assert TrustMatrix.from_dense(dense, ids) == a
+
+
+#: Row and column ids of copy-on-write chains: the starting matrices use
+#: ``IDS``, so the last two are always new to a parent's array form.
+POOL = IDS + ["n5", "n6"]
+
+
+def row_updates():
+    """``copy_with_rows`` arguments: an empty row removes the row."""
+    row = st.dictionaries(st.sampled_from(POOL),
+                          st.floats(min_value=0.01, max_value=5.0),
+                          max_size=4)
+    return st.dictionaries(st.sampled_from(POOL), row, max_size=4)
+
+
+def chain_steps():
+    """Per step: the updates, whether the array form is built before the
+    copy, and an optional ``set`` on the copy afterwards."""
+    poke = st.none() | st.tuples(st.sampled_from(POOL), st.sampled_from(POOL),
+                                 st.sampled_from((0.0, 0.5, 2.0)))
+    return st.lists(st.tuples(row_updates(), st.booleans(), poke),
+                    min_size=1, max_size=6)
+
+
+def _assert_same_array_form(matrix):
+    """``matrix.to_csr()`` equals the conversion of its rows from scratch."""
+    form = matrix.to_csr()
+    scratch = TrustMatrix(dict(matrix.rows())).to_csr()
+    assert form.ids == scratch.ids
+    for mine, theirs in ((form._indptr, scratch._indptr),
+                         (form._indices, scratch._indices),
+                         (form._data, scratch._data)):
+        assert np.array_equal(mine, theirs)
+    assert form._data.dtype == scratch._data.dtype
+
+
+class TestPatchedArrayForm:
+    """A ``copy_with_rows`` copy splices its array form from its parent's,
+    re-encoding only the replaced rows; the arrays must equal a conversion
+    from scratch, bit for bit, after any chain of copies."""
+
+    @given(start=sparse_matrices(),
+           parent=st.sampled_from(("dict", "formed", "csr")),
+           steps=chain_steps())
+    @settings(max_examples=300, deadline=None)
+    def test_chain_equals_conversion_from_scratch(self, start, parent, steps):
+        matrix = start
+        if parent == "formed":
+            matrix.to_csr()
+        elif parent == "csr":
+            matrix = matrix.to_csr()
+        for updates, build_form, poke in steps:
+            if build_form:
+                _assert_same_array_form(matrix)
+            matrix = matrix.copy_with_rows(updates)
+            if poke is not None:
+                matrix.set(*poke)
+        _assert_same_array_form(matrix)
+
+    def test_copy_splices_instead_of_walking(self, monkeypatch):
+        import repro.core.matrix as matrix_module
+
+        spliced = []
+        splice = matrix_module._splice_rows
+        monkeypatch.setattr(
+            matrix_module, "_splice_rows",
+            lambda *args: spliced.append(splice(*args)) or spliced[-1])
+        parent = _build([("n0", "n1", 1.0), ("n1", "n2", 2.0),
+                         ("n2", "n0", 3.0), ("n3", "n4", 1.0)])
+        form = parent.to_csr()
+        assert parent.copy_with_rows({}).to_csr() is form
+        copy = parent.copy_with_rows({"n1": {"n0": 0.5, "n4": 0.5},
+                                      "n3": {}})
+        _assert_same_array_form(copy)
+        # n3 loses its only row and leaves the ids; n4 stays, now as a
+        # column of n1's row.
+        assert copy.to_csr().ids == ["n0", "n1", "n2", "n4"]
+        assert spliced[-1] is copy.to_csr()
+        # An id the parent's form lacks: the full walk instead.
+        fresh = parent.copy_with_rows({"n0": {"n9": 1.0}})
+        _assert_same_array_form(fresh)
+        assert spliced[-1] is None
+        # A mutation drops the patch; one level only: a copy of a copy
+        # whose form was never built walks from scratch.
+        mutated = parent.copy_with_rows({"n1": {"n0": 1.0}})
+        mutated.set("n2", "n1", 4.0)
+        grandchild = parent.copy_with_rows({}).copy_with_rows({})
+        count = len(spliced)
+        _assert_same_array_form(mutated)
+        _assert_same_array_form(grandchild)
+        assert len(spliced) == count
