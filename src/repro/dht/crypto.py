@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Set, Tuple
 
 __all__ = ["KeyAuthority", "SignatureError"]
 
@@ -35,11 +35,17 @@ class KeyAuthority:
     public key; collapsing that into one in-process authority preserves the
     *behavioural* property (only the owner can sign as themselves) without
     real asymmetric crypto.
+
+    Keys never change once issued, so :meth:`verify` is a pure function of
+    its arguments and remembers the triples that passed.  A forged
+    signature, another user's id or an altered payload is a different
+    triple, so it is checked afresh and still rejected.
     """
 
     def __init__(self, seed: bytes = b"repro-dht"):
         self._seed = seed
         self._keys: Dict[str, _KeyPair] = {}
+        self._verified: Set[Tuple[str, bytes, bytes]] = set()
 
     def register(self, user_id: str) -> None:
         """Issue a key for ``user_id`` (idempotent, deterministic per seed)."""
@@ -59,8 +65,14 @@ class KeyAuthority:
 
     def verify(self, user_id: str, payload: bytes, signature: bytes) -> bool:
         """True iff ``signature`` is valid for ``payload`` under ``user_id``."""
+        triple = (user_id, payload, signature)
+        if triple in self._verified:
+            return True
         pair = self._keys.get(user_id)
         if pair is None:
             return False
         expected = hmac.new(pair.secret, payload, hashlib.sha256).digest()
-        return hmac.compare_digest(expected, signature)
+        if not hmac.compare_digest(expected, signature):
+            return False
+        self._verified.add(triple)
+        return True

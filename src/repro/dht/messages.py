@@ -50,8 +50,12 @@ class EvaluationInfo:
             sort_keys=True).encode("utf-8")
 
     def with_signature(self, signature: bytes) -> "EvaluationInfo":
-        return EvaluationInfo(file_id=self.file_id, owner_id=self.owner_id,
-                              evaluation=self.evaluation, signature=signature)
+        signed = EvaluationInfo(file_id=self.file_id, owner_id=self.owner_id,
+                                evaluation=self.evaluation,
+                                signature=signature)
+        # The payload does not cover the signature: hand the bytes over.
+        signed.__dict__["_payload"] = self._payload
+        return signed
 
     def size_bytes(self) -> int:
         """Wire size estimate (payload + signature)."""
@@ -129,8 +133,10 @@ class MessageTally:
     counts: Dict[MessageKind, int] = field(default_factory=dict)
     bytes_sent: Dict[MessageKind, int] = field(default_factory=dict)
 
-    def record(self, kind: MessageKind, size_bytes: int = 0) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
+    def record(self, kind: MessageKind, size_bytes: int = 0,
+               messages: int = 1) -> None:
+        """Account ``messages`` messages of ``kind`` totalling ``size_bytes``."""
+        self.counts[kind] = self.counts.get(kind, 0) + messages
         self.bytes_sent[kind] = self.bytes_sent.get(kind, 0) + size_bytes
 
     def record_envelope(self, envelope: MessageEnvelope) -> None:

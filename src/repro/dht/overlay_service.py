@@ -124,6 +124,8 @@ class EvaluationOverlay:
         # Every identity that ever joined, so rejoins are distinguishable
         # from first joins (the whitewashing detector keys on this flag).
         self._ever_registered: set = set()
+        # Each file's DHT key, hashed once.
+        self._file_keys: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # Membership passthrough                                             #
@@ -189,6 +191,12 @@ class EvaluationOverlay:
     def _injecting(self) -> bool:
         return self.faults is not None and self.faults.active
 
+    def _file_key(self, file_id: str) -> int:
+        key = self._file_keys.get(file_id)
+        if key is None:
+            key = self._file_keys[file_id] = hash_key(f"file:{file_id}")
+        return key
+
     def _lookup_from(self, user_id: str, key: int) -> LookupResult:
         start = (self.network.node(user_id)
                  if self.network.has_node(user_id) else None)
@@ -238,12 +246,10 @@ class EvaluationOverlay:
 
     def _store_impl(self, record: IndexRecord, user_id: str, now: float,
                     kind: MessageKind, span: NullSpan) -> int:
-        key = hash_key(f"file:{record.file_id}")
+        key = self._file_key(record.file_id)
         result = self._lookup_from(user_id, key)
         self.tally.record(MessageKind.LOOKUP, 0)
-        self.tally.record(MessageKind.LOOKUP_HOP, 0)
-        for _ in range(result.hops):
-            self.tally.record(MessageKind.LOOKUP_HOP, 0)
+        self.tally.record(MessageKind.LOOKUP_HOP, 0, messages=result.hops + 1)
         if self.recorder.enabled:
             self.recorder.event("dht_publish", t=now, user=user_id,
                                 file=record.file_id, hops=result.hops,
@@ -254,8 +260,10 @@ class EvaluationOverlay:
             # Routing never reached the index peers; the record stays in
             # ``_published`` and the next republication/repair retries it.
             return result.hops
+        injecting = self._injecting
+        wire_size = record.wire_size()
         for replica in self.network.replica_nodes(key, self.replication):
-            if self._injecting and replica is not result.owner \
+            if injecting and replica is not result.owner \
                     and not self._rpc(user_id, replica, span):
                 continue  # write lost; repair/republication will catch up
             replica.storage.put(key, record.owner_id, record, now,
@@ -263,7 +271,7 @@ class EvaluationOverlay:
             # The sender's causal context rides on the envelope, so the
             # tally charges the (opt-in) span overhead to the right kind.
             self.tally.record_envelope(MessageEnvelope(
-                kind=kind, payload_bytes=record.wire_size(),
+                kind=kind, payload_bytes=wire_size,
                 span_id=span.span_id, trace_id=span.trace_id))
             span.count("writes")
         return result.hops
@@ -290,7 +298,7 @@ class EvaluationOverlay:
 
     def _retrieve_impl(self, requester_id: str, file_id: str, now: float,
                        span: NullSpan) -> RetrievedEvaluations:
-        key = hash_key(f"file:{file_id}")
+        key = self._file_key(file_id)
         result = self._lookup_from(requester_id, key)
         self.tally.record(MessageKind.LOOKUP, 0)
         self.tally.record(MessageKind.RETRIEVE, 0)

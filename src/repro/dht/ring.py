@@ -1,11 +1,17 @@
 """The DHT ring: membership, stabilisation and key ownership.
 
-An in-process Chord-style network.  Membership changes (join/leave/fail) are
-followed by :meth:`DHTNetwork.stabilize`, which rebuilds successor,
-predecessor and finger pointers from the current alive set — the in-process
-equivalent of Chord's periodic stabilisation converging.  Lookup routing
-itself lives in :mod:`repro.dht.routing` and uses only finger/successor
-pointers, so hop counts match a real ring (O(log n)).
+An in-process Chord-style network whose pointers are always those of the
+converged ring — the in-process equivalent of Chord's periodic
+stabilisation having run.  A join or failure of node ``y`` is repaired in
+place: only ``y``'s neighbours change successor/predecessor, and in every
+other node only the fingers whose start falls in ``(pred(y), y]`` change
+owner, a contiguous index range found by arithmetic.  A rejoin over a
+stale dead entry is the same repair: the fresh node takes the dead one's
+id, so exactly the pointers that named the dead object are re-pointed.
+:meth:`DHTNetwork.stabilize` is the full rebuild from the current
+membership.  Lookup routing itself lives in
+:mod:`repro.dht.routing` and uses only finger/successor pointers, so hop
+counts match a real ring (O(log n)).
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ class DHTNetwork:
         self._nodes[user_id] = node
         self._by_id[node.node_id] = node
         bisect.insort(self._sorted_ids, node.node_id)
-        self.stabilize()
+        self._repair(node, joined=True)
         return node
 
     def leave(self, user_id: str) -> None:
@@ -91,7 +97,7 @@ class DHTNetwork:
         index = bisect.bisect_left(self._sorted_ids, node.node_id)
         if index < len(self._sorted_ids) and self._sorted_ids[index] == node.node_id:
             self._sorted_ids.pop(index)
-        self.stabilize()
+        self._repair(node, joined=False)
 
     def _require(self, user_id: str) -> DHTNode:
         node = self._nodes.get(user_id)
@@ -104,13 +110,56 @@ class DHTNetwork:
     # ------------------------------------------------------------------ #
 
     def stabilize(self) -> None:
-        """Rebuild successor/predecessor/finger pointers for all nodes."""
+        """Rebuild successor/predecessor/finger pointers for all nodes.
+
+        The full rebuild from the current membership, the reference
+        :meth:`_repair` must match.  ``join``, ``leave`` and ``fail``
+        repair only what they change and do not call it.
+        """
         if not self._sorted_ids:
             return
         for node in self._nodes.values():
             node.successor = self._first_at_or_after(node.node_id + 1)
             node.predecessor = self._last_before(node.node_id)
             node.fingers = self._finger_table(node.node_id)
+
+    def _repair(self, moved: DHTNode, joined: bool) -> None:
+        """Re-point what the join or removal of ``moved`` changed.
+
+        Only ``moved``'s predecessor ``p`` and successor ``s`` change a
+        neighbour pointer.  In any other node ``x``, finger ``i`` changes
+        exactly when its start ``x + 2**i`` falls in ``(p, moved]``, i.e.
+        when ``(p - x) mod 2**ID_BITS < 2**i <= (moved - x) mod
+        2**ID_BITS``: the index range from the first distance's bit length
+        up to the second's.  Those fingers now point at ``moved`` after a
+        join and at ``s`` after a removal.  In a ring of one or two nodes
+        ``p`` is ``s``, and the two neighbour assignments set both of its
+        pointers.
+        """
+        if not self._sorted_ids:
+            return
+        predecessor = self._last_before(moved.node_id)
+        successor = self._first_at_or_after(moved.node_id + 1)
+        if joined:
+            moved.successor = successor
+            moved.predecessor = predecessor
+            moved.fingers = self._finger_table(moved.node_id)
+            predecessor.successor = successor.predecessor = moved
+            target = moved
+        else:
+            predecessor.successor = successor
+            successor.predecessor = predecessor
+            target = successor
+        count = self.finger_count
+        low = predecessor.node_id
+        high = moved.node_id
+        for node in self._nodes.values():
+            if node is moved:
+                continue
+            first = ((low - node.node_id) % ID_SPACE).bit_length()
+            end = min(((high - node.node_id) % ID_SPACE).bit_length(), count)
+            if first < end:
+                node.fingers[first:end] = [target] * (end - first)
 
     def _finger_table(self, node_id: int) -> List[DHTNode]:
         """Fingers ``i`` = first node at or after ``node_id + 2**i``.
@@ -159,19 +208,20 @@ class DHTNetwork:
         return self._first_at_or_after(key)
 
     def replica_nodes(self, key: int, count: int) -> List[DHTNode]:
-        """The ``count`` distinct successors of ``key`` (replica set)."""
+        """The ``count`` distinct successors of ``key`` (replica set).
+
+        The key's owner and the ids after it in sorted order, wrapping.
+        """
         if count < 1:
             raise ValueError("count must be >= 1")
-        if not self._sorted_ids:
-            return []
-        replicas: List[DHTNode] = []
-        node = self.owner_of(key)
-        seen = set()
-        while node is not None and node.node_id not in seen and len(replicas) < count:
-            replicas.append(node)
-            seen.add(node.node_id)
-            node = self.successor_of(node)
-        return replicas
+        ids = self._sorted_ids
+        count = min(count, len(ids))
+        start = bisect.bisect_left(ids, key % ID_SPACE)
+        window = ids[start:start + count]
+        if len(window) < count:
+            window += ids[:count - len(window)]
+        by_id = self._by_id
+        return [by_id[node_id] for node_id in window]
 
     def repair_replicas(self, replication: int, now: float) -> int:
         """Re-replicate under-replicated records (post-failure repair).

@@ -24,7 +24,7 @@ degraded callers can serve partial results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Set
+from typing import AbstractSet, List, Optional, Set
 
 from ..obs.recorder import NULL_RECORDER, NullRecorder
 from .faults import FaultPlan, RPCOutcome
@@ -145,7 +145,7 @@ def _lookup_impl(network: DHTNetwork, key: int,
             return _emit(LookupResult(key=key, owner=current, hops=hops,
                                       path=path, timeouts=timeouts,
                                       retries=retries, latency=latency))
-        next_node = _closest_preceding(current, key, frozenset(unreachable))
+        next_node = _closest_preceding(current, key, unreachable)
         if next_node is None or next_node.node_id == current.node_id:
             # No finger makes progress: fall through to the successor.
             next_node = current.successor
@@ -243,7 +243,7 @@ def _contact(network: DHTNetwork, faults: FaultPlan, budget: RetryBudget,
 
 
 def _closest_preceding(node: DHTNode, key: int,
-                       avoid: FrozenSet[int] = frozenset()
+                       avoid: AbstractSet[int] = frozenset()
                        ) -> Optional[DHTNode]:
     """The farthest finger strictly between ``node`` and ``key`` (Chord).
 

@@ -39,10 +39,23 @@ class StoredRecord(Generic[T]):
 
 
 class NodeStorage(Generic[T]):
-    """Key -> per-owner records.  One owner holds one record per key."""
+    """Key -> per-owner records.  One owner holds one record per key.
+
+    Each key also keeps a lower bound on its records' ``expires_at``:
+    writes lower it, an expiry sweep of the key recomputes it, and a
+    ``remove`` may leave it too low, which a lower bound allows.  Reads
+    before the bound skip the sweep, since nothing under the key can have
+    expired.
+    """
 
     def __init__(self) -> None:
         self._records: Dict[int, Dict[str, StoredRecord[T]]] = {}
+        self._earliest_expiry: Dict[int, float] = {}
+
+    def _lower_bound(self, key: int, expires_at: float) -> None:
+        earliest = self._earliest_expiry.get(key)
+        if earliest is None or expires_at < earliest:
+            self._earliest_expiry[key] = expires_at
 
     def put(self, key: int, owner_id: str, value: T, now: float,
             ttl: float = DEFAULT_TTL_SECONDS) -> StoredRecord[T]:
@@ -50,6 +63,7 @@ class NodeStorage(Generic[T]):
         record = StoredRecord(key=key, owner_id=owner_id, value=value,
                               stored_at=now, ttl=ttl)
         self._records.setdefault(key, {})[owner_id] = record
+        self._lower_bound(key, record.expires_at())
         return record
 
     def put_record(self, record: StoredRecord[T]) -> StoredRecord[T]:
@@ -68,6 +82,7 @@ class NodeStorage(Generic[T]):
                               value=record.value, stored_at=record.stored_at,
                               ttl=record.ttl)
         per_owner[record.owner_id] = copied
+        self._lower_bound(record.key, copied.expires_at())
         return copied
 
     def contains(self, key: int, owner_id: str, now: float) -> bool:
@@ -91,6 +106,7 @@ class NodeStorage(Generic[T]):
             del per_owner[owner_id]
             if not per_owner:
                 del self._records[key]
+                del self._earliest_expiry[key]
             return True
         return False
 
@@ -102,15 +118,20 @@ class NodeStorage(Generic[T]):
         return removed
 
     def _expire_key(self, key: int, now: float) -> int:
-        per_owner = self._records.get(key)
-        if not per_owner:
+        earliest = self._earliest_expiry.get(key)
+        if earliest is None or now < earliest:
             return 0
+        per_owner = self._records[key]
         stale = [owner for owner, record in per_owner.items()
                  if record.expired(now)]
         for owner in stale:
             del per_owner[owner]
-        if not per_owner:
+        if per_owner:
+            self._earliest_expiry[key] = min(
+                record.expires_at() for record in per_owner.values())
+        else:
             del self._records[key]
+            del self._earliest_expiry[key]
         return len(stale)
 
     def keys(self) -> List[int]:

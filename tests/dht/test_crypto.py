@@ -52,3 +52,63 @@ class TestKeyAuthority:
         a.register("alice")
         b.register("alice")
         assert a.sign("alice", b"x") != b.sign("alice", b"x")
+
+
+class TestVerifyMemo:
+    """``verify`` remembers genuine triples, and only genuine ones."""
+
+    @pytest.fixture
+    def authority(self):
+        authority = KeyAuthority()
+        for user in ("alice", "bob", "mallory"):
+            authority.register(user)
+        return authority
+
+    def test_memoised_triple_still_verifies(self, authority):
+        signature = authority.sign("alice", b"payload")
+        assert authority.verify("alice", b"payload", signature)
+        assert authority.verify("alice", b"payload", signature)
+
+    def test_forgeries_fail_after_the_genuine_triple_is_memoised(
+            self, authority):
+        signature = authority.sign("alice", b"payload")
+        assert authority.verify("alice", b"payload", signature)
+        forged = authority.sign("mallory", b"payload")
+        assert not authority.verify("alice", b"payload", forged)
+        assert not authority.verify("bob", b"payload", signature)
+        assert not authority.verify("alice", b"altered", signature)
+        # Rejections are never remembered as passes.
+        assert not authority.verify("alice", b"payload", forged)
+
+    def test_authorities_share_no_memo(self):
+        first = KeyAuthority(seed=b"one")
+        second = KeyAuthority(seed=b"two")
+        first.register("alice")
+        second.register("alice")
+        signature = first.sign("alice", b"payload")
+        assert first.verify("alice", b"payload", signature)
+        assert not second.verify("alice", b"payload", signature)
+
+    def test_forged_overwrite_of_a_verified_record_is_rejected(self):
+        """A genuine evaluation is retrieved (and memoised), then a forger
+        overwrites it under the victim's name: the read drops the forgery."""
+        from repro.dht import (DHTNetwork, EvaluationOverlay,
+                               attempt_forged_publication)
+
+        overlay = EvaluationOverlay(DHTNetwork(), KeyAuthority())
+        for user in ("victim", "attacker", "reader"):
+            overlay.register_user(user)
+        overlay.publish("victim", "file-x", 0.9, now=0.0)
+        genuine = overlay.retrieve("reader", "file-x", now=0.0)
+        assert genuine.evaluations == {"victim": 0.9}
+        assert not attempt_forged_publication(
+            overlay, "attacker", "victim", "file-x", 0.0, now=0.0)
+        forged = overlay.retrieve("reader", "file-x", now=0.0)
+        assert forged.evaluations == {}
+        assert forged.rejected == 1
+
+    def test_forgery_benchmark_counts_unchanged(self):
+        from benchmarks.test_claim_attack_resilience import (
+            _forgery_experiment)
+
+        assert _forgery_experiment() == (0, 50)
