@@ -32,6 +32,13 @@ def in_interval(value: int, start: int, end: int,
 
     Handles wrap-around.  With ``inclusive_end`` the interval is
     ``(start, end]`` — the form Chord uses for successor ownership.
+    ``start == end`` is the whole ring, without ``start`` unless the end
+    is inclusive.
+
+    Every argument is reduced mod ``2**160`` first, so any int is accepted.
+    The route walk (:mod:`repro.dht.routing`) tests ids that are already
+    reduced and inlines the same three cases without the modulus;
+    ``tests/property/test_ring_predicates.py`` holds the two to agreement.
     """
     value %= ID_SPACE
     start %= ID_SPACE

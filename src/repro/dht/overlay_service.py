@@ -119,8 +119,9 @@ class EvaluationOverlay:
         self._local_lists: Dict[str, Dict[str, float]] = {}
         # Pluggable responders for attack modelling; default: honest.
         self._responders: Dict[str, ListResponder] = {}
-        # Everything a user has published, for republication.
-        self._published: Dict[str, List[IndexRecord]] = {}
+        # Everything a user has published, for republication: file id ->
+        # record, in order of each file's latest publication.
+        self._published: Dict[str, Dict[str, IndexRecord]] = {}
         # Every identity that ever joined, so rejoins are distinguishable
         # from first joins (the whitewashing detector keys on this flag).
         self._ever_registered: set = set()
@@ -163,9 +164,7 @@ class EvaluationOverlay:
                              evaluation=info)
         hops = self._store(record, user_id, now, MessageKind.PUBLISH)
         self._local_lists.setdefault(user_id, {})[file_id] = evaluation
-        published = self._published.setdefault(user_id, [])
-        published[:] = [r for r in published if r.file_id != file_id]
-        published.append(record)
+        self._remember(user_id, record)
         return hops
 
     def publish_index_only(self, user_id: str, file_id: str, now: float,
@@ -175,15 +174,23 @@ class EvaluationOverlay:
         record = IndexRecord(file_id=file_id, owner_id=user_id,
                              filename=filename, size_bytes=size_bytes)
         hops = self._store(record, user_id, now, MessageKind.PUBLISH)
-        published = self._published.setdefault(user_id, [])
-        published[:] = [r for r in published if r.file_id != file_id]
-        published.append(record)
+        self._remember(user_id, record)
         return hops
+
+    def _remember(self, user_id: str, record: IndexRecord) -> None:
+        """Keep ``record`` for republication, replacing the file's last one.
+
+        Popping before the insert moves the file to the end, so
+        republication visits files in order of their latest publication.
+        """
+        published = self._published.setdefault(user_id, {})
+        published.pop(record.file_id, None)
+        published[record.file_id] = record
 
     def republish_all(self, user_id: str, now: float) -> int:
         """Step 2: refresh all of the user's records (returns record count)."""
-        records = self._published.get(user_id, [])
-        for record in records:
+        records = self._published.get(user_id, {})
+        for record in records.values():
             self._store(record, user_id, now, MessageKind.REPUBLISH)
         return len(records)
 
@@ -261,18 +268,20 @@ class EvaluationOverlay:
             # ``_published`` and the next republication/repair retries it.
             return result.hops
         injecting = self._injecting
-        wire_size = record.wire_size()
+        # The sender's causal context rides on the envelope, so the tally
+        # charges the (opt-in) span overhead to the right kind.  Every
+        # replica write carries the same record in the same span.
+        envelope = MessageEnvelope(kind=kind,
+                                   payload_bytes=record.wire_size(),
+                                   span_id=span.span_id,
+                                   trace_id=span.trace_id)
         for replica in self.network.replica_nodes(key, self.replication):
             if injecting and replica is not result.owner \
                     and not self._rpc(user_id, replica, span):
                 continue  # write lost; repair/republication will catch up
             replica.storage.put(key, record.owner_id, record, now,
                                 self.record_ttl)
-            # The sender's causal context rides on the envelope, so the
-            # tally charges the (opt-in) span overhead to the right kind.
-            self.tally.record_envelope(MessageEnvelope(
-                kind=kind, payload_bytes=wire_size,
-                span_id=span.span_id, trace_id=span.trace_id))
+            self.tally.record_envelope(envelope)
             span.count("writes")
         return result.hops
 
@@ -364,7 +373,13 @@ class EvaluationOverlay:
     def _quorum_read(self, requester_id: str, key: int, result: LookupResult,
                      now: float, span: NullSpan = NULL_SPAN
                      ) -> Tuple[List[StoredRecord], int]:
-        """Read the replica set under faults; freshest record per owner."""
+        """Read the replica set under faults; freshest record per owner.
+
+        Replicas are visited in replica order, so on a tie in
+        ``stored_at`` an owner's record comes from the first replica that
+        holds it.  Within a replica an owner has one record, so the merge
+        needs no order there; the result is sorted by owner once.
+        """
         freshest: Dict[str, StoredRecord] = {}
         contacted = 0
         for replica in self.network.replica_nodes(key, self.replication):
@@ -372,11 +387,11 @@ class EvaluationOverlay:
                     and not self._rpc(requester_id, replica, span):
                 continue
             contacted += 1
-            for stored in replica.storage.get(key, now):
+            for stored in replica.storage.live(key, now):
                 best = freshest.get(stored.owner_id)
                 if best is None or stored.stored_at > best.stored_at:
                     freshest[stored.owner_id] = stored
-        records = sorted(freshest.values(), key=lambda r: r.owner_id)
+        records = [freshest[owner] for owner in sorted(freshest)]
         return records, contacted
 
     # ------------------------------------------------------------------ #

@@ -24,11 +24,11 @@ degraded callers can serve partial results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, List, Optional, Set
+from typing import AbstractSet, List, Optional, Set, Tuple
 
 from ..obs.recorder import NULL_RECORDER, NullRecorder
 from .faults import FaultPlan, RPCOutcome
-from .id_space import ID_SPACE, in_interval
+from .id_space import ID_SPACE
 from .messages import MessageKind, MessageTally
 from .node import DHTNode
 from .retry import (MAX_ATTEMPTS, DHTError, EmptyNetworkError,
@@ -157,13 +157,14 @@ def _lookup_impl(network: DHTNetwork, key: int,
                 f"toward key {key:#x}"))
 
         if injecting:
-            delivered, cost = _contact(network, faults, budget, current,
-                                       next_node, tally)
-            latency += cost.latency
-            timeouts += cost.timeouts
-            retries += cost.retries
+            (delivered, hop_latency, hop_timeouts, hop_retries,
+             partitioned) = _contact(network, faults, budget, current,
+                                     next_node, tally)
+            latency += hop_latency
+            timeouts += hop_timeouts
+            retries += hop_retries
             if not delivered:
-                if cost.partitioned:
+                if partitioned:
                     return _fail(NetworkPartitionError(
                         f"{next_node.user_id} unreachable across partition"))
                 if budget.exhausted:
@@ -188,58 +189,59 @@ def _owns_key(node: DHTNode, key: int) -> bool:
 
     Requires an alive predecessor pointer; when it is missing or dead the
     route keeps walking and terminates via the successor interval instead.
+    Node ids and the lookup key are already reduced, so the ring test
+    compares them directly: ``predecessor == node`` is the whole ring.
     """
     predecessor = node.predecessor
-    return (predecessor is not None and predecessor.alive
-            and in_interval(key, predecessor.node_id, node.node_id,
-                            inclusive_end=True))
-
-
-@dataclass
-class _ContactCost:
-    latency: float = 0.0
-    timeouts: int = 0
-    retries: int = 0
-    partitioned: bool = False
+    if predecessor is None or not predecessor.alive:
+        return False
+    start = predecessor.node_id
+    end = node.node_id
+    if start < end:
+        return start < key <= end
+    return not end < key <= start
 
 
 def _contact(network: DHTNetwork, faults: FaultPlan, budget: RetryBudget,
-             src: DHTNode, dst: DHTNode,
-             tally: Optional[MessageTally]) -> "tuple[bool, _ContactCost]":
-    """One fault-subjected RPC with per-target retries under a shared budget."""
-    cost = _ContactCost()
+             src: DHTNode, dst: DHTNode, tally: Optional[MessageTally]
+             ) -> Tuple[bool, float, int, int, bool]:
+    """One fault-subjected RPC with per-target retries under a shared budget.
+
+    Returns ``(delivered, latency, timeouts, retries, partitioned)``.
+    """
     if not dst.alive:
         # A finger to an already-dead node: instant timeout, no wire time.
-        cost.timeouts += 1
         if tally is not None:
             tally.record(MessageKind.TIMEOUT, 0)
-        return False, cost
+        return False, 0.0, 1, 0, False
+    latency = 0.0
+    timeouts = 0
+    retries = 0
     for attempt in range(MAX_ATTEMPTS):
         outcome, wire_latency = faults.transmit(src.user_id, dst.user_id)
-        cost.latency += wire_latency
+        latency += wire_latency
         if outcome is RPCOutcome.DELIVERED:
-            return True, cost
+            return True, latency, timeouts, retries, False
         if outcome is RPCOutcome.PARTITIONED:
-            cost.partitioned = True
             if tally is not None:
                 tally.record(MessageKind.DROP, 0)
-            return False, cost
+            return False, latency, timeouts, retries, True
         if outcome is RPCOutcome.CRASHED and dst.alive:
             # The contacted node dies mid-RPC; its records go with it.
             network.fail(dst.user_id)
-        cost.timeouts += 1
+        timeouts += 1
         if tally is not None:
             tally.record(MessageKind.DROP if outcome is RPCOutcome.DROPPED
                          else MessageKind.TIMEOUT, 0)
         if outcome is RPCOutcome.CRASHED:
-            return False, cost
+            return False, latency, timeouts, retries, False
         if attempt + 1 >= MAX_ATTEMPTS or not budget.try_consume():
-            return False, cost
-        cost.retries += 1
-        cost.latency += backoff_delay(attempt, faults.rng)
+            return False, latency, timeouts, retries, False
+        retries += 1
+        latency += backoff_delay(attempt, faults.rng)
         if tally is not None:
             tally.record(MessageKind.RETRY, 0)
-    return False, cost
+    return False, latency, timeouts, retries, False
 
 
 def _closest_preceding(node: DHTNode, key: int,
@@ -250,15 +252,28 @@ def _closest_preceding(node: DHTNode, key: int,
     Additionally, if the node's direct successor already owns the key,
     route straight to it.  Fingers in ``avoid`` (proven unreachable this
     lookup) are skipped — stale-finger tolerance.
+
+    Ids are already reduced, so the ring tests compare them directly.
+    When ``node_id >= key`` the interval wraps (or, at equality, is the
+    whole ring but ``node`` itself), and an id is inside it exactly when
+    it is not in ``[key, node_id]``.
     """
+    node_id = node.node_id
     successor = node.successor
-    if successor is not None and successor.node_id not in avoid \
-            and in_interval(key, node.node_id, successor.node_id,
-                            inclusive_end=True):
-        return successor
-    for finger in reversed(node.fingers):
-        if finger is None or not finger.alive or finger.node_id in avoid:
-            continue
-        if in_interval(finger.node_id, node.node_id, key):
-            return finger
+    if successor is not None and successor.node_id not in avoid:
+        # Does the successor own the key: key in (node_id, successor]?
+        successor_id = successor.node_id
+        if (node_id < key <= successor_id if node_id < successor_id
+                else not successor_id < key <= node_id):
+            return successor
+    if node_id < key:
+        for finger in reversed(node.fingers):
+            if finger is not None and node_id < finger.node_id < key \
+                    and finger.alive and finger.node_id not in avoid:
+                return finger
+    else:
+        for finger in reversed(node.fingers):
+            if finger is not None and not key <= finger.node_id <= node_id \
+                    and finger.alive and finger.node_id not in avoid:
+                return finger
     return successor

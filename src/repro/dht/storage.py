@@ -10,7 +10,7 @@ multi-users regularly").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generic, Iterator, List, Optional, TypeVar
+from typing import Dict, Generic, Iterable, Iterator, List, Optional, TypeVar
 
 __all__ = ["StoredRecord", "NodeStorage", "DEFAULT_TTL_SECONDS"]
 
@@ -90,10 +90,26 @@ class NodeStorage(Generic[T]):
         return self.get_owner(key, owner_id, now) is not None
 
     def get(self, key: int, now: float) -> List[StoredRecord[T]]:
-        """All live records under ``key`` (expired ones are dropped)."""
+        """All live records under ``key`` (expired ones are dropped).
+
+        In owner order: the per-owner dict is keyed by each record's
+        ``owner_id``, so sorting the keys sorts the records.
+        """
         self._expire_key(key, now)
-        per_owner = self._records.get(key, {})
-        return sorted(per_owner.values(), key=lambda r: r.owner_id)
+        per_owner = self._records.get(key)
+        if not per_owner:
+            return []
+        return [per_owner[owner] for owner in sorted(per_owner)]
+
+    def live(self, key: int, now: float) -> Iterable[StoredRecord[T]]:
+        """The live records under ``key`` in no particular order.
+
+        A view for a caller that orders the records itself; it must not be
+        held across writes to this storage.
+        """
+        self._expire_key(key, now)
+        per_owner = self._records.get(key)
+        return per_owner.values() if per_owner else ()
 
     def get_owner(self, key: int, owner_id: str,
                   now: float) -> Optional[StoredRecord[T]]:

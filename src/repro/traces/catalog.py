@@ -18,8 +18,10 @@ quality.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import List, Optional
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence
 
 from ..obs.stats import ordered_sum
 
@@ -69,9 +71,31 @@ class CatalogFile:
 
 @dataclass
 class FileCatalog:
-    """A collection of catalog files supporting popularity-weighted sampling."""
+    """A collection of catalog files supporting popularity-weighted sampling.
 
-    files: List[CatalogFile] = field(default_factory=list)
+    ``files`` is frozen into a tuple at construction, and the indexes that
+    ``get`` and ``sample`` read are built then too, so they cannot go stale.
+    The alive set changes only at a file's ``birth_time`` or
+    ``death_time``: between two consecutive such instants it is constant,
+    so the pool of the last slot asked for is kept with its cumulative
+    weights.
+    """
+
+    files: Sequence[CatalogFile] = field(default_factory=tuple)
+
+    def __post_init__(self) -> None:
+        self.files = tuple(self.files)
+        # Reversed, so a duplicated id maps to its first file, as a scan
+        # from the front would find.
+        self._by_id: Dict[str, CatalogFile] = {
+            f.file_id: f for f in reversed(self.files)}
+        self._instants: List[float] = sorted(
+            {t for f in self.files for t in (f.birth_time, f.death_time)})
+        self._slot = -1
+        self._pool: List[CatalogFile] = []
+        self._cum_weights: List[float] = []
+        self._all_cum_weights = list(
+            accumulate(f.popularity for f in self.files))
 
     @classmethod
     def generate(cls, num_files: int, rng: random.Random,
@@ -132,27 +156,36 @@ class FileCatalog:
     # Sampling and lookup                                                #
     # ------------------------------------------------------------------ #
 
+    def _alive_pool(self, timestamp: float) -> List[CatalogFile]:
+        """The files alive at ``timestamp``, in catalog order (shared)."""
+        slot = bisect_right(self._instants, timestamp)
+        if slot != self._slot:
+            pool = [f for f in self.files if f.alive_at(timestamp)]
+            self._slot = slot
+            self._pool = pool
+            self._cum_weights = list(accumulate(f.popularity for f in pool))
+        return self._pool
+
     def alive_at(self, timestamp: float) -> List[CatalogFile]:
-        return [f for f in self.files if f.alive_at(timestamp)]
+        return list(self._alive_pool(timestamp))
 
     def sample(self, rng: random.Random, timestamp: Optional[float] = None,
                k: int = 1) -> List[CatalogFile]:
         """Popularity-weighted sample (with replacement) of k files.
 
         When ``timestamp`` is given only files alive at that instant are
-        eligible; the whole catalog is the fallback if none are.
+        eligible; the whole catalog is the fallback if none are.  The
+        cumulative weights are those ``rng.choices`` would accumulate from
+        the popularities itself, so the draws are the same.
         """
-        pool = self.alive_at(timestamp) if timestamp is not None else self.files
-        if not pool:
-            pool = self.files
-        weights = [f.popularity for f in pool]
-        return rng.choices(pool, weights=weights, k=k)
+        if timestamp is not None and self._alive_pool(timestamp):
+            return rng.choices(self._pool, cum_weights=self._cum_weights,
+                               k=k)
+        return rng.choices(self.files, cum_weights=self._all_cum_weights,
+                           k=k)
 
     def get(self, file_id: str) -> CatalogFile:
-        for catalog_file in self.files:
-            if catalog_file.file_id == file_id:
-                return catalog_file
-        raise KeyError(file_id)
+        return self._by_id[file_id]
 
     def fake_ids(self) -> List[str]:
         return [f.file_id for f in self.files if f.is_fake]
