@@ -46,13 +46,13 @@ def test_perf_build_file_trust_matrix(benchmark, evaluation_store):
 @pytest.fixture(scope="module")
 def dense_one_step():
     rng = random.Random(2)
-    matrix = TrustMatrix()
+    rows = {}
     users = [f"u{index:03d}" for index in range(200)]
     for user in users:
         for target in rng.sample(users, 20):
             if target != user:
-                matrix.set(user, target, rng.random())
-    return matrix.row_normalized()
+                rows.setdefault(user, {})[target] = rng.random()
+    return TrustMatrix(rows).row_normalized()
 
 
 @pytest.mark.benchmark(group="perf")

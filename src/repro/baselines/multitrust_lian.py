@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..core.matrix import TrustMatrix
+from ..core.matrix import TrustMatrix, normalize_rows
 from ..core.multitrust import MultiTierView, TierAssignment
 from .base import ReputationMechanism
 
@@ -42,11 +42,11 @@ class LianMultiTrustMechanism(ReputationMechanism):
         self._dirty = True
 
     def refresh(self) -> None:
-        raw = TrustMatrix()
+        raw: Dict[str, Dict[str, float]] = {}
         for (i, j), volume in self._volume.items():
             if volume > 0:
-                raw.set(i, j, volume)
-        self._view = MultiTierView(raw.row_normalized(), self.MAX_TIER)
+                raw.setdefault(i, {})[j] = volume
+        self._view = MultiTierView(normalize_rows(raw), self.MAX_TIER)
         self._dirty = False
 
     def _ensure_view(self) -> MultiTierView:

@@ -23,7 +23,7 @@ from ..lint.contracts import check_row_stochastic
 from .config import DEFAULT_CONFIG, ReputationConfig
 from .distances import PAIRWISE_ACCUMULATORS, get_similarity
 from .evaluation import EvaluationStore
-from .matrix import TrustMatrix, retotal
+from .matrix import TrustMatrix, normalize_rows, retotal
 
 __all__ = ["file_trust", "build_file_trust_matrix", "FileTrustAccumulator"]
 
@@ -77,16 +77,16 @@ def build_file_trust_matrix(store: EvaluationStore,
                 totals[pair] = totals.get(pair, 0.0) + term(value_a, values[b])
                 counts[pair] = counts.get(pair, 0) + 1
 
-    raw = TrustMatrix()
+    raw: Dict[str, Dict[str, float]] = {}
     for pair, count in counts.items():
         if count < config.min_overlap:
             continue
         trust = finalize(totals[pair], count)
         if trust > 0.0:
             a, b = pair
-            raw.set(a, b, trust)
-            raw.set(b, a, trust)
-    matrix = raw.row_normalized()
+            raw.setdefault(a, {})[b] = trust
+            raw.setdefault(b, {})[a] = trust
+    matrix = normalize_rows(raw)
     check_row_stochastic(matrix, name="FM")
     return matrix
 
@@ -128,15 +128,15 @@ class FileTrustAccumulator:
         self._pair_terms: Dict[Tuple[str, str], Dict[str, float]] = {}
         #: file_id -> {user: Eq. 1 value} the file's current terms came from.
         self._file_values: Dict[str, Dict[str, float]] = {}
-        #: Un-normalised symmetric FT matrix (Eq. 2 finalised values).
-        self.raw = TrustMatrix()
+        #: Un-normalised symmetric FT rows (Eq. 2 finalised values).
+        self.raw: Dict[str, Dict[str, float]] = {}
         #: row -> ``math.fsum`` of its :attr:`raw` values, Eq. 3's divisor.
         self.totals: Dict[str, float] = {}
 
     @property
     def matrix(self) -> TrustMatrix:
         """FM (Eq. 3): :attr:`raw` row-normalised, built afresh per read."""
-        matrix = self.raw.row_normalized()
+        matrix = normalize_rows(self.raw)
         check_row_stochastic(matrix, name="FM")
         return matrix
 
@@ -146,10 +146,10 @@ class FileTrustAccumulator:
 
     def rebuild(self) -> Set[str]:
         """Full pass: forget everything and re-derive from every file."""
-        stale_rows = set(self.raw.row_ids())
+        stale_rows = set(self.raw)
         self._pair_terms = {}
         self._file_values = {}
-        self.raw = TrustMatrix()
+        self.raw = {}
         self.totals = {}
         return self._rederive(self._store.files()) | stale_rows
 
@@ -192,6 +192,7 @@ class FileTrustAccumulator:
                     pair_terms.setdefault(pair, {})[file_id] = pair_term
                     changed_pairs.add(pair)
 
+        raw = self.raw
         touched: Set[str] = set()
         for pair in sorted(changed_pairs):
             a, b = pair
@@ -205,11 +206,19 @@ class FileTrustAccumulator:
                     total += terms[term_file]
                 trust = self._finalize(total, len(terms))
             value = trust if trust > 0.0 else 0.0
-            if value != self.raw.get(a, b):
-                self.raw.set(a, b, value)
-                self.raw.set(b, a, value)
+            if value != raw.get(a, {}).get(b, 0.0):
+                for i, j in ((a, b), (b, a)):
+                    if value > 0.0:
+                        raw.setdefault(i, {})[j] = value
+                    else:
+                        # The entry held a value (FT is symmetric): drop
+                        # it, and the row with its last entry.
+                        row = raw[i]
+                        del row[j]
+                        if not row:
+                            del raw[i]
                 touched.add(a)
                 touched.add(b)
 
-        retotal(self.raw, self.totals, touched)
+        retotal(raw, self.totals, touched)
         return touched

@@ -9,11 +9,18 @@ bridges (CSR and dense numpy) are provided for eigen-analysis and for the
 products behind ``RM = TM^n``, which :mod:`~repro.core.matrix_backend`
 computes: a trust matrix has no product of its own.
 
-:class:`CsrTrustMatrix` is the read-only array form the numpy and scipy
-backends publish ``RM = TM^n`` in: canonical CSR arrays over the sorted id
-list, read in place, with a row becoming a dict only when a caller iterates
-it.  It is value-equal (``==``, :meth:`~TrustMatrix.checksum`) to the dict
-form of the same entries.
+A :class:`TrustMatrix` is a value: it is made by its constructor, by
+:func:`normalize_rows` or by :meth:`~TrustMatrix.copy_with_rows`, and
+nothing changes it afterwards.  What changes between refreshes are the
+dimension accumulators' raw rows, plain ``Dict[str, Dict[str, float]]``
+that :func:`normalize_rows`, :func:`retotal` and
+:meth:`~TrustMatrix.weighted_row` read as they are.
+
+:class:`CsrTrustMatrix` is the array form the numpy and scipy backends
+publish ``RM = TM^n`` in: canonical CSR arrays over the sorted id list,
+read in place, with a row becoming a dict only when a caller iterates it.
+It is value-equal (``==``, :meth:`~TrustMatrix.checksum`) to the dict form
+of the same entries.
 """
 
 from __future__ import annotations
@@ -28,7 +35,10 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
 
 import numpy as np
 
-__all__ = ["TrustMatrix", "CsrTrustMatrix"]
+__all__ = ["TrustMatrix", "CsrTrustMatrix", "normalize_rows"]
+
+#: Rows of trust values, ``rows[i][j] = trust of i in j``.
+Rows = Mapping[str, Mapping[str, float]]
 
 #: Shared immutable empty row for :meth:`TrustMatrix.row_view` misses.
 _EMPTY_ROW: Mapping[str, float] = MappingProxyType({})
@@ -40,75 +50,33 @@ _NORMALISED: Mapping[str, float] = MappingProxyType({})
 class TrustMatrix:
     """A sparse matrix of trust values ``matrix[i][j] = trust of i in j``.
 
-    The class is agnostic about normalisation; the Eq. 3/5/6 constructors in
-    the dimension modules call :meth:`row_normalized` to produce the
-    row-stochastic one-step matrices the paper uses, and Eq. 7's
-    :meth:`weighted_row` divides raw rows by their totals itself.
+    A value: no method changes a matrix once it is made.  The class is
+    agnostic about normalisation; the Eq. 3/5/6 builders in the dimension
+    modules call :func:`normalize_rows` to produce the row-stochastic
+    one-step matrices the paper uses, and Eq. 7's :meth:`weighted_row`
+    divides raw rows by their totals itself.
     """
 
-    def __init__(self, rows: Optional[Mapping[str, Mapping[str, float]]] = None):
+    def __init__(self, rows: Optional[Rows] = None):
+        """The entries of ``rows``, copied; a zero is left out, and a
+        negative entry raises ``ValueError``."""
         self._rows: Dict[str, Dict[str, float]] = {}
-        #: :meth:`to_csr`'s result, dropped by every mutation.
+        #: :meth:`to_csr`'s result, once built.
         self._csr: Optional[CsrTrustMatrix] = None
         #: Set by :meth:`copy_with_rows`: the parent's array form and the
         #: ids of the rows replaced since, which :meth:`to_csr` splices
-        #: from; dropped by every mutation and once the form is built.
+        #: from; dropped once the form is built.
         self._patch: Optional[Tuple[CsrTrustMatrix, List[str]]] = None
-        if rows:
-            for i, row in rows.items():
-                for j, value in row.items():
-                    self.set(i, j, value)
-
-    # ------------------------------------------------------------------ #
-    # Mutation                                                           #
-    # ------------------------------------------------------------------ #
-
-    def set(self, i: str, j: str, value: float) -> None:
-        """Set entry (i, j); zero values are stored as absent."""
-        if value < 0:
-            raise ValueError(f"trust values must be >= 0, got {value} at ({i},{j})")
-        self._csr = self._patch = None
-        if value == 0.0:
-            row = self._rows.get(i)
-            if row is not None:
-                row.pop(j, None)
-                if not row:
-                    del self._rows[i]
-            return
-        self._rows.setdefault(i, {})[j] = value
-
-    def add(self, i: str, j: str, delta: float) -> None:
-        """Increment entry (i, j) by ``delta`` (clamped at zero below)."""
-        current = self.get(i, j)
-        self.set(i, j, max(current + delta, 0.0))
-
-    def replace_row(self, i: str, row: Dict[str, float]) -> None:
-        """Adopt ``row`` as row ``i``; an empty ``row`` removes the row.
-
-        ``row`` must hold only positive entries, and the caller must not
-        mutate it afterwards.
-        """
-        self._csr = self._patch = None
-        if row:
-            self._rows[i] = row
-        else:
-            self._rows.pop(i, None)
-
-    def replace_row_normalized(self, i: str, raw: Mapping[str, float]) -> None:
-        """Replace row ``i`` with ``raw`` scaled to sum to 1 (Eqs. 3, 5, 6).
-
-        The one row normaliser, reached through :meth:`row_normalized`.
-        The total uses ``math.fsum``, so the row depends only on its
-        *values*, never on dict insertion order — a patched row equals a
-        rebuilt one bit for bit; the dimension accumulators keep the same
-        ``fsum`` of each raw row for :meth:`weighted_row`.  Quotients that
-        underflow to 0.0 are dropped, and a row whose total is not positive
-        is removed.
-        """
-        total = fsum(raw.values())
-        self.replace_row(i, {j: quotient for j, value in raw.items()
-                             if (quotient := value / total) > 0.0}
-                         if total > 0 else {})
+        for i, values in (rows or {}).items():
+            row: Dict[str, float] = {}
+            for j, value in values.items():
+                if value < 0:
+                    raise ValueError(
+                        f"trust values must be >= 0, got {value} at ({i},{j})")
+                if value != 0.0:
+                    row[j] = value
+            if row:
+                self._rows[i] = row
 
     def copy_with_rows(self, updates: Mapping[str, Dict[str, float]]
                        ) -> "TrustMatrix":
@@ -119,10 +87,9 @@ class TrustMatrix:
         entries — :meth:`weighted_row` builds them that way — and is
         *adopted*, not copied: the caller hands it over and must not
         mutate it afterwards.  Unchanged rows are *shared by reference*
-        with ``self`` and are never mutated afterwards — each refresh that
-        touches them again replaces them here the same way — so snapshots
-        handed out earlier stay stable while a refresh publishes a fresh
-        matrix identity.
+        with ``self``; no matrix changes a row, so snapshots handed out
+        earlier stay stable while a refresh publishes a fresh matrix
+        identity.
 
         If ``self`` holds its array form, the copy remembers it and the
         replaced row ids, so its :meth:`to_csr` re-encodes only those
@@ -157,12 +124,12 @@ class TrustMatrix:
             yield i, dict(row)
 
     def row_view(self, i: str) -> Mapping[str, float]:
-        """Read-only *live* view of row ``i`` — no copy.
+        """Read-only view of row ``i`` — no copy.
 
         The observability layer samples full matrices at every mechanism
         refresh; copying each row per tick would dwarf the cost of the
-        events themselves.  The view reflects later mutations; callers that
-        need a stable snapshot should use :meth:`row`.
+        events themselves.  Callers that want a dict of their own should
+        use :meth:`row`.
         """
         row = self._rows.get(i)
         return MappingProxyType(row) if row is not None else _EMPTY_ROW
@@ -229,48 +196,32 @@ class TrustMatrix:
 
     def row_normalized(self) -> "TrustMatrix":
         """Return a copy whose non-empty rows sum to 1 (Eqs. 3, 5, 6)."""
-        result = TrustMatrix()
-        for i, row in self._rows.items():
-            result.replace_row_normalized(i, row)
-        return result
-
-    def scaled(self, factor: float) -> "TrustMatrix":
-        """Return ``factor * self``."""
-        if factor < 0:
-            raise ValueError("scale factor must be >= 0")
-        result = TrustMatrix()
-        if factor == 0.0:
-            return result
-        for i, row in self._rows.items():
-            for j, value in row.items():
-                result.set(i, j, value * factor)
-        return result
+        return normalize_rows(self._rows)
 
     @staticmethod
     def weighted_sum(terms: Iterable[Tuple[float, "TrustMatrix"]]) -> "TrustMatrix":
         """Eq. 7: ``sum_k w_k * M_k`` over (weight, matrix) pairs."""
-        active: List[Tuple[float, TrustMatrix, Mapping[str, float]]] = []
+        active: List[Tuple[float, Rows, Mapping[str, float]]] = []
         for weight, matrix in terms:
             if weight < 0:
                 raise ValueError("weights must be >= 0")
             if weight > 0.0:
-                active.append((weight, matrix, _NORMALISED))
+                active.append((weight, matrix._rows, _NORMALISED))
         # Rows in order of first appearance, dimension by dimension.
         return TrustMatrix().copy_with_rows({
             i: TrustMatrix.weighted_row(active, i)
-            for i in dict.fromkeys(i for _, matrix, _ in active
-                                   for i in matrix._rows)})
+            for i in dict.fromkeys(i for _, rows, _ in active
+                                   for i in rows)})
 
     @staticmethod
-    def weighted_row(terms: Sequence[Tuple[float, "TrustMatrix",
-                                           Mapping[str, float]]],
+    def weighted_row(terms: Sequence[Tuple[float, Rows, Mapping[str, float]]],
                      i: str) -> Dict[str, float]:
         """Row ``i`` of Eq. 7, ``sum_k w_k * M_k[i] / total_k[i]``, in order.
 
-        Each term is a weight, a dimension's raw matrix and the
-        ``math.fsum`` total of each of its rows, so ``value / total`` is
-        the entry :meth:`replace_row_normalized` would store (Eqs. 3, 5,
-        6) and no normalised FM/DM/UM has to exist.  A row the totals do
+        Each term is a weight, a dimension's raw rows and the
+        ``math.fsum`` total of each of them, so ``value / total`` is the
+        entry :func:`normalize_rows` would store (Eqs. 3, 5, 6) and no
+        normalised FM/DM/UM has to exist.  A row the totals do
         not name divides by 1.0: an already-normalised matrix comes with
         no totals, since ``x / 1.0 == x``.  :meth:`weighted_sum` and the
         incremental pipeline both build every row here, so they land on
@@ -286,8 +237,8 @@ class TrustMatrix:
           :meth:`copy_with_rows`.
         """
         row: Optional[Dict[str, float]] = None
-        for weight, matrix, totals in terms:
-            values = matrix._rows.get(i)
+        for weight, rows, totals in terms:
+            values = rows.get(i)
             if not values:
                 continue
             total = totals.get(i, 1.0)
@@ -320,8 +271,8 @@ class TrustMatrix:
         One walk over the rows, or, for a :meth:`copy_with_rows` copy of a
         matrix that held its array form, a splice of that form with only
         the replaced rows encoded (:func:`_splice_rows`).  The result is
-        kept until the next mutation, so the ``"auto"`` density check and
-        the product that follows share it.
+        kept, so the ``"auto"`` density check and the product that follows
+        share it.
         """
         if self._patch is not None:
             parent, replaced = self._patch
@@ -362,23 +313,6 @@ class TrustMatrix:
         """
         return self.to_csr().to_dense(node_ids)
 
-    @classmethod
-    def from_dense(cls, array: np.ndarray, node_ids: Sequence[str]) -> "TrustMatrix":
-        """Inverse of :meth:`to_dense`: the positive entries of ``array``.
-
-        Walks only the non-zero entries (row-major, the order a double loop
-        would visit them), so sparse products pay for what they hold.
-        """
-        if array.shape != (len(node_ids), len(node_ids)):
-            raise ValueError(
-                f"array shape {array.shape} does not match {len(node_ids)} ids")
-        result = cls()
-        rows, cols = np.nonzero(array > 0.0)
-        values = array[rows, cols].tolist()
-        for a, b, value in zip(rows.tolist(), cols.tolist(), values):
-            result.set(node_ids[a], node_ids[b], value)
-        return result
-
     # ------------------------------------------------------------------ #
     # Dunder                                                             #
     # ------------------------------------------------------------------ #
@@ -393,17 +327,40 @@ class TrustMatrix:
                 f"entries={self.entry_count()})")
 
 
-def retotal(raw: TrustMatrix, totals: Dict[str, float],
+def normalize_rows(rows: Rows) -> TrustMatrix:
+    """``rows`` each scaled to sum to 1 (Eqs. 3, 5, 6).
+
+    The one row normaliser.  A row's total is its ``math.fsum``, so the
+    row depends only on its *values*, never on dict insertion order — a
+    patched row equals a rebuilt one bit for bit; the dimension
+    accumulators keep the same ``fsum`` of each raw row for
+    :meth:`TrustMatrix.weighted_row` (:func:`retotal`).  Quotients that
+    underflow to 0.0 are dropped, and a row whose total is not positive,
+    or that keeps no entry, is left out.
+    """
+    result = TrustMatrix()
+    normalized = result._rows
+    for i, raw in rows.items():
+        total = fsum(raw.values())
+        if total > 0:
+            row = {j: quotient for j, value in raw.items()
+                   if (quotient := value / total) > 0.0}
+            if row:
+                normalized[i] = row
+    return result
+
+
+def retotal(raw: Rows, totals: Dict[str, float],
             rows: Iterable[str]) -> None:
-    """Set ``totals[i]`` to the ``math.fsum`` of ``raw``'s row ``i`` for
-    each of ``rows``; a row ``raw`` no longer holds leaves ``totals``.
+    """Set ``totals[i]`` to the ``math.fsum`` of ``raw[i]`` for each of
+    ``rows``; a row ``raw`` no longer holds leaves ``totals``.
 
     The dimension accumulators keep their raw rows' totals this way, the
     divisors :meth:`TrustMatrix.weighted_row` takes: the same ``fsum``
-    :meth:`TrustMatrix.replace_row_normalized` takes of the same values.
+    :func:`normalize_rows` takes of the same values.
     """
     for i in rows:
-        row = raw._rows.get(i)
+        row = raw.get(i)
         if row:
             totals[i] = fsum(row.values())
         else:
@@ -499,7 +456,7 @@ class _CsrRows(Mapping[str, Dict[str, float]]):
 
 
 class CsrTrustMatrix(TrustMatrix):
-    """Read-only trust matrix over canonical CSR arrays.
+    """Trust matrix over canonical CSR arrays.
 
     ``ids`` is the strictly sorted list of node ids — the constructor drops
     ids that hold no entry; ``data`` must be positive — and row ``a`` holds
@@ -509,7 +466,6 @@ class CsrTrustMatrix(TrustMatrix):
     sparse one; ``entry_count``, ``row_ids``, ``node_ids`` and ``==``
     read the arrays, and each row's maximum is computed once, here.  Only
     a caller that iterates a row (``checksum`` among them) gets a dict.
-    Mutators raise ``TypeError``.
     """
 
     def __init__(self, ids: Sequence[str], indptr: np.ndarray,
@@ -591,14 +547,8 @@ class CsrTrustMatrix(TrustMatrix):
         return indptr, where[self._indices], self._data
 
     # ------------------------------------------------------------------ #
-    # Read-only                                                          #
+    # Array form                                                         #
     # ------------------------------------------------------------------ #
-
-    def set(self, i: str, j: str, value: float) -> None:
-        raise TypeError("CsrTrustMatrix is read-only")
-
-    def replace_row(self, i: str, row: Dict[str, float]) -> None:
-        raise TypeError("CsrTrustMatrix is read-only")
 
     def to_csr(self) -> "CsrTrustMatrix":
         return self

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from ..lint.contracts import check_row_stochastic
 from .journal_table import JournalSink, check_record
-from .matrix import TrustMatrix, retotal
+from .matrix import TrustMatrix, normalize_rows, retotal
 
 __all__ = ["UserTrustStore", "build_user_trust_matrix",
            "UserTrustAccumulator", "FRIEND_TRUST", "DEFAULT_RATING"]
@@ -162,14 +162,14 @@ def build_user_trust_matrix(store: UserTrustStore) -> TrustMatrix:
     Blacklisted entries are zero and therefore vanish under normalisation,
     exactly as the paper intends ("they should be assigned with zero").
     """
-    raw = TrustMatrix()
+    raw: Dict[str, Dict[str, float]] = {}
     # Sorted: raters() is a set; row insertion order feeds downstream
     # matmul accumulation order and must not depend on PYTHONHASHSEED.
     for user in sorted(store.raters()):
         for other, value in store.relationships_of(user).items():
             if value > 0.0:
-                raw.set(user, other, value)
-    matrix = raw.row_normalized()
+                raw.setdefault(user, {})[other] = value
+    matrix = normalize_rows(raw)
     check_row_stochastic(matrix, name="UM")
     return matrix
 
@@ -193,14 +193,14 @@ class UserTrustAccumulator:
     def __init__(self, store: UserTrustStore):
         self._store = store
         #: Un-normalised UT rows: a rater's positive relationships.
-        self.raw = TrustMatrix()
+        self.raw: Dict[str, Dict[str, float]] = {}
         #: row -> ``math.fsum`` of its :attr:`raw` values, Eq. 6's divisor.
         self.totals: Dict[str, float] = {}
 
     @property
     def matrix(self) -> TrustMatrix:
         """UM (Eq. 6): :attr:`raw` row-normalised, built afresh per read."""
-        matrix = self.raw.row_normalized()
+        matrix = normalize_rows(self.raw)
         check_row_stochastic(matrix, name="UM")
         return matrix
 
@@ -210,18 +210,22 @@ class UserTrustAccumulator:
 
     def rebuild(self) -> Set[str]:
         """Full pass: forget everything and re-derive every row."""
-        stale_rows = set(self.raw.row_ids())
-        self.raw = TrustMatrix()
+        stale_rows = set(self.raw)
+        self.raw = {}
         self.totals = {}
         return self._rederive(self._store.raters()) | stale_rows
 
     def _rederive(self, raters: Set[str]) -> Set[str]:
         """Re-derive the rows of ``raters``; returns rows touched."""
+        raw = self.raw
         for rater in sorted(raters):
             raw_row = {other: value
                        for other, value in self._store.relationships_of(
                            rater).items()
                        if value > 0.0}
-            self.raw.replace_row(rater, raw_row)
-        retotal(self.raw, self.totals, raters)
+            if raw_row:
+                raw[rater] = raw_row
+            else:
+                raw.pop(rater, None)
+        retotal(raw, self.totals, raters)
         return raters

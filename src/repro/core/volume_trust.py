@@ -20,7 +20,7 @@ from ..lint.contracts import check_row_stochastic
 from .config import DEFAULT_CONFIG, ReputationConfig
 from .evaluation import EvaluationStore
 from .journal_table import JournalSink, check_record
-from .matrix import TrustMatrix, retotal
+from .matrix import TrustMatrix, normalize_rows, retotal
 
 __all__ = ["DownloadLedger", "valid_download_volume",
            "build_volume_trust_matrix", "VolumeTrustAccumulator"]
@@ -202,13 +202,13 @@ def build_volume_trust_matrix(ledger: DownloadLedger, store: EvaluationStore,
     ``now``/``half_life`` enable the recency-decayed Eq. 4 variant (see
     :func:`valid_download_volume`).
     """
-    raw = TrustMatrix()
+    raw: Dict[str, Dict[str, float]] = {}
     for downloader, uploader in ledger.pairs():
         volume = valid_download_volume(ledger, store, downloader, uploader,
                                        now=now, half_life=half_life)
         if volume > 0.0:
-            raw.set(downloader, uploader, volume)
-    matrix = raw.row_normalized()
+            raw.setdefault(downloader, {})[uploader] = volume
+    matrix = normalize_rows(raw)
     check_row_stochastic(matrix, name="DM")
     return matrix
 
@@ -250,14 +250,14 @@ class VolumeTrustAccumulator:
         #: ``(downloader, uploader)`` -> raw ``VD_ij`` for every ledger pair.
         self._volumes: Dict[Tuple[str, str], float] = {}
         #: Un-normalised VD rows: a downloader's positive volumes.
-        self.raw = TrustMatrix()
+        self.raw: Dict[str, Dict[str, float]] = {}
         #: row -> ``math.fsum`` of its :attr:`raw` values, Eq. 5's divisor.
         self.totals: Dict[str, float] = {}
 
     @property
     def matrix(self) -> TrustMatrix:
         """DM (Eq. 5): :attr:`raw` row-normalised, built afresh per read."""
-        matrix = self.raw.row_normalized()
+        matrix = normalize_rows(self.raw)
         check_row_stochastic(matrix, name="DM")
         return matrix
 
@@ -276,8 +276,8 @@ class VolumeTrustAccumulator:
 
     def rebuild(self) -> Set[str]:
         """Full pass: forget everything and re-sum every pair."""
-        stale_rows = set(self.raw.row_ids())
-        self.raw = TrustMatrix()
+        stale_rows = set(self.raw)
+        self.raw = {}
         self.totals = {}
         self._volumes = {}
         return self._resum(set(self._ledger.pairs())) | stale_rows
@@ -286,6 +286,7 @@ class VolumeTrustAccumulator:
         """Re-sum ``pairs`` and rebuild their raw rows; returns the rows."""
         ledger = self._ledger
         volumes = self._volumes
+        raw = self.raw
         rows: Set[str] = set()
         for pair in pairs:
             downloader, uploader = pair
@@ -301,6 +302,9 @@ class VolumeTrustAccumulator:
                 volume = volumes[(downloader, uploader)]
                 if volume > 0.0:
                     raw_row[uploader] = volume
-            self.raw.replace_row(downloader, raw_row)
-        retotal(self.raw, self.totals, rows)
+            if raw_row:
+                raw[downloader] = raw_row
+            else:
+                raw.pop(downloader, None)
+        retotal(raw, self.totals, rows)
         return rows

@@ -116,45 +116,25 @@ def _lookup_impl(network: DHTNetwork, key: int,
     max_hops = max(len(network) * _MAX_HOPS_FACTOR, 8)
     #: Nodes that proved unreachable this lookup; fingers to them are skipped.
     unreachable: Set[int] = set()
-
-    def _emit(result: LookupResult) -> LookupResult:
-        """Record the lookup's cost before handing the result back."""
-        if recorder.enabled:
-            recorder.event(
-                "dht_lookup", key=f"{key:#x}", hops=result.hops,
-                retries=result.retries, timeouts=result.timeouts,
-                fallbacks=len(unreachable), ok=result.ok,
-                error=(type(result.error).__name__
-                       if result.error is not None else None))
-            recorder.observe("dht.lookup.hops", result.hops)
-            recorder.observe("dht.lookup.retries", result.retries)
-            recorder.inc("dht.lookups")
-            if not result.ok:
-                recorder.inc("dht.lookup.failures")
-        return result
-
-    def _fail(error: DHTError) -> LookupResult:
-        if not injecting:
-            raise error
-        return _emit(LookupResult(key=key, owner=None, hops=hops, path=path,
-                                  error=error, timeouts=timeouts,
-                                  retries=retries, latency=latency))
+    owner: Optional[DHTNode] = None
+    error: Optional[DHTError] = None
 
     while True:
         if _owns_key(current, key):
-            return _emit(LookupResult(key=key, owner=current, hops=hops,
-                                      path=path, timeouts=timeouts,
-                                      retries=retries, latency=latency))
+            owner = current
+            break
         next_node = _closest_preceding(current, key, unreachable)
         if next_node is None or next_node.node_id == current.node_id:
             # No finger makes progress: fall through to the successor.
             next_node = current.successor
         if next_node is None:
-            return _fail(RoutingError("routing failed: node has no successor"))
+            error = RoutingError("routing failed: node has no successor")
+            break
         if next_node.node_id in unreachable:
-            return _fail(RoutingError(
+            error = RoutingError(
                 f"no reachable route past {current.user_id} "
-                f"toward key {key:#x}"))
+                f"toward key {key:#x}")
+            break
 
         if injecting:
             (delivered, hop_latency, hop_timeouts, hop_retries,
@@ -165,12 +145,14 @@ def _lookup_impl(network: DHTNetwork, key: int,
             retries += hop_retries
             if not delivered:
                 if partitioned:
-                    return _fail(NetworkPartitionError(
-                        f"{next_node.user_id} unreachable across partition"))
+                    error = NetworkPartitionError(
+                        f"{next_node.user_id} unreachable across partition")
+                    break
                 if budget.exhausted:
-                    return _fail(RetryBudgetExhausted(
+                    error = RetryBudgetExhausted(
                         f"retry budget drained after {budget.spent} retries "
-                        f"en route to key {key:#x}"))
+                        f"en route to key {key:#x}")
+                    break
                 # Target stayed dark: route around it from where we stand.
                 unreachable.add(next_node.node_id)
                 continue
@@ -179,9 +161,28 @@ def _lookup_impl(network: DHTNetwork, key: int,
         hops += 1
         path.append(current.user_id)
         if hops > max_hops:
-            return _fail(RoutingError(
+            error = RoutingError(
                 f"routing did not converge after {hops} hops "
-                "(stale finger tables? call stabilize())"))
+                "(stale finger tables? call stabilize())")
+            break
+
+    if error is not None and not injecting:
+        raise error
+    result = LookupResult(key=key, owner=owner, hops=hops, path=path,
+                          error=error, timeouts=timeouts, retries=retries,
+                          latency=latency)
+    # Record the lookup's cost before handing the result back.
+    if recorder.enabled:
+        recorder.event(
+            "dht_lookup", key=f"{key:#x}", hops=hops, retries=retries,
+            timeouts=timeouts, fallbacks=len(unreachable), ok=result.ok,
+            error=type(error).__name__ if error is not None else None)
+        recorder.observe("dht.lookup.hops", hops)
+        recorder.observe("dht.lookup.retries", retries)
+        recorder.inc("dht.lookups")
+        if error is not None:
+            recorder.inc("dht.lookup.failures")
+    return result
 
 
 def _owns_key(node: DHTNode, key: int) -> bool:

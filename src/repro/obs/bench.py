@@ -775,16 +775,15 @@ def _random_matrix(seed: int, nodes: int, density: float):
     from ..core import TrustMatrix
 
     rng = random.Random(seed)
-    matrix = TrustMatrix()
+    rows: Dict[str, Dict[str, float]] = {}
     ids = [f"n{i:03d}" for i in range(nodes)]
     per_row = max(1, int(density * (nodes - 1)))
     for i in ids:
         targets = rng.sample([j for j in ids if j != i], per_row)
         values = {j: rng.random() for j in targets}
         total = ordered_sum(values.values())
-        for j, value in values.items():
-            matrix.set(i, j, value / total)
-    return matrix
+        rows[i] = {j: value / total for j, value in values.items()}
+    return TrustMatrix(rows)
 
 
 def _bench_power(seed: int, nodes: int, density: float, baseline: str,

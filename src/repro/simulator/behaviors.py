@@ -232,10 +232,11 @@ class ForgerBehavior(PeerBehavior):
 
     def on_periodic(self, simulation: "FileSharingSimulation",
                     peer: "Peer") -> None:
-        """Mirror any victim votes on files the forger holds."""
+        """Mirror any victim votes on files the forger holds, in file-id
+        order (the holdings are a set)."""
         if self.victim_id is None:
             return
-        for file_id in simulation.registry.files_of(peer.peer_id):
+        for file_id in sorted(simulation.registry.files_of(peer.peer_id)):
             victim_vote = simulation.known_vote(self.victim_id, file_id)
             if victim_vote is not None:
                 simulation.peer_votes(peer, file_id, victim_vote)

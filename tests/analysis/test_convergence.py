@@ -17,12 +17,8 @@ def chain():
 def dense_ring():
     """Everyone trusts everyone (uniform): converged from step one."""
     ids = [f"n{i}" for i in range(4)]
-    matrix = TrustMatrix()
-    for i in ids:
-        for j in ids:
-            if i != j:
-                matrix.set(i, j, 1.0)
-    return matrix.row_normalized()
+    return TrustMatrix({i: {j: 1.0 for j in ids if j != i}
+                        for i in ids}).row_normalized()
 
 
 class TestReachByStep:
@@ -80,12 +76,12 @@ class TestStepsToConverge:
         import random
         rng = random.Random(4)
         ids = [f"u{i}" for i in range(30)]
-        matrix = TrustMatrix()
+        rows = {}
         for i in ids:
             for j in rng.sample(ids, 10):
                 if i != j:
-                    matrix.set(i, j, rng.uniform(0.3, 1.0))
-        one_step = matrix.row_normalized()
+                    rows.setdefault(i, {})[j] = rng.uniform(0.3, 1.0)
+        one_step = TrustMatrix(rows).row_normalized()
         step = steps_to_converge(one_step, max_steps=5, tolerance=0.95)
         assert step is not None and step <= 3
 
@@ -93,21 +89,18 @@ class TestStepsToConverge:
 class TestStepsToConvergeBoundaries:
     def test_two_hub_community_converges_within_budget(self):
         """Two hubs bridge two groups; ordering settles in a few powers."""
-        matrix = TrustMatrix()
         left = [f"l{i}" for i in range(4)]
         right = [f"r{i}" for i in range(4)]
-        for peer in left:
-            matrix.set(peer, "hub-l", 1.0)
-        for peer in right:
-            matrix.set(peer, "hub-r", 1.0)
-        matrix.set("hub-l", "hub-r", 0.5)
-        matrix.set("hub-r", "hub-l", 0.5)
+        rows = {peer: {"hub-l": 1.0} for peer in left}
+        rows.update((peer, {"hub-r": 1.0}) for peer in right)
+        rows["hub-l"] = {"hub-r": 0.5}
+        rows["hub-r"] = {"hub-l": 0.5}
         for i, peer in enumerate(left):
-            matrix.set("hub-l", peer, 0.1 * (i + 1))
+            rows["hub-l"][peer] = 0.1 * (i + 1)
         for i, peer in enumerate(right):
-            matrix.set("hub-r", peer, 0.1 * (i + 1))
-        steps = steps_to_converge(matrix.row_normalized(), max_steps=6,
-                                  tolerance=0.95)
+            rows["hub-r"][peer] = 0.1 * (i + 1)
+        steps = steps_to_converge(TrustMatrix(rows).row_normalized(),
+                                  max_steps=6, tolerance=0.95)
         assert steps is not None
         assert 1 <= steps <= 6
 

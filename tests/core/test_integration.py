@@ -9,10 +9,10 @@ PURE_EXPLICIT = ReputationConfig(eta=0.0, rho=1.0)
 
 
 def _matrix(entries):
-    matrix = TrustMatrix()
+    rows = {}
     for i, j, value in entries:
-        matrix.set(i, j, value)
-    return matrix
+        rows.setdefault(i, {})[j] = value
+    return TrustMatrix(rows)
 
 
 class TestIntegrateDimensions:

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import (CSR_BACKEND, CsrTrustMatrix, DownloadLedger,
-                        EvaluationStore, TrustMatrix, TrustPipeline,
-                        UserTrustStore, build_one_step_matrix)
+from repro.core import CSR_BACKEND, CsrTrustMatrix, TrustMatrix
+from repro.core.matrix import normalize_rows
 
 
 def matrices(max_nodes: int = 6):
@@ -21,10 +20,10 @@ def matrices(max_nodes: int = 6):
 
 
 def _build(entries):
-    matrix = TrustMatrix()
+    rows = {}
     for i, j, value in entries:
-        matrix.set(i, j, value)
-    return matrix
+        rows.setdefault(i, {})[j] = value
+    return TrustMatrix(rows)
 
 
 class TestBasicOps:
@@ -32,37 +31,28 @@ class TestBasicOps:
         assert TrustMatrix().get("a", "b") == 0.0
 
     def test_set_and_get(self):
-        matrix = TrustMatrix()
-        matrix.set("a", "b", 0.5)
+        matrix = TrustMatrix({"a": {"b": 0.5}})
         assert matrix.get("a", "b") == 0.5
 
     def test_setting_zero_removes_entry(self):
-        matrix = TrustMatrix()
-        matrix.set("a", "b", 0.5)
-        matrix.set("a", "b", 0.0)
-        assert matrix.entry_count() == 0
+        matrix = TrustMatrix({"a": {"b": 0.0}, "c": {"d": 0.5, "e": -0.0}})
+        assert matrix.entry_count() == 1
         assert not matrix.has_edge("a", "b")
+        assert matrix.row_ids() == ["c"]
+        assert matrix.row("c") == {"d": 0.5}
 
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError):
-            TrustMatrix().set("a", "b", -0.1)
-
-    def test_add_accumulates(self):
-        matrix = TrustMatrix()
-        matrix.add("a", "b", 0.3)
-        matrix.add("a", "b", 0.2)
-        assert matrix.get("a", "b") == pytest.approx(0.5)
-
-    def test_add_clamps_at_zero(self):
-        matrix = TrustMatrix()
-        matrix.set("a", "b", 0.3)
-        matrix.add("a", "b", -1.0)
-        assert matrix.get("a", "b") == 0.0
+            TrustMatrix({"a": {"b": -0.1}})
 
     def test_constructor_from_mapping(self):
-        matrix = TrustMatrix({"a": {"b": 1.0, "c": 2.0}})
+        rows = {"a": {"b": 1.0, "c": 2.0}}
+        matrix = TrustMatrix(rows)
         assert matrix.get("a", "c") == 2.0
         assert matrix.entry_count() == 2
+        # The rows are copied: the caller's dicts stay the caller's.
+        rows["a"]["b"] = 5.0
+        assert matrix.get("a", "b") == 1.0
 
     def test_row_returns_copy(self):
         matrix = TrustMatrix({"a": {"b": 1.0}})
@@ -82,8 +72,10 @@ class TestBasicOps:
 class TestRowPatching:
     def test_replace_row_normalized_drops_stale_entries(self):
         matrix = TrustMatrix({"a": {"b": 0.5, "c": 0.5}})
-        matrix.replace_row_normalized("a", {"d": 2.0})
-        assert matrix.row("a") == {"d": 1.0}
+        patched = matrix.copy_with_rows(
+            {"a": normalize_rows({"a": {"d": 2.0}}).row("a")})
+        assert patched.row("a") == {"d": 1.0}
+        assert matrix.row("a") == {"b": 0.5, "c": 0.5}
 
     def test_copy_with_rows_new_identity_shared_untouched_rows(self):
         matrix = TrustMatrix({"a": {"b": 1.0}, "c": {"d": 1.0}})
@@ -110,7 +102,7 @@ class TestRowPatching:
         assert base.row("a") == {"b": 1.0}
 
     def test_weighted_row_drops_underflow_and_empties(self):
-        tiny = TrustMatrix({"a": {"b": 5e-324, "c": 0.5}, "x": {"y": 5e-324}})
+        tiny = {"a": {"b": 5e-324, "c": 0.5}, "x": {"y": 5e-324}}
         # 0.5 * 5e-324 rounds to 0.0: the entry goes, the rest stays.
         assert TrustMatrix.weighted_row([(0.5, tiny, {})], "a") == {"c": 0.25}
         # Every product underflows: the row is empty, and publishing it
@@ -124,15 +116,14 @@ class TestRowPatching:
     def test_weighted_row_is_a_new_dict(self):
         # The published row is adopted by copy_with_rows, so it must never
         # alias a dimension's own row.
-        fm = TrustMatrix({"a": {"b": 1.0}})
-        row = TrustMatrix.weighted_row(
-            [(1.0, fm, {}), (0.5, TrustMatrix(), {})], "a")
+        fm = {"a": {"b": 1.0}}
+        row = TrustMatrix.weighted_row([(1.0, fm, {}), (0.5, {}, {})], "a")
         row["b"] = 9.0
-        assert fm.get("a", "b") == 1.0
+        assert fm["a"]["b"] == 1.0
 
     def test_weighted_row_adds_terms_in_order(self):
-        first = TrustMatrix({"a": {"b": 0.1, "c": 0.9}})
-        second = TrustMatrix({"a": {"d": 0.3, "b": 0.7}})
+        first = {"a": {"b": 0.1, "c": 0.9}}
+        second = {"a": {"d": 0.3, "b": 0.7}}
         row = TrustMatrix.weighted_row([(0.3, first, {}), (0.7, second, {})],
                                        "a")
         assert list(row) == ["b", "c", "d"]
@@ -140,22 +131,22 @@ class TestRowPatching:
         assert row["d"] == 0.0 + 0.7 * 0.3
 
     def test_weighted_row_from_raw_rows_equals_normalising_first(self):
-        raw = TrustMatrix({"a": {"b": 3.0, "c": 1e-7, "d": 0.25}})
-        total = fsum(raw.row_view("a").values())
+        raw = {"a": {"b": 3.0, "c": 1e-7, "d": 0.25}}
+        total = fsum(raw["a"].values())
         fused = TrustMatrix.weighted_row([(0.3, raw, {"a": total})], "a")
         assert fused == TrustMatrix.weighted_row(
-            [(0.3, raw.row_normalized(), {})], "a")
+            [(0.3, dict(normalize_rows(raw).rows()), {})], "a")
         assert fused["c"] == 0.3 * (1e-7 / total)
 
     def test_weighted_row_underflowed_quotient_takes_no_key_position(self):
         # 5e-324 / 1e300 underflows: the normaliser drops "b", so when the
         # second term adds "b" it lands after "d", and the fused row must
         # put it there too.
-        first = TrustMatrix({"a": {"b": 5e-324, "c": 1e300}})
-        second = TrustMatrix({"a": {"d": 0.5, "b": 0.5}})
-        normalized = first.row_normalized()
-        assert list(normalized.row_view("a")) == ["c"]
-        totals = {"a": fsum(first.row_view("a").values())}
+        first = {"a": {"b": 5e-324, "c": 1e300}}
+        second = {"a": {"d": 0.5, "b": 0.5}}
+        normalized = dict(normalize_rows(first).rows())
+        assert list(normalized["a"]) == ["c"]
+        totals = {"a": fsum(first["a"].values())}
         fused = TrustMatrix.weighted_row(
             [(0.5, first, totals), (0.5, second, {})], "a")
         expected = TrustMatrix.weighted_row(
@@ -166,21 +157,18 @@ class TestRowPatching:
 
     def test_weighted_row_every_quotient_underflows(self):
         # No key survives the division, so the row is absent from TM.
-        raw = TrustMatrix({"x": {"y": 5e-324, "z": 5e-324}})
+        raw = {"x": {"y": 5e-324, "z": 5e-324}}
         row = TrustMatrix.weighted_row([(0.5, raw, {"x": 1e300})], "x")
         assert row == {}
         patched = TrustMatrix({"x": {"y": 1.0}}).copy_with_rows({"x": row})
         assert patched.row_ids() == []
 
     def test_replace_row_normalized_drops_underflow(self):
-        matrix = TrustMatrix()
-        matrix.replace_row_normalized("a", {"b": 5e-324, "c": 1e300})
+        matrix = normalize_rows({"a": {"b": 5e-324, "c": 1e300}})
         assert matrix.row("a") == {"c": 1.0}
 
     def test_replace_row_normalized_removes_empty_row(self):
-        matrix = TrustMatrix({"a": {"b": 1.0}, "c": {"d": 1.0}})
-        matrix.replace_row_normalized("a", {})
-        matrix.replace_row_normalized("c", {"d": 0.0})
+        matrix = normalize_rows({"a": {}, "c": {"d": 0.0}})
         assert matrix.row_ids() == []
 
 
@@ -227,10 +215,6 @@ class TestWeightedSum:
         with pytest.raises(ValueError):
             TrustMatrix.weighted_sum([(-0.5, TrustMatrix())])
 
-    def test_scaled(self):
-        matrix = TrustMatrix({"a": {"b": 2.0}})
-        assert matrix.scaled(0.5).get("a", "b") == pytest.approx(1.0)
-
     @given(matrix=matrices())
     def test_weighted_sum_of_stochastic_stays_stochastic(self, matrix):
         normalized = matrix.row_normalized()
@@ -238,32 +222,6 @@ class TestWeightedSum:
             [(0.6, normalized), (0.4, normalized)])
         for _, row in combined.rows():
             assert sum(row.values()) == pytest.approx(1.0)
-
-
-class TestDimensionsNormalisedOnRead:
-    def test_mutating_returned_dimensions_does_not_reach_the_pipeline(self):
-        evaluations, ledger, user_trust = (EvaluationStore(), DownloadLedger(),
-                                           UserTrustStore())
-        for user, file_id, value in [("a", "f1", 0.9), ("b", "f1", 0.8),
-                                     ("b", "f2", 0.4), ("c", "f2", 0.3)]:
-            evaluations.record_vote(user, file_id, value)
-        ledger.record_download("a", "b", "f1", 5e6)
-        user_trust.rate("a", "c", 0.8)
-        pipeline = TrustPipeline(evaluations, ledger, user_trust)
-        pipeline.refresh()
-        before = pipeline.dimension_matrices()
-        for matrix in pipeline.dimension_matrices().values():
-            assert matrix.row_ids()
-            for i in matrix.row_ids():
-                matrix.set(i, "intruder", 5.0)
-            matrix.replace_row("intruder", {"a": 1.0})
-        assert pipeline.dimension_matrices() == before
-        # The next publish still reads the accumulators' own rows.
-        evaluations.record_vote("c", "f1", 0.1)
-        pipeline.refresh()
-        assert pipeline.trust == build_one_step_matrix(
-            evaluations, ledger, user_trust)
-        assert "intruder" not in pipeline.trust.node_ids()
 
 
 class TestMatmulAndPower:
@@ -330,7 +288,7 @@ class TestDenseBridge:
     def test_round_trip(self):
         matrix = TrustMatrix({"a": {"b": 0.25}, "b": {"a": 0.75}})
         dense, ids = matrix.to_dense()
-        restored = TrustMatrix.from_dense(dense, ids)
+        restored = CsrTrustMatrix.from_dense(dense, ids)
         assert restored == matrix
 
     def test_to_dense_respects_id_order(self):
@@ -341,7 +299,7 @@ class TestDenseBridge:
 
     def test_from_dense_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            TrustMatrix.from_dense(np.zeros((2, 2)), ["a"])
+            CsrTrustMatrix.from_dense(np.zeros((2, 2)), ["a"])
 
 
 class TestArrayForm:
@@ -393,19 +351,24 @@ class TestArrayForm:
             CsrTrustMatrix.from_dense(np.eye(2), ["b", "a"])
 
     def test_read_only(self):
-        form = TrustMatrix({"a": {"b": 1.0}}).to_csr()
-        with pytest.raises(TypeError):
-            form.set("a", "b", 0.5)
-        with pytest.raises(TypeError):
-            form.replace_row_normalized("a", {"b": 1.0})
+        # Neither form has a mutator: a matrix is a value.
+        matrix = TrustMatrix({"a": {"b": 1.0}, "b": {"a": 1.0}})
+        for value in (matrix, matrix.to_csr()):
+            for name in ("set", "add", "replace_row",
+                         "replace_row_normalized", "scaled"):
+                with pytest.raises(AttributeError):
+                    getattr(value, name)
 
     def test_to_csr_is_kept_until_a_mutation(self):
+        # No method changes a matrix: it keeps its form for good, and a
+        # copy gets its own.
         matrix = TrustMatrix({"a": {"b": 1.0}})
         form = matrix.to_csr()
         assert matrix.to_csr() is form
-        matrix.set("b", "a", 0.5)
-        assert matrix.to_csr() is not form
-        assert matrix.to_csr() == matrix
+        copy = matrix.copy_with_rows({"b": {"a": 0.5}})
+        assert copy.to_csr() is not form
+        assert copy.to_csr() == copy
+        assert matrix.to_csr() is form and form == matrix
 
     def test_dict_algebra_on_the_array_form(self):
         matrix = TrustMatrix({"a": {"b": 0.5, "c": 0.5}, "b": {"c": 1.0},

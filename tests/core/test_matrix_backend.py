@@ -17,15 +17,14 @@ def _random_stochastic(nodes: int, per_row: int, seed: int = 3) -> TrustMatrix:
     import random
     rng = random.Random(seed)
     ids = [f"n{i:03d}" for i in range(nodes)]
-    matrix = TrustMatrix()
+    rows = {}
     for i in ids:
         targets = rng.sample([j for j in ids if j != i],
                              min(per_row, nodes - 1))
         raw = {j: rng.random() for j in targets}
         total = sum(raw.values())
-        for j, value in raw.items():
-            matrix.set(i, j, value / total)
-    return matrix
+        rows[i] = {j: value / total for j, value in raw.items()}
+    return TrustMatrix(rows)
 
 
 def _matrix_with_entries(nodes: int, entries: int) -> TrustMatrix:
@@ -38,15 +37,15 @@ def _matrix_with_entries(nodes: int, entries: int) -> TrustMatrix:
     assert nodes >= 2 and entries >= nodes
     assert entries <= nodes * (nodes - 1)
     ids = [f"n{i:03d}" for i in range(nodes)]
-    matrix = TrustMatrix()
+    rows = {}
     placed = 0
     for shift in range(1, nodes):
         for a in range(nodes):
             if placed == entries:
-                return matrix
-            matrix.set(ids[a], ids[(a + shift) % nodes], 0.5)
+                return TrustMatrix(rows)
+            rows.setdefault(ids[a], {})[ids[(a + shift) % nodes]] = 0.5
             placed += 1
-    return matrix
+    return TrustMatrix(rows)
 
 
 def _reference_product(left: TrustMatrix, right: TrustMatrix
@@ -54,15 +53,14 @@ def _reference_product(left: TrustMatrix, right: TrustMatrix
     """``left @ right`` the textbook way: each entry's terms added in
     ``left``'s sorted column order, from 0.0 — the order the csr backend
     promises."""
-    product = TrustMatrix()
+    product = {}
     for i, row in left.rows():
         sums = {}
         for k in sorted(row):
             for j, value in right.row_view(k).items():
                 sums[j] = sums.get(j, 0.0) + row[k] * value
-        for j, value in sums.items():
-            product.set(i, j, value)
-    return product
+        product[i] = sums
+    return TrustMatrix(product)
 
 
 class TestBackendEquivalence:
@@ -212,8 +210,7 @@ class TestSelectionBoundaries:
         assert select_backend(TrustMatrix()) is CSR_BACKEND
 
     def test_one_node_matrix_stays_sparse(self):
-        matrix = TrustMatrix()
-        matrix.set("solo", "solo", 1.0)
+        matrix = TrustMatrix({"solo": {"solo": 1.0}})
         assert select_backend(matrix) is CSR_BACKEND
 
     def test_density_exactly_at_threshold_selects_dense(self):
@@ -330,8 +327,9 @@ class TestWithoutScipy:
         result = DENSE_BACKEND.power(matrix, steps)
         assert isinstance(result, CsrTrustMatrix)
         dense, ids = matrix.to_dense()
-        expected = TrustMatrix.from_dense(
-            np.linalg.matrix_power(dense, steps), ids)
+        expected = TrustMatrix({
+            i: dict(zip(ids, row)) for i, row in zip(
+                ids, np.linalg.matrix_power(dense, steps).tolist())})
         assert result.checksum() == expected.checksum()
         assert result == expected and expected == result
         for i in ids:

@@ -53,7 +53,8 @@ from math import fsum
 
 import numpy as np
 
-from repro.core import TrustMatrix, get_similarity
+from repro.core import CsrTrustMatrix, TrustMatrix, get_similarity
+from repro.core.matrix import normalize_rows
 from repro.core.matrix_backend import CSR_BACKEND, DENSE_BACKEND
 
 SIMILARITY_DIGEST = (
@@ -96,14 +97,14 @@ def similarity_digest(seed=20240521, pairs=1000):
 
 def _random_matrix(rng, dyadic):
     ids = [f"p{index:02d}" for index in range(rng.randint(1, 14))]
-    matrix = TrustMatrix()
+    rows = {}
     density = rng.choice((0.1, 0.3, 0.7, 1.0))
     for i in ids:
         for j in ids:
             if rng.random() < density:
                 value = rng.randint(1, 8) / 8 if dyadic else rng.random()
-                matrix.set(i, j, value)
-    return matrix
+                rows.setdefault(i, {})[j] = value
+    return TrustMatrix(rows)
 
 
 def matrix_digest(seed=1903, matrices=60):
@@ -114,25 +115,26 @@ def matrix_digest(seed=1903, matrices=60):
         raw = _random_matrix(rng, dyadic=False)
         digest.update(raw.row_normalized().checksum().encode())
         dense, ids = raw.to_dense()
-        digest.update(TrustMatrix.from_dense(dense, ids).checksum().encode())
+        digest.update(CsrTrustMatrix.from_dense(dense, ids).checksum().encode())
         dyadic = _random_matrix(rng, dyadic=True)
         for n in (2, 3):
             digest.update(DENSE_BACKEND.power(dyadic, n).checksum().encode())
         noisy = np.array([[rng.choice((0.0, 0.0, -0.5, rng.random()))
                            for _ in ids] for _ in ids]
                          ).reshape(len(ids), len(ids))
-        digest.update(TrustMatrix.from_dense(noisy, ids).checksum().encode())
+        digest.update(CsrTrustMatrix.from_dense(noisy, ids).checksum().encode())
     return digest.hexdigest()
 
 
 def _stochastic(rng, nodes, density):
     ids = [f"q{index:02d}" for index in range(nodes)]
-    matrix = TrustMatrix()
+    rows = {}
     for i in ids:
         for j in ids:
             if rng.random() < density:
-                matrix.set(i, j, rng.random() * 10.0 ** -rng.randint(0, 12))
-    return matrix.row_normalized()
+                rows.setdefault(i, {})[j] = (rng.random()
+                                             * 10.0 ** -rng.randint(0, 12))
+    return normalize_rows(rows)
 
 
 def product_digest(backend=CSR_BACKEND, seed=2609, matrices=40):
@@ -162,7 +164,7 @@ def _ladder_matrix(rng):
     width = -(-nodes // layers)
     per_row = rng.choice((1, 2, 3, 6, 12, 40))
     sinks = rng.choice((0.0, 0.2, 0.5))
-    matrix = TrustMatrix()
+    rows = {}
     for a, i in enumerate(ids):
         if rng.random() < sinks:
             continue
@@ -174,8 +176,9 @@ def _ladder_matrix(rng):
         else:
             targets = ids[:width] if rng.random() < 0.1 else []
         for j in rng.sample(targets, min(per_row, len(targets))):
-            matrix.set(i, j, rng.random() * 10.0 ** -rng.randint(0, 12))
-    return matrix.row_normalized()
+            rows.setdefault(i, {})[j] = (rng.random()
+                                         * 10.0 ** -rng.randint(0, 12))
+    return normalize_rows(rows)
 
 
 def ladder_digest(taken=None, seed=3011, matrices=12):
@@ -213,14 +216,14 @@ def _eq7_weight(rng):
 
 
 def _eq7_terms(rng):
-    """Row ids and 1 to 3 ``(weight, raw matrix)`` terms."""
+    """Row ids and 1 to 3 ``(weight, raw rows)`` terms."""
     ids = [f"r{index:02d}" for index in range(rng.randint(1, 10))]
     count = rng.randint(1, 3)
     disjoint = rng.random() < 0.3
     density = rng.choice((0.2, 0.5, 1.0))
     terms = []
     for k in range(count):
-        raw = TrustMatrix()
+        raw = {}
         columns = [j for index, j in enumerate(ids)
                    if not disjoint or index % count == k]
         for i in ids:
@@ -229,9 +232,9 @@ def _eq7_terms(rng):
                 continue
             for j in columns:
                 if roll < 0.3:
-                    raw.set(i, j, 1.0 + rng.random())
+                    raw.setdefault(i, {})[j] = 1.0 + rng.random()
                 elif rng.random() < density:
-                    raw.set(i, j, _eq7_value(rng))
+                    raw.setdefault(i, {})[j] = _eq7_value(rng)
         terms.append((_eq7_weight(rng), raw))
     return ids, terms
 
@@ -256,16 +259,15 @@ def eq7_digest(publish, seed=707, cases=400):
 
 def _normalised_then_summed(terms):
     tm = TrustMatrix.weighted_sum(
-        [(weight, raw.row_normalized()) for weight, raw in terms])
+        [(weight, normalize_rows(raw)) for weight, raw in terms])
     return {i: dict(tm.row_view(i)) for i in tm.row_ids()}
 
 
 def _fused_from_raw_rows(terms):
-    fused = [(weight, raw, {i: fsum(raw.row_view(i).values())
-                            for i in raw.row_ids()})
+    fused = [(weight, raw, {i: fsum(row.values()) for i, row in raw.items()})
              for weight, raw in terms]
     return {i: TrustMatrix.weighted_row(fused, i)
-            for _, raw in terms for i in raw.row_ids()}
+            for _, raw in terms for i in raw}
 
 
 def test_similarity_metrics_match_pinned_digest():

@@ -67,11 +67,10 @@ class TestObjectives:
     def test_separation_objective_prefers_separating_configs(self):
         def build_reputation(config):
             # alpha scales the good edge, gamma the bad edge.
-            matrix = TrustMatrix()
-            matrix.set("observer", "good", config.alpha)
+            row = {"good": config.alpha}
             if config.gamma > 0:
-                matrix.set("observer", "bad", config.gamma)
-            return matrix
+                row["bad"] = config.gamma
+            return TrustMatrix({"observer": row})
 
         objective = separation_objective(build_reputation, ["observer"],
                                          good=["good"], bad=["bad"])

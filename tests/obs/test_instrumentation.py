@@ -32,12 +32,8 @@ def _lines(recorder):
 
 
 def _chain_matrix():
-    matrix = TrustMatrix()
-    matrix.set("a", "b", 1.0)
-    matrix.set("b", "c", 0.5)
-    matrix.set("b", "d", 0.5)
-    matrix.set("c", "d", 1.0)
-    return matrix
+    return TrustMatrix({"a": {"b": 1.0}, "b": {"c": 0.5, "d": 0.5},
+                        "c": {"d": 1.0}})
 
 
 def _sim_config(**overrides):
@@ -83,11 +79,10 @@ class TestMultitrustInstrumentation:
         assert _of_kind(recorder, "multitrust_iteration") == []
 
     def test_matrix_residual_is_linf_over_union(self):
-        previous, current = TrustMatrix(), TrustMatrix()
-        previous.set("a", "b", 0.5)
-        previous.set("a", "c", 0.2)  # vanishes in current
-        current.set("a", "b", 0.6)
-        current.set("x", "y", 0.05)  # new in current
+        previous = TrustMatrix({"a": {"b": 0.5,
+                                      "c": 0.2}})  # "c" vanishes in current
+        current = TrustMatrix({"a": {"b": 0.6},
+                               "x": {"y": 0.05}})  # "x" is new in current
         assert matrix_residual(previous, current) == pytest.approx(0.2)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -100,11 +95,11 @@ class TestMultitrustInstrumentation:
         ids = [f"u{index}" for index in range(12)]
         matrices = []
         for _ in range(2):
-            matrix = TrustMatrix()
+            rows = {}
             for i in rng.sample(ids, 8):
                 for j in rng.sample(ids, rng.randint(1, 6)):
-                    matrix.set(i, j, rng.choice((rng.random(), 0.5)))
-            matrices.append(matrix)
+                    rows.setdefault(i, {})[j] = rng.choice((rng.random(), 0.5))
+            matrices.append(TrustMatrix(rows))
         previous, current = matrices
         expected = max(abs(current.get(i, j) - previous.get(i, j))
                        for i in ids for j in ids)

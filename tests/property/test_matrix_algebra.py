@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CSR_BACKEND, TrustMatrix
+from repro.core import CSR_BACKEND, CsrTrustMatrix, TrustMatrix
 
 IDS = [f"n{index}" for index in range(5)]
 
@@ -21,10 +21,10 @@ def sparse_matrices():
 
 
 def _build(entries):
-    matrix = TrustMatrix()
+    rows = {}
     for i, j, value in entries:
-        matrix.set(i, j, value)
-    return matrix
+        rows.setdefault(i, {})[j] = value
+    return TrustMatrix(rows)
 
 
 def _dense(matrix):
@@ -55,13 +55,6 @@ class TestAlgebraicLaws:
         assert np.allclose(_dense(combined),
                            w1 * _dense(a) + w2 * _dense(b), atol=1e-9)
 
-    @given(a=sparse_matrices(),
-           factor=st.floats(min_value=0, max_value=3))
-    @settings(max_examples=60, deadline=None)
-    def test_scaling_matches_numpy(self, a, factor):
-        assert np.allclose(_dense(a.scaled(factor)),
-                           factor * _dense(a), atol=1e-9)
-
     @given(a=sparse_matrices())
     @settings(max_examples=60, deadline=None)
     def test_normalization_idempotent(self, a):
@@ -80,7 +73,7 @@ class TestAlgebraicLaws:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_through_dense(self, a):
         dense, ids = a.to_dense(IDS)
-        assert TrustMatrix.from_dense(dense, ids) == a
+        assert CsrTrustMatrix.from_dense(dense, ids) == a
 
 
 #: Row and column ids of copy-on-write chains: the starting matrices use
@@ -97,11 +90,9 @@ def row_updates():
 
 
 def chain_steps():
-    """Per step: the updates, whether the array form is built before the
-    copy, and an optional ``set`` on the copy afterwards."""
-    poke = st.none() | st.tuples(st.sampled_from(POOL), st.sampled_from(POOL),
-                                 st.sampled_from((0.0, 0.5, 2.0)))
-    return st.lists(st.tuples(row_updates(), st.booleans(), poke),
+    """Per step: the updates, and whether the array form is built before
+    the copy."""
+    return st.lists(st.tuples(row_updates(), st.booleans()),
                     min_size=1, max_size=6)
 
 
@@ -120,7 +111,8 @@ def _assert_same_array_form(matrix):
 class TestPatchedArrayForm:
     """A ``copy_with_rows`` copy splices its array form from its parent's,
     re-encoding only the replaced rows; the arrays must equal a conversion
-    from scratch, bit for bit, after any chain of copies."""
+    from scratch, bit for bit, after any chain of copies, and no copy
+    changes a matrix made before it."""
 
     @given(start=sparse_matrices(),
            parent=st.sampled_from(("dict", "formed", "csr")),
@@ -132,13 +124,15 @@ class TestPatchedArrayForm:
             matrix.to_csr()
         elif parent == "csr":
             matrix = matrix.to_csr()
-        for updates, build_form, poke in steps:
+        chain = [(matrix, dict(matrix.rows()))]
+        for updates, build_form in steps:
             if build_form:
                 _assert_same_array_form(matrix)
             matrix = matrix.copy_with_rows(updates)
-            if poke is not None:
-                matrix.set(*poke)
-        _assert_same_array_form(matrix)
+            chain.append((matrix, dict(matrix.rows())))
+        for matrix, rows in chain:
+            assert matrix == TrustMatrix(rows)
+            _assert_same_array_form(matrix)
 
     def test_copy_splices_instead_of_walking(self, monkeypatch):
         import repro.core.matrix as matrix_module
@@ -163,12 +157,9 @@ class TestPatchedArrayForm:
         fresh = parent.copy_with_rows({"n0": {"n9": 1.0}})
         _assert_same_array_form(fresh)
         assert spliced[-1] is None
-        # A mutation drops the patch; one level only: a copy of a copy
-        # whose form was never built walks from scratch.
-        mutated = parent.copy_with_rows({"n1": {"n0": 1.0}})
-        mutated.set("n2", "n1", 4.0)
+        # One level only: a copy of a copy whose form was never built
+        # walks from scratch.
         grandchild = parent.copy_with_rows({}).copy_with_rows({})
         count = len(spliced)
-        _assert_same_array_form(mutated)
         _assert_same_array_form(grandchild)
         assert len(spliced) == count

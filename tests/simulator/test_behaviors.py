@@ -13,11 +13,21 @@ from repro.simulator import (ColluderBehavior, ForgerBehavior,
 NOISE = PeerBehavior.VOTE_NOISE
 
 
+class _ReverseOrderSet(frozenset):
+    """A set that iterates its ids in reverse order, whatever the hash seed,
+    so a caller that must sort its holdings cannot pass without sorting."""
+
+    def __iter__(self):
+        return iter(sorted(frozenset.__iter__(self), reverse=True))
+
+
 class StubSimulation:
     """Records the helper calls behaviours make."""
 
-    def __init__(self, fake_files=(), qualities=None, votes=None, seed=0):
+    def __init__(self, fake_files=(), qualities=None, votes=None, seed=0,
+                 holdings=None):
         self.rng = random.Random(seed)
+        self._holdings = holdings or {}
         self._fake = set(fake_files)
         self._qualities = qualities or {}
         self._votes = dict(votes or {})
@@ -38,7 +48,7 @@ class StubSimulation:
         return self._qualities.get(file_id, 0.0 if file_id in self._fake else 0.9)
 
     def files_of(self, peer_id):
-        return set()
+        return _ReverseOrderSet(self._holdings.get(peer_id, ()))
 
     # simulation helper surface
     def peer_votes(self, peer, file_id, vote):
@@ -207,6 +217,16 @@ class TestForger:
         behavior = ForgerBehavior(victim_id="victim")
         behavior.on_download_complete(sim, _peer(behavior), "f", "up")
         assert sim.voted == []
+
+    def test_periodic_mirrors_held_files_in_file_id_order(self):
+        held = ["f3", "f10", "f1", "unvoted", "f2"]
+        votes = {("victim", file_id): 0.1 * rank
+                 for rank, file_id in enumerate(["f3", "f10", "f1", "f2"], 1)}
+        sim = StubSimulation(votes=votes, holdings={"p": held}, seed=1)
+        behavior = ForgerBehavior(victim_id="victim")
+        behavior.on_periodic(sim, _peer(behavior))
+        assert sim.voted == [("p", file_id, votes[("victim", file_id)])
+                             for file_id in ("f1", "f10", "f2", "f3")]
 
     def test_no_victim_is_noop(self):
         sim = StubSimulation(seed=1)
