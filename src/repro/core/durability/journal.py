@@ -142,10 +142,9 @@ class DurabilityManager:
     # ------------------------------------------------------------------ #
 
     def _journal(self, kind: str, *values: Any) -> None:
-        # A record replay would reject is refused before it is written,
-        # and so before the mutator that emits it mutates anything.
-        spec = check_record(kind, *values)
-        self._writer.append(kind, dict(zip(spec.fields, values)))
+        # encode_record refuses a record replay would reject before it is
+        # written, and so before the mutator that emits it mutates anything.
+        self._writer.append(kind, values)
         self._records_since_snapshot += 1
         self.recorder.inc("wal.appended")
 

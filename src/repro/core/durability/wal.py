@@ -26,14 +26,16 @@ boundaries and assert recovery still yields a prefix.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 import zlib
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _escape_string
 from pathlib import Path
-from typing import Any, BinaryIO, Dict, List, Optional, Tuple, Union
+from typing import (Any, BinaryIO, Dict, List, Optional, Sequence, Tuple,
+                    Union)
+
+from ..journal_table import JOURNAL_RECORDS, RecordKind, check_record
 
 __all__ = ["WAL_MAGIC", "WAL_VERSION", "WalRecord", "WalScan", "WalWriter",
            "encode_record", "read_wal", "scan_wal", "truncate_wal",
@@ -100,51 +102,59 @@ def wal_header() -> bytes:
     return _HEADER.pack(WAL_MAGIC, WAL_VERSION, 0)
 
 
-def _scalar(value: Any) -> str:
-    """Canonical JSON for one flat payload value.
+def _number(value: Any) -> str:
+    """What ``json.dumps`` writes for a checked journal number.
 
-    Journal payloads are flat dicts of strings and finite numbers; encoding
-    them by hand skips the per-call ``JSONEncoder`` construction that
-    dominates ``json.dumps`` on tiny documents (the append path runs per
-    store mutation).  Output stays strictly ``json.loads``-compatible.
+    Int and float subclasses (``numpy.float64``, say) go through the base
+    type's ``__repr__``, as the ``json`` encoder does.
     """
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    kind = type(value)
-    if kind is str:
-        return _escape_string(value)
-    if kind is int:
-        return repr(value)
-    if kind is float and math.isfinite(value):
+    if isinstance(value, float):
         return float.__repr__(value)
-    raise TypeError(f"non-scalar journal payload value {value!r}")
+    return int.__repr__(value)
 
 
-def encode_record(seq: int, kind: str, payload: Dict[str, Any]) -> bytes:
-    """Encode one record as a self-checking frame.
+class _Template:
+    """The record body of one journal kind, with its field names
+    pre-sorted and pre-escaped: only the values are encoded per record."""
 
-    The JSON body is canonical (sorted keys, compact separators), so the
-    same logical record always produces the same bytes — WALs written by
-    two runs of the same seeded workload are byte-identical, which the
-    CLI crash tests rely on to compare a killed run against an
-    uninterrupted one.
+    __slots__ = ("text", "slots")
+
+    def __init__(self, kind: str, spec: RecordKind) -> None:
+        order = sorted(range(len(spec.fields)), key=spec.fields.__getitem__)
+        # Every name in the journal table is free of "%".
+        members = ",".join(_escape_string(spec.fields[index]) + ":%s"
+                           for index in order)
+        self.text = '{"data":{%s},"kind":%s}' % (members, _escape_string(kind))
+        split = len(spec.ids)
+        #: (encoder, argument index) in sorted field order.
+        self.slots = tuple((_escape_string if index < split else _number,
+                            index) for index in order)
+
+
+#: One template per journal kind, built once from the journal table.
+_TEMPLATES = {kind: _Template(kind, spec)
+              for kind, spec in JOURNAL_RECORDS.items()}
+
+
+def encode_record(seq: int, kind: str, values: Sequence[Any]) -> bytes:
+    """Encode one journal record as a self-checking frame.
+
+    ``values`` are the record's fields in mutator argument order, as the
+    journal table (:mod:`repro.core.journal_table`) names them; a record
+    :func:`~repro.core.journal_table.check_record` refuses raises
+    :class:`ValueError` before any byte is built.  The JSON body is what
+    ``json.dumps({"data": fields, "kind": kind}, sort_keys=True,
+    separators=(",", ":"))`` writes, so the same logical record always
+    produces the same bytes — WALs written by two runs of the same seeded
+    workload are byte-identical, which the CLI crash tests rely on to
+    compare a killed run against an uninterrupted one.
     """
     if seq < 1:
         raise ValueError(f"sequence numbers start at 1, got {seq}")
-    try:
-        fields = ",".join(
-            f"{_escape_string(key)}:{_scalar(payload[key])}"
-            for key in sorted(payload))
-        document = ('{"data":{%s},"kind":%s}'
-                    % (fields, _escape_string(kind)))
-    except TypeError:
-        # Nested or exotic payloads take the slow, general path.
-        document = json.dumps({"kind": kind, "data": payload},
-                              sort_keys=True, separators=(",", ":"))
+    check_record(kind, *values)
+    template = _TEMPLATES[kind]
+    document = template.text % tuple([encode(values[index])
+                                      for encode, index in template.slots])
     body = _SEQ.pack(seq) + document.encode("utf-8")
     if len(body) > MAX_RECORD_BYTES:
         raise ValueError(f"record of {len(body)} bytes exceeds the "
@@ -296,12 +306,13 @@ class WalWriter:
         """Records appended by this writer instance."""
         return self._appended
 
-    def append(self, kind: str, payload: Dict[str, Any]) -> int:
-        """Append one record; returns its sequence number."""
+    def append(self, kind: str, values: Sequence[Any]) -> int:
+        """Append one journal record (see :func:`encode_record`); returns
+        its sequence number."""
         if self._closed:
             raise ValueError("cannot append to a closed WAL writer")
         seq = self._last_seq + 1
-        self._file.write(encode_record(seq, kind, payload))
+        self._file.write(encode_record(seq, kind, values))
         if self.fsync_policy == "always":
             self._sync_file()
         self._last_seq = seq

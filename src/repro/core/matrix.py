@@ -387,7 +387,7 @@ def _splice_rows(parent: "CsrTrustMatrix", rows: Mapping[str, Dict[str, float]],
         lengths = list(map(len, new_rows))
         encoded = np.fromiter(
             chain.from_iterable(map(get, row) for row in new_rows),
-            dtype=np.int64, count=sum(lengths))
+            dtype=np.int64, count=sum(lengths))  # repro: allow[NUM003] len()s
     except KeyError:
         return None
     if not at:

@@ -15,7 +15,9 @@ version 1:
   exactly the WAL records the snapshot has not absorbed;
 * ``"checksum"`` — SHA-256 over the canonical dump (sorted keys, compact
   separators, checksum key excluded), so a bit-rotted or hand-mangled
-  snapshot is rejected before any of it is trusted.
+  snapshot is rejected before any of it is trusted.  A file
+  :func:`save_system` writes is that canonical dump with the checksum
+  member put first; files in the older indented layout load the same.
 
 Version 3 added the config knobs and metadata section of an in-process
 sharded pipeline; version 4 (current) removes them again, writing the v2
@@ -71,11 +73,15 @@ _V3_CONFIG_FIELDS = frozenset({"shards", "shard_workers"})
 _V3_KEYS = frozenset({"sharding"})
 
 
+def _canonical(data: Dict[str, Any]) -> str:
+    """The canonical dump: sorted keys, compact separators, ASCII only."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def snapshot_checksum(data: Dict[str, Any]) -> str:
     """SHA-256 of the canonical dump of ``data`` minus its checksum key."""
     stripped = {key: value for key, value in data.items() if key != "checksum"}
-    canonical = json.dumps(stripped, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(stripped).encode("ascii")).hexdigest()
 
 
 def wal_last_seq(data: Dict[str, Any]) -> int:
@@ -97,6 +103,14 @@ def system_to_dict(system: MultiDimensionalReputationSystem,
     sequence number; pass it whenever the system is journalled so recovery
     knows where snapshot coverage ends and WAL replay begins.
     """
+    data = _document(system, last_seq)
+    data["checksum"] = snapshot_checksum(data)
+    return data
+
+
+def _document(system: MultiDimensionalReputationSystem,
+              last_seq: Optional[int]) -> Dict[str, Any]:
+    """The document :func:`system_to_dict` returns, without its checksum."""
     evaluations: List[dict] = []
     for evaluation in system.evaluations:
         evaluations.append({
@@ -155,7 +169,6 @@ def system_to_dict(system: MultiDimensionalReputationSystem,
     }
     if last_seq is not None:
         data["wal"] = {"last_seq": last_seq}
-    data["checksum"] = snapshot_checksum(data)
     return data
 
 
@@ -251,10 +264,21 @@ def system_from_dict(data: dict) -> MultiDimensionalReputationSystem:
 def save_system(system: MultiDimensionalReputationSystem,
                 path: Union[str, Path],
                 last_seq: Optional[int] = None) -> None:
-    """Write the system state as JSON to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(system_to_dict(system, last_seq=last_seq), handle,
-                  indent=1, sort_keys=True)
+    """Write the system state as JSON to ``path``.
+
+    The file is the canonical dump :func:`snapshot_checksum` hashes, with
+    the checksum member put first: ``{"checksum":"<hex>",`` and then the
+    dump past its opening brace.  The document is encoded once, and
+    :func:`load_system` reads it back as the dict :func:`system_to_dict`
+    returns.
+    """
+    # The document is dropped before the text is encoded, so it, the
+    # text and the bytes are never all held at once.
+    body = _canonical(_document(system, last_seq)).encode("ascii")
+    checksum = hashlib.sha256(body).hexdigest()
+    with open(path, "wb") as handle:
+        handle.write(b'{"checksum":"%s",' % checksum.encode("ascii"))
+        handle.write(memoryview(body)[1:])
 
 
 def load_system(path: Union[str, Path]) -> MultiDimensionalReputationSystem:

@@ -167,10 +167,10 @@ class MessageTally:
         return self.count(MessageKind.REPAIR)
 
     def total_messages(self) -> int:
-        return sum(self.counts.values())
+        return sum(self.counts.values())  # repro: allow[NUM003] int counts
 
     def total_bytes(self) -> int:
-        return sum(self.bytes_sent.values())
+        return sum(self.bytes_sent.values())  # repro: allow[NUM003] int bytes
 
     def snapshot(self) -> Dict[str, int]:
         return {kind.value: count for kind, count in sorted(

@@ -22,6 +22,8 @@ NUM001    warning   float ``==`` / ``!=`` against a non-zero float literal
                     (trust values need ``math.isclose`` + tolerance)
 NUM002    error     weight tuples (eta/rho, alpha/beta/gamma) whose literal
                     components do not sum to 1 (Eq. 1 / Eq. 7 simplex)
+NUM003    warning   builtin ``sum()`` over terms not visibly integral (float
+                    totals differ between CPython 3.11 and 3.12)
 OBS001    warning   bypassing the recorder facade (constructing ``Recorder``
                     or reaching into ``recorder.trace`` / ``.registry``)
 ========  ========  ==========================================================
@@ -435,6 +437,70 @@ class WeightSimplexRule(Rule):
         if any(value is None for value in values):
             return None
         return values  # type: ignore[return-value]
+
+
+@register
+class BuiltinSumRule(Rule):
+    """NUM003: builtin ``sum()`` of floats differs across interpreters.
+
+    CPython 3.12 changed how ``sum`` adds floats, so the same float total
+    can differ in its last bits between 3.11 and 3.12.  Float totals go
+    through :func:`repro.obs.stats.ordered_sum`.  ``sum`` stays allowed
+    where its argument is visibly integral: an int literal, ``len(...)``,
+    ``int(...)``, a comparison, or arithmetic and conditionals over those,
+    as the element of a comprehension or a literal list.
+    """
+
+    rule_id = "NUM003"
+    severity = Severity.WARNING
+    summary = "builtin sum() over terms not visibly integral"
+    hint = ("use repro.obs.stats.ordered_sum for float totals, or make the "
+            "integral terms visible (`sum(1 for ...)`, `sum(len(x) for "
+            "...)`)")
+
+    _INTEGRAL_CALLS = frozenset({"len", "int"})
+
+    def applies_to(self, path: str) -> bool:
+        return not _in_paths(path, "tests", "test", "benchmarks", "examples")
+
+    def check_call(self, node: ast.Call,
+                   ctx: ModuleContext) -> Iterator[Diagnostic]:
+        if ctx.resolve_call(node) != "sum" or not node.args:
+            return
+        terms = node.args[0]
+        if isinstance(terms, (ast.GeneratorExp, ast.ListComp)):
+            elements = [terms.elt]
+        elif isinstance(terms, (ast.List, ast.Tuple)):
+            elements = terms.elts
+        else:
+            elements = []
+        if elements and all(self._integral(element, ctx)
+                            for element in elements):
+            return
+        yield self.report(
+            ctx, node,
+            "builtin sum() over terms not visibly integral; its float "
+            "total can differ between interpreter versions")
+
+    def _integral(self, node: ast.expr, ctx: ModuleContext) -> bool:
+        if isinstance(node, ast.Constant):
+            return type(node.value) is int
+        if isinstance(node, ast.Compare):
+            return True
+        if isinstance(node, ast.Call):
+            return ctx.resolve_call(node) in self._INTEGRAL_CALLS
+        if isinstance(node, ast.UnaryOp):
+            return (isinstance(node.op, (ast.USub, ast.UAdd))
+                    and self._integral(node.operand, ctx))
+        if isinstance(node, ast.BinOp):
+            return (isinstance(node.op, (ast.Add, ast.Sub, ast.Mult,
+                                         ast.FloorDiv, ast.Mod))
+                    and self._integral(node.left, ctx)
+                    and self._integral(node.right, ctx))
+        if isinstance(node, ast.IfExp):
+            return (self._integral(node.body, ctx)
+                    and self._integral(node.orelse, ctx))
+        return False
 
 
 # --------------------------------------------------------------------- #

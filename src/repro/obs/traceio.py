@@ -406,7 +406,7 @@ def _parse_column(body: bytes, offset: int,
     if spare and body[offset + bitmap_len - 1] >> spare:
         raise TraceFormatError(
             f"column {name!r} marks events past the chunk's {n_events}")
-    count = sum(map(_BYTE_POPCOUNT.__getitem__,
+    count = sum(map(_BYTE_POPCOUNT.__getitem__,  # repro: allow[NUM003] int popcounts
                     body[offset:offset + bitmap_len]))
     offset += bitmap_len
     value_offset = offset

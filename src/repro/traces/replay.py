@@ -50,8 +50,9 @@ class CoverageSeries:
 
     @property
     def overall(self) -> float:
-        total = sum(point.total for point in self.points)
-        covered = sum(point.covered for point in self.points)
+        # The per-day counts are ints: builtin sum() is exact on them.
+        total = sum(point.total for point in self.points)  # repro: allow[NUM003]
+        covered = sum(point.covered for point in self.points)  # repro: allow[NUM003]
         return covered / total if total else 0.0
 
     def fractions(self) -> List[float]:
@@ -60,8 +61,8 @@ class CoverageSeries:
     def steady_state(self, skip_days: int = 5) -> float:
         """Coverage averaged after a warm-up period (evaluations accumulate)."""
         tail = self.points[skip_days:] or self.points
-        total = sum(point.total for point in tail)
-        covered = sum(point.covered for point in tail)
+        total = sum(point.total for point in tail)  # repro: allow[NUM003]
+        covered = sum(point.covered for point in tail)  # repro: allow[NUM003]
         return covered / total if total else 0.0
 
 

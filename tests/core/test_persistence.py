@@ -1,5 +1,6 @@
 """Tests for repro.core.persistence: save/restore round trips."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -121,6 +122,26 @@ class TestFileRoundTrip:
         save_system(populated_system, a)
         save_system(populated_system, b)
         assert a.read_text() == b.read_text()
+
+    def test_file_is_the_canonical_dump_with_its_checksum_first(
+            self, populated_system, tmp_path):
+        path = tmp_path / "state.json"
+        save_system(populated_system, path, last_seq=9)
+        data = system_to_dict(populated_system, last_seq=9)
+        body = json.dumps({key: value for key, value in data.items()
+                           if key != "checksum"},
+                          sort_keys=True, separators=(",", ":")).encode()
+        digest = hashlib.sha256(body).hexdigest().encode()
+        assert path.read_bytes() == (b'{"checksum":"' + digest + b'",'
+                                     + body[1:])
+        assert json.loads(path.read_bytes()) == data
+
+    def test_indented_file_still_loads(self, populated_system, tmp_path):
+        """Files written before the compact layout keep loading."""
+        path = tmp_path / "state.json"
+        data = system_to_dict(populated_system, last_seq=9)
+        path.write_text(json.dumps(data, indent=1, sort_keys=True))
+        assert system_to_dict(load_system(path), last_seq=9) == data
 
 
 class TestVersioning:

@@ -1,4 +1,9 @@
-"""Shared workload and exact-equality helpers for the durability tests."""
+"""Shared workload, frame and exact-equality helpers for the durability
+tests."""
+
+import json
+import struct
+import zlib
 
 from repro.core import MultiDimensionalReputationSystem
 from repro.core.persistence import snapshot_checksum, system_to_dict
@@ -56,3 +61,13 @@ def replay_reference(records):
         system.apply_record(record.kind, record.payload)
     system.recompute()
     return system
+
+
+def json_frame(seq, kind, payload):
+    """A WAL frame whose body ``json.dumps`` writes: the reference the
+    journal's frames must equal, and a way to forge records the journal
+    refuses to write (unknown kinds, missing fields, wrong types)."""
+    document = json.dumps({"data": payload, "kind": kind}, sort_keys=True,
+                          separators=(",", ":"))
+    body = struct.pack("<Q", seq) + document.encode("utf-8")
+    return struct.pack("<II", len(body), zlib.crc32(body)) + body

@@ -131,8 +131,8 @@ class TestWalInspect:
         wal = state / WAL_FILENAME
         scan = read_wal(wal)
         with open(wal, "ab") as handle:
-            handle.write(encode_record(scan.last_seq + 1, "eval.vote", {
-                "user": "u", "file": "f", "vote": 7.0, "timestamp": 0.0}))
+            handle.write(encode_record(scan.last_seq + 1, "eval.vote",
+                                       ("u", "f", 7.0, 0.0)))
         assert main(["recover", str(state), "--json"]) == 0
         recovered = json.loads(capsys.readouterr().out)
         assert main(["wal-inspect", str(state), "--json"]) == 0

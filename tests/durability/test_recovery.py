@@ -11,12 +11,12 @@ from pathlib import Path
 import pytest
 
 from repro.core import MultiDimensionalReputationSystem
-from repro.core.durability import (DurabilityManager, encode_record,
-                                   flip_byte, read_wal, recover,
-                                   truncate_file)
+from repro.core.durability import (DurabilityManager, flip_byte, read_wal,
+                                   recover, truncate_file)
 from repro.obs.recorder import NULL_RECORDER, Recorder
 
-from tests.durability.helpers import assert_identical, drive, replay_reference
+from tests.durability.helpers import (assert_identical, drive, json_frame,
+                                     replay_reference)
 
 
 def journalled_run(tmp_path, steps, snapshot_every=0, subdir="state"):
@@ -194,7 +194,7 @@ class TestUnreplayableRecord:
         wal = tmp_path / "state" / "journal.wal"
         good = read_wal(wal)
         with open(wal, "ab") as handle:
-            handle.write(encode_record(3, kind, payload))
+            handle.write(json_frame(3, kind, payload))
 
         result = recover(tmp_path / "state")
         assert result.replayed_records == 2

@@ -7,7 +7,7 @@ import pytest
 from repro.core import MultiDimensionalReputationSystem
 from repro.core.durability import SnapshotStore, flip_byte, truncate_file
 from repro.core.durability.snapshots import KEEP_GENERATIONS
-from repro.core.persistence import snapshot_checksum
+from repro.core.persistence import snapshot_checksum, system_to_dict
 
 
 def _system(marker: float = 0.9):
@@ -47,6 +47,19 @@ class TestLoad:
         assert loaded.last_seq == 2
         vote = loaded.system.evaluations.get("alice", "f1")
         assert vote.explicit == 0.9
+
+    def test_indented_generation_loads(self, tmp_path):
+        """A generation in the layout written before the compact one (an
+        ``indent=1, sort_keys=True`` dump) still loads and verifies."""
+        store = SnapshotStore(tmp_path)
+        store.write(_system(0.2), last_seq=1)
+        data = system_to_dict(_system(0.9), last_seq=2)
+        store.path_for(2).write_text(json.dumps(data, indent=1,
+                                                sort_keys=True))
+        loaded = store.load_latest()
+        assert loaded.last_seq == 2
+        assert loaded.quarantined == []
+        assert system_to_dict(loaded.system, last_seq=2) == data
 
     def test_empty_directory_loads_none(self, tmp_path):
         assert SnapshotStore(tmp_path).load_latest() is None

@@ -10,13 +10,16 @@ from repro.core.durability import (WalWriter, encode_record, read_wal,
                                    scan_wal, truncate_wal)
 from repro.core.durability.wal import (FRAME_OVERHEAD, HEADER_SIZE,
                                        MAX_RECORD_BYTES, wal_header)
+from repro.core.journal_table import journal_fields
+
+from tests.durability.helpers import json_frame
 
 
 def _write(tmp_path, records, fsync="batch"):
     path = tmp_path / "journal.wal"
     with WalWriter(path, fsync=fsync) as writer:
         for kind, payload in records:
-            writer.append(kind, payload)
+            writer.append(kind, journal_fields(kind, payload))
     return path
 
 
@@ -46,8 +49,7 @@ class TestRoundTrip:
     def test_append_resumes_after_reopen(self, tmp_path):
         path = _write(tmp_path, SAMPLE)
         with WalWriter(path, start_seq=read_wal(path).last_seq) as writer:
-            writer.append("eval.vote", {"user": "carol", "file": "f2",
-                                        "vote": 0.5, "timestamp": 12.0})
+            writer.append("eval.vote", ("carol", "f2", 0.5, 12.0))
         scan = read_wal(path)
         assert [r.seq for r in scan.records] == [1, 2, 3, 4]
         assert not scan.truncated
@@ -61,14 +63,19 @@ class TestRoundTrip:
         assert not scan.truncated
 
     def test_encoding_is_deterministic(self):
-        payload = {"b": 2.0, "a": "x", "c": 1}
-        assert encode_record(7, "k", payload) == \
-            encode_record(7, "k", dict(reversed(list(payload.items()))))
+        payload = {"downloader": "x", "uploader": "a", "file": "b",
+                   "size": 2.0, "timestamp": 1}
+        values = journal_fields("ledger.download", payload)
+        frame = encode_record(7, "ledger.download", values)
+        assert frame == encode_record(7, "ledger.download", values)
+        assert frame == json_frame(7, "ledger.download", payload)
+        assert frame == json_frame(7, "ledger.download",
+                                   dict(reversed(list(payload.items()))))
 
     def test_fast_encoder_matches_canonical_json(self):
-        payload = {"user": "ué\"x", "vote": 0.125, "n": 3,
-                   "flag": True, "none": None}
-        frame = encode_record(1, "eval.vote", payload)
+        payload = {"user": "ué\"x", "file": "f\u2028", "vote": 0.125,
+                   "timestamp": 3}
+        frame = encode_record(1, "eval.vote", ("ué\"x", "f\u2028", 0.125, 3))
         body = frame[FRAME_OVERHEAD + 8:].decode("utf-8")
         assert body == json.dumps({"kind": "eval.vote", "data": payload},
                                   sort_keys=True, separators=(",", ":"))
@@ -114,8 +121,8 @@ class TestCorruption:
         path = tmp_path / "journal.wal"
         with open(path, "wb") as handle:
             handle.write(wal_header())
-            handle.write(encode_record(1, "k", {"a": 1}))
-            handle.write(encode_record(3, "k", {"a": 2}))
+            handle.write(encode_record(1, "ledger.prune", (1.0,)))
+            handle.write(encode_record(3, "ledger.prune", (2.0,)))
         scan = read_wal(path)
         assert scan.truncated
         assert "sequence gap" in scan.reason
@@ -198,7 +205,7 @@ class TestWriterValidation:
         writer = WalWriter(tmp_path / "w.wal")
         writer.close()
         with pytest.raises(ValueError, match="closed"):
-            writer.append("k", {})
+            writer.append("user.friend", ("a", "b"))
 
     def test_rejects_negative_start_seq(self, tmp_path):
         with pytest.raises(ValueError, match="start_seq"):

@@ -18,9 +18,10 @@ typed, documented outcome, never an ``IndexError``, ``KeyError``,
 * a **chunk body** damaged behind a recomputed CRC — the only way past the
   frame check into the body decoder — decodes or raises
   :class:`TraceFormatError`;
-* a damaged newest **snapshot generation** either still verifies or is
-  quarantined in favour of the older one, so recovery lands on the same
-  state either way.
+* a damaged newest **snapshot generation**, in the fixture's indented
+  layout or in the compact one :func:`save_system` writes now, either
+  still verifies or is quarantined in favour of the older one, so
+  recovery lands on the same state either way.
 
 Inputs are bounded (a ~25 KB trace, at most four edits of at most 64
 bytes or one 200 KB nested run each) and every test carries a deadline,
@@ -29,6 +30,7 @@ example works in its own ``TemporaryDirectory`` (hypothesis does not reset
 function-scoped fixtures between examples).
 """
 
+import json
 import shutil
 import tempfile
 import zlib
@@ -39,7 +41,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.core.durability import SnapshotStore, read_wal, recover, scan_wal
-from repro.core.persistence import system_to_dict
+from repro.core.persistence import (save_system, system_from_dict,
+                                    system_to_dict, wal_last_seq)
 from repro.obs import Recorder
 from repro.obs.traceio import (HEADER_SIZE, TRACE_MAGIC, TraceFormatError,
                                TraceWriter, decode_chunk, iter_trace_events,
@@ -133,20 +136,30 @@ def _recovered_state(directory: Path) -> dict:
     return system_to_dict(recover(directory).system)
 
 
+def _compact_generation(snapshot: bytes) -> bytes:
+    """An indented generation as :func:`save_system` writes it now: the
+    canonical dump with its checksum first."""
+    document = json.loads(snapshot)
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / NEWEST
+        save_system(system_from_dict(document), path,
+                    last_seq=wal_last_seq(document))
+        return path.read_bytes()
+
+
 with tempfile.TemporaryDirectory() as _workdir:
     _copy = Path(_workdir) / "state"
     shutil.copytree(FIXTURE, _copy)
     RECOVERED = _recovered_state(_copy)
 SNAPSHOT = (FIXTURE / NEWEST).read_bytes()
+COMPACT_SNAPSHOT = _compact_generation(SNAPSHOT)
 
 
-@DAMAGE
-@given(edits=damage_edits(len(SNAPSHOT)))
-def test_damaged_snapshot_falls_back_to_older_generation(edits):
+def _check_damaged_newest(snapshot: bytes, edits) -> None:
     with tempfile.TemporaryDirectory() as workdir:
         directory = Path(workdir) / "state"
         shutil.copytree(FIXTURE, directory)
-        (directory / NEWEST).write_bytes(damage(SNAPSHOT, edits))
+        (directory / NEWEST).write_bytes(damage(snapshot, edits))
         loaded = SnapshotStore(directory).load_latest()
         if loaded.quarantined:
             assert [q.original.name for q in loaded.quarantined] == [NEWEST]
@@ -158,8 +171,20 @@ def test_damaged_snapshot_falls_back_to_older_generation(edits):
         # Recovery from either generation replays to the same state.
         directory = Path(workdir) / "recover"
         shutil.copytree(FIXTURE, directory)
-        (directory / NEWEST).write_bytes(damage(SNAPSHOT, edits))
+        (directory / NEWEST).write_bytes(damage(snapshot, edits))
         assert _recovered_state(directory) == RECOVERED
+
+
+@DAMAGE
+@given(edits=damage_edits(len(SNAPSHOT)))
+def test_damaged_snapshot_falls_back_to_older_generation(edits):
+    _check_damaged_newest(SNAPSHOT, edits)
+
+
+@DAMAGE
+@given(edits=damage_edits(len(COMPACT_SNAPSHOT)))
+def test_damaged_compact_snapshot_falls_back_to_older_generation(edits):
+    _check_damaged_newest(COMPACT_SNAPSHOT, edits)
 
 
 @WAL_DAMAGE
