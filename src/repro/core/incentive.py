@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .config import DEFAULT_CONFIG, ReputationConfig
 from .journal_table import JournalSink, check_record
@@ -133,6 +133,9 @@ class ActionCreditTracker:
     config: ReputationConfig = field(default=DEFAULT_CONFIG)
     _credits: Dict[str, float] = field(default_factory=dict)
     _counts: Dict[Tuple[str, IncentiveAction], int] = field(default_factory=dict)
+    #: The largest balance (0.0 with none).  A balance only grows, since
+    #: credits and magnitudes are >= 0, so each new one can only raise it.
+    _largest: float = field(default=0.0, repr=False, compare=False)
     #: Write-ahead hook (see :mod:`~repro.core.journal_table`):
     #: :meth:`record` hands it its record before the balance moves; the
     #: default only checks it.
@@ -153,10 +156,13 @@ class ActionCreditTracker:
             IncentiveAction.RANK_USER: self.config.rank_credit,
             IncentiveAction.DELETE_FAKE_FILE: self.config.delete_fake_credit,
         }[action]
-        self._credits[user_id] = self._credits.get(user_id, 0.0) + credit
+        balance = self._credits.get(user_id, 0.0) + credit
+        self._credits[user_id] = balance
+        if balance > self._largest:
+            self._largest = balance
         key = (user_id, action)
         self._counts[key] = self._counts.get(key, 0) + 1
-        return self._credits[user_id]
+        return balance
 
     def credit(self, user_id: str) -> float:
         return self._credits.get(user_id, 0.0)
@@ -166,6 +172,15 @@ class ActionCreditTracker:
 
     def balances(self) -> Dict[str, float]:
         return dict(self._credits)
+
+    def max_credit(self) -> float:
+        """The largest balance, 0.0 when nobody has one."""
+        return self._largest
+
+    def restore_balances(self, balances: Mapping[str, float]) -> None:
+        """Set the balances a saved state holds (the snapshot loader)."""
+        self._credits.update(balances)
+        self._largest = max(self._credits.values(), default=0.0)
 
     def top_users(self, k: int = 10) -> List[Tuple[str, float]]:
         """The ``k`` users with the highest credit, descending."""

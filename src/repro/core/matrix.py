@@ -20,7 +20,8 @@ that :func:`normalize_rows`, :func:`retotal` and
 publish ``RM = TM^n`` in: canonical CSR arrays over the sorted id list,
 read in place, with a row becoming a dict only when a caller iterates it.
 It is value-equal (``==``, :meth:`~TrustMatrix.checksum`) to the dict form
-of the same entries.
+of the same entries.  At ``n >= 2`` the pipeline publishes TM in it too,
+written by :func:`weighted_csr` from the raw rows with no row dict made.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from itertools import chain
 from math import fsum
 from types import MappingProxyType
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+                    Sequence, Set, Tuple)
 
 import numpy as np
 
-__all__ = ["TrustMatrix", "CsrTrustMatrix", "normalize_rows"]
+__all__ = ["TrustMatrix", "CsrTrustMatrix", "normalize_rows", "weighted_csr"]
 
 #: Rows of trust values, ``rows[i][j] = trust of i in j``.
 Rows = Mapping[str, Mapping[str, float]]
@@ -367,17 +368,106 @@ def retotal(raw: Rows, totals: Dict[str, float],
             totals.pop(i, None)
 
 
+def weighted_csr(terms: Sequence[Tuple[float, Rows, Mapping[str, float]]],
+                 rows: Iterable[str], parent: TrustMatrix) -> "CsrTrustMatrix":
+    """Eq. 7 straight into the array form: ``parent`` with ``rows``
+    re-derived from ``terms``.
+
+    ``terms`` are :meth:`TrustMatrix.weighted_row`'s, in Eq. 7 order, and
+    the result equals ``parent.copy_with_rows({i: weighted_row(terms, i)
+    for i in rows}).to_csr()`` bit for bit, with no row dict made:
+
+    - each entry is ``weight * (value / total)``, with ``totals.get(i,
+      1.0)``; numpy's float64 ``/``, ``*`` and ``+`` are single correctly
+      rounded operations, as Python's are;
+    - a cell's terms are added onto 0.0 in term order; a term that does
+      not name the cell, or whose quotient underflows, adds nothing, as
+      ``0.0 + x == x`` for ``x >= 0`` (raw rows hold positive values);
+    - a cell whose sum ends at 0.0 (underflow) is left out, and so is an
+      id left with no entry, by the constructor.
+
+    ``parent`` is read in its array form (:meth:`TrustMatrix.to_csr`).
+    Only the entries of ``rows`` are encoded, into arrays over its id
+    list, and spliced in (:func:`_splice`).  An id the list lacks
+    re-indexes: the merged id list is sorted, and the parent's arrays
+    move onto it as :meth:`CsrTrustMatrix.over` moves them.  Working
+    memory is O(entries of ``rows``) beside the result.
+    """
+    form = parent.to_csr()
+    dirty = sorted(rows)
+    ids = form.ids
+    index = form._index
+    try:
+        keys, products = _encode_terms(terms, dirty, index)
+    except KeyError:
+        extra: Set[str] = set()
+        for _weight, raw, _totals in terms:
+            for i in dirty:
+                row = raw.get(i)
+                if row:
+                    extra.add(i)
+                    extra.update(row)
+        ids = sorted(extra.union(ids))
+        index = {node_id: a for a, node_id in enumerate(ids)}
+        keys, products = _encode_terms(terms, dirty, index)
+    # A stable sort keeps each cell's terms in Eq. 7 order, and
+    # ``np.add.at`` adds them onto 0.0 one at a time, in that order.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    sums = np.zeros(np.count_nonzero(first))
+    np.add.at(sums, np.cumsum(first) - 1, products[order])
+    positive = sums > 0.0
+    replaced = [index[i] for i in dirty if i in index]
+    return _splice(ids, *form.over(ids), replaced,
+                   keys[first][positive], sums[positive])
+
+
+def _encode_terms(terms: Sequence[Tuple[float, Rows, Mapping[str, float]]],
+                  dirty: Sequence[str], index: Mapping[str, int]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """The terms' entries in ``dirty`` rows as ``(cells, products)``, term
+    after term.
+
+    A cell is ``row * len(index) + column`` over ``index``'s positions; a
+    product is ``weight * (value / total)``.  ``KeyError`` on an id
+    ``index`` lacks.
+    """
+    n = len(index)
+    get = index.__getitem__
+    cells = [np.empty(0, dtype=np.int64)]
+    products = [np.empty(0)]
+    for weight, raw, totals in terms:
+        named = [i for i in dirty if raw.get(i)]
+        if not named:
+            continue
+        held = [raw[i] for i in named]
+        lengths = np.fromiter(map(len, held), dtype=np.int64,
+                              count=len(held))
+        count = int(lengths.sum())
+        columns = np.fromiter(chain.from_iterable(map(get, row)
+                                                  for row in held),
+                              dtype=np.int64, count=count)
+        values = np.fromiter(chain.from_iterable(row.values()
+                                                 for row in held),
+                             dtype=np.float64, count=count)
+        at = np.fromiter(map(get, named), dtype=np.int64, count=len(named))
+        divisors = np.array([totals.get(i, 1.0) for i in named])
+        cells.append(np.repeat(at * n, lengths) + columns)
+        products.append(weight * (values / np.repeat(divisors, lengths)))
+    return np.concatenate(cells), np.concatenate(products)
+
+
 def _splice_rows(parent: "CsrTrustMatrix", rows: Mapping[str, Dict[str, float]],
                  replaced: Iterable[str]) -> Optional["CsrTrustMatrix"]:
     """``rows`` in array form, spliced from ``parent``'s form.
 
     ``rows`` are ``parent``'s rows with those named in ``replaced`` swapped
-    (:meth:`TrustMatrix.copy_with_rows`).  Every other row's entries move
-    by their row's offset in one vectorised pass; only the replaced rows
-    are encoded and column-sorted.  The arrays run over ``parent``'s id
-    list, and the constructor prunes the ids left with no entry, as it
-    does for the full walk.  ``None`` if a replaced row names an id the
-    list lacks: the caller falls back to the full walk.
+    (:meth:`TrustMatrix.copy_with_rows`).  Only the replaced rows are
+    encoded and column-sorted; :func:`_splice` moves the rest.  ``None``
+    if a replaced row names an id ``parent``'s list lacks: the caller
+    falls back to the full walk.
     """
     index = parent._index
     get = index.__getitem__
@@ -392,32 +482,41 @@ def _splice_rows(parent: "CsrTrustMatrix", rows: Mapping[str, Dict[str, float]],
         return None
     if not at:
         return parent
-    n = len(parent._ids)
-    counts = np.diff(parent._indptr)
-    counts[at] = lengths
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    values = np.empty(indptr[-1])
-    # Unchanged rows: every entry shifts by its row's offset.
-    kept = np.ones(n, dtype=bool)
-    kept[at] = False
-    entry_rows = _entry_rows(parent._indptr)
-    source = np.flatnonzero(kept[entry_rows])
-    target = source + (indptr[:-1] - parent._indptr[:-1])[entry_rows[source]]
-    indices[target] = parent._indices[source]
-    values[target] = parent._data[source]
-    # Replaced rows: one sort puts each one's columns in ascending order
-    # (the rows already run in id order), then each lands at its start.
-    order = np.argsort(np.repeat(at, lengths) * n + encoded)
-    firsts = np.cumsum(lengths) - lengths
-    target = (np.arange(len(encoded))
-              + np.repeat(indptr[at] - firsts, lengths))
-    indices[target] = encoded[order]
-    values[target] = np.fromiter(
-        chain.from_iterable(row.values() for row in new_rows),
-        dtype=np.float64, count=len(encoded))[order]
-    return CsrTrustMatrix(parent._ids, indptr, indices, values)
+    # One sort puts each row's columns in ascending order (the rows
+    # already run in id order).
+    cells = np.repeat(at, lengths) * len(parent._ids) + encoded
+    order = np.argsort(cells)
+    values = np.fromiter(chain.from_iterable(row.values() for row in new_rows),
+                         dtype=np.float64, count=len(encoded))
+    return _splice(parent._ids, parent._indptr, parent._indices, parent._data,
+                   at, cells[order], values[order])
+
+
+def _splice(ids: List[str], indptr: np.ndarray, indices: np.ndarray,
+            data: np.ndarray, replaced: Sequence[int], cells: np.ndarray,
+            values: np.ndarray) -> "CsrTrustMatrix":
+    """CSR arrays over ``ids`` with the rows at positions ``replaced``
+    swapped for the entries ``cells`` (``row * len(ids) + column``,
+    ascending) holding ``values``.
+
+    One gather builds each output array: a kept row's entries are taken
+    from the old arrays and a replaced row's from the new entries, each
+    run starting where its row does.  The constructor prunes the ids left
+    with no entry, as it does for a conversion from rows.
+    """
+    n = len(ids)
+    rows = cells // n
+    fresh = np.bincount(rows, minlength=n)
+    counts = np.diff(indptr)
+    counts[replaced] = fresh[replaced]
+    starts = indptr[:-1].copy()
+    starts[replaced] = (len(data) + np.cumsum(fresh) - fresh)[replaced]
+    spliced = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=spliced[1:])
+    take = np.repeat(starts - spliced[:-1], counts) + np.arange(spliced[-1])
+    return CsrTrustMatrix(ids, spliced,
+                          np.concatenate((indices, cells - rows * n))[take],
+                          np.concatenate((data, values))[take])
 
 
 def _entry_rows(indptr: np.ndarray) -> np.ndarray:

@@ -252,7 +252,7 @@ def system_from_dict(data: dict) -> MultiDimensionalReputationSystem:
         for target in targets:
             system.user_trust.add_to_blacklist(user, target)
 
-    system.credits._credits.update(data["credits"]["balances"])
+    system.credits.restore_balances(data["credits"]["balances"])
     for entry in data["credits"]["counts"]:
         key = (entry["user"], IncentiveAction(entry["action"]))
         system.credits._counts[key] = entry["count"]

@@ -20,10 +20,12 @@ stores' *dirty sets* are the one record of what changed:
    them when read.  The pipeline clears the dirt once every dimension has
    consumed it;
 3. the integrated ``TM`` is patched row-wise — Eq. 7 re-applied to exactly
-   the dirty rows, one pass per row that adds ``weight * value / total``
-   term by term, so the division of Eqs. 3/5/6 happens inside it — and
-   published copy-on-write, so earlier snapshots stay stable while each
-   refresh has a fresh matrix identity;
+   the dirty rows, adding ``weight * value / total`` term by term, so the
+   division of Eqs. 3/5/6 happens inside it — and published
+   copy-on-write, so earlier snapshots stay stable while each refresh has
+   a fresh matrix identity.  At ``n = 1`` the rows are dicts; at
+   ``n >= 2`` they are written straight into TM's array form, which is
+   all the power reads;
 4. ``RM = TM^n`` (Eq. 8) goes through a pluggable
    :mod:`~repro.core.matrix_backend`, resolved only when a power actually
    runs; for the paper's default ``n = 1`` RM *is* the patched ``TM``, no
@@ -47,7 +49,7 @@ from ..obs.recorder import NULL_RECORDER, NullRecorder
 from .config import DEFAULT_CONFIG, ReputationConfig
 from .evaluation import EvaluationStore
 from .file_trust import FileTrustAccumulator
-from .matrix import TrustMatrix
+from .matrix import TrustMatrix, weighted_csr
 from .matrix_backend import resolve_backend
 from .multitrust import compute_reputation_matrix
 from .user_trust import UserTrustAccumulator, UserTrustStore
@@ -123,7 +125,7 @@ class TrustPipeline:
     """Owns the incremental compute path from stores to ``TM``/``RM``.
 
     The pipeline never mutates a published matrix: each refresh patches
-    through :meth:`TrustMatrix.copy_with_rows`, so callers holding a
+    into a new one (:meth:`_publish_trust`), so callers holding a
     :class:`RefreshView` from an earlier refresh keep a stable snapshot
     while ``pipeline.trust`` moves on.  ``version`` increments on every
     refresh that consumed dirt — cache keys for derived structures (tier
@@ -147,7 +149,10 @@ class TrustPipeline:
         self._dimensions = [(weight, accumulator)
                             for weight, accumulator in dimensions
                             if weight > 0]
-        self._trust = TrustMatrix()
+        #: TM; in array form from the start at ``n >= 2``
+        #: (:meth:`_publish_trust`).
+        self._trust = (TrustMatrix() if config.multitrust_steps == 1
+                       else TrustMatrix().to_csr())
         self._reputation = TrustMatrix()
         #: RM powers for step overrides, keyed by ``steps``; cleared by
         #: every refresh that consumed dirt.
@@ -284,17 +289,25 @@ class TrustPipeline:
     def _publish_trust(self, dirty_rows: Set[str]) -> None:
         """Re-apply Eq. 7 to exactly ``dirty_rows``; publish copy-on-write.
 
-        Each row is one dict, built by :meth:`TrustMatrix.weighted_row`
-        from every dimension's raw rows and their totals, and adopted as it
-        is by :meth:`TrustMatrix.copy_with_rows`.
+        The form of TM follows ``multitrust_steps``.  At ``n = 1`` RM *is*
+        TM and queries read its rows, so each row is one dict, built by
+        :meth:`TrustMatrix.weighted_row` from every dimension's raw rows
+        and their totals, and adopted as it is by
+        :meth:`TrustMatrix.copy_with_rows`.  At ``n >= 2`` TM is only an
+        operand of the power, which reads its array form, so
+        :func:`weighted_csr` writes the dirty rows straight into the
+        previous TM's arrays, with the same bits.
         """
         check_simplex((self.config.alpha, self.config.beta, self.config.gamma),
                       name="(alpha, beta, gamma)")
         dimensions = [(weight, accumulator.raw, accumulator.totals)
                       for weight, accumulator in self._dimensions]
-        self._trust = self._trust.copy_with_rows(
-            {i: TrustMatrix.weighted_row(dimensions, i)
-             for i in sorted(dirty_rows)})
+        if self.config.multitrust_steps >= 2:
+            self._trust = weighted_csr(dimensions, dirty_rows, self._trust)
+        else:
+            self._trust = self._trust.copy_with_rows(
+                {i: TrustMatrix.weighted_row(dimensions, i)
+                 for i in sorted(dirty_rows)})
         check_row_stochastic(self._trust, name="TM", strict=False)
 
     def _power(self, trust: TrustMatrix, steps: int,

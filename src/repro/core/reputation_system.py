@@ -236,7 +236,7 @@ class MultiDimensionalReputationSystem:
         """
         reputation = self.reputation_matrix()
         return self._effective_reputation(
-            reputation, observer, target, self._max_credit(),
+            reputation, observer, target, self.credits.max_credit(),
             reference_reputation(reputation, observer))
 
     def best_effective_reputation(self, observer: str,
@@ -250,7 +250,7 @@ class MultiDimensionalReputationSystem:
         refresh, so a cache keyed on the trust view would go stale.
         """
         reputation = self.reputation_matrix()
-        max_credit = self._max_credit()
+        max_credit = self.credits.max_credit()
         reference = reference_reputation(reputation, observer)
         return max((self._effective_reputation(reputation, observer, target,
                                                max_credit, reference)
@@ -268,13 +268,6 @@ class MultiDimensionalReputationSystem:
         return judge_file(self.reputation_matrix(), self.evaluations,
                           observer, file_id, threshold, self.config,
                           accept_when_blind)
-
-    def _max_credit(self) -> float:
-        """Largest credit balance in the system (0.0 when nobody has any)."""
-        balances = self.credits.balances()
-        if not balances:
-            return 0.0
-        return max(balances.values())
 
     def _effective_reputation(self, reputation: TrustMatrix, observer: str,
                               target: str, max_credit: float,
@@ -299,7 +292,7 @@ class MultiDimensionalReputationSystem:
             self.config, reference_reputation=max(reference, 1e-12))
         return differentiator.service_level(
             requester, self._effective_reputation(
-                reputation, observer, requester, self._max_credit(),
+                reputation, observer, requester, self.credits.max_credit(),
                 reference))
 
     def order_request_queue(self, observer: str,
@@ -316,7 +309,7 @@ class MultiDimensionalReputationSystem:
         reference = reference_reputation(reputation, observer)
         differentiator = ServiceDifferentiator(
             self.config, reference_reputation=max(reference, 1e-12))
-        max_credit = self._max_credit()
+        max_credit = self.credits.max_credit()
         annotated = [
             (requester, arrival,
              self._effective_reputation(reputation, observer, requester,

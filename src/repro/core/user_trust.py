@@ -36,6 +36,10 @@ class UserTrustStore:
     """
 
     _ratings: Dict[Tuple[str, str], float] = field(default_factory=dict)
+    #: rater -> the users they rated: :attr:`_ratings`' keys by rater, so
+    #: one user's relationships need no scan of every rating.
+    _ratees: Dict[str, Set[str]] = field(default_factory=dict, repr=False,
+                                         compare=False)
     _friends: Dict[str, Set[str]] = field(default_factory=dict)
     _blacklists: Dict[str, Set[str]] = field(default_factory=dict)
     #: Raters whose relationships changed since the last :meth:`clear_dirty`
@@ -59,6 +63,7 @@ class UserTrustStore:
             raise ValueError(f"rating must be in [0,1], got {rating}")
         self.journal("user.rate", rater, ratee, rating)
         self._ratings[(rater, ratee)] = rating
+        self._ratees.setdefault(rater, set()).add(ratee)
         self._dirty_raters.add(rater)
 
     def add_friend(self, user: str, friend: str) -> None:
@@ -132,14 +137,14 @@ class UserTrustStore:
 
     def raters(self) -> Set[str]:
         """All users who expressed any user-trust relationship."""
-        users = {rater for rater, _ in self._ratings}
+        users = set(self._ratees)
         users.update(self._friends)
         users.update(self._blacklists)
         return users
 
     def relationships_of(self, user: str) -> Dict[str, float]:
         """All effective non-None UT values expressed by ``user``."""
-        targets: Set[str] = {ratee for rater, ratee in self._ratings if rater == user}
+        targets = set(self._ratees.get(user, ()))
         targets.update(self._friends.get(user, ()))
         targets.update(self._blacklists.get(user, ()))
         result: Dict[str, float] = {}
@@ -151,8 +156,8 @@ class UserTrustStore:
 
     def rank_count(self, user: str) -> int:
         """Number of explicit rank/rating actions ``user`` has performed."""
-        explicit = sum(1 for rater, _ in self._ratings if rater == user)
-        return (explicit + len(self._friends.get(user, ()))
+        return (len(self._ratees.get(user, ()))
+                + len(self._friends.get(user, ()))
                 + len(self._blacklists.get(user, ())))
 
 

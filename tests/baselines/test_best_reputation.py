@@ -56,7 +56,7 @@ def _assert_matches_generic(mechanism):
 def mechanism(request):
     mechanism = request.param()
     _populate(mechanism)
-    assert mechanism.system._max_credit() > 0.0
+    assert mechanism.system.credits.max_credit() > 0.0
     return mechanism
 
 

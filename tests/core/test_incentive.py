@@ -1,5 +1,7 @@
 """Tests for repro.core.incentive: service differentiation and credits."""
 
+import random
+
 import pytest
 
 from repro.core import (ActionCreditTracker, IncentiveAction,
@@ -115,6 +117,23 @@ class TestActionCredits:
 
     def test_unknown_user_has_zero_credit(self):
         assert ActionCreditTracker().credit("nobody") == 0.0
+
+    def test_max_credit_is_the_largest_balance(self):
+        tracker = ActionCreditTracker()
+        assert tracker.max_credit() == 0.0
+        tracker.record("low", IncentiveAction.RANK_USER, magnitude=0.0)
+        assert tracker.max_credit() == 0.0
+        rng = random.Random(5)
+        for _ in range(200):
+            tracker.record(f"u{rng.randrange(20)}",
+                           rng.choice(list(IncentiveAction)),
+                           magnitude=rng.choice([0.0, rng.random(), 3.0]))
+            assert tracker.max_credit() == max(tracker.balances().values())
+        restored = ActionCreditTracker()
+        restored.restore_balances(tracker.balances())
+        assert restored.max_credit() == tracker.max_credit()
+        restored.record("u0", IncentiveAction.VOTE, magnitude=1e6)
+        assert restored.max_credit() == restored.credit("u0")
 
     def test_top_users_ordering(self):
         tracker = ActionCreditTracker()

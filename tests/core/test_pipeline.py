@@ -5,13 +5,13 @@ import random
 import pytest
 
 import repro.core.matrix_backend as matrix_backend
-from repro.core import (EvaluationStore, MultiDimensionalReputationSystem,
-                        ReputationConfig, TrustMatrix, TrustPipeline,
-                        UserTrustStore, compute_reputation_matrix,
-                        resolve_backend)
+from repro.core import (CsrTrustMatrix, EvaluationStore,
+                        MultiDimensionalReputationSystem, ReputationConfig,
+                        TrustMatrix, TrustPipeline, UserTrustStore,
+                        compute_reputation_matrix, resolve_backend)
 from repro.core.integration import build_one_step_matrix
 from repro.core.volume_trust import DownloadLedger
-from repro.lint.contracts import set_contracts_enabled
+from repro.lint.contracts import checking_invariants, set_contracts_enabled
 from repro.obs import Recorder
 
 
@@ -379,3 +379,80 @@ class TestFacadeIntegration:
         matrix = system.reputation_matrix()
         assert matrix.get("a", "b") >= 0.0
         assert system.pipeline.last_stats.backend == "dense"
+
+
+class TestTrustForm:
+    """TM's form follows ``multitrust_steps``: dict rows at n = 1, where
+    queries read them, and the array form at n >= 2, where only the power
+    reads TM."""
+
+    @staticmethod
+    def _spy_dict_rows(monkeypatch):
+        """From now on, every call that builds Eq. 7 rows as dicts or
+        encodes dict rows into arrays, by name."""
+        import repro.core.matrix as matrix_module
+
+        calls = []
+        weighted_row = TrustMatrix.weighted_row
+        to_csr = TrustMatrix.to_csr
+        copy_with_rows = TrustMatrix.copy_with_rows
+        splice_rows = matrix_module._splice_rows
+
+        def spy_weighted_row(terms, i):
+            calls.append("weighted_row")
+            return weighted_row(terms, i)
+
+        def spy_to_csr(matrix):
+            calls.append("to_csr")
+            return to_csr(matrix)
+
+        def spy_copy_with_rows(matrix, updates):
+            calls.append("copy_with_rows")
+            return copy_with_rows(matrix, updates)
+
+        def spy_splice_rows(*args):
+            calls.append("_splice_rows")
+            return splice_rows(*args)
+
+        monkeypatch.setattr(TrustMatrix, "weighted_row",
+                            staticmethod(spy_weighted_row))
+        # CsrTrustMatrix overrides to_csr: only a dict-form matrix gets here.
+        monkeypatch.setattr(TrustMatrix, "to_csr", spy_to_csr)
+        monkeypatch.setattr(TrustMatrix, "copy_with_rows", spy_copy_with_rows)
+        monkeypatch.setattr(matrix_module, "_splice_rows", spy_splice_rows)
+        return calls
+
+    def test_multi_step_publishes_the_array_form_directly(self, monkeypatch):
+        config = ReputationConfig(multitrust_steps=3)
+        system = MultiDimensionalReputationSystem(config, auto_refresh=False)
+        pipeline = system.pipeline
+        dict_rows_built = self._spy_dict_rows(monkeypatch)
+        # The full rebuild check behind REPRO_CHECK_INVARIANTS builds dict
+        # rows on purpose; the publish itself must not.
+        with checking_invariants(False):
+            _drive_facade(system, events=80)
+        assert dict_rows_built == []
+        assert pipeline.last_stats.mode == "incremental"
+        assert isinstance(pipeline.trust, CsrTrustMatrix)
+        assert pipeline.trust == build_one_step_matrix(
+            system.evaluations, system.ledger, system.user_trust, config)
+        incremental = pipeline.checksums()
+        pipeline.refresh(force_full=True)
+        assert pipeline.checksums() == incremental
+
+    def test_single_step_keeps_dict_rows_in_eq7_key_order(self):
+        system = MultiDimensionalReputationSystem(auto_refresh=False)
+        _drive_facade(system, events=80)
+        pipeline = system.pipeline
+        trust = pipeline.trust
+        assert type(trust) is TrustMatrix
+        assert trust == build_one_step_matrix(
+            system.evaluations, system.ledger, system.user_trust,
+            system.config)
+        # Each row is weighted_row's own dict, whose key order EQ7_DIGEST
+        # pins (tests/core/test_pinned_digests.py).
+        terms = [(weight, accumulator.raw, accumulator.totals)
+                 for weight, accumulator in pipeline._dimensions]
+        for i in trust.row_ids():
+            assert (list(trust.row_view(i).items())
+                    == list(TrustMatrix.weighted_row(terms, i).items()))

@@ -1,6 +1,8 @@
 """Tests for repro.core.user_trust: Eq. 6, friends and blacklists."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import UserTrustStore, build_user_trust_matrix
 from repro.core.user_trust import FRIEND_TRUST
@@ -109,6 +111,47 @@ class TestRelationships:
         store.add_friend("c", "d")
         store.add_to_blacklist("e", "f")
         assert store.raters() == {"a", "c", "e"}
+
+
+_USERS = ["a", "b", "c", "d", "e"]
+_ACTIONS = st.lists(st.tuples(
+    st.sampled_from(["rate", "add_friend", "add_to_blacklist",
+                     "remove_friend", "remove_from_blacklist"]),
+    st.sampled_from(_USERS), st.sampled_from(_USERS),
+    st.floats(min_value=0.0, max_value=1.0)), max_size=40)
+
+
+class TestIndexByRater:
+    """The per-rater index of ratees answers what a scan of every rating
+    answered, in the same sorted order."""
+
+    @given(actions=_ACTIONS)
+    @settings(max_examples=100, deadline=None)
+    def test_index_agrees_with_a_full_scan(self, actions):
+        store = UserTrustStore()
+        for action, user, other, rating in actions:
+            if user == other:
+                continue
+            if action == "rate":
+                store.rate(user, other, rating)
+            else:
+                getattr(store, action)(user, other)
+        ratings = store._ratings
+        assert store.raters() == ({rater for rater, _ in ratings}
+                                  | set(store._friends)
+                                  | set(store._blacklists))
+        for user in _USERS:
+            targets = ({ratee for rater, ratee in ratings if rater == user}
+                       | store.friends_of(user) | store.blacklist_of(user))
+            scanned = {other: store.trust(user, other)
+                       for other in sorted(targets)}
+            assert (list(store.relationships_of(user).items())
+                    == [(other, value) for other, value in scanned.items()
+                        if value is not None])
+            assert store.rank_count(user) == (
+                sum(1 for rater, _ in ratings if rater == user)
+                + len(store.friends_of(user))
+                + len(store.blacklist_of(user)))
 
 
 class TestUserTrustMatrix:
