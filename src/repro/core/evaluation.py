@@ -22,7 +22,8 @@ preserve the evaluations within an interval").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .config import DEFAULT_CONFIG, ReputationConfig
 from .journal_table import JournalSink, check_record
@@ -32,6 +33,11 @@ __all__ = [
     "implicit_from_retention",
     "EvaluationStore",
 ]
+
+#: What :meth:`EvaluationStore.file_evaluations` returns for a file nobody
+#: evaluated; not kept per file, so unknown ids cost the store nothing.
+_NO_EVALUATIONS: Mapping[str, float] = MappingProxyType({})
+
 
 def implicit_from_retention(retention_seconds: float,
                             saturation_seconds: float) -> float:
@@ -114,6 +120,11 @@ class EvaluationStore:
     #: :meth:`clear_dirty` — the delta the incremental pipeline rebuilds
     #: from; the dirty files derive from them.
     _dirty_pairs: Set[Tuple[str, str]] = field(default_factory=set)
+    #: file id -> the read-only Eq. 1 map :meth:`file_evaluations` handed
+    #: out, kept until the next write to that file drops it.  A map is
+    #: replaced, never changed, so every map handed out stays as it was.
+    _file_maps: Dict[str, Mapping[str, float]] = field(
+        default_factory=dict, repr=False, compare=False)
     #: Write-ahead hook (see :mod:`~repro.core.journal_table`): public
     #: mutators hand it their record after validating and before mutating.
     #: The default only checks the record; a WAL sink also persists it.
@@ -161,16 +172,30 @@ class EvaluationStore:
             raise ValueError(
                 f"play_fraction must be in [0,1], got {play_fraction}")
         self.journal("eval.play", user_id, file_id, play_fraction, timestamp)
-        evaluation = self._upsert(user_id, file_id, timestamp)
-        if (evaluation.play_fraction is None
-                or play_fraction > evaluation.play_fraction):
-            evaluation.play_fraction = play_fraction
+        return self._upsert(user_id, file_id, timestamp, play=play_fraction)
+
+    def restore(self, user_id: str, file_id: str, implicit: float,
+                explicit: Optional[float], play_fraction: Optional[float],
+                timestamp: float) -> FileEvaluation:
+        """Set one evaluation to a saved state, field for field.
+
+        For loading a snapshot: nothing is journaled, and the fields are
+        taken as saved rather than merged into an existing evaluation.
+        """
+        evaluation = self._upsert(user_id, file_id, timestamp,
+                                  implicit=implicit, explicit=explicit)
+        evaluation.play_fraction = play_fraction
+        evaluation.timestamp = timestamp
         return evaluation
 
     def _upsert(self, user_id: str, file_id: str, timestamp: float,
                 implicit: Optional[float] = None,
-                explicit: Optional[float] = None) -> FileEvaluation:
+                explicit: Optional[float] = None,
+                play: Optional[float] = None) -> FileEvaluation:
+        """Create or fetch an evaluation and apply a write to it; marks the
+        pair dirty and drops the file's map before any field moves."""
         self._dirty_pairs.add((user_id, file_id))
+        self._file_maps.pop(file_id, None)
         per_user = self._by_user.setdefault(user_id, {})
         evaluation = per_user.get(file_id)
         if evaluation is None:
@@ -182,6 +207,9 @@ class EvaluationStore:
             evaluation.implicit = implicit
         if explicit is not None:
             evaluation.explicit = explicit
+        if play is not None and (evaluation.play_fraction is None
+                                 or play > evaluation.play_fraction):
+            evaluation.play_fraction = play
         evaluation.timestamp = max(evaluation.timestamp, timestamp)
         return evaluation
 
@@ -189,6 +217,7 @@ class EvaluationStore:
         """Drop one evaluation (e.g. the user deleted the file long ago)."""
         self.journal("eval.remove", user_id, file_id)
         self._dirty_pairs.add((user_id, file_id))
+        self._file_maps.pop(file_id, None)
         per_user = self._by_user.get(user_id)
         if per_user and file_id in per_user:
             del per_user[file_id]
@@ -271,12 +300,27 @@ class EvaluationStore:
             files_a, files_b = files_b, files_a
         return {file_id for file_id in files_a if file_id in files_b}
 
-    def file_evaluations(self, file_id: str) -> Dict[str, float]:
-        """Eq. 1 values of every user who evaluated ``file_id``."""
-        return {
-            user_id: evaluation.value(self.config)
-            for user_id, evaluation in self._by_file.get(file_id, {}).items()
-        }
+    def file_evaluations(self, file_id: str) -> Mapping[str, float]:
+        """Eq. 1 values of every user who evaluated ``file_id``.
+
+        The map is read-only and built once: every call until the next
+        write to ``file_id`` (a record, :meth:`remove` or
+        :meth:`prune_older_than`) returns the same object.  That write
+        drops it and the next call builds a new one, so a map handed out
+        earlier never changes.  Eq. 9 reads it per judgement, and file
+        trust keeps it as the file's snapshot.
+        """
+        values = self._file_maps.get(file_id)
+        if values is None:
+            per_file = self._by_file.get(file_id)
+            if not per_file:
+                return _NO_EVALUATIONS
+            config = self.config
+            values = self._file_maps[file_id] = MappingProxyType({
+                user_id: evaluation.value(config)
+                for user_id, evaluation in per_file.items()
+            })
+        return values
 
     def users(self) -> Set[str]:
         return set(self._by_user)

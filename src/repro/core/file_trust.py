@@ -17,7 +17,7 @@ Figure 1 replay can test edge existence without materialising a full matrix.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from ..lint.contracts import check_row_stochastic
 from .config import DEFAULT_CONFIG, ReputationConfig
@@ -126,8 +126,9 @@ class FileTrustAccumulator:
         self._term, self._finalize = PAIRWISE_ACCUMULATORS[config.distance_metric]
         #: pair -> {file_id: Eq. 2 term} for every file both users evaluated.
         self._pair_terms: Dict[Tuple[str, str], Dict[str, float]] = {}
-        #: file_id -> {user: Eq. 1 value} the file's current terms came from.
-        self._file_values: Dict[str, Dict[str, float]] = {}
+        #: file_id -> {user: Eq. 1 value} the file's current terms came from:
+        #: the read-only map the store handed out, kept as it was returned.
+        self._file_values: Dict[str, Mapping[str, float]] = {}
         #: Un-normalised symmetric FT rows (Eq. 2 finalised values).
         self.raw: Dict[str, Dict[str, float]] = {}
         #: row -> ``math.fsum`` of its :attr:`raw` values, Eq. 3's divisor.

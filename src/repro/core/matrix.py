@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from bisect import bisect_right
 from itertools import chain
 from math import fsum
 from types import MappingProxyType
-from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Collection, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -43,6 +44,8 @@ Rows = Mapping[str, Mapping[str, float]]
 
 #: Shared immutable empty row for :meth:`TrustMatrix.row_view` misses.
 _EMPTY_ROW: Mapping[str, float] = MappingProxyType({})
+#: Entries per record block of :meth:`CsrTrustMatrix.checksum`.
+_CHECKSUM_BLOCK = 1 << 12
 #: The row totals of an already-normalised matrix in
 #: :meth:`TrustMatrix.weighted_row`: none, so every row divides by 1.0.
 _NORMALISED: Mapping[str, float] = MappingProxyType({})
@@ -140,6 +143,11 @@ class TrustMatrix:
         for i, row in self._rows.items():
             yield i, MappingProxyType(row)
 
+    def row_values(self) -> Iterator[Tuple[str, Collection[float]]]:
+        """(row id, the row's values) pairs in row order — no row copied."""
+        for i, row in self._rows.items():
+            yield i, row.values()
+
     def row_ids(self) -> List[str]:
         return list(self._rows)
 
@@ -165,10 +173,9 @@ class TrustMatrix:
         Entries are hashed in sorted (row, column) order with each value's
         IEEE-754 byte representation, so two matrices have equal checksums
         iff they are exactly ``==`` — the digest recovery tests compare
-        instead of shipping whole matrices around.  The array form hashes
-        through this same walk, one row dict at a time; going through
-        :meth:`to_csr` instead would hold an array copy of a dict-form
-        matrix while hashing.
+        instead of shipping whole matrices around.  The array form streams
+        the same bytes from its arrays; going through :meth:`to_csr` here
+        would hold an array copy of a dict-form matrix while hashing.
         """
         digest = hashlib.sha256()
         for i in sorted(self._rows):
@@ -672,6 +679,11 @@ class CsrTrustMatrix(TrustMatrix):
             return self._data.item(k)
         return 0.0
 
+    def row_values(self) -> Iterator[Tuple[str, Collection[float]]]:
+        starts = self._starts
+        for a in self._nonempty.tolist():
+            yield self._ids[a], self._data[starts[a]:starts[a + 1]].tolist()
+
     def row_ids(self) -> List[str]:
         return [self._ids[a] for a in self._nonempty.tolist()]
 
@@ -684,6 +696,42 @@ class CsrTrustMatrix(TrustMatrix):
 
     def node_ids(self) -> List[str]:
         return list(self._ids)
+
+    def checksum(self) -> str:
+        """:meth:`TrustMatrix.checksum`'s digest, read from the arrays.
+
+        When every id encodes to the same number of bytes, one record
+        array of ``(column id + NUL, little-endian float64)`` per entry
+        holds each row's byte run as one slice.  Ids of mixed encoded
+        length take the inherited row walk.
+        """
+        encoded = [node_id.encode("utf-8") for node_id in self._ids]
+        if len({len(name) for name in encoded}) != 1:
+            return super().checksum()
+        width = len(encoded[0]) + 1  # the NUL is the S field's padding
+        names = np.array(encoded, dtype=f"S{width}")
+        layout = np.dtype([("id", f"S{width}"), ("value", "<f8")])
+        size = layout.itemsize
+        starts = self._starts
+        digest = hashlib.sha256()
+        a0 = 0
+        while a0 < len(encoded):
+            # Whole rows, about _CHECKSUM_BLOCK entries: the records take
+            # a fixed block of memory whatever the matrix's size.
+            begin = starts[a0]
+            a1 = max(bisect_right(starts, begin + _CHECKSUM_BLOCK) - 1, a0 + 1)
+            end = starts[a1]
+            records = np.empty(end - begin, dtype=layout)
+            records["id"] = names[self._indices[begin:end]]
+            records["value"] = self._data[begin:end]
+            stream = records.view(np.uint8)
+            for a in range(a0, a1):
+                if starts[a] < starts[a + 1]:
+                    digest.update(encoded[a] + b"\x00")
+                    digest.update(stream[(starts[a] - begin) * size:
+                                         (starts[a + 1] - begin) * size])
+            a0 = a1
+        return digest.hexdigest()
 
     def density(self, node_ids: Optional[Sequence[str]] = None) -> float:
         """Entries inside the universe, minus its diagonal, over

@@ -230,11 +230,9 @@ def system_from_dict(data: dict) -> MultiDimensionalReputationSystem:
         config, auto_refresh=data.get("auto_refresh", True))
 
     for entry in data["evaluations"]:
-        record = system.evaluations._upsert(
-            entry["user"], entry["file"], entry["timestamp"],
-            implicit=entry["implicit"], explicit=entry["explicit"])
-        record.play_fraction = entry.get("play_fraction")
-        record.timestamp = entry["timestamp"]
+        system.evaluations.restore(
+            entry["user"], entry["file"], entry["implicit"],
+            entry["explicit"], entry.get("play_fraction"), entry["timestamp"])
 
     for entry in data["downloads"]:
         system.ledger.record_download(

@@ -18,7 +18,8 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import (Collection, Iterable, Iterator, Mapping, Optional, Tuple,
+                    Union)
 
 __all__ = [
     "ContractViolation",
@@ -100,13 +101,13 @@ def assert_simplex(weights: Iterable[float], *, name: str = "weights",
             f"{name} sum to {total!r}, must sum to 1 (simplex)")
 
 
-def _iter_rows(matrix: RowSource) -> Iterable[Tuple[str, Mapping[str, float]]]:
-    rows = getattr(matrix, "rows", None)
-    if callable(rows):  # duck-typed TrustMatrix
-        return rows()
-    if isinstance(matrix, Mapping):
-        return matrix.items()
-    return matrix
+def _iter_row_values(matrix: RowSource
+                     ) -> Iterable[Tuple[str, Collection[float]]]:
+    row_values = getattr(matrix, "row_values", None)
+    if callable(row_values):  # duck-typed TrustMatrix: no row is copied
+        return row_values()
+    rows = matrix.items() if isinstance(matrix, Mapping) else matrix
+    return ((row_id, row.values()) for row_id, row in rows)
 
 
 def assert_row_stochastic(matrix: RowSource, *, name: str = "matrix",
@@ -114,17 +115,18 @@ def assert_row_stochastic(matrix: RowSource, *, name: str = "matrix",
     """Require each non-empty row to sum to 1 (``strict``) or at most 1.
 
     Accepts a :class:`~repro.core.matrix.TrustMatrix` (anything with a
-    ``rows()`` iterator), a mapping-of-mappings, or an iterable of
-    ``(row_id, row)`` pairs.  The integrated TM is checked with
+    ``row_values()`` iterator, which the array form answers from slices of
+    its data), a mapping-of-mappings, or an iterable of ``(row_id, row)``
+    pairs.  The integrated TM is checked with
     ``strict=False`` because rows are deliberately *sub*-stochastic when a
     dimension's store is absent (see ``build_one_step_matrix``); the
     per-dimension FM/DM/UM matrices are checked strictly.
     """
-    for row_id, row in _iter_rows(matrix):
-        if not row:
+    for row_id, values in _iter_row_values(matrix):
+        if not values:
             continue
-        total = math.fsum(row.values())
-        negative = [value for value in row.values() if value < -tol]
+        total = math.fsum(values)
+        negative = [value for value in values if value < -tol]
         if negative:
             raise ContractViolation(
                 f"{name}[{row_id!r}] has negative entries: {negative[:3]}")

@@ -1,9 +1,10 @@
 """Runtime contracts: simplex and row-stochastic invariants on live values."""
 
+import numpy as np
 import pytest
 
-from repro.core import (DEFAULT_CONFIG, EvaluationStore, TrustMatrix,
-                        UserTrustStore, build_one_step_matrix,
+from repro.core import (DEFAULT_CONFIG, CsrTrustMatrix, EvaluationStore,
+                        TrustMatrix, UserTrustStore, build_one_step_matrix,
                         compute_reputation_matrix)
 from repro.lint import (ContractViolation, assert_row_stochastic,
                         assert_simplex, check_row_stochastic, check_simplex,
@@ -56,6 +57,53 @@ class TestAssertRowStochastic:
 
     def test_empty_rows_are_ignored(self):
         assert_row_stochastic({"a": {}})
+
+
+def _verdict(matrix, **kwargs):
+    try:
+        assert_row_stochastic(matrix, **kwargs)
+    except ContractViolation as violation:
+        return str(violation)
+    return None
+
+
+class TestArrayFormRows:
+    """The array form's rows, read as slices, get the dict form's verdict."""
+
+    @pytest.mark.parametrize("rows, strict", [
+        ({"a": {"b": 0.9, "c": 0.9}}, True),
+        ({"a": {"b": 0.9, "c": 0.9}}, False),
+        ({"a": {"b": 0.25, "c": 0.75}, "c": {"a": 0.5}}, True),
+        ({"a": {"b": 0.3}}, False),
+    ])
+    def test_same_verdict_and_message(self, rows, strict):
+        matrix = TrustMatrix(rows)
+        verdict = _verdict(matrix, name="TM", strict=strict)
+        assert _verdict(matrix.to_csr(), name="TM", strict=strict) == verdict
+        assert _verdict(rows, name="TM", strict=strict) == verdict
+
+    def test_violations_raise(self):
+        with pytest.raises(ContractViolation, match="row-stochastic"):
+            assert_row_stochastic(
+                TrustMatrix({"a": {"b": 0.9, "c": 0.9}}).to_csr())
+        with pytest.raises(ContractViolation, match="sub-stochastic"):
+            assert_row_stochastic(
+                TrustMatrix({"a": {"b": 0.9, "c": 0.9}}).to_csr(),
+                strict=False)
+
+    def test_negative_entry_in_the_arrays_raises(self):
+        # The constructor does not check signs, so the contract must.
+        matrix = CsrTrustMatrix(["a", "b"], np.array([0, 1, 1]),
+                                np.array([1]), np.array([-0.5]))
+        with pytest.raises(ContractViolation, match="negative entries"):
+            assert_row_stochastic(matrix)
+        assert (_verdict(matrix)
+                == _verdict({"a": {"b": -0.5}}))
+
+    def test_accepts_a_normalised_array_form(self):
+        assert_row_stochastic(
+            TrustMatrix({"a": {"b": 3.0, "c": 1.0}}).row_normalized()
+            .to_csr())
 
 
 class TestGating:

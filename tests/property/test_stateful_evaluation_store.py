@@ -1,10 +1,13 @@
 """Stateful property test: EvaluationStore vs. a naive model.
 
-Hypothesis drives random sequences of record/remove/prune operations
-against both the real store and a dictionary-based model; every invariant
-the trust dimensions rely on is checked after each step.
+Hypothesis drives random sequences of record/remove/prune operations and
+per-file reads against both the real store and a dictionary-based model;
+every invariant the trust dimensions rely on is checked after each step.
+The reads check the store's kept Eq. 1 maps: each equals a fresh
+recomputation, and none handed out ever changes or accepts a write.
 """
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant, rule)
@@ -21,6 +24,8 @@ class EvaluationStoreMachine(RuleBasedStateMachine):
         self.store = EvaluationStore()
         # model: (user, file) -> timestamp
         self.model = {}
+        # (map handed out by file_evaluations, a copy of its items then)
+        self.handed_out = []
 
     @rule(user=st.sampled_from(USERS), file=st.sampled_from(FILES),
           vote=st.floats(min_value=0, max_value=1),
@@ -35,6 +40,14 @@ class EvaluationStoreMachine(RuleBasedStateMachine):
           timestamp=st.floats(min_value=0, max_value=1000))
     def record_retention(self, user, file, retention, timestamp):
         self.store.record_retention(user, file, retention, timestamp)
+        previous = self.model.get((user, file), -1.0)
+        self.model[(user, file)] = max(previous, timestamp)
+
+    @rule(user=st.sampled_from(USERS), file=st.sampled_from(FILES),
+          implicit=st.floats(min_value=0, max_value=1),
+          timestamp=st.floats(min_value=0, max_value=1000))
+    def record_implicit(self, user, file, implicit, timestamp):
+        self.store.record_implicit(user, file, implicit, timestamp)
         previous = self.model.get((user, file), -1.0)
         self.model[(user, file)] = max(previous, timestamp)
 
@@ -59,6 +72,24 @@ class EvaluationStoreMachine(RuleBasedStateMachine):
         assert removed == len(stale)
         for key in stale:
             del self.model[key]
+
+    @rule(file=st.sampled_from(FILES + ["never-evaluated"]))
+    def read(self, file):
+        values = self.store.file_evaluations(file)
+        config = self.store.config
+        fresh = {user: self.store.get(user, file).value(config)
+                 for (user, evaluated) in self.model if evaluated == file}
+        # Same values and the same evaluator order (Eq. 9 sums in it).
+        assert list(values.items()) == list(fresh.items())
+        assert self.store.file_evaluations(file) is values
+        with pytest.raises(TypeError):
+            values["u0"] = 0.5
+        self.handed_out.append((values, list(values.items())))
+
+    @invariant()
+    def handed_out_maps_never_change(self):
+        for values, items in self.handed_out:
+            assert list(values.items()) == items
 
     @invariant()
     def same_population(self):
