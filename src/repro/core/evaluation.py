@@ -21,7 +21,7 @@ preserve the evaluations within an interval").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
@@ -137,32 +137,32 @@ class EvaluationStore:
 
     def record_retention(self, user_id: str, file_id: str,
                          retention_seconds: float,
-                         timestamp: float = 0.0) -> FileEvaluation:
+                         timestamp: float = 0.0) -> None:
         """Record/refresh the implicit evaluation from retention time."""
         implicit = implicit_from_retention(
             retention_seconds, self.config.retention_saturation_seconds)
         self.journal("eval.retention", user_id, file_id, retention_seconds,
                      timestamp)
-        return self._upsert(user_id, file_id, timestamp, implicit=implicit)
+        self._upsert(user_id, file_id, timestamp, implicit=implicit)
 
     def record_vote(self, user_id: str, file_id: str, vote: float,
-                    timestamp: float = 0.0) -> FileEvaluation:
+                    timestamp: float = 0.0) -> None:
         """Record an explicit vote in [0, 1]."""
         if not 0.0 <= vote <= 1.0:
             raise ValueError(f"vote must be in [0,1], got {vote}")
         self.journal("eval.vote", user_id, file_id, vote, timestamp)
-        return self._upsert(user_id, file_id, timestamp, explicit=vote)
+        self._upsert(user_id, file_id, timestamp, explicit=vote)
 
     def record_implicit(self, user_id: str, file_id: str, implicit: float,
-                        timestamp: float = 0.0) -> FileEvaluation:
+                        timestamp: float = 0.0) -> None:
         """Record an already-normalised implicit evaluation directly."""
         if not 0.0 <= implicit <= 1.0:
             raise ValueError(f"implicit must be in [0,1], got {implicit}")
         self.journal("eval.implicit", user_id, file_id, implicit, timestamp)
-        return self._upsert(user_id, file_id, timestamp, implicit=implicit)
+        self._upsert(user_id, file_id, timestamp, implicit=implicit)
 
     def record_play(self, user_id: str, file_id: str, play_fraction: float,
-                    timestamp: float = 0.0) -> FileEvaluation:
+                    timestamp: float = 0.0) -> None:
         """Record the fraction of a playable file the user consumed.
 
         Monotone: repeated plays only ever raise the stored fraction (the
@@ -172,11 +172,11 @@ class EvaluationStore:
             raise ValueError(
                 f"play_fraction must be in [0,1], got {play_fraction}")
         self.journal("eval.play", user_id, file_id, play_fraction, timestamp)
-        return self._upsert(user_id, file_id, timestamp, play=play_fraction)
+        self._upsert(user_id, file_id, timestamp, play=play_fraction)
 
     def restore(self, user_id: str, file_id: str, implicit: float,
                 explicit: Optional[float], play_fraction: Optional[float],
-                timestamp: float) -> FileEvaluation:
+                timestamp: float) -> None:
         """Set one evaluation to a saved state, field for field.
 
         For loading a snapshot: nothing is journaled, and the fields are
@@ -186,7 +186,6 @@ class EvaluationStore:
                                   implicit=implicit, explicit=explicit)
         evaluation.play_fraction = play_fraction
         evaluation.timestamp = timestamp
-        return evaluation
 
     def _upsert(self, user_id: str, file_id: str, timestamp: float,
                 implicit: Optional[float] = None,
@@ -268,11 +267,18 @@ class EvaluationStore:
     # ------------------------------------------------------------------ #
 
     def get(self, user_id: str, file_id: str) -> Optional[FileEvaluation]:
-        return self._by_user.get(user_id, {}).get(file_id)
+        """A copy of one evaluation, or None if absent.
+
+        The store's own objects change only through its mutators, which
+        mark the pair dirty and drop the file's Eq. 1 map; a write to the
+        copy reaches none of them.
+        """
+        evaluation = self._by_user.get(user_id, {}).get(file_id)
+        return None if evaluation is None else replace(evaluation)
 
     def value(self, user_id: str, file_id: str) -> Optional[float]:
         """Eq. 1 value of one evaluation, or None if absent."""
-        evaluation = self.get(user_id, file_id)
+        evaluation = self._by_user.get(user_id, {}).get(file_id)
         if evaluation is None:
             return None
         return evaluation.value(self.config)

@@ -565,7 +565,8 @@ class CsrTrustMatrix(TrustMatrix):
     """Trust matrix over canonical CSR arrays.
 
     ``ids`` is the strictly sorted list of node ids — the constructor drops
-    ids that hold no entry; ``data`` must be positive — and row ``a`` holds
+    ids that hold no entry; ``data`` must be positive, and a zero, negative
+    or NaN entry raises ``ValueError`` — and row ``a`` holds
     the entries ``data[indptr[a]:indptr[a + 1]]`` at columns
     ``indices[...]``, ascending.  Reads index the arrays directly: ``get``
     takes ``data[start + b]`` on a full row and a binary search on a
@@ -582,6 +583,10 @@ class CsrTrustMatrix(TrustMatrix):
         if len(indptr) != len(ids) + 1:
             raise ValueError(
                 f"indptr has {len(indptr)} entries for {len(ids)} ids")
+        data = np.asarray(data, dtype=np.float64)
+        if len(data) and not data.min() > 0.0:
+            raise ValueError(
+                f"CSR trust values must be > 0, got {data.min()}")
         present = np.diff(indptr) > 0
         if not present.all():
             present[indices] = True
@@ -596,7 +601,7 @@ class CsrTrustMatrix(TrustMatrix):
         self._index = {node_id: a for a, node_id in enumerate(ids)}
         self._indptr = np.asarray(indptr)
         self._indices = np.asarray(indices)
-        self._data = np.asarray(data, dtype=np.float64)
+        self._data = data
         self._starts: List[int] = self._indptr.tolist()
         self._nonempty = np.flatnonzero(np.diff(self._indptr))
         peaks = np.zeros(len(ids))

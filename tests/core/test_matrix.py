@@ -323,6 +323,18 @@ class TestArrayForm:
         assert dict(form.rows()) == dict(matrix.rows())
         assert TrustMatrix(dict(form.rows())) == form
 
+    @pytest.mark.parametrize("value", [-0.5, 0.0, -0.0, float("nan"),
+                                       float("-inf")])
+    def test_a_non_positive_or_nan_entry_is_rejected(self, value):
+        with pytest.raises(ValueError, match="must be > 0"):
+            CsrTrustMatrix(["a", "b"], [0, 1, 1], [1], [value])
+        with pytest.raises(ValueError, match="must be > 0"):
+            CsrTrustMatrix(["a", "b"], [0, 2, 2], [0, 1], [0.5, value])
+
+    def test_no_entries_pass_the_sign_check(self):
+        empty = CsrTrustMatrix(["a", "b"], [0, 0, 0], [], [])
+        assert empty.entry_count() == 0 and empty.node_ids() == []
+
     @given(matrices(), matrices())
     def test_equality_follows_values(self, left, right):
         assert (left.to_csr() == right) == (left == right)

@@ -4,8 +4,12 @@ Hypothesis drives random sequences of record/remove/prune operations and
 per-file reads against both the real store and a dictionary-based model;
 every invariant the trust dimensions rely on is checked after each step.
 The reads check the store's kept Eq. 1 maps: each equals a fresh
-recomputation, and none handed out ever changes or accepts a write.
+recomputation, and none handed out ever changes or accepts a write.  An
+evaluation read with ``get`` is a copy: a write to one of its fields
+reaches neither the store, nor its dirty set, nor the file's kept map.
 """
+
+from dataclasses import astuple
 
 import pytest
 from hypothesis import settings
@@ -72,6 +76,31 @@ class EvaluationStoreMachine(RuleBasedStateMachine):
         assert removed == len(stale)
         for key in stale:
             del self.model[key]
+
+    @rule()
+    def clear_dirty(self):
+        self.store.clear_dirty()
+        assert self.store.dirty_pairs() == set()
+
+    @rule(user=st.sampled_from(USERS), file=st.sampled_from(FILES),
+          field=st.sampled_from(("implicit", "explicit", "play_fraction",
+                                 "timestamp")),
+          value=st.floats(min_value=0, max_value=1))
+    def write_a_copy(self, user, file, field, value):
+        copy = self.store.get(user, file)
+        if copy is None:
+            return
+        dirty = self.store.dirty_pairs()
+        values = self.store.file_evaluations(file)
+        items = list(values.items())
+        stored = astuple(self.store.get(user, file))
+        # Off the model's timestamps, so a write that reached the store
+        # would also move what prune removes.
+        setattr(copy, field, 2000.0 if field == "timestamp" else value)
+        assert astuple(self.store.get(user, file)) == stored
+        assert self.store.dirty_pairs() == dirty
+        assert self.store.file_evaluations(file) is values
+        assert list(values.items()) == items
 
     @rule(file=st.sampled_from(FILES + ["never-evaluated"]))
     def read(self, file):
