@@ -64,7 +64,7 @@ class ReputationConfig:
 
     # Matmul backend for RM = TM^n: one of matrix_backend.BACKEND_SPECS
     # (see repro.core.matrix_backend).  Resolved only when a power runs
-    # (multitrust_steps >= 2, or a step override >= 2).
+    # (multitrust_steps >= 2).
     matmul_backend: str = "auto"
 
     # Eq. 2 -- distance metric between evaluation vectors: a key of

@@ -63,18 +63,14 @@ class TrustMatrix:
 
     def __init__(self, rows: Optional[Rows] = None):
         """The entries of ``rows``, copied; a zero is left out, and a
-        negative entry raises ``ValueError``."""
+        negative or NaN entry raises ``ValueError``."""
         self._rows: Dict[str, Dict[str, float]] = {}
         #: :meth:`to_csr`'s result, once built.
         self._csr: Optional[CsrTrustMatrix] = None
-        #: Set by :meth:`copy_with_rows`: the parent's array form and the
-        #: ids of the rows replaced since, which :meth:`to_csr` splices
-        #: from; dropped once the form is built.
-        self._patch: Optional[Tuple[CsrTrustMatrix, List[str]]] = None
         for i, values in (rows or {}).items():
             row: Dict[str, float] = {}
             for j, value in values.items():
-                if value < 0:
+                if not value >= 0:
                     raise ValueError(
                         f"trust values must be >= 0, got {value} at ({i},{j})")
                 if value != 0.0:
@@ -94,11 +90,6 @@ class TrustMatrix:
         with ``self``; no matrix changes a row, so snapshots handed out
         earlier stay stable while a refresh publishes a fresh matrix
         identity.
-
-        If ``self`` holds its array form, the copy remembers it and the
-        replaced row ids, so its :meth:`to_csr` re-encodes only those
-        rows.  Only that one level is held: the copy of a copy whose form
-        was never built starts from scratch.
         """
         result = TrustMatrix()
         rows = result._rows = dict(self._rows)
@@ -107,9 +98,6 @@ class TrustMatrix:
                 rows[i] = values
             else:
                 rows.pop(i, None)
-        form = self._array_form()
-        if form is not None:
-            result._patch = (form, list(updates))
         return result
 
     # ------------------------------------------------------------------ #
@@ -269,23 +257,12 @@ class TrustMatrix:
     # Array bridges                                                      #
     # ------------------------------------------------------------------ #
 
-    def _array_form(self) -> Optional["CsrTrustMatrix"]:
-        """The array form if it is already built, else ``None``."""
-        return self._csr
-
     def to_csr(self) -> "CsrTrustMatrix":
         """This matrix in array form over its sorted node ids.
 
-        One walk over the rows, or, for a :meth:`copy_with_rows` copy of a
-        matrix that held its array form, a splice of that form with only
-        the replaced rows encoded (:func:`_splice_rows`).  The result is
-        kept, so the ``"auto"`` density check and the product that follows
-        share it.
+        One walk over the rows.  The result is kept, so the ``"auto"``
+        density check and the product that follows share it.
         """
-        if self._patch is not None:
-            parent, replaced = self._patch
-            self._patch = None
-            self._csr = _splice_rows(parent, self._rows, replaced)
         if self._csr is None:
             columns: List[str] = []
             data: List[float] = []
@@ -466,39 +443,6 @@ def _encode_terms(terms: Sequence[Tuple[float, Rows, Mapping[str, float]]],
     return np.concatenate(cells), np.concatenate(products)
 
 
-def _splice_rows(parent: "CsrTrustMatrix", rows: Mapping[str, Dict[str, float]],
-                 replaced: Iterable[str]) -> Optional["CsrTrustMatrix"]:
-    """``rows`` in array form, spliced from ``parent``'s form.
-
-    ``rows`` are ``parent``'s rows with those named in ``replaced`` swapped
-    (:meth:`TrustMatrix.copy_with_rows`).  Only the replaced rows are
-    encoded and column-sorted; :func:`_splice` moves the rest.  ``None``
-    if a replaced row names an id ``parent``'s list lacks: the caller
-    falls back to the full walk.
-    """
-    index = parent._index
-    get = index.__getitem__
-    try:
-        at = sorted(get(i) for i in replaced if i in rows or i in index)
-        new_rows = [rows.get(parent._ids[a], _EMPTY_ROW) for a in at]
-        lengths = list(map(len, new_rows))
-        encoded = np.fromiter(
-            chain.from_iterable(map(get, row) for row in new_rows),
-            dtype=np.int64, count=sum(lengths))  # repro: allow[NUM003] len()s
-    except KeyError:
-        return None
-    if not at:
-        return parent
-    # One sort puts each row's columns in ascending order (the rows
-    # already run in id order).
-    cells = np.repeat(at, lengths) * len(parent._ids) + encoded
-    order = np.argsort(cells)
-    values = np.fromiter(chain.from_iterable(row.values() for row in new_rows),
-                         dtype=np.float64, count=len(encoded))
-    return _splice(parent._ids, parent._indptr, parent._indices, parent._data,
-                   at, cells[order], values[order])
-
-
 def _splice(ids: List[str], indptr: np.ndarray, indices: np.ndarray,
             data: np.ndarray, replaced: Sequence[int], cells: np.ndarray,
             values: np.ndarray) -> "CsrTrustMatrix":
@@ -662,9 +606,6 @@ class CsrTrustMatrix(TrustMatrix):
     # ------------------------------------------------------------------ #
 
     def to_csr(self) -> "CsrTrustMatrix":
-        return self
-
-    def _array_form(self) -> "CsrTrustMatrix":
         return self
 
     # ------------------------------------------------------------------ #

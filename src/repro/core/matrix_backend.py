@@ -282,6 +282,14 @@ def _csr_dense_blocks(left: Any, right: Any, blocks: int) -> np.ndarray:
     no bit.  The kernel releases the GIL; blocks hold equal numbers of
     stored entries, the first runs on the calling thread and the rest on
     :func:`_row_block_pool`.
+
+    The private call is kept on purpose.  The public
+    ``product[lo:hi] = left[lo:hi] @ right`` gives the same bits but
+    copies each block's rows, and cost 3.20 -> 3.61 ms per 400-node
+    product, serially, and about 10% of ``sparse-multitrust``'s
+    throughput (docs/performance.md).
+    ``tests/property/test_blocked_csr_kernel.py`` fails if scipy moves
+    the function.
     """
     from scipy.sparse import _sparsetools
 

@@ -128,8 +128,7 @@ class TrustPipeline:
     into a new one (:meth:`_publish_trust`), so callers holding a
     :class:`RefreshView` from an earlier refresh keep a stable snapshot
     while ``pipeline.trust`` moves on.  ``version`` increments on every
-    refresh that consumed dirt — cache keys for derived structures (tier
-    views, step-overridden RM powers) hang off it.
+    refresh that consumed dirt.
     """
 
     def __init__(self, evaluations: EvaluationStore, ledger: DownloadLedger,
@@ -154,9 +153,6 @@ class TrustPipeline:
         self._trust = (TrustMatrix() if config.multitrust_steps == 1
                        else TrustMatrix().to_csr())
         self._reputation = TrustMatrix()
-        #: RM powers for step overrides, keyed by ``steps``; cleared by
-        #: every refresh that consumed dirt.
-        self._power_cache: Dict[int, TrustMatrix] = {}
         self._initialized = False
         #: Monotone refresh counter; bumps whenever matrices re-publish.
         self.version = 0
@@ -233,16 +229,14 @@ class TrustPipeline:
             dirty_rows: Set[str] = set().union(*touched.values())
             with self.recorder.span("pipeline.publish"):
                 self._publish_trust(dirty_rows)
-            self._reputation, backend = self._power(
-                self._trust, self.config.multitrust_steps, self.recorder)
+            self._reputation, backend = self._power(self._trust,
+                                                    self.recorder)
             span.count("rows_rebuilt", len(dirty_rows))
             span.count("dirty_files", dirty_files)
 
         self.evaluations.clear_dirty()
         self.ledger.clear_dirty()
         self.user_trust.clear_dirty()
-        self._power_cache.clear()
-        self._power_cache[self.config.multitrust_steps] = self._reputation
         self._initialized = True
         self.version += 1
 
@@ -273,15 +267,6 @@ class TrustPipeline:
         return {"trust": self._trust.checksum(),
                 "reputation": self._reputation.checksum()}
 
-    def reputation_at(self, steps: int) -> TrustMatrix:
-        """``TM^steps`` for a step override, cached until the next refresh."""
-        cached = self._power_cache.get(steps)
-        if cached is None:
-            cached, _backend = self._power(self._trust, steps,
-                                           self.recorder)
-            self._power_cache[steps] = cached
-        return cached
-
     # ------------------------------------------------------------------ #
     # Internals                                                          #
     # ------------------------------------------------------------------ #
@@ -310,14 +295,15 @@ class TrustPipeline:
                  for i in sorted(dirty_rows)})
         check_row_stochastic(self._trust, name="TM", strict=False)
 
-    def _power(self, trust: TrustMatrix, steps: int,
+    def _power(self, trust: TrustMatrix,
                recorder: NullRecorder) -> Tuple[TrustMatrix, str]:
-        """``trust^steps`` and the name of the backend that computed it.
+        """``trust^n`` (Eq. 8) and the name of the backend that computed it.
 
         A backend is resolved — and ``"auto"``'s O(entries) scan paid —
-        only when a product actually runs.  At ``steps == 1`` RM *is* TM
-        and the name is ``"none"``.
+        only when a product actually runs.  At ``n == 1`` RM *is* TM and
+        the name is ``"none"``.
         """
+        steps = self.config.multitrust_steps
         if steps == 1:
             return trust, "none"
         backend = resolve_backend(self.config.matmul_backend, trust)
@@ -346,8 +332,7 @@ class TrustPipeline:
         check_matrices_equal(self._trust, full_trust, name="TM(incremental)")
         # Same backend choice as the incremental path: the csr and dense
         # products agree only to tolerance, and the bar here is exact.
-        full_reputation, _backend = self._power(
-            full_trust, self.config.multitrust_steps, NULL_RECORDER)
+        full_reputation, _backend = self._power(full_trust, NULL_RECORDER)
         check_matrices_equal(self._reputation, full_reputation,
                              name="RM(incremental)")
 

@@ -39,7 +39,7 @@ from .incentive import (ActionCreditTracker, IncentiveAction,
                         reference_reputation)
 from .journal_table import JOURNAL_RECORDS, check_record, journal_fields
 from .matrix import TrustMatrix
-from .multitrust import MultiTierView, global_reputation_vector
+from .multitrust import global_reputation_vector
 from .pipeline import RefreshView, TrustPipeline
 from .user_trust import UserTrustStore
 from .volume_trust import DownloadLedger
@@ -77,8 +77,6 @@ class MultiDimensionalReputationSystem:
         #: A refresh requested by :meth:`recompute` (or owed to the first
         #: query); deltas themselves live only in the stores' dirty sets.
         self._stale = True
-        self._tier_view: Optional[MultiTierView] = None
-        self._tier_version = -1
 
     @property
     def recorder(self) -> NullRecorder:
@@ -190,15 +188,9 @@ class MultiDimensionalReputationSystem:
         self._ensure_fresh()
         return self.pipeline.trust
 
-    def reputation_matrix(self, steps: Optional[int] = None) -> TrustMatrix:
-        """The multi-trust reputation matrix ``RM = TM^n`` (Eq. 8), cached.
-
-        ``steps`` overrides ``config.multitrust_steps``; overridden powers
-        are cached per step count until the next refresh.
-        """
+    def reputation_matrix(self) -> TrustMatrix:
+        """The multi-trust reputation matrix ``RM = TM^n`` (Eq. 8), cached."""
         self._ensure_fresh()
-        if steps is not None and steps != self.config.multitrust_steps:
-            return self.pipeline.reputation_at(steps)
         return self.pipeline.reputation
 
     def refresh_view(self) -> RefreshView:
@@ -210,15 +202,6 @@ class MultiDimensionalReputationSystem:
         """
         self._ensure_fresh()
         return self.pipeline.view()
-
-    def tier_view(self, max_tier: int = 3) -> MultiTierView:
-        """Multi-tier view over the current one-step matrix."""
-        self._ensure_fresh()
-        if (self._tier_view is None or self._tier_view.max_tier != max_tier
-                or self._tier_version != self.pipeline.version):
-            self._tier_view = MultiTierView(self.pipeline.trust, max_tier)
-            self._tier_version = self.pipeline.version
-        return self._tier_view
 
     # ------------------------------------------------------------------ #
     # Queries                                                            #

@@ -799,9 +799,8 @@ def _bench_power(seed: int, nodes: int, density: float, baseline: str,
         backend = resolve_backend(name, matrix)
 
         def run() -> float:
-            # A fresh dict-form operand per run, built from scratch: a
-            # matrix keeps its array form (``to_csr``), and a copy of one
-            # that holds it splices its own, but the timed power must
+            # A fresh dict-form operand per run: a matrix keeps its array
+            # form once built (``to_csr``), but the timed power must
             # convert the whole matrix.
             operand = TrustMatrix().copy_with_rows(dict(matrix.rows()))
             started = time.perf_counter()

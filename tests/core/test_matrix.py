@@ -45,6 +45,10 @@ class TestBasicOps:
         with pytest.raises(ValueError):
             TrustMatrix({"a": {"b": -0.1}})
 
+    def test_nan_value_rejected(self):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            TrustMatrix({"a": {"b": float("nan")}})
+
     def test_constructor_from_mapping(self):
         rows = {"a": {"b": 1.0, "c": 2.0}}
         matrix = TrustMatrix(rows)

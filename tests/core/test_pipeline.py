@@ -7,8 +7,7 @@ import pytest
 import repro.core.matrix_backend as matrix_backend
 from repro.core import (CsrTrustMatrix, EvaluationStore,
                         MultiDimensionalReputationSystem, ReputationConfig,
-                        TrustMatrix, TrustPipeline, UserTrustStore,
-                        compute_reputation_matrix, resolve_backend)
+                        TrustMatrix, TrustPipeline, UserTrustStore)
 from repro.core.integration import build_one_step_matrix
 from repro.core.volume_trust import DownloadLedger
 from repro.lint.contracts import checking_invariants, set_contracts_enabled
@@ -194,27 +193,12 @@ class TestBackendResolution:
             chosen.append(backend.name)
             return backend
         monkeypatch.setattr(matrix_backend, "select_backend", spy)
-        pipeline, evaluations, ledger, user_trust = _pipeline()
-        _populate(evaluations, ledger, user_trust)
-        pipeline.refresh()
-        assert chosen == []
-        pipeline.reputation_at(2)
-        assert chosen == ["csr"]
-
-    @pytest.mark.parametrize("steps", [1, 2, 4])
-    def test_reputation_at_overrides(self, steps):
-        config = ReputationConfig(multitrust_steps=3)
+        config = ReputationConfig(multitrust_steps=2)
         pipeline, evaluations, ledger, user_trust = _pipeline(config)
         _populate(evaluations, ledger, user_trust)
-        evaluations.record_vote("c", "f1", 0.85)
         pipeline.refresh()
-        trust = pipeline.trust
-        expected = compute_reputation_matrix(
-            trust, steps, config,
-            backend=resolve_backend(config.matmul_backend, trust))
-        assert pipeline.reputation_at(steps) == expected
-        if steps == 1:
-            assert pipeline.reputation_at(1) is trust
+        assert chosen == ["csr"]
+        assert pipeline.last_stats.backend == "csr"
 
 
 class TestStatsAndObservability:
@@ -262,25 +246,6 @@ class TestStatsAndObservability:
         pipeline, *_ = _pipeline()
         pipeline.refresh()
         assert pipeline.last_stats.rebuild_ratio == 0.0
-
-
-class TestStepOverrides:
-    def test_reputation_at_cached_until_refresh(self):
-        pipeline, evaluations, ledger, user_trust = _pipeline()
-        _populate(evaluations, ledger, user_trust)
-        pipeline.refresh()
-        first = pipeline.reputation_at(3)
-        assert pipeline.reputation_at(3) is first
-        evaluations.record_vote("a", "f1", 0.3)
-        pipeline.refresh()
-        assert pipeline.reputation_at(3) is not first
-
-    def test_reputation_at_default_steps_is_published_matrix(self):
-        pipeline, evaluations, ledger, user_trust = _pipeline()
-        _populate(evaluations, ledger, user_trust)
-        pipeline.refresh()
-        steps = pipeline.config.multitrust_steps
-        assert pipeline.reputation_at(steps) is pipeline.reputation
 
 
 def _drive_facade(system, events):
@@ -361,15 +326,6 @@ class TestFacadeIntegration:
         system.recorder = recorder
         assert system.pipeline.recorder is recorder
 
-    def test_tier_view_cached_per_pipeline_version(self):
-        system = MultiDimensionalReputationSystem()
-        system.record_vote("a", "f1", 0.9)
-        system.record_vote("b", "f1", 0.8)
-        view = system.tier_view()
-        assert system.tier_view() is view
-        system.record_vote("b", "f2", 0.4)
-        assert system.tier_view() is not view
-
     def test_dense_backend_config_accepted_end_to_end(self):
         config = ReputationConfig(matmul_backend="dense",
                                   multitrust_steps=2)
@@ -390,13 +346,10 @@ class TestTrustForm:
     def _spy_dict_rows(monkeypatch):
         """From now on, every call that builds Eq. 7 rows as dicts or
         encodes dict rows into arrays, by name."""
-        import repro.core.matrix as matrix_module
-
         calls = []
         weighted_row = TrustMatrix.weighted_row
         to_csr = TrustMatrix.to_csr
         copy_with_rows = TrustMatrix.copy_with_rows
-        splice_rows = matrix_module._splice_rows
 
         def spy_weighted_row(terms, i):
             calls.append("weighted_row")
@@ -410,16 +363,11 @@ class TestTrustForm:
             calls.append("copy_with_rows")
             return copy_with_rows(matrix, updates)
 
-        def spy_splice_rows(*args):
-            calls.append("_splice_rows")
-            return splice_rows(*args)
-
         monkeypatch.setattr(TrustMatrix, "weighted_row",
                             staticmethod(spy_weighted_row))
         # CsrTrustMatrix overrides to_csr: only a dict-form matrix gets here.
         monkeypatch.setattr(TrustMatrix, "to_csr", spy_to_csr)
         monkeypatch.setattr(TrustMatrix, "copy_with_rows", spy_copy_with_rows)
-        monkeypatch.setattr(matrix_module, "_splice_rows", spy_splice_rows)
         return calls
 
     def test_multi_step_publishes_the_array_form_directly(self, monkeypatch):

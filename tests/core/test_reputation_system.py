@@ -81,12 +81,6 @@ class TestCaching:
         system.recompute()
         assert system.one_step_matrix() is not stale
 
-    def test_reputation_matrix_with_step_override(self, system):
-        system.record_rank("a", "b", 1.0)
-        system.record_rank("b", "c", 1.0)
-        rm2 = system.reputation_matrix(steps=2)
-        assert rm2.get("a", "c") > 0.0
-
 
 class TestQueries:
     def test_user_reputation_pairwise(self, system):
@@ -143,19 +137,3 @@ class TestQueueOrdering:
         ordered = system.order_request_queue(
             "a", [("y", 5.0), ("z", 0.0)])
         assert [requester for requester, _ in ordered] == ["z", "y"]
-
-
-class TestTierView:
-    def test_tier_view_over_current_matrix(self, system):
-        system.record_rank("a", "b", 1.0)
-        system.record_rank("b", "c", 1.0)
-        view = system.tier_view(max_tier=2)
-        assert view.assign("a", "b").tier == 1
-        assert view.assign("a", "c").tier == 2
-
-    def test_tier_view_rebuilt_for_different_depth(self, system):
-        system.record_rank("a", "b", 1.0)
-        view2 = system.tier_view(max_tier=2)
-        view3 = system.tier_view(max_tier=3)
-        assert view3.max_tier == 3
-        assert view2 is not view3

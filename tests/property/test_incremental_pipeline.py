@@ -3,9 +3,8 @@
 Each test runs the trust state machine (``trust_machine.py``) with one
 corner of its configuration pinned, over the 4-user population unless it
 draws the population too.  After every refresh the machine compares every
-stage (FM, DM, UM, TM, RM and a ``reputation_at`` override) against the
-independent full builders with no tolerance, and RM from the csr and dense
-backends to 1e-12.
+stage (FM, DM, UM, TM and RM) against the independent full builders with
+no tolerance, and RM from the csr and dense backends to 1e-12.
 """
 
 import pytest
@@ -32,8 +31,7 @@ class TestIncrementalEqualsFull:
              min_overlap=1)
 
     def test_interleavings_with_multitrust_steps(self):
-        _run(25, steps=st.integers(min_value=1, max_value=3),
-             override=st.integers(min_value=1, max_value=4))
+        _run(25, steps=st.integers(min_value=1, max_value=3))
 
     def test_single_dimension_configs(self):
         _run(25, weights=SINGLE_DIMENSIONS, population=ANY_POPULATION)

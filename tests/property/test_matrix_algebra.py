@@ -109,10 +109,10 @@ def _assert_same_array_form(matrix):
 
 
 class TestPatchedArrayForm:
-    """A ``copy_with_rows`` copy splices its array form from its parent's,
-    re-encoding only the replaced rows; the arrays must equal a conversion
-    from scratch, bit for bit, after any chain of copies, and no copy
-    changes a matrix made before it."""
+    """The array form of a ``copy_with_rows`` copy must equal a conversion
+    from scratch, bit for bit, after any chain of copies, whether or not
+    a parent held its own form, and no copy changes a matrix made before
+    it."""
 
     @given(start=sparse_matrices(),
            parent=st.sampled_from(("dict", "formed", "csr")),
@@ -133,33 +133,3 @@ class TestPatchedArrayForm:
         for matrix, rows in chain:
             assert matrix == TrustMatrix(rows)
             _assert_same_array_form(matrix)
-
-    def test_copy_splices_instead_of_walking(self, monkeypatch):
-        import repro.core.matrix as matrix_module
-
-        spliced = []
-        splice = matrix_module._splice_rows
-        monkeypatch.setattr(
-            matrix_module, "_splice_rows",
-            lambda *args: spliced.append(splice(*args)) or spliced[-1])
-        parent = _build([("n0", "n1", 1.0), ("n1", "n2", 2.0),
-                         ("n2", "n0", 3.0), ("n3", "n4", 1.0)])
-        form = parent.to_csr()
-        assert parent.copy_with_rows({}).to_csr() is form
-        copy = parent.copy_with_rows({"n1": {"n0": 0.5, "n4": 0.5},
-                                      "n3": {}})
-        _assert_same_array_form(copy)
-        # n3 loses its only row and leaves the ids; n4 stays, now as a
-        # column of n1's row.
-        assert copy.to_csr().ids == ["n0", "n1", "n2", "n4"]
-        assert spliced[-1] is copy.to_csr()
-        # An id the parent's form lacks: the full walk instead.
-        fresh = parent.copy_with_rows({"n0": {"n9": 1.0}})
-        _assert_same_array_form(fresh)
-        assert spliced[-1] is None
-        # One level only: a copy of a copy whose form was never built
-        # walks from scratch.
-        grandchild = parent.copy_with_rows({}).copy_with_rows({})
-        count = len(spliced)
-        _assert_same_array_form(grandchild)
-        assert len(spliced) == count

@@ -7,9 +7,9 @@ identical systems: one journalled to a WAL under ``NULL_RECORDER``, one on
 ``Recorder()`` and one on ``Recorder(span_sample=1)``.  After every
 refresh:
 
-* every stage (FM, DM, UM, TM, RM and a ``reputation_at`` override) of the
-  journalled system equals the independent full builders exactly — under
-  every drawn backend, so the backend choice never changes TM;
+* every stage (FM, DM, UM, TM and RM) of the journalled system equals
+  the independent full builders exactly — under every drawn backend, so
+  the backend choice never changes TM;
 * the three systems publish identical ``pipeline.checksums()``, so
   observing a run never changes one float;
 * the read mix over every user and file of the population —
@@ -72,12 +72,11 @@ CONFIGURATION = dict(
     weights=st.sampled_from(WEIGHTS),
     metric=st.sampled_from(["l1", "euclidean", "kl"]),
     min_overlap=st.integers(min_value=1, max_value=2),
-    override=st.integers(min_value=1, max_value=6),
     population=st.sampled_from(POPULATIONS))
 
 
-def _reputation(trust, steps, config, spec):
-    return compute_reputation_matrix(trust, steps, config,
+def _reputation(trust, config, spec):
+    return compute_reputation_matrix(trust, config=config,
                                      backend=resolve_backend(spec, trust))
 
 
@@ -94,7 +93,7 @@ def _reads(system, users, files):
 
 def _reads_on(system, reputation, users, files):
     """:func:`_reads` with ``reputation`` standing in for the published RM."""
-    system.reputation_matrix = lambda steps=None: reputation
+    system.reputation_matrix = lambda: reputation
     try:
         return _reads(system, users, files)
     finally:
@@ -104,13 +103,12 @@ def _reads_on(system, reputation, users, files):
 class TrustStateMachine(RuleBasedStateMachine):
     @initialize(**CONFIGURATION, data=st.data())
     def configure(self, steps, backend, weights, metric, min_overlap,
-                  override, population, data):
+                  population, data):
         alpha, beta, gamma = weights or (0.5, 0.3, 0.2)
         self.config = ReputationConfig(
             multitrust_steps=steps, matmul_backend=backend, alpha=alpha,
             beta=beta, gamma=gamma, distance_metric=metric,
             min_overlap=min_overlap)
-        self.override = override
         self.users, self.files = SMALL if population == "small" else LARGE
         self.clock = self.recovered_at = self.length = 0
         self.unchecked = False
@@ -196,9 +194,7 @@ class TrustStateMachine(RuleBasedStateMachine):
         trust = integrate(full_dimensions, config)
         assert pipeline.trust == trust
         assert pipeline.reputation == _reputation(
-            trust, None, config, config.matmul_backend)
-        assert pipeline.reputation_at(self.override) == _reputation(
-            trust, self.override, config, config.matmul_backend)
+            trust, config, config.matmul_backend)
 
         checksums = pipeline.checksums()
         for observed in self.systems[1:]:
@@ -213,7 +209,7 @@ class TrustStateMachine(RuleBasedStateMachine):
         assert copy.checksum() == published.checksum()
         assert _reads_on(system, copy, self.users, self.files) == reads
 
-        csr, dense = [_reputation(trust, None, config, spec)
+        csr, dense = [_reputation(trust, config, spec)
                       for spec in BACKENDS]
         ids = sorted(set(csr.node_ids()) | set(dense.node_ids()))
         assert all(abs(dense.get(i, j) - csr.get(i, j)) <= 1e-12
